@@ -155,10 +155,10 @@ let bench_engine_cancel () =
      timeouts: arm a timer per event, cancel four of five, run *)
   let eng = Camelot_sim.Engine.create () in
   for i = 1 to 1000 do
-    let cancel =
+    let timer =
       Camelot_sim.Engine.schedule_timer eng ~delay:(float_of_int i) (fun () -> ())
     in
-    if i mod 5 <> 0 then cancel ()
+    if i mod 5 <> 0 then Camelot_sim.Engine.cancel eng timer
   done;
   Camelot_sim.Engine.run eng
 

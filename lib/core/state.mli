@@ -147,6 +147,12 @@ val model : t -> Cost_model.t
 (** This site's id. *)
 val me : t -> Site.id
 
+(** Whether this TranMan's trace is recording. Hot call sites test it
+    before [tracef], so a disabled trace costs one branch: applying
+    [tracef] to its arguments builds closures even when nothing is
+    recorded. *)
+val tracing : t -> bool
+
 val tracef : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
 
 (** The worker pool. @raise Invalid_argument if not started. *)

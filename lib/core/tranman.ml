@@ -15,7 +15,7 @@ exception Unknown_transaction of Tid.t
    requests that do real work — and may force the log — are handed to
    the worker pool. *)
 let dispatch st msg =
-  tracef st "recv" "%a" Protocol.pp msg;
+  if tracing st then tracef st "recv" "%a" Protocol.pp msg;
   let tid = Protocol.tid msg in
   let to_pool handler =
     Thread_pool.submit (pool st) (fun () ->
@@ -101,8 +101,10 @@ let create site ~lan ~log ~directory ~config =
           n_heuristic = 0;
           n_heuristic_damage = 0;
         };
-      (* disabled by default: the commit hot path must not pay for
-         formatting; enable via [Trace.set_enabled (trace tm) true] *)
+      (* disabled by default; enable via
+         [Trace.set_enabled (trace tm) true]. Hot call sites test
+         [tracing] first, so the commit path pays one branch, not the
+         closures that applying [tracef] to its arguments builds *)
       trace = Trace.create ~enabled:false ();
     }
   in
@@ -130,26 +132,34 @@ let trace st = st.trace
 let tranman_down st reason =
   Rpc.Rpc_failure { callee = Site.id st.site; reason }
 
+(* The caller blocks before the pool can run its job or the site can
+   crash, so a reply always finds its resumer; the second of the two
+   replies finds it fired and is a no-op. *)
+let reply caller r =
+  match !caller with
+  | Some resumer -> Fiber.resume resumer (Ok r)
+  | None -> assert false
+
 let on_pool st job =
   Rpc.local_ipc st.site;
   let group = Site.group st.site in
   if Fiber.Group.killed group then raise (tranman_down st "tranman site down");
   let inc = Site.incarnation st.site in
-  let reply = Mailbox.create (engine st) in
+  let caller = ref None in
   (* A site crash silences the worker pool: queued jobs are never
      served and in-service workers die without replying. A caller from
      another site (the inline half of a cross-site RPC) would block
      forever, so group death fails the request like a broken RPC. *)
   let hook =
     Fiber.Group.register group (fun () ->
-        Mailbox.send reply (Error (tranman_down st "tranman site crashed")))
+        reply caller (Error (tranman_down st "tranman site crashed")))
   in
   Thread_pool.submit (pool st) (fun () ->
       charge_cpu st;
       let r = match job () with v -> Ok v | exception e -> Error e in
       Fiber.Group.unregister group hook;
-      Mailbox.send reply r);
-  match Mailbox.recv reply with
+      reply caller r);
+  match Fiber.suspend (fun r -> caller := Some r) with
   | Ok v -> v
   | Error e ->
       if (not (Site.alive st.site)) || Site.incarnation st.site <> inc then
@@ -169,7 +179,7 @@ let begin_transaction st =
       let tid = Tid.root ~origin:(me st) ~seq in
       ignore (new_family st ~root:tid ~role:Coordinator ~protocol:Protocol.Two_phase
               : family);
-      tracef st "txn" "begin %a" Tid.pp tid;
+      if tracing st then tracef st "txn" "begin %a" Tid.pp tid;
       tid)
 
 let begin_nested st ~parent =
@@ -310,7 +320,8 @@ let join st tid ~server =
          if not (List.mem server fam.f_servers) then
            fam.f_servers <- server :: fam.f_servers;
          if fam.f_role = Subordinate then Subordinate.start_orphan_watchdog st fam;
-         tracef st "txn" "%a joined by server %s" Tid.pp tid server)
+         if tracing st then
+           tracef st "txn" "%a joined by server %s" Tid.pp tid server)
       : unit)
 
 let note_sites st tid sites =

@@ -6,8 +6,6 @@ let pp_mode ppf = function
   | Shared -> Format.pp_print_string ppf "S"
   | Exclusive -> Format.pp_print_string ppf "X"
 
-let no_timer () = ()
-
 exception Broken
 
 type 'o waiter = {
@@ -15,7 +13,7 @@ type 'o waiter = {
   w_mode : mode;
   w_resume : unit Fiber.resumer;
   mutable w_abandoned : bool;  (* timed out *)
-  mutable w_cancel : unit -> unit;  (* cancels the pending timeout timer *)
+  mutable w_timer : Engine.timer;  (* the pending timeout, if any *)
 }
 
 (* One interned entry per key. Entries are never removed, so the
@@ -204,12 +202,12 @@ let pump t e =
     | Some w ->
         if w.w_abandoned || not (Fiber.is_pending w.w_resume) then begin
           ignore (Queue.pop e.queue : 'o waiter);
-          w.w_cancel ();
+          Engine.cancel t.eng w.w_timer;
           loop ()
         end
         else if compatible t e ~owner:w.w_owner w.w_mode then begin
           ignore (Queue.pop e.queue : 'o waiter);
-          w.w_cancel ();
+          Engine.cancel t.eng w.w_timer;
           record_grant t e ~owner:w.w_owner w.w_mode ~waited:true;
           Fiber.resume w.w_resume (Ok ());
           loop ()
@@ -234,7 +232,7 @@ let acquire_opt t ~owner ~key mode ~timeout =
                 w_mode = mode;
                 w_resume = resume;
                 w_abandoned = false;
-                w_cancel = no_timer;
+                w_timer = Engine.no_timer;
               }
             in
             Queue.add w e.queue;
@@ -247,7 +245,7 @@ let acquire_opt t ~owner ~key mode ~timeout =
                 (* skip the timer entirely if the pump above already
                    granted (the resume fires synchronously) *)
                 if (not w.w_abandoned) && Fiber.is_pending w.w_resume then
-                  w.w_cancel <-
+                  w.w_timer <-
                     Engine.schedule_timer t.eng ~delay:d (fun () ->
                         if (not w.w_abandoned) && Fiber.is_pending w.w_resume
                         then begin
@@ -383,7 +381,7 @@ let break_all t =
       | Some e ->
           Queue.iter
             (fun w ->
-              w.w_cancel ();
+              Engine.cancel t.eng w.w_timer;
               w.w_abandoned <- true;
               if Fiber.is_pending w.w_resume then
                 Fiber.resume w.w_resume (Error Broken))

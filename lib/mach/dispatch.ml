@@ -10,7 +10,8 @@ open Camelot_sim
    load-shedding at the fault point), never as fiber explosion.
 
    Executors block on their shard exactly like mailbox receivers: a
-   ring of pending resumers, dead entries skipped at delivery. *)
+   ring of pending resumers, dead entries skipped at delivery, with the
+   enqueue closure built once per shard. *)
 
 let fp_enqueue = Camelot_chaos.register ~kind:Choice "dispatch.shard.enqueue"
 
@@ -22,6 +23,7 @@ type shard = {
   fifo : job Ring.t;  (* Fifo policy *)
   pq : job Heap.t;  (* Priority policy: min priority first *)
   waiters : job Fiber.resumer Ring.t;  (* idle executors *)
+  park : job Fiber.resumer -> unit;  (* joins [waiters] *)
 }
 
 type t = {
@@ -40,10 +42,17 @@ type t = {
 let[@inline] shard_depth t s =
   match t.policy with Fifo -> Ring.length s.fifo | Priority -> Heap.length s.pq
 
-let rec next_waiter s =
-  match Ring.pop_opt s.waiters with
-  | None -> None
-  | Some r -> if Fiber.is_pending r then Some r else next_waiter s
+(* Hand [job] to the oldest idle executor still alive; [false] if
+   there is none. *)
+let rec wake_waiter s job =
+  if Ring.is_empty s.waiters then false
+  else
+    let r = Ring.pop_exn s.waiters in
+    if Fiber.is_pending r then begin
+      Fiber.resume r (Ok job);
+      true
+    end
+    else wake_waiter s job
 
 let take t s =
   match t.policy with
@@ -61,7 +70,7 @@ let executor_loop t s () =
         match take t s with
         | Some job -> run_job t job
         | None ->
-            let job = Fiber.suspend (fun r -> Ring.push s.waiters r) in
+            let job = Fiber.suspend s.park in
             run_job t job
       done
   | Some k ->
@@ -78,7 +87,7 @@ let executor_loop t s () =
         let job =
           match take t s with
           | Some job -> job
-          | None -> Fiber.suspend (fun r -> Ring.push s.waiters r)
+          | None -> Fiber.suspend s.park
         in
         Site.cpu_use t.site switch_ms;
         run_job t job;
@@ -121,7 +130,13 @@ let create ?(policy = Fifo) ?(shards = 4) ?(executors_per_shard = 1) ?batch
       policy;
       shards =
         Array.init shards (fun _ ->
-            { fifo = Ring.create (); pq = Heap.create (); waiters = Ring.create () });
+            let waiters = Ring.create () in
+            {
+              fifo = Ring.create ();
+              pq = Heap.create ();
+              waiters;
+              park = (fun r -> Ring.push waiters r);
+            });
       executors_per_shard;
       batch;
       seq = 0;
@@ -152,15 +167,13 @@ let submit t ?(priority = 0.0) ~shard job =
   else begin
     let s = t.shards.(shard) in
     t.submitted <- t.submitted + 1;
-    (match next_waiter s with
-    | Some r -> Fiber.resume r (Ok job)
-    | None -> (
-        match t.policy with
-        | Fifo -> Ring.push s.fifo job
-        | Priority ->
-            let seq = t.seq in
-            t.seq <- seq + 1;
-            Heap.push s.pq ~priority ~seq job));
+    (if not (wake_waiter s job) then
+       match t.policy with
+       | Fifo -> Ring.push s.fifo job
+       | Priority ->
+           let seq = t.seq in
+           t.seq <- seq + 1;
+           Heap.push s.pq ~priority ~seq job);
     let d = shard_depth t s in
     if d > t.max_depth then t.max_depth <- d;
     true

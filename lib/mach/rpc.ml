@@ -104,7 +104,7 @@ let call_remote_fabric fabric ~client ~server handler =
   in
   let outcome =
     Fiber.suspend (fun resumer ->
-        let cancel_timeout =
+        let timeout =
           Engine.schedule_timer c_eng ~delay:rpc_timeout_ms (fun () ->
               if Fiber.is_pending resumer then Fiber.resume resumer (Ok None))
         in
@@ -121,7 +121,7 @@ let call_remote_fabric fabric ~client ~server handler =
           in
           Domains.post fabric ~src:s_shard ~dst:c_shard ~time:arrives
             (fun () ->
-              cancel_timeout ();
+              Engine.cancel c_eng timeout;
               if Fiber.is_pending resumer then
                 Fiber.resume resumer (Ok (Some result)))
         in

@@ -25,8 +25,6 @@ module Dedup = struct
 end
 
 module Retransmitter = struct
-  let never_armed () = ()
-
   type t = {
     eng : Camelot_sim.Engine.t;
     every : float;
@@ -34,7 +32,7 @@ module Retransmitter = struct
     send : unit -> unit;
     mutable tries : int;
     mutable stopped : bool;
-    mutable cancel : unit -> unit; (* cancels the armed re-fire timer *)
+    mutable timer : Camelot_sim.Engine.timer; (* the armed re-fire *)
   }
 
   let rec fire t =
@@ -44,7 +42,7 @@ module Retransmitter = struct
       | Some _ | None ->
           t.tries <- t.tries + 1;
           t.send ();
-          t.cancel <-
+          t.timer <-
             Camelot_sim.Engine.schedule_timer t.eng ~delay:t.every (fun () ->
                 fire t)
     end
@@ -59,7 +57,7 @@ module Retransmitter = struct
         send;
         tries = 0;
         stopped = false;
-        cancel = never_armed;
+        timer = Camelot_sim.Engine.no_timer;
       }
     in
     fire t;
@@ -70,7 +68,7 @@ module Retransmitter = struct
     (* drop the pending re-fire event instead of letting a dead closure
        (capturing [send] and whatever it captures) ride the event queue
        until its deadline *)
-    t.cancel ()
+    Camelot_sim.Engine.cancel t.eng t.timer
 
   let tries t = t.tries
   let stopped t = t.stopped

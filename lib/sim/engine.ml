@@ -20,7 +20,15 @@
    Timers ([schedule_timer]) support cancellation by lazy deletion:
    cancelling drops the callback immediately (captured state becomes
    collectable) and leaves a small tombstone in the queue that is
-   discarded, not executed, when it surfaces.
+   discarded, not executed, when it surfaces. The timer event itself is
+   the cancel handle, so arming one allocates a single small record.
+
+   A same-instant push allocates only its event block: [push_event] is
+   inlined into its callers, so the event time is never boxed on the
+   ring lane (a timed push boxes it once, to hand it to the queue).
+   [Apply] carries a function and its argument side by side, which lets
+   a caller with a long-lived argument (a fiber resumer) schedule work
+   without building a closure for it.
 
    Pending-count invariant: [dead] counts exactly the cancelled timers
    whose tombstones are still buried in either lane — cancellation
@@ -30,9 +38,13 @@
    [pending = queue + ring - dead] never counts a cancelled timer,
    even while its tombstone is still queued. *)
 
-type timer = { mutable live : bool; mutable fn : unit -> unit }
+type event =
+  | Call of (unit -> unit)
+  | Apply : ('a -> unit) * 'a -> event
+  | Timer of { mutable live : bool; mutable fn : unit -> unit }
 
-type event = Call of (unit -> unit) | Timer of timer
+(* always a [Timer] *)
+type timer = event
 
 type timers = Heap_timers | Wheel_timers
 
@@ -45,6 +57,10 @@ let noop () = ()
 
 (* shared sentinel for vacated ring slots *)
 let noop_event = Call noop
+
+(* A handle that is already cancelled. [cancel] only writes to a live
+   timer and this one is never queued, so sharing it is safe. *)
+let no_timer = Timer { live = false; fn = noop }
 
 type t = {
   mutable now : float;
@@ -90,9 +106,10 @@ let[@inline] q_min_priority = function
   | Qheap h -> Heap.min_priority h
   | Qwheel w -> Wheel.min_priority w
 
-let[@inline] q_min_seq = function
-  | Qheap h -> Heap.min_seq h
-  | Qwheel w -> Wheel.min_seq w
+let[@inline] q_min_before q ~priority ~seq =
+  match q with
+  | Qheap h -> Heap.min_before h ~priority ~seq
+  | Qwheel w -> Wheel.min_before w ~priority ~seq
 
 let[@inline] q_pop_exn = function
   | Qheap h -> Heap.pop_exn h
@@ -130,7 +147,7 @@ let ring_pop t =
   t.len <- t.len - 1;
   ev
 
-let push_event t ~time ev =
+let[@inline] push_event t ~time ev =
   let seq = t.seq in
   t.seq <- seq + 1;
   if time <= t.now then ring_push t seq ev
@@ -142,25 +159,49 @@ let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   push_event t ~time:(t.now +. delay) (Call f)
 
+let schedule_apply t ~delay f x =
+  if delay < 0.0 then invalid_arg "Engine.schedule_apply: negative delay";
+  push_event t ~time:(t.now +. delay) (Apply (f, x))
+
 let schedule_timer t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule_timer: negative delay";
-  let tm = { live = true; fn = f } in
-  push_event t ~time:(t.now +. delay) (Timer tm);
-  fun () ->
-    if tm.live then begin
+  let tm = Timer { live = true; fn = f } in
+  push_event t ~time:(t.now +. delay) tm;
+  tm
+
+let cancel t = function
+  | Timer tm when tm.live ->
       tm.live <- false;
       (* release the callback now; the tombstone is swept at pop *)
       tm.fn <- noop;
       t.dead <- t.dead + 1
-    end
+  | Timer _ | Call _ | Apply _ -> ()
 
-let fire t tm =
-  let f = tm.fn in
-  (* timers fire once: drop the closure as soon as it runs *)
-  tm.live <- false;
-  tm.fn <- noop;
-  t.executed <- t.executed + 1;
-  f ()
+(* Run a popped event. A dead timer is a tombstone: it is dropped
+   without counting as executed, and the caller moves on. *)
+let[@inline] run_event t = function
+  | Call f ->
+      t.executed <- t.executed + 1;
+      f ();
+      true
+  | Apply (f, x) ->
+      t.executed <- t.executed + 1;
+      f x;
+      true
+  | Timer tm ->
+      if tm.live then begin
+        let f = tm.fn in
+        (* timers fire once: drop the closure as soon as it runs *)
+        tm.live <- false;
+        tm.fn <- noop;
+        t.executed <- t.executed + 1;
+        f ();
+        true
+      end
+      else begin
+        t.dead <- t.dead - 1;
+        false
+      end
 
 (* Execute the next live event no later than [limit]. The next event is
    the minimum of the queue front and the ring head by [(time, seq)];
@@ -169,28 +210,11 @@ let rec exec_next t ~limit =
   if t.len > 0 then begin
     let heap_first =
       (not (q_is_empty t.queue))
-      &&
-      let hp = q_min_priority t.queue in
-      hp < t.now
-      || (hp = t.now && q_min_seq t.queue < t.ring_seq.(t.head))
+      && q_min_before t.queue ~priority:t.now ~seq:t.ring_seq.(t.head)
     in
     if heap_first then exec_heap t ~limit
     else if t.now > limit then false
-    else
-      match ring_pop t with
-      | Call f ->
-          t.executed <- t.executed + 1;
-          f ();
-          true
-      | Timer tm ->
-          if tm.live then begin
-            fire t tm;
-            true
-          end
-          else begin
-            t.dead <- t.dead - 1;
-            exec_next t ~limit
-          end
+    else run_event t (ring_pop t) || exec_next t ~limit
   end
   else if not (q_is_empty t.queue) then exec_heap t ~limit
   else false
@@ -200,21 +224,12 @@ and exec_heap t ~limit =
   if time > limit then false
   else
     match q_pop_exn t.queue with
-    | Call f ->
+    | Timer { live = false; _ } ->
+        t.dead <- t.dead - 1;
+        exec_next t ~limit
+    | ev ->
         t.now <- time;
-        t.executed <- t.executed + 1;
-        f ();
-        true
-    | Timer tm ->
-        if tm.live then begin
-          t.now <- time;
-          fire t tm;
-          true
-        end
-        else begin
-          t.dead <- t.dead - 1;
-          exec_next t ~limit
-        end
+        run_event t ev
 
 let step t = exec_next t ~limit:infinity
 

@@ -28,13 +28,29 @@ val now : t -> float
     identical either way. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
+(** [schedule_apply t ~delay f x] is [schedule t ~delay (fun () -> f x)]
+    without building the closure: the event holds [f] and [x] side by
+    side. *)
+val schedule_apply : t -> delay:float -> ('a -> unit) -> 'a -> unit
+
+(** A cancellable event. *)
+type timer
+
 (** [schedule_timer t ~delay f] is [schedule t ~delay f] returning a
-    cancel handle. Cancelling before the timer fires guarantees [f]
-    never runs and releases [f] immediately (its captured state becomes
-    collectable); the queue slot itself is reclaimed lazily when it
-    reaches the front. Cancelling twice, or after the timer fired, is a
-    no-op. Cancelled timers do not count as executed events. *)
-val schedule_timer : t -> delay:float -> (unit -> unit) -> unit -> unit
+    handle for {!cancel}. *)
+val schedule_timer : t -> delay:float -> (unit -> unit) -> timer
+
+(** [cancel t tm] cancels a timer armed on [t]. Cancelling before the
+    timer fires guarantees its callback never runs and releases it
+    immediately (its captured state becomes collectable); the queue
+    slot itself is reclaimed lazily when it reaches the front.
+    Cancelling twice, or after the timer fired, is a no-op. Cancelled
+    timers do not count as executed events. *)
+val cancel : t -> timer -> unit
+
+(** A handle that is already cancelled: a placeholder for "no timer
+    armed", which {!cancel} ignores. *)
+val no_timer : timer
 
 (** [schedule_at t ~time f] runs [f] at absolute virtual [time]; if
     [time] is in the past it runs at the current time. *)

@@ -1,17 +1,75 @@
 exception Cancelled
 
-type 'a resumer = { fire : ('a, exn) result -> unit; pending : unit -> bool }
+(* One record per suspension: the continuation, whether it has been
+   resumed yet, the fiber's group registration (-1 when it has none)
+   and the result the continuation will receive. The resumer is both
+   what wait queues hold and what the group's table holds, so a wait
+   allocates no closures. *)
+type 'a resumer = {
+  ctx : context;
+  k : ('a, unit) Effect.Deep.continuation;
+  mutable fired : bool;
+  mutable reg : int;
+  mutable result : ('a, exn) result;
+}
 
-let resume r v = r.fire v
+(* Per-fiber state. The effect handler parks an effect's payload here
+   ([delay], [parked]) and returns this fiber's handler for that effect,
+   built on first use and reused for every later one, so performing an
+   effect allocates no closure. *)
+and context = {
+  ctx_engine : Engine.t;
+  ctx_group : group option;
+  mutable delay : float;
+  mutable parked : Obj.t;
+  mutable sleep_h : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  mutable suspend_h : any_handler;
+  mutable context_h : ((context, unit) Effect.Deep.continuation -> unit) option;
+}
 
-let is_pending r = r.pending ()
+(* A handler whose function is polymorphic in the resume type, so one
+   value serves every [Suspend]. *)
+and any_handler = {
+  h : 'b. (('b, unit) Effect.Deep.continuation -> unit) option;
+}
+
+and group = {
+  mutable killed : bool;
+  cancels : (int, hook) Hashtbl.t;
+  mutable next_id : int;
+}
+
+and hook = Hook of (unit -> unit) | Waiting : 'a resumer -> hook
+
+let cancelled = Error Cancelled
+
+let ok_unit = Ok ()
+
+let nothing = Obj.repr ()
+
+let resume_now r =
+  let result = r.result in
+  r.result <- cancelled;
+  match result with
+  | Ok v -> Effect.Deep.continue r.k v
+  | Error e -> Effect.Deep.discontinue r.k e
+
+(* Fire at most once, unregister from the group, and continue through
+   the event queue so the current event runs to completion first. *)
+let resume r result =
+  if not r.fired then begin
+    r.fired <- true;
+    (match r.ctx.ctx_group with
+    | Some g when r.reg >= 0 -> Hashtbl.remove g.cancels r.reg
+    | Some _ | None -> ());
+    r.result <- result;
+    Engine.schedule_apply r.ctx.ctx_engine ~delay:0.0 resume_now r
+  end
+
+let is_pending r = not r.fired
 
 module Group = struct
-  type t = {
-    mutable killed : bool;
-    cancels : (int, unit -> unit) Hashtbl.t;
-    mutable next_id : int;
-  }
+  type t = group
 
   let create () = { killed = false; cancels = Hashtbl.create 16; next_id = 0 }
 
@@ -20,21 +78,47 @@ module Group = struct
   let kill t =
     if not t.killed then begin
       t.killed <- true;
-      let pending = Hashtbl.fold (fun _ cancel acc -> cancel :: acc) t.cancels [] in
+      let pending = Hashtbl.fold (fun _ hook acc -> hook :: acc) t.cancels [] in
       Hashtbl.reset t.cancels;
-      List.iter (fun cancel -> cancel ()) pending
+      List.iter
+        (function Hook f -> f () | Waiting r -> resume r cancelled)
+        pending
     end
 
-  let register t cancel =
+  let add t hook =
     let id = t.next_id in
     t.next_id <- id + 1;
-    Hashtbl.replace t.cancels id cancel;
+    Hashtbl.replace t.cancels id hook;
     id
+
+  let register t f = add t (Hook f)
 
   let unregister t id = Hashtbl.remove t.cancels id
 end
 
-type context = { ctx_engine : Engine.t; ctx_group : Group.t option }
+(* A fresh resumer joins the fiber's group, or is cancelled at once if
+   the group is already dead. *)
+let make_resumer ctx k =
+  let r = { ctx; k; fired = false; reg = -1; result = cancelled } in
+  (match ctx.ctx_group with
+  | Some g when not g.killed -> r.reg <- Group.add g (Waiting r)
+  | Some _ -> resume r cancelled
+  | None -> ());
+  r
+
+let wake r = resume r ok_unit
+
+let on_sleep ctx k =
+  let r = make_resumer ctx k in
+  Engine.schedule_apply ctx.ctx_engine ~delay:ctx.delay wake r
+
+let on_suspend (type a) ctx (k : (a, unit) Effect.Deep.continuation) =
+  (* [parked] holds the [Suspend] payload whose continuation this is,
+     stored in the universal representation (as [Ring] stores its
+     elements) because one handler serves every result type *)
+  let register : a resumer -> unit = Obj.obj ctx.parked in
+  ctx.parked <- nothing;
+  register (make_resumer ctx k)
 
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t
@@ -44,62 +128,56 @@ type _ Effect.t +=
 let default_on_exn name exn =
   Format.eprintf "[camelot_sim] fiber %s died: %s@." name (Printexc.to_string exn)
 
-(* Wrap a continuation resumption so that it fires at most once, goes
-   through the event queue (preserving run-to-completion semantics of the
-   current event), and can be cancelled by the fiber's group. *)
-let make_firing (type a b) eng group
-    (k : (a, b) Effect.Deep.continuation) : a resumer =
-  let fired = ref false in
-  let registration = ref None in
-  let fire result =
-    if not !fired then begin
-      fired := true;
-      (match (!registration, group) with
-      | Some id, Some g -> Group.unregister g id
-      | _ -> ());
-      Engine.schedule eng ~delay:0.0 (fun () ->
-          match result with
-          | Ok v -> ignore (Effect.Deep.continue k v : b)
-          | Error e -> ignore (Effect.Deep.discontinue k e : b))
-    end
-  in
-  (match group with
-  | Some g when not (Group.killed g) ->
-      registration := Some (Group.register g (fun () -> fire (Error Cancelled)))
-  | Some _ -> fire (Error Cancelled)
-  | None -> ());
-  { fire; pending = (fun () -> not !fired) }
-
 let spawn eng ?group ?(name = "fiber") ?on_exn fn =
   let on_exn = match on_exn with Some f -> f | None -> default_on_exn name in
-  let ctx = { ctx_engine = eng; ctx_group = group } in
+  let ctx =
+    {
+      ctx_engine = eng;
+      ctx_group = group;
+      delay = 0.0;
+      parked = nothing;
+      sleep_h = None;
+      suspend_h = { h = None };
+      context_h = None;
+    }
+  in
   let handler =
     {
       Effect.Deep.retc = (fun () -> ());
-      exnc =
-        (fun e -> match e with Cancelled -> () | e -> on_exn e);
+      exnc = (fun e -> match e with Cancelled -> () | e -> on_exn e);
       effc =
-        (fun (type b) (eff : b Effect.t) ->
+        (fun (type b) (eff : b Effect.t) :
+             ((b, unit) Effect.Deep.continuation -> unit) option ->
           match eff with
-          | Sleep d ->
-              Some
-                (fun (k : (b, unit) Effect.Deep.continuation) ->
-                  let r = make_firing eng group k in
-                  Engine.schedule eng ~delay:d (fun () -> resume r (Ok ())))
-          | Suspend register ->
-              Some
-                (fun (k : (b, unit) Effect.Deep.continuation) ->
-                  register (make_firing eng group k))
-          | Context ->
-              Some
-                (fun (k : (b, unit) Effect.Deep.continuation) ->
-                  Effect.Deep.continue k ctx)
+          | Sleep d -> (
+              ctx.delay <- d;
+              match ctx.sleep_h with
+              | Some _ as h -> h
+              | None ->
+                  let h = Some (on_sleep ctx) in
+                  ctx.sleep_h <- h;
+                  h)
+          | Suspend register -> (
+              ctx.parked <- Obj.repr register;
+              match ctx.suspend_h.h with
+              | Some _ as h -> h
+              | None ->
+                  let any = { h = Some (fun k -> on_suspend ctx k) } in
+                  ctx.suspend_h <- any;
+                  any.h)
+          | Context -> (
+              match ctx.context_h with
+              | Some _ as h -> h
+              | None ->
+                  let h = Some (fun k -> Effect.Deep.continue k ctx) in
+                  ctx.context_h <- h;
+                  h)
           | _ -> None);
     }
   in
   Engine.schedule eng ~delay:0.0 (fun () ->
       match group with
-      | Some g when Group.killed g -> ()
+      | Some g when g.killed -> ()
       | Some _ | None -> Effect.Deep.match_with fn () handler)
 
 let run eng fn =

@@ -41,6 +41,12 @@ val min_priority : 'a t -> float
     @raise Invalid_argument if the heap is empty. *)
 val min_seq : 'a t -> int
 
+(** [min_before t ~priority ~seq] is whether the minimum element orders
+    strictly before [(priority, seq)]. It answers the question without
+    returning a float, so it allocates nothing.
+    @raise Invalid_argument if the heap is empty. *)
+val min_before : 'a t -> priority:float -> seq:int -> bool
+
 (** Remove every element. *)
 val clear : 'a t -> unit
 

@@ -1,74 +1,65 @@
-(* A waiter is "live" while its resumer is pending AND it has not timed
-   out. [timed_out] distinguishes a waiter abandoned by its timeout from
-   one cancelled by a group kill; both are skipped by senders. A timed
-   receive arms a cancellable engine timer; delivery (or skipping a dead
-   waiter) cancels it so the timeout closure does not linger in the
+(* A waiting receiver is its fiber's resumer, queued FIFO. A timed
+   receive also arms a cancellable engine timer, held in a parallel
+   ring at the same position ([Engine.no_timer] for an untimed one), so
+   a wait allocates no record of its own. A waiter is live while its
+   resumer is pending: its timeout and a group kill both resume it, and
+   senders skip it from then on. Delivery, or skipping a dead waiter,
+   cancels the timer so the timeout closure does not linger in the
    event queue. *)
-type 'a waiter = {
-  resume : 'a option Fiber.resumer;
-  mutable timed_out : bool;
-  mutable cancel_timeout : unit -> unit;
-}
-
-let no_timeout () = ()
-
 type 'a t = {
   eng : Engine.t;
   items : 'a Ring.t;
-  pending : 'a waiter Ring.t;
+  waiters : 'a option Fiber.resumer Ring.t;
+  timers : Engine.timer Ring.t;
+  wait : 'a option Fiber.resumer -> unit;  (* untimed receive *)
 }
 
-let create eng = { eng; items = Ring.create (); pending = Ring.create () }
+let create eng =
+  let rec t =
+    {
+      eng;
+      items = Ring.create ();
+      waiters = Ring.create ();
+      timers = Ring.create ();
+      wait =
+        (fun r ->
+          Ring.push t.waiters r;
+          Ring.push t.timers Engine.no_timer);
+    }
+  in
+  t
 
-let live w = (not w.timed_out) && Fiber.is_pending w.resume
+let timed_out = Ok None
 
-(* Pop the next waiter still worth delivering to. *)
-let rec next_waiter t =
-  match Ring.pop_opt t.pending with
-  | None -> None
-  | Some w ->
-      if live w then Some w
-      else begin
-        w.cancel_timeout ();
-        next_waiter t
-      end
-
-let send t v =
-  match next_waiter t with
-  | Some w ->
-      w.cancel_timeout ();
-      Fiber.resume w.resume (Ok (Some v))
-  | None -> Ring.push t.items v
+let rec send t v =
+  if Ring.is_empty t.waiters then Ring.push t.items v
+  else begin
+    let r = Ring.pop_exn t.waiters in
+    Engine.cancel t.eng (Ring.pop_exn t.timers);
+    if Fiber.is_pending r then Fiber.resume r (Ok (Some v)) else send t v
+  end
 
 let try_recv t = Ring.pop_opt t.items
 
-let recv_opt t ~timeout =
-  match Ring.pop_opt t.items with
-  | Some v -> Some v
-  | None ->
-      Fiber.suspend (fun resume ->
-          let w = { resume; timed_out = false; cancel_timeout = no_timeout } in
-          Ring.push t.pending w;
-          match timeout with
-          | None -> ()
-          | Some d ->
-              w.cancel_timeout <-
-                Engine.schedule_timer t.eng ~delay:d (fun () ->
-                    if live w then begin
-                      w.timed_out <- true;
-                      Fiber.resume w.resume (Ok None)
-                    end))
-
 let recv t =
-  match recv_opt t ~timeout:None with
-  | Some v -> v
-  | None -> assert false (* no timeout was armed *)
+  if not (Ring.is_empty t.items) then Ring.pop_exn t.items
+  else
+    match Fiber.suspend t.wait with
+    | Some v -> v
+    | None -> assert false (* no timeout was armed *)
 
-let recv_timeout t d = recv_opt t ~timeout:(Some d)
+let recv_timeout t d =
+  if not (Ring.is_empty t.items) then Some (Ring.pop_exn t.items)
+  else
+    Fiber.suspend (fun r ->
+        Ring.push t.waiters r;
+        Ring.push t.timers
+          (Engine.schedule_timer t.eng ~delay:d (fun () ->
+               if Fiber.is_pending r then Fiber.resume r timed_out)))
 
 let length t = Ring.length t.items
 
 let waiters t =
-  Ring.fold (fun acc w -> if live w then acc + 1 else acc) 0 t.pending
+  Ring.fold (fun acc r -> if Fiber.is_pending r then acc + 1 else acc) 0 t.waiters
 
 let clear t = Ring.clear t.items

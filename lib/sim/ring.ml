@@ -21,9 +21,12 @@ let length t = t.len
 
 let is_empty t = t.len = 0
 
+(* Wait queues and mailboxes mostly hold one or two entries at a time,
+   and a coordinator's vote mailbox lives for one commit, so the first
+   buffer is small: 4 slots, doubling from there. *)
 let grow t =
   let cap = Array.length t.buf in
-  let buf = Array.make (max 16 (2 * cap)) dummy in
+  let buf = Array.make (max 4 (2 * cap)) dummy in
   for i = 0 to t.len - 1 do
     buf.(i) <- t.buf.((t.head + i) land (cap - 1))
   done;

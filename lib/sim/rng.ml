@@ -1,20 +1,28 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in an 8-byte buffer rather than a mutable
+   [int64] field: reading and writing it there is unboxed, where every
+   store to an [int64] field allocates a fresh box. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 state;
+  t
+
+let create ~seed = of_state (Int64.of_int seed)
 
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_int64 t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
-let uniform t =
+let[@inline] uniform t =
   (* 53 random bits into the mantissa: uniform over [0,1). *)
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)

@@ -1,13 +1,24 @@
-(* Pop the next waiter whose fiber is still suspended; cancelled fibers
-   (e.g. from a crashed site) are skipped so permits are never lost.
-   Wait queues are [Ring]s, not [Queue]s: no cell allocation per
-   waiter. *)
-let rec next_live_waiter waiters =
-  match Ring.pop_opt waiters with
-  | None -> None
-  | Some w -> if Fiber.is_pending w then Some w else next_live_waiter waiters
+(* A waiter is its fiber's resumer, queued in a [Ring] (no cell
+   allocation per waiter, unlike [Queue]). *)
+
+let ok = Ok ()
+
+(* Wake the oldest waiter whose fiber is still suspended; cancelled
+   fibers (e.g. from a crashed site) are skipped so permits are never
+   lost. [false] if nobody was waiting. *)
+let rec wake_next waiters =
+  if Ring.is_empty waiters then false
+  else
+    let r = Ring.pop_exn waiters in
+    if Fiber.is_pending r then begin
+      Fiber.resume r ok;
+      true
+    end
+    else wake_next waiters
 
 module Mutex = struct
+  (* Every transaction family keeps a mutex, so a mutex stays small:
+     only a contended [lock] builds its enqueue closure. *)
   type t = {
     mutable held : bool;
     waiters : unit Fiber.resumer Ring.t;
@@ -23,9 +34,8 @@ module Mutex = struct
 
   let unlock t =
     if not t.held then invalid_arg "Sync.Mutex.unlock: not locked";
-    match next_live_waiter t.waiters with
-    | Some resume -> Fiber.resume resume (Ok ()) (* ownership passes directly *)
-    | None -> t.held <- false
+    (* ownership passes directly to the woken waiter *)
+    if not (wake_next t.waiters) then t.held <- false
 
   let with_lock t f =
     lock t;
@@ -49,47 +59,51 @@ module Condition = struct
         Mutex.unlock mutex);
     Mutex.lock mutex
 
-  let signal t =
-    match next_live_waiter t.waiters with
-    | Some resume -> Fiber.resume resume (Ok ())
-    | None -> ()
+  let signal t = ignore (wake_next t.waiters : bool)
 
   let broadcast t =
     (* resumptions are queued through the engine, never run inline, so
        the wait queue cannot change under this iteration — wake in
        place with no intermediate list *)
     Ring.iter
-      (fun resume -> if Fiber.is_pending resume then Fiber.resume resume (Ok ()))
+      (fun resume -> if Fiber.is_pending resume then Fiber.resume resume ok)
       t.waiters;
     Ring.clear t.waiters
 end
 
 module Semaphore = struct
-  type t = { mutable permits : int; waiters : unit Fiber.resumer Ring.t }
+  (* A timed resource queues on its semaphore constantly, so the
+     enqueue closure is built once with it. *)
+  type t = {
+    mutable permits : int;
+    waiters : unit Fiber.resumer Ring.t;
+    enqueue : unit Fiber.resumer -> unit;
+  }
 
   let create n =
     if n < 0 then invalid_arg "Sync.Semaphore.create: negative permits";
-    { permits = n; waiters = Ring.create () }
+    let waiters = Ring.create () in
+    { permits = n; waiters; enqueue = (fun r -> Ring.push waiters r) }
 
   let acquire t =
-    if t.permits > 0 then t.permits <- t.permits - 1
-    else Fiber.suspend (fun resume -> Ring.push t.waiters resume)
+    if t.permits > 0 then t.permits <- t.permits - 1 else Fiber.suspend t.enqueue
 
-  let release t =
-    match next_live_waiter t.waiters with
-    | Some resume -> Fiber.resume resume (Ok ())
-    | None -> t.permits <- t.permits + 1
+  let release t = if not (wake_next t.waiters) then t.permits <- t.permits + 1
 
   let available t = t.permits
 end
 
 module Resource = struct
+  (* a record of floats only is stored flat, so updating it allocates
+     nothing (a [float ref] is generic and boxes every store) *)
+  type busy = { mutable busy : float }
+
   type t = {
     eng : Engine.t;
     name : string;
     servers : int;
     sem : Semaphore.t;
-    mutable busy_time : float;
+    busy_time : busy;
     mutable completions : int;
     mutable waiting : int;
   }
@@ -101,7 +115,7 @@ module Resource = struct
       name;
       servers;
       sem = Semaphore.create servers;
-      busy_time = 0.0;
+      busy_time = { busy = 0.0 };
       completions = 0;
       waiting = 0;
     }
@@ -121,7 +135,7 @@ module Resource = struct
      with e ->
        Semaphore.release t.sem;
        raise e);
-    t.busy_time <- t.busy_time +. duration;
+    t.busy_time.busy <- t.busy_time.busy +. duration;
     t.completions <- t.completions + 1;
     Semaphore.release t.sem;
     waited
@@ -129,7 +143,7 @@ module Resource = struct
   let name t = t.name
   let servers t = t.servers
   let in_use t = t.servers - Semaphore.available t.sem
-  let busy_time t = t.busy_time
+  let busy_time t = t.busy_time.busy
   let completions t = t.completions
   let queue_length t = t.waiting
 end

@@ -22,8 +22,11 @@ let add t record =
   if t.count < t.capacity then t.count <- t.count + 1
 
 (* When disabled, the format arguments are consumed without being
-   rendered: [ikfprintf] never touches the formatter, so a disabled
-   trace costs one branch — not a [kasprintf] per event. *)
+   rendered: [ikfprintf] never touches the formatter, so no message is
+   built. It is not free, though: [ikfprintf] still allocates a closure
+   per conversion as it consumes the arguments. A call site that must
+   cost one branch when tracing is off tests [enabled] before applying
+   [record] to anything. *)
 let record t eng ~tag fmt =
   if t.enabled then
     Format.kasprintf

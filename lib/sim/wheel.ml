@@ -118,10 +118,10 @@ let min_priority t =
   if t.in_buckets = 0 then invalid_arg "Wheel.min_priority: empty";
   Heap.min_priority t.buckets.(t.cur)
 
-let min_seq t =
+let min_before t ~priority ~seq =
   settle t;
-  if t.in_buckets = 0 then invalid_arg "Wheel.min_seq: empty";
-  Heap.min_seq t.buckets.(t.cur)
+  if t.in_buckets = 0 then invalid_arg "Wheel.min_before: empty";
+  Heap.min_before t.buckets.(t.cur) ~priority ~seq
 
 let pop_exn t =
   settle t;

@@ -42,6 +42,7 @@ val pop_exn : 'a t -> 'a
     @raise Invalid_argument if the wheel is empty. *)
 val min_priority : 'a t -> float
 
-(** Sequence number of the minimum element.
+(** Whether the minimum element orders strictly before
+    [(priority, seq)]; allocation-free, as {!Heap.min_before}.
     @raise Invalid_argument if the wheel is empty. *)
-val min_seq : 'a t -> int
+val min_before : 'a t -> priority:float -> seq:int -> bool

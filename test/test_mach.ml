@@ -328,6 +328,30 @@ let test_dispatch_respawns_after_restart () =
   Alcotest.(check bool) "in-flight job died with the site" false !done_a;
   Alcotest.(check bool) "queued job drained after restart" true !done_b
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budget *)
+
+(* Minor-heap words per [Site.cpu_use], averaged over 10k uncontended
+   uses: one fiber sleep plus the resource's bookkeeping. The budget
+   sits about 10% above today's cost (see the budgets in test_sim). *)
+let test_cpu_use_alloc_budget () =
+  let uses = 10_000 in
+  let run () =
+    let eng = Engine.create () in
+    let site = make_site eng in
+    Site.spawn site (fun () ->
+        for _ = 1 to uses do
+          Site.cpu_use site 0.5
+        done);
+    Engine.run eng
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per_use = (Gc.minor_words () -. before) /. float_of_int uses in
+  if per_use > 32.0 then
+    Alcotest.failf "Site.cpu_use: %.1f words per use, budget 32.0" per_use
+
 let () =
   Alcotest.run "camelot_mach"
     [
@@ -371,5 +395,9 @@ let () =
             test_dispatch_batch_amortizes_switches;
           Alcotest.test_case "restart re-staffs executors" `Quick
             test_dispatch_respawns_after_restart;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "Site.cpu_use budget" `Quick test_cpu_use_alloc_budget;
         ] );
     ]

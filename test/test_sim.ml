@@ -91,7 +91,15 @@ let test_heap_min_accessors () =
   Heap.push h ~priority:3.0 ~seq:5 "b";
   Heap.push h ~priority:1.0 ~seq:9 "a";
   check_float "min priority" 1.0 (Heap.min_priority h);
-  Alcotest.(check int) "min seq" 9 (Heap.min_seq h)
+  Alcotest.(check int) "min seq" 9 (Heap.min_seq h);
+  Alcotest.(check bool) "min before a later time" true
+    (Heap.min_before h ~priority:2.0 ~seq:0);
+  Alcotest.(check bool) "min before a later seq" true
+    (Heap.min_before h ~priority:1.0 ~seq:10);
+  Alcotest.(check bool) "not before its own seq" false
+    (Heap.min_before h ~priority:1.0 ~seq:9);
+  Alcotest.(check bool) "not before an earlier time" false
+    (Heap.min_before h ~priority:0.5 ~seq:100)
 
 (* random interleavings of push and pop, checked move-for-move against
    a reference model: every pop must return exactly the minimum by
@@ -187,7 +195,10 @@ let test_wheel_min_accessors () =
   Wheel.push w ~priority:33.0 ~seq:5 "b";
   Wheel.push w ~priority:1.0 ~seq:9 "a";
   check_float "min priority" 1.0 (Wheel.min_priority w);
-  Alcotest.(check int) "min seq" 9 (Wheel.min_seq w)
+  Alcotest.(check bool) "min before a later seq" true
+    (Wheel.min_before w ~priority:1.0 ~seq:10);
+  Alcotest.(check bool) "not before its own seq" false
+    (Wheel.min_before w ~priority:1.0 ~seq:9)
 
 (* random push/pop interleavings on tiny geometries (so window
    rotation, adoption and late pushes all happen constantly), checked
@@ -277,12 +288,12 @@ let test_engine_executed_counter () =
 let test_engine_cancel_timer () =
   let eng = Engine.create () in
   let ran = ref [] in
-  let cancel = Engine.schedule_timer eng ~delay:5.0 (fun () -> ran := "t5" :: !ran) in
+  let timer = Engine.schedule_timer eng ~delay:5.0 (fun () -> ran := "t5" :: !ran) in
   Engine.schedule eng ~delay:10.0 (fun () -> ran := "e10" :: !ran);
   Alcotest.(check int) "both pending" 2 (Engine.pending eng);
-  cancel ();
+  Engine.cancel eng timer;
   Alcotest.(check int) "cancelled timer leaves pending" 1 (Engine.pending eng);
-  cancel ();
+  Engine.cancel eng timer;
   (* idempotent *)
   Alcotest.(check int) "double cancel is a no-op" 1 (Engine.pending eng);
   Engine.run eng;
@@ -292,10 +303,10 @@ let test_engine_cancel_timer () =
 let test_engine_timer_fires_then_cancel_noop () =
   let eng = Engine.create () in
   let fired = ref 0 in
-  let cancel = Engine.schedule_timer eng ~delay:1.0 (fun () -> incr fired) in
+  let timer = Engine.schedule_timer eng ~delay:1.0 (fun () -> incr fired) in
   Engine.run eng;
   Alcotest.(check int) "fired once" 1 !fired;
-  cancel ();
+  Engine.cancel eng timer;
   (* cancelling after the fact must not corrupt queue accounting *)
   Alcotest.(check int) "nothing pending" 0 (Engine.pending eng);
   Engine.schedule eng ~delay:1.0 (fun () -> ());
@@ -306,10 +317,10 @@ let test_engine_cancel_heavy_drains () =
   let eng = Engine.create () in
   let survivors = ref 0 in
   for i = 1 to 100 do
-    let cancel =
+    let timer =
       Engine.schedule_timer eng ~delay:(float_of_int i) (fun () -> incr survivors)
     in
-    if i mod 5 <> 0 then cancel ()
+    if i mod 5 <> 0 then Engine.cancel eng timer
   done;
   Alcotest.(check int) "pending excludes tombstones" 20 (Engine.pending eng);
   Engine.run eng;
@@ -372,8 +383,8 @@ let prop_engine_order_matches_model =
         (fun i (d, cancelled) ->
           let delay = float_of_int d in
           if cancelled then
-            let cancel = Engine.schedule_timer eng ~delay (fun () -> ran := i :: !ran) in
-            cancel ()
+            let timer = Engine.schedule_timer eng ~delay (fun () -> ran := i :: !ran) in
+            Engine.cancel eng timer
           else begin
             Engine.schedule eng ~delay (fun () -> ran := i :: !ran);
             expected := (delay, i) :: !expected
@@ -394,9 +405,9 @@ let prop_engine_order_matches_model =
 let test_engine_pending_ring_tombstone () =
   let eng = Engine.create () in
   Engine.schedule eng ~delay:1.0 (fun () ->
-      let cancel = Engine.schedule_timer eng ~delay:0.0 (fun () -> ()) in
+      let timer = Engine.schedule_timer eng ~delay:0.0 (fun () -> ()) in
       Engine.schedule eng ~delay:0.0 (fun () -> ());
-      cancel ();
+      Engine.cancel eng timer;
       Alcotest.(check int) "ring tombstone excluded" 1 (Engine.pending eng));
   Engine.run eng;
   Alcotest.(check int) "tombstone not executed" 2 (Engine.executed eng);
@@ -407,9 +418,9 @@ let test_engine_pending_ring_tombstone () =
    it, so [pending] is correct before, between and after the runs. *)
 let test_engine_pending_tombstone_beyond_until () =
   let eng = Engine.create () in
-  let cancel = Engine.schedule_timer eng ~delay:10.0 (fun () -> ()) in
+  let timer = Engine.schedule_timer eng ~delay:10.0 (fun () -> ()) in
   Engine.schedule eng ~delay:2.0 (fun () -> ());
-  cancel ();
+  Engine.cancel eng timer;
   Alcotest.(check int) "cancelled before run" 1 (Engine.pending eng);
   Engine.run ~until:5.0 eng;
   Alcotest.(check int) "tombstone past limit stays excluded" 0 (Engine.pending eng);
@@ -425,12 +436,12 @@ let test_engine_wheel_cancel_heavy_drains () =
   let eng = Engine.create ~timers:Engine.Wheel_timers () in
   let survivors = ref 0 in
   for i = 1 to 100 do
-    let cancel =
+    let timer =
       (* 31ms apart: 100 timers span 3.1s, past the 2048ms window *)
       Engine.schedule_timer eng ~delay:(float_of_int (i * 31)) (fun () ->
           incr survivors)
     in
-    if i mod 5 <> 0 then cancel ()
+    if i mod 5 <> 0 then Engine.cancel eng timer
   done;
   Alcotest.(check int) "pending excludes tombstones" 20 (Engine.pending eng);
   Engine.run eng;
@@ -446,16 +457,16 @@ let test_engine_wheel_cancel_heavy_drains () =
 let backend_trace ~timers specs =
   let eng = Engine.create ~timers () in
   let log = ref [] in
-  let cancels = Hashtbl.create 16 in
+  let timers = Hashtbl.create 16 in
   List.iteri
     (fun i (d10, cancel_at, chain) ->
       let delay = float_of_int d10 /. 4.0 in
-      let cancel =
+      let timer =
         Engine.schedule_timer eng ~delay (fun () ->
             log := (Engine.now eng, i) :: !log;
             (* cancel a sibling mid-run *)
-            (match Hashtbl.find_opt cancels cancel_at with
-            | Some c -> c ()
+            (match Hashtbl.find_opt timers cancel_at with
+            | Some tm -> Engine.cancel eng tm
             | None -> ());
             (* re-arm a follow-up, sometimes at delay 0 (ring lane) *)
             if chain then
@@ -463,7 +474,7 @@ let backend_trace ~timers specs =
                 ~delay:(if i mod 3 = 0 then 0.0 else float_of_int (i mod 7))
                 (fun () -> log := (Engine.now eng, i + 1000) :: !log))
       in
-      Hashtbl.replace cancels i cancel)
+      Hashtbl.replace timers i timer)
     specs;
   Engine.run eng;
   List.rev !log
@@ -729,6 +740,76 @@ let test_rng_deterministic () =
     check_float "same stream" (Rng.uniform a) (Rng.uniform b)
   done
 
+(* The first draws of each stream, recorded from the generator as it
+   stood before its state moved into an unboxed buffer. Comparing two
+   generators with each other cannot catch a change of representation
+   that alters the stream; these literals can. Floats are exact (hex
+   literals). *)
+let golden_streams =
+  [
+    ( 0,
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+        0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+        0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ],
+      [ 883; 431; 26; 970; 106; 327; 173; 771 ],
+      [ 47; 52; 15; 44; 27; 42; 33; 60 ],
+      [ 0x1.57b7f750f28adp+4; 0x1.69795bce7f0d7p+2; 0x1.1252def4e24bap-2;
+        0x1.1ae96e49f6eabp+5; 0x1.1fd6f5a305bd4p+0; 0x1.fb8330ffff23ap+1;
+        0x1.e8f61ec81027fp+0; 0x1.d8748f0e223e9p+3 ] );
+    ( 1,
+      [ 0x1.22145bd91204bp-1; 0x1.7dd71b42cb1ddp-1; 0x1.f12745ddf664ap-1;
+        0x1.c7061a43b90b2p-2; 0x1.c6ed53634406cp-2; 0x1.869a17ff202ap-1;
+        0x1.c133d8d9ae6c7p-1; 0x1.0bcf761e244fp-1 ],
+      [ 566; 745; 971; 444; 444; 762; 877; 523 ],
+      [ 1; 39; 30; 11; 57; 0; 37; 53 ],
+      [ 0x1.0b8592cae461p+3; 0x1.b642882d6d9b2p+3; 0x1.1b3e8de0b0958p+5;
+        0x1.7815d5a379349p+2; 0x1.77f9f79a7b998p+2; 0x1.cc8f547887403p+3;
+        0x1.4fbedd8e7981ap+4; 0x1.d9d7ccb30ecf7p+2 ] );
+    ( 42,
+      [ 0x1.7bae644c5fd6dp-1; 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2;
+        0x1.607387fc392b8p-2; 0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1;
+        0x1.bf4b38e229bb4p-3; 0x1.99ec6bdd3d3c5p-1 ],
+      [ 741; 159; 278; 344; 38; 868; 218; 800 ],
+      [ 21; 3; 18; 20; 50; 6; 29; 36 ],
+      [ 0x1.b0fed1f9294abp+3; 0x1.be12543309a76p+0; 0x1.a200306cb2dccp+1;
+        0x1.0e01ae481d79ap+2; 0x1.8d06f79c59a8cp-2; 0x1.4444ec6cc286fp+4;
+        0x1.3b6a851ee4dc4p+1; 0x1.020430aa77b74p+4 ] );
+  ]
+
+let exact_floats = Alcotest.(list (float 0.0))
+
+let test_rng_golden_streams () =
+  let draws seed f =
+    let r = Rng.create ~seed in
+    List.init 8 (fun _ -> f r)
+  in
+  List.iter
+    (fun (seed, uniform, below_1000, below_64, exponential) ->
+      let name what = Printf.sprintf "seed %d %s" seed what in
+      Alcotest.check exact_floats (name "uniform") uniform (draws seed Rng.uniform);
+      Alcotest.(check (list int))
+        (name "int_below 1000") below_1000
+        (draws seed (fun r -> Rng.int_below r 1000));
+      Alcotest.(check (list int))
+        (name "int_below 64") below_64
+        (draws seed (fun r -> Rng.int_below r 64));
+      Alcotest.check exact_floats (name "exponential") exponential
+        (draws seed (fun r -> Rng.exponential r ~mean:10.0)))
+    golden_streams;
+  let parent = Rng.create ~seed:42 in
+  let child = Rng.split parent in
+  Alcotest.check exact_floats "split of seed 42"
+    [ 0x1.5f87eae99441cp-2; 0x1.e957a287fd648p-1; 0x1.f2059ce304a4p-2;
+      0x1.13e5dec6f8fd8p-4; 0x1.5a94b320c5fa2p-1; 0x1.1485b98a7ea2p-4;
+      0x1.90147a81a0f5cp-3; 0x1.782d47a99890cp-1 ]
+    (List.init 8 (fun _ -> Rng.uniform child));
+  (* splitting consumed exactly one draw of the parent's stream *)
+  Alcotest.check exact_floats "seed 42 after the split"
+    [ 0x1.477f199d93378p-3; 0x1.1d499d5c4c3e6p-2; 0x1.607387fc392b8p-2;
+      0x1.378b0b448904p-5; 0x1.bc8863f47901bp-1; 0x1.bf4b38e229bb4p-3;
+      0x1.99ec6bdd3d3c5p-1; 0x1.5c16e1dc2cf5ep-2 ]
+    (List.init 8 (fun _ -> Rng.uniform parent))
+
 let test_rng_split_independent () =
   let a = Rng.create ~seed:7 in
   let b = Rng.split a in
@@ -888,6 +969,95 @@ let test_trace_disabled () =
   Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.dump tr))
 
 (* ------------------------------------------------------------------ *)
+(* Allocation budgets *)
+
+(* Minor-heap words per operation on the wait path, averaged over 10k
+   operations. Each budget sits about 10% above what the operation
+   costs today, so a change that puts a closure or a box back on the
+   path fails here rather than only in the benchmark's heap figures.
+   The [run] functions build their own engine; that one-off cost is
+   noise at 10k operations. *)
+let alloc_ops = 10_000
+
+let check_budget name ~budget run =
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per_op = (Gc.minor_words () -. before) /. float_of_int alloc_ops in
+  if per_op > budget then
+    Alcotest.failf "%s: %.1f words per operation, budget %.1f" name per_op budget
+
+let test_alloc_sleep () =
+  check_budget "Fiber.sleep in a grouped fiber" ~budget:30.0 (fun () ->
+      let eng = Engine.create () in
+      Fiber.spawn eng ~group:(Fiber.Group.create ()) (fun () ->
+          for _ = 1 to alloc_ops do
+            Fiber.sleep 1.0
+          done);
+      Engine.run eng)
+
+let test_alloc_suspend_resume () =
+  check_budget "suspend/resume in a grouped fiber" ~budget:29.0 (fun () ->
+      let eng = Engine.create () in
+      let waiting = ref None in
+      Fiber.spawn eng ~group:(Fiber.Group.create ()) (fun () ->
+          for _ = 1 to alloc_ops do
+            Fiber.suspend (fun r -> waiting := Some r)
+          done);
+      while Engine.step eng do
+        match !waiting with
+        | Some r ->
+            waiting := None;
+            Fiber.resume r (Ok ())
+        | None -> ()
+      done)
+
+(* Two fibers ping-pong one message: each operation is two sends, each
+   to a receiver already blocked in [recv] (or [recv_timeout]). *)
+let mailbox_ping_pong recv () =
+  let eng = Engine.create () in
+  let group = Fiber.Group.create () in
+  let ping = Mailbox.create eng and pong = Mailbox.create eng in
+  Fiber.spawn eng ~group (fun () ->
+      for i = 1 to alloc_ops do
+        Mailbox.send ping i;
+        ignore (recv pong : int)
+      done);
+  Fiber.spawn eng ~group (fun () ->
+      for _ = 1 to alloc_ops do
+        Mailbox.send pong (recv ping)
+      done);
+  Engine.run eng
+
+let test_alloc_mailbox_round_trip () =
+  check_budget "Mailbox round trip" ~budget:53.0 (mailbox_ping_pong Mailbox.recv)
+
+let test_alloc_mailbox_recv_timeout () =
+  check_budget "Mailbox round trip, delivered recv_timeout" ~budget:88.0
+    (mailbox_ping_pong (fun mb -> Option.get (Mailbox.recv_timeout mb 100.0)))
+
+let test_alloc_rng_exponential () =
+  let total = ref 0.0 in
+  check_budget "Rng.exponential" ~budget:2.2 (fun () ->
+      let rng = Rng.create ~seed:3 in
+      (* a local accumulator stays unboxed; [total] is written once *)
+      let sum = ref 0.0 in
+      for _ = 1 to alloc_ops do
+        sum := !sum +. Rng.exponential rng ~mean:2.0
+      done;
+      total := !sum);
+  Alcotest.(check bool) "draws are positive" true (!total > 0.0)
+
+let test_alloc_disabled_trace () =
+  let eng = Engine.create () in
+  let tr = Trace.create ~enabled:false () in
+  check_budget "guarded disabled trace call" ~budget:0.1 (fun () ->
+      for i = 1 to alloc_ops do
+        if Trace.enabled tr then
+          Trace.record tr eng ~tag:"t" "%d %a" i Format.pp_print_string "x"
+      done)
+
+(* ------------------------------------------------------------------ *)
 
 (* CAMELOT_SEED-replayable randomized suites (see test/testutil.ml) *)
 let qcheck tests =
@@ -980,6 +1150,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic from seed" `Quick test_rng_deterministic;
+          Alcotest.test_case "golden streams" `Quick test_rng_golden_streams;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
@@ -1006,5 +1177,15 @@ let () =
           Alcotest.test_case "records with timestamps" `Quick test_trace_records;
           Alcotest.test_case "ring overflow keeps newest" `Quick test_trace_ring_overflow;
           Alcotest.test_case "disabled trace records nothing" `Quick test_trace_disabled;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "Fiber.sleep in a grouped fiber" `Quick test_alloc_sleep;
+          Alcotest.test_case "suspend/resume" `Quick test_alloc_suspend_resume;
+          Alcotest.test_case "Mailbox round trip" `Quick test_alloc_mailbox_round_trip;
+          Alcotest.test_case "Mailbox delivered recv_timeout" `Quick
+            test_alloc_mailbox_recv_timeout;
+          Alcotest.test_case "Rng.exponential" `Quick test_alloc_rng_exponential;
+          Alcotest.test_case "guarded disabled trace" `Quick test_alloc_disabled_trace;
         ] );
     ]
