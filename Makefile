@@ -43,11 +43,11 @@ bench-smoke:
 # Fail if any microbenchmark present in both baselines got more than
 # 25% slower, any closed-loop throughput point more than 8% lower,
 # than the previous baseline — or if a structural guard on the new
-# baseline fails: recovery partition-scaling curve not decreasing,
-# wheel timers not beating the heap at >=100k pending, the open-loop
-# p99-vs-load series losing its saturation knee, Paxos-F=0 shootout
-# throughput drifting more than 5% from 2PC's, or (on a >=4-core host)
-# the 64-site engine-scaling curve not reaching 1.5x at 4 domains.
+# baseline fails: recovery partition-scaling curve not decreasing, the
+# open-loop p99-vs-load series losing its saturation knee, Paxos-F=0
+# shootout throughput drifting more than 5% from 2PC's, or (on a
+# >=4-core host) the 64-site engine-scaling curve not reaching 1.5x at
+# 4 domains.
 bench-compare:
 	dune exec bench/compare.exe -- BENCH_6.json BENCH_7.json
 

@@ -16,14 +16,11 @@
    Entries appearing in only one file are listed but never fail the
    run, so adding or retiring a benchmark does not break the guard.
 
-   Additionally, five structural guards run on the NEW baseline alone:
+   Additionally, four structural guards run on the NEW baseline alone:
 
    - "... (partitions=N)" entries must strictly decrease as N grows
      (recovery partition scaling — the values are deterministic
      virtual time, so no noise margin applies);
-   - "... pending=N (wheel)" must beat its "... pending=N (heap)"
-     sibling for N >= 100_000 (the calendar-queue wheel must win in
-     the many-pending-timers regime it exists for);
    - the "open-loop: p99 ms (load=N)" series must show a saturation
      knee: the largest p99 at least double the smallest (an open loop
      that no longer saturates, or whose sub-knee latency exploded to
@@ -189,62 +186,6 @@ let partition_guard entries =
               Printf.printf "%-55s %14d %14.1f%s\n" "" p v flag)
             points)
     groups;
-  !regressions
-
-(* Wheel-vs-heap guard: for every "... pending=N (heap)" entry with a
-   "(wheel)" sibling and N >= 100_000, the wheel must be strictly
-   faster. Below that the global heap may win (small constant factors)
-   and no verdict is enforced; the pairs are still printed. *)
-let pending_key = "pending="
-
-let pending_of name =
-  let n = String.length name and m = String.length pending_key in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub name i m = pending_key then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      let stop = ref start in
-      while !stop < n && name.[!stop] >= '0' && name.[!stop] <= '9' do incr stop done;
-      int_of_string_opt (String.sub name start (!stop - start))
-
-let strip_suffix name suffix =
-  let n = String.length name and m = String.length suffix in
-  if n >= m && String.sub name (n - m) m = suffix then Some (String.sub name 0 (n - m))
-  else None
-
-let wheel_guard entries =
-  let regressions = ref 0 in
-  let printed_header = ref false in
-  List.iter
-    (fun (name, heap_v) ->
-      match strip_suffix name " (heap)" with
-      | None -> ()
-      | Some prefix -> (
-          match List.assoc_opt (prefix ^ " (wheel)") entries with
-          | None -> ()
-          | Some wheel_v ->
-              if not !printed_header then begin
-                print_newline ();
-                Printf.printf "%-55s %14s %14s\n" "TIMER BACKEND" "HEAP ns"
-                  "WHEEL ns";
-                printed_header := true
-              end;
-              let enforced =
-                match pending_of prefix with Some n -> n >= 100_000 | None -> false
-              in
-              let flag =
-                if enforced && wheel_v >= heap_v then begin
-                  incr regressions;
-                  "  <-- WHEEL NOT FASTER"
-                end
-                else ""
-              in
-              Printf.printf "%-55s %14.1f %14.1f%s\n" prefix heap_v wheel_v flag))
-    entries;
   !regressions
 
 (* Open-loop knee guard: the p99-vs-offered-load series must span at
@@ -448,19 +389,18 @@ let () =
   in
   let new_entries = section new_path "benchmarks_ns_per_run" in
   let scaling_regressions = partition_guard new_entries in
-  let wheel_regressions = wheel_guard new_entries in
   let knee_regressions = knee_guard new_entries in
   let protocol_regressions = protocol_guard new_entries in
   let domain_regressions = scaling_guard new_entries in
   let regressions =
-    ns_regressions + tps_regressions + scaling_regressions + wheel_regressions
-    + knee_regressions + protocol_regressions + domain_regressions
+    ns_regressions + tps_regressions + scaling_regressions + knee_regressions
+    + protocol_regressions + domain_regressions
   in
   if regressions > 0 then begin
     Printf.printf
       "\n%d entr(y/ies) regressed vs %s (ns > %.2fx, tps < %.2fx, or a \
-       structural guard — partition scaling, wheel-vs-heap, open-loop knee, \
-       Paxos-F=0 parity, engine domain scaling — failed).\n"
+       structural guard — partition scaling, open-loop knee, Paxos-F=0 \
+       parity, engine domain scaling — failed).\n"
       regressions old_path !threshold !tps_threshold;
     exit 1
   end

@@ -7,23 +7,32 @@
    artifact plus the core data structures).
 
    The whole run is summarised into a machine-readable JSON baseline
-   (default [BENCH_1.json], override with [--json FILE]): every
+   (default [BENCH_7.json], override with [--json FILE]): every
    micro-benchmark's ns/run plus the Part 1 wall-clock, so successive
-   PRs have a perf trajectory to compare against.
+   revisions have a perf trajectory to compare against.
 
-   Run with --quick for a fast pass (fewer repetitions). *)
+   Usage: main.exe [--quick] [--json FILE]. --quick is a fast pass
+   (fewer repetitions). Any other argument, or --json without a file,
+   prints usage and exits 2 before any work starts. *)
 
 open Bechamel
 open Toolkit
 
-let quick = Array.exists (fun a -> a = "--quick") Sys.argv
-
-let json_path =
-  let path = ref "BENCH_7.json" in
-  Array.iteri
-    (fun i a -> if a = "--json" && i + 1 < Array.length Sys.argv then path := Sys.argv.(i + 1))
-    Sys.argv;
-  !path
+(* Parsed before the module-level rigs below are built: a mistyped flag
+   must fail, not run the bench and overwrite the default baseline. *)
+let quick, json_path =
+  let usage () =
+    prerr_endline "usage: main.exe [--quick] [--json FILE]";
+    exit 2
+  in
+  let rec parse quick path = function
+    | [] -> (quick, path)
+    | "--quick" :: rest -> parse true path rest
+    | "--json" :: file :: rest when file <> "" && file.[0] <> '-' ->
+        parse quick file rest
+    | _ -> usage ()
+  in
+  parse false "BENCH_7.json" (List.tl (Array.to_list Sys.argv))
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: the paper's tables and figures *)
@@ -48,73 +57,6 @@ let reproduce () =
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks *)
 
-(* Reference implementation: the swap-based binary AoS heap this repo
-   shipped with, kept here so every bench run reports the d-ary
-   hole-sifting speedup against a live baseline rather than a number in
-   a commit message. *)
-module Binary_heap = struct
-  type 'a entry = { priority : float; seq : int; value : 'a }
-  type 'a t = { mutable data : 'a entry array; mutable size : int }
-
-  let create () = { data = [||]; size = 0 }
-
-  let entry_lt a b =
-    a.priority < b.priority || (a.priority = b.priority && a.seq < b.seq)
-
-  let grow t entry =
-    let capacity = Array.length t.data in
-    if t.size = capacity then begin
-      let data = Array.make (max 16 (2 * capacity)) entry in
-      Array.blit t.data 0 data 0 t.size;
-      t.data <- data
-    end
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if entry_lt t.data.(i) t.data.(parent) then begin
-        let tmp = t.data.(i) in
-        t.data.(i) <- t.data.(parent);
-        t.data.(parent) <- tmp;
-        sift_up t parent
-      end
-    end
-
-  let rec sift_down t i =
-    let left = (2 * i) + 1 in
-    let right = left + 1 in
-    let smallest = ref i in
-    if left < t.size && entry_lt t.data.(left) t.data.(!smallest) then
-      smallest := left;
-    if right < t.size && entry_lt t.data.(right) t.data.(!smallest) then
-      smallest := right;
-    if !smallest <> i then begin
-      let tmp = t.data.(i) in
-      t.data.(i) <- t.data.(!smallest);
-      t.data.(!smallest) <- tmp;
-      sift_down t !smallest
-    end
-
-  let push t ~priority ~seq value =
-    let entry = { priority; seq; value } in
-    grow t entry;
-    t.data.(t.size) <- entry;
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1)
-
-  let pop t =
-    if t.size = 0 then None
-    else begin
-      let top = t.data.(0) in
-      t.size <- t.size - 1;
-      if t.size > 0 then begin
-        t.data.(0) <- t.data.(t.size);
-        sift_down t 0
-      end;
-      Some top.value
-    end
-end
-
 let bench_heap () =
   let h = Camelot_sim.Heap.create () in
   for i = 0 to 999 do
@@ -122,16 +64,6 @@ let bench_heap () =
   done;
   let rec drain () =
     match Camelot_sim.Heap.pop h with Some _ -> drain () | None -> ()
-  in
-  drain ()
-
-let bench_binary_heap () =
-  let h = Binary_heap.create () in
-  for i = 0 to 999 do
-    Binary_heap.push h ~priority:(float_of_int ((i * 7919) mod 1000)) ~seq:i i
-  done;
-  let rec drain () =
-    match Binary_heap.pop h with Some _ -> drain () | None -> ()
   in
   drain ()
 
@@ -162,15 +94,12 @@ let bench_engine_cancel () =
   done;
   Camelot_sim.Engine.run eng
 
-(* Timer-backend scaling: schedule [n] pending timers spread across the
-   wheel's 2s window, then drain. The same workload runs on both
-   backends; compare.exe requires the wheel to win from 100k pending up
-   (at 1k the global heap is still competitive — that crossover is the
-   point of keeping it the default for the closed-loop experiments). *)
+(* Timer-queue scaling: schedule [n] pending timers spread over 2 s of
+   virtual time, then drain. *)
 let nop () = ()
 
-let bench_timers ~timers n () =
-  let eng = Camelot_sim.Engine.create ~timers () in
+let bench_timers n () =
+  let eng = Camelot_sim.Engine.create () in
   for i = 0 to n - 1 do
     let delay = float_of_int ((i * 7919) land 2047) +. 0.25 in
     Camelot_sim.Engine.schedule eng ~delay nop
@@ -243,11 +172,8 @@ let bench_wal_batched () =
     Camelot_mach.Site.create eng ~id:0 ~model:Camelot_mach.Cost_model.rt
       ~rng:(Camelot_sim.Rng.create ~seed:3)
   in
-  let log =
-    Camelot_wal.Log.create ~group_commit:true
-      ~daemon:Camelot_wal.Log.daemon_defaults site
-  in
-  Camelot_wal.Log.start_daemon log ~flush_every:50.0;
+  let log = Camelot_wal.Log.create ~policy:Camelot_wal.Log.Adaptive site in
+  Camelot_wal.Log.start log ~flush_every:50.0;
   for _ = 1 to 8 do
     Camelot_sim.Fiber.spawn eng (fun () ->
         for i = 1 to 125 do
@@ -317,8 +243,6 @@ let tests =
   Test.make_grouped ~name:"camelot" ~fmt:"%s/%s"
     [
       Test.make ~name:"sim: heap 1k push+pop" (Staged.stage bench_heap);
-      Test.make ~name:"sim: binary heap 1k push+pop (baseline)"
-        (Staged.stage bench_binary_heap);
       Test.make ~name:"sim: rng 1k draws" (Staged.stage (fun () -> ignore (bench_rng () : float)));
       Test.make ~name:"sim: engine 1k events" (Staged.stage bench_engine);
       Test.make ~name:"sim: engine 1k timers 80% cancelled"
@@ -344,8 +268,9 @@ let tests =
       Test.make ~name:"txn: closed-loop 8 workers/site, 1 s (gc on)"
         (Staged.stage (fun () ->
              ignore
-               (Camelot_experiments.Throughput.run_one ~workers_per_site:8
-                  ~group_commit:true ~horizon_ms:1000.0 ()
+               (Camelot_experiments.Throughput.run_one
+                  ~logger:(Camelot.Cluster.Group_commit { window_ms = 0.0 })
+                  ~workers_per_site:8 ~horizon_ms:1000.0 ()
                  : Camelot_experiments.Throughput.result)));
       Test.make ~name:"wal: 1k append+force batched"
         (Staged.stage bench_wal_batched);
@@ -362,11 +287,11 @@ let tests =
              ignore
                (Camelot_experiments.Throughput.run_one ~sites:4
                   ~logger:Camelot.Cluster.Adaptive ~workers_per_site:8
-                  ~group_commit:true ~horizon_ms:1000.0 ()
+                  ~horizon_ms:1000.0 ()
                  : Camelot_experiments.Throughput.result)));
     ]
 
-(* The timer-backend scaling group runs AFTER (and apart from) the main
+(* The timer-scaling group runs AFTER (and apart from) the main
    group, behind a [Gc.compact]: the 1M-pending runs grow the major
    heap by hundreds of MB, and any bench measured in the same process
    afterwards would pay their GC and locality tax — which is exactly
@@ -375,17 +300,11 @@ let timer_tests =
   Test.make_grouped ~name:"camelot" ~fmt:"%s/%s"
     [
       Test.make ~name:"sim: timers pending=1000 (heap)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Heap_timers 1_000));
-      Test.make ~name:"sim: timers pending=1000 (wheel)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Wheel_timers 1_000));
+        (Staged.stage (bench_timers 1_000));
       Test.make ~name:"sim: timers pending=100000 (heap)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Heap_timers 100_000));
-      Test.make ~name:"sim: timers pending=100000 (wheel)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Wheel_timers 100_000));
+        (Staged.stage (bench_timers 100_000));
       Test.make ~name:"sim: timers pending=1000000 (heap)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Heap_timers 1_000_000));
-      Test.make ~name:"sim: timers pending=1000000 (wheel)"
-        (Staged.stage (bench_timers ~timers:Camelot_sim.Engine.Wheel_timers 1_000_000));
+        (Staged.stage (bench_timers 1_000_000));
     ]
 
 (* name -> ns/run estimates, sorted by name *)

@@ -9,7 +9,10 @@ type node = {
   mutable servers : Camelot_server.Data_server.t list;
 }
 
-type logger = Fixed | Adaptive
+type logger = Camelot_wal.Log.policy =
+  | Unbatched
+  | Group_commit of { window_ms : float }
+  | Adaptive
 
 type t = {
   engine : Engine.t;  (* shard 0's engine *)
@@ -20,7 +23,6 @@ type t = {
   model : Cost_model.t;
   nodes : node array;
   flush_every_ms : float;
-  logger : logger;
   checkpoint_every : int option;
   dep_logging : bool;
   recovery_partitions : int;
@@ -31,14 +33,6 @@ type t = {
 let p_truncate = Camelot_chaos.register "wal.truncate"
 
 let server_name ~site_id ~index = Printf.sprintf "s%d_%d" site_id index
-
-(* (Re)start the background log machinery of one log for the current
-   site incarnation: the logger daemon in [Adaptive] mode, the plain
-   periodic flusher otherwise. *)
-let start_log_daemons ~flush_every_ms log =
-  if Camelot_wal.Log.daemon_mode log then
-    Camelot_wal.Log.start_daemon log ~flush_every:flush_every_ms
-  else Camelot_wal.Log.start_flusher log ~every:flush_every_ms
 
 (* Force a checkpoint record (committed value snapshot, in-flight
    updates, live family images) and, when [truncate], drop everything
@@ -80,9 +74,8 @@ let start_checkpointer ~flush_every_ms n ~every =
       loop ())
 
 let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
-    ?(group_commit = false) ?(logger = Fixed) ?checkpoint_every ?flush_every_ms
-    ?(loss = 0.0) ?(dep_logging = false) ?(recovery_partitions = 1)
-    ?timers ?lock_timeout_ms ?(domains = 1) ~sites () =
+    ?(logger = Unbatched) ?checkpoint_every ?(dep_logging = false)
+    ?(recovery_partitions = 1) ?lock_timeout_ms ?(domains = 1) ~sites () =
   if sites <= 0 then invalid_arg "Cluster.create: need at least one site";
   (match checkpoint_every with
   | Some n when n <= 0 -> invalid_arg "Cluster.create: checkpoint_every must be positive"
@@ -95,7 +88,7 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
      one engine, one LAN, no fabric, and the same RNG split sequence
      (one LAN split, then one split per site) — byte-identical to the
      non-sharded code this generalizes. *)
-  let engines = Array.init domains (fun _ -> Engine.create ?timers ()) in
+  let engines = Array.init domains (fun _ -> Engine.create ()) in
   let engine = engines.(0) in
   let fabric =
     if domains = 1 then None
@@ -104,18 +97,16 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
   let rng = Rng.create ~seed in
   let lans =
     Array.init domains (fun shard ->
-        Camelot_net.Lan.create ~loss engines.(shard) ~model ~rng:(Rng.split rng))
+        Camelot_net.Lan.create engines.(shard) ~model ~rng:(Rng.split rng))
   in
   let lan = lans.(0) in
   let directory = Hashtbl.create 16 in
   let base_config =
     match config with Some c -> c | None -> State.default_config ()
   in
-  let flush_every_ms =
-    match flush_every_ms with
-    | Some v -> v
-    | None -> Float.max 50.0 (4.0 *. model.Cost_model.log_force_ms)
-  in
+  (* background log flush period: long enough never to compete with
+     foreground forces *)
+  let flush_every_ms = Float.max 50.0 (4.0 *. model.Cost_model.log_force_ms) in
   let nodes =
     Array.init sites (fun id ->
         let shard = Placement.shard_of_site ~sites ~domains id in
@@ -123,16 +114,8 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
           Site.create ~shard ?fabric engines.(shard) ~id ~model
             ~rng:(Rng.split rng)
         in
-        let log =
-          match logger with
-          | Fixed -> Camelot_wal.Log.create ~group_commit ~dep_logging site
-          | Adaptive ->
-              (* the daemon subsumes group commit: forces park on the
-                 LSN heap and are batched by the pipeline *)
-              Camelot_wal.Log.create ~group_commit:true
-                ~daemon:Camelot_wal.Log.daemon_defaults ~dep_logging site
-        in
-        start_log_daemons ~flush_every_ms log;
+        let log = Camelot_wal.Log.create ~policy:logger ~dep_logging site in
+        Camelot_wal.Log.start log ~flush_every:flush_every_ms;
         let tranman =
           Tranman.create site ~lan:lans.(shard) ~log ~directory
             ~config:(State.copy_config base_config)
@@ -155,7 +138,6 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
       model;
       nodes;
       flush_every_ms;
-      logger;
       checkpoint_every;
       dep_logging;
       recovery_partitions;
@@ -221,7 +203,7 @@ let crash_site t i =
 let restart_site t i =
   let n = node t i in
   Site.restart n.site;
-  start_log_daemons ~flush_every_ms:t.flush_every_ms n.log;
+  Camelot_wal.Log.start n.log ~flush_every:t.flush_every_ms;
   (match t.checkpoint_every with
   | None -> ()
   | Some every -> start_checkpointer ~flush_every_ms:t.flush_every_ms n ~every);

@@ -1,8 +1,8 @@
 (** One-call construction of a simulated Camelot cluster: the engine, a
-    token-ring LAN, [n] sites each running the four Camelot processes
-    (disk manager = the log + flusher, communication manager = the RPC
-    and site-tracking hooks, transaction manager, recovery process) and
-    one or more data servers.
+    lossless token-ring LAN, [n] sites each running the four Camelot
+    processes (disk manager = the log + flusher, communication manager
+    = the RPC and site-tracking hooks, transaction manager, recovery
+    process) and one or more data servers.
 
     Typical use:
 
@@ -26,13 +26,17 @@ type node = {
 
 type t
 
-(** How each site's log batches forces. [Fixed] is the legacy
-    leader/follower group commit with a fixed batch window — the
-    default, and what paper-reproduction runs pin so their output stays
-    bit-identical. [Adaptive] routes forces through the pipelined
-    logger daemon: LSN-ordered wakeups, a collect window sized from the
-    observed force arrival rate, and batched record serialization. *)
-type logger = Fixed | Adaptive
+(** How each site's log writes forces out ({!Camelot_wal.Log.policy}).
+    [Unbatched] is the default and what the paper's latency tables
+    run: one platter write per force. [Group_commit] is leader/follower
+    batching with a fixed window. [Adaptive] routes forces through the
+    pipelined logger daemon: LSN-ordered wakeups, a collect window
+    sized from the observed force arrival rate, and batched record
+    serialization. *)
+type logger = Camelot_wal.Log.policy =
+  | Unbatched
+  | Group_commit of { window_ms : float }
+  | Adaptive
 
 (** [create ~sites ()] builds the cluster.
     @param seed deterministic seed (default 1)
@@ -40,16 +44,12 @@ type logger = Fixed | Adaptive
     @param config TranMan configuration applied to every site (each
     site gets its own mutable copy; see {!config}/{!each_config})
     @param servers_per_site data servers per site (default 1)
-    @param group_commit enable log batching (default false)
-    @param logger force-batching machinery (default [Fixed]; with
-    [Adaptive] the logger daemon subsumes [group_commit])
+    @param logger log write-out policy (default [Unbatched]). The
+    background flusher or daemon runs every [max 50 (4 * log_force_ms)]
+    ms, so it never competes with foreground forces.
     @param checkpoint_every automatic checkpointer: checkpoint and
     truncate a site's log whenever it holds at least this many records
     (default: no automatic checkpoints)
-    @param flush_every_ms background log flusher period (default:
-    [max 50 (4 * log_force_ms)], so the flusher never competes with
-    foreground forces)
-    @param loss datagram loss probability (default 0)
     @param dep_logging create every site's log in dependency mode: each
     update record carries the LSN of the previous update to the same
     (server, key), checkpoints snapshot the chain table, and recovery
@@ -58,10 +58,6 @@ type logger = Fixed | Adaptive
     @param recovery_partitions parallel replay chains used by
     {!restart_site} (default 1 = sequential; only takes effect with
     [dep_logging])
-    @param timers engine timer backend (default
-    [Camelot_sim.Engine.Heap_timers]; both backends execute the exact
-    same schedule — [Wheel_timers] is for open-loop runs with millions
-    of pending arrival timers)
     @param lock_timeout_ms bound data-server lock waits: a transaction
     waiting longer aborts with [Lock_timeout] instead of blocking
     forever (default: wait forever — the paper-reproduction behavior)
@@ -80,14 +76,10 @@ val create :
   ?model:Camelot_mach.Cost_model.t ->
   ?config:State.config ->
   ?servers_per_site:int ->
-  ?group_commit:bool ->
   ?logger:logger ->
   ?checkpoint_every:int ->
-  ?flush_every_ms:float ->
-  ?loss:float ->
   ?dep_logging:bool ->
   ?recovery_partitions:int ->
-  ?timers:Camelot_sim.Engine.timers ->
   ?lock_timeout_ms:float ->
   ?domains:int ->
   sites:int ->

@@ -24,7 +24,7 @@ type t = {
   w_name : string;
   w_protocol : Protocol.commit_protocol;  (* dominant protocol, for coverage *)
   w_sites : int;
-  w_logger : Camelot.Cluster.logger;  (* force-batching machinery *)
+  w_logger : Camelot.Cluster.logger;  (* log write-out policy *)
   w_checkpoint_every : int option;  (* automatic checkpoint+truncate *)
   w_dep_logging : bool;  (* dependency-tracking log mode *)
   w_recovery_partitions : int;  (* parallel replay chains on restart *)
@@ -327,31 +327,31 @@ let multishot ~shots ~protocol c =
       shot 0);
   txns
 
-let fixed = Camelot.Cluster.Fixed
+let unbatched = Camelot.Cluster.Unbatched
 let adaptive = Camelot.Cluster.Adaptive
 
 let all =
   [
     { w_name = "pair-2pc"; w_protocol = Protocol.Two_phase; w_sites = 2;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1; w_start = pair_2pc };
     { w_name = "trio-nb"; w_protocol = Protocol.Nonblocking; w_sites = 3;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1; w_start = trio_nb };
     { w_name = "trio-paxos"; w_protocol = Protocol.Paxos_commit; w_sites = 3;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1; w_start = trio_paxos };
     { w_name = "pair-short"; w_protocol = Protocol.Short_commit; w_sites = 2;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1; w_start = pair_short };
     { w_name = "nested"; w_protocol = Protocol.Two_phase; w_sites = 2;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1; w_start = nested };
     { w_name = "shard-2pc"; w_protocol = Protocol.Two_phase; w_sites = 2;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1; w_start = shard_2pc };
     { w_name = "mixed"; w_protocol = Protocol.Nonblocking; w_sites = 3;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1; w_start = mixed };
     { w_name = "ckpt-2pc"; w_protocol = Protocol.Two_phase; w_sites = 2;
       w_logger = adaptive; w_checkpoint_every = Some 8; w_dep_logging = false;
@@ -366,11 +366,11 @@ let all =
        concurrent pair workloads cannot reach (a crash during shot N's
        recovery delays — or cancels — shot N+1) *)
     { w_name = "multishot-2pc"; w_protocol = Protocol.Two_phase; w_sites = 4;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1;
       w_start = multishot ~shots:3 ~protocol:Protocol.Two_phase };
     { w_name = "multishot-nb"; w_protocol = Protocol.Nonblocking; w_sites = 4;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1;
       w_start = multishot ~shots:2 ~protocol:Protocol.Nonblocking };
     { w_name = "multishot-dep"; w_protocol = Protocol.Two_phase; w_sites = 4;
@@ -385,7 +385,7 @@ let all =
 let hidden =
   [
     { w_name = "multishot-24"; w_protocol = Protocol.Two_phase; w_sites = 24;
-      w_logger = fixed; w_checkpoint_every = None; w_dep_logging = false;
+      w_logger = unbatched; w_checkpoint_every = None; w_dep_logging = false;
       w_recovery_partitions = 1;
       w_start = multishot ~shots:4 ~protocol:Protocol.Two_phase };
   ]

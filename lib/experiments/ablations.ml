@@ -124,7 +124,11 @@ let ablate_batch_window () =
       Camelot_mach.Site.create eng ~id:0 ~model:Camelot_mach.Cost_model.vax
         ~rng:(Rng.create ~seed:12)
     in
-    let log = Camelot_wal.Log.create ~group_commit:true ~batch_window_ms:window site in
+    let log =
+      Camelot_wal.Log.create
+        ~policy:(Camelot_wal.Log.Group_commit { window_ms = window })
+        site
+    in
     let lat = Stats.create () in
     let n = ref 0 in
     let rng = Rng.create ~seed:13 in

@@ -34,19 +34,17 @@ let collect ?(horizon_ms = 20_000.0) () =
     (fun sites ->
       List.map
         (fun workers ->
-          let tps ~group_commit ~logger =
+          let tps logger =
             (Throughput.run_one ~sites ~logger ~workers_per_site:workers
-               ~group_commit ~horizon_ms ())
+               ~horizon_ms ())
               .Throughput.tps
           in
           {
             sweep_sites = sites;
             sweep_workers = workers;
-            naive_tps =
-              tps ~group_commit:false ~logger:Camelot.Cluster.Fixed;
-            fixed_tps = tps ~group_commit:true ~logger:Camelot.Cluster.Fixed;
-            adaptive_tps =
-              tps ~group_commit:true ~logger:Camelot.Cluster.Adaptive;
+            naive_tps = tps Camelot.Cluster.Unbatched;
+            fixed_tps = tps (Camelot.Cluster.Group_commit { window_ms = 0.0 });
+            adaptive_tps = tps Camelot.Cluster.Adaptive;
           })
         sweep_workers)
     site_range

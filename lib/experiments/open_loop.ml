@@ -5,17 +5,17 @@
    rate is fixed no matter how slow the system gets, which is the only
    way to see latency tails grow and find the saturation knee.
 
-   One timer per arrival puts the engine in the many-pending-timers
-   regime, so runs default to the calendar-queue wheel backend
-   ([Engine.Wheel_timers] — bit-identical schedule, near-O(1) timer
-   ops). Arrivals land in each site's queue-sharded [Dispatch]: a fixed
-   executor population drains per-shard FIFO queues (Qadah's
-   queue-oriented model), so overload becomes queue depth and latency,
-   never a fiber-per-transaction explosion. Hot keys route to fixed
-   shards, and lock waits are bounded by [lock_timeout_ms]: transfers
-   caught in a deadlock or parked behind a hot key abort instead of
-   blocking forever, which is what makes the abort-rate-vs-load curve
-   (the Short-Commit question) measurable. *)
+   One timer per arrival keeps thousands of timers pending (about 8.4k
+   at the default sweep's 1600 tps x 5 s point), which the engine's
+   4-ary heap serves in O(log n). Arrivals land in each site's
+   queue-sharded [Dispatch]: a fixed executor population drains
+   per-shard FIFO queues (Qadah's queue-oriented model), so overload
+   becomes queue depth and latency, never a fiber-per-transaction
+   explosion. Hot keys route to fixed shards, and lock waits are
+   bounded by [lock_timeout_ms]: transfers caught in a deadlock or
+   parked behind a hot key abort instead of blocking forever, which is
+   what makes the abort-rate-vs-load curve (the Short-Commit question)
+   measurable. *)
 
 open Camelot_sim
 open Camelot_core
@@ -218,14 +218,12 @@ let key_name rank = Printf.sprintf "a%d" rank
 
 let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
     ?(theta = 0.99) ?(shards_per_site = 4) ?(executors_per_shard = 4)
-    ?(lock_timeout_ms = 50.0) ?(timers = Engine.Wheel_timers) ?batch ~arrival
-    ~horizon_ms () =
+    ?(lock_timeout_ms = 50.0) ?batch ~arrival ~horizon_ms () =
   let executors = shards_per_site * executors_per_shard in
   let config = State.default_config ~threads:executors () in
   let c =
     Camelot.Cluster.create ~seed ~model:Camelot_mach.Cost_model.vax ~config
-      ~group_commit:true ~logger:Camelot.Cluster.Adaptive ~timers
-      ~lock_timeout_ms ~sites ()
+      ~logger:Camelot.Cluster.Adaptive ~lock_timeout_ms ~sites ()
   in
   let engine = Camelot.Cluster.engine c in
   let dispatches =
@@ -364,8 +362,7 @@ let pp_row p =
 let run ?sites ?mix ?batch ?loads ?horizon_ms () =
   let points = sweep ?sites ?mix ?batch ?loads ?horizon_ms () in
   Report.header
-    "Open loop: Poisson arrivals, Zipf(0.99) keys, queue-sharded execution \
-     (wheel timers)";
+    "Open loop: Poisson arrivals, Zipf(0.99) keys, queue-sharded execution";
   Report.table
     ~columns:
       [

@@ -6,9 +6,7 @@
     saturation, hiding the tails), this rig schedules one engine timer
     per arrival — the offered rate never yields, so past the knee the
     dispatch queues grow, p99 blows up, and the backlog column shows
-    the system falling behind. Runs default to the calendar-queue
-    timer wheel ([Engine.Wheel_timers]) because of the one-timer-per-
-    arrival population; results are bit-identical on either backend. *)
+    the system falling behind. *)
 
 (** Arrival process, by offered rate in transactions/second. [Bursty]
     has the same mean rate but releases [burst] arrivals at once at
@@ -74,8 +72,8 @@ type point = {
 }
 
 (** One sweep point. Defaults: 24 sites, 4 shards x 4 executors per
-    site, 64 accounts at Zipf theta 0.99, 50 ms lock timeout, wheel
-    timer backend, debit/credit mix.
+    site, 64 accounts at Zipf theta 0.99, 50 ms lock timeout,
+    debit/credit mix, adaptive logger daemon.
     @param batch batched executor dequeue (see
     {!Camelot_mach.Dispatch.create}): each executor wakeup charges one
     context switch and drains up to [batch] jobs. Default: legacy
@@ -89,7 +87,6 @@ val run_one :
   ?shards_per_site:int ->
   ?executors_per_shard:int ->
   ?lock_timeout_ms:float ->
-  ?timers:Camelot_sim.Engine.timers ->
   ?batch:int ->
   arrival:arrival ->
   horizon_ms:float ->

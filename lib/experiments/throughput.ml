@@ -17,7 +17,7 @@ open Camelot_core
 
 type result = {
   workers_per_site : int;
-  group_commit : bool;
+  logger : Camelot.Cluster.logger;
   tps : float;  (* committed transactions per second of virtual time *)
   committed : int;
   forces_per_commit : float;
@@ -32,12 +32,12 @@ let think_mean_ms = 5.0
 let p_read = 0.4
 let p_local_update = 0.9
 
-let run_one ?(seed = 11) ?(sites = 2) ?(logger = Camelot.Cluster.Fixed)
-    ~workers_per_site ~group_commit ~horizon_ms () =
+let run_one ?(seed = 11) ?(sites = 2) ~logger ~workers_per_site ~horizon_ms
+    () =
   let config = State.default_config ~threads:workers_per_site () in
   let c =
     Camelot.Cluster.create ~seed ~model:Camelot_mach.Cost_model.vax ~config
-      ~group_commit ~logger ~sites ()
+      ~logger ~sites ()
   in
   for site = 0 to sites - 1 do
     let node = Camelot.Cluster.node c site in
@@ -96,7 +96,7 @@ let run_one ?(seed = 11) ?(sites = 2) ?(logger = Camelot.Cluster.Fixed)
   let committed = Camelot.Metrics.total_committed m in
   {
     workers_per_site;
-    group_commit;
+    logger;
     tps = float_of_int committed /. (horizon_ms /. 1000.0);
     committed;
     forces_per_commit = Camelot.Metrics.forces_per_commit m;
@@ -108,13 +108,11 @@ let worker_range = [ 1; 2; 4; 8; 16 ]
 let collect ?(horizon_ms = 20_000.0) () =
   List.map
     (fun workers_per_site ->
-      let off = run_one ~workers_per_site ~group_commit:false ~horizon_ms () in
+      let run logger = run_one ~logger ~workers_per_site ~horizon_ms () in
+      let off = run Camelot.Cluster.Unbatched in
       (* the gc-on column tracks the shipping batched log, i.e. the
          pipelined logger daemon *)
-      let on_ =
-        run_one ~logger:Camelot.Cluster.Adaptive ~workers_per_site
-          ~group_commit:true ~horizon_ms ()
-      in
+      let on_ = run Camelot.Cluster.Adaptive in
       (off, on_))
     worker_range
 

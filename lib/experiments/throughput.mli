@@ -9,7 +9,7 @@
 
 type result = {
   workers_per_site : int;
-  group_commit : bool;
+  logger : Camelot.Cluster.logger;
   tps : float;  (** committed transactions per second of virtual time *)
   committed : int;
   forces_per_commit : float;
@@ -17,15 +17,12 @@ type result = {
 }
 
 (** One cluster run at one operating point. [sites] (default 2) sizes
-    the cluster; [logger] (default {!Camelot.Cluster.Fixed}) selects
-    the log write-out policy — pass {!Camelot.Cluster.Adaptive} for
-    the pipelined logger daemon. *)
+    the cluster; [logger] selects the log write-out policy. *)
 val run_one :
   ?seed:int ->
   ?sites:int ->
-  ?logger:Camelot.Cluster.logger ->
+  logger:Camelot.Cluster.logger ->
   workers_per_site:int ->
-  group_commit:bool ->
   horizon_ms:float ->
   unit ->
   result

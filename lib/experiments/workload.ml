@@ -81,7 +81,11 @@ let throughput ?(seed = 42) ?(think_ms = 15.0) ?update_fraction ~update ~pairs
   let config = State.default_config ~threads () in
   let c =
     Camelot.Cluster.create ~seed ~model:Camelot_mach.Cost_model.vax ~config
-      ~servers_per_site:pairs ~group_commit ~sites:1 ()
+      ~servers_per_site:pairs
+      ~logger:
+        (if group_commit then Camelot.Cluster.Group_commit { window_ms = 0.0 }
+         else Camelot.Cluster.Unbatched)
+      ~sites:1 ()
   in
   let tm = Camelot.Cluster.tranman c 0 in
   let committed = ref 0 in

@@ -1,10 +1,7 @@
 (* The event queue is split into two lanes:
 
-   - timed events go through a time-ordered queue keyed by
-     [(time, sequence)] — the 4-ary [Heap] by default, or the
-     calendar-queue [Wheel] when the engine is created with
-     [~timers:Wheel_timers] (same order, near-O(1) in the
-     millions-of-pending-timers regime);
+   - timed events go through the 4-ary [Heap], keyed by
+     [(time, sequence)];
    - same-instant events ([delay = 0] — every [Fiber.yield], every
      resumption routed through the queue) go through a flat FIFO ring
      and never touch the timed queue.
@@ -14,8 +11,7 @@
    chosen while the ring is non-empty if it is an *older* same-instant
    event (smaller sequence number at the same time). Interleaving the
    two lanes by [(time, seq)] therefore reproduces exactly the order a
-   single heap would give — determinism is preserved bit-for-bit, and
-   both timer backends replay the identical schedule.
+   single heap would give — determinism is preserved bit-for-bit.
 
    Timers ([schedule_timer]) support cancellation by lazy deletion:
    cancelling drops the callback immediately (captured state becomes
@@ -25,7 +21,7 @@
 
    A same-instant push allocates only its event block: [push_event] is
    inlined into its callers, so the event time is never boxed on the
-   ring lane (a timed push boxes it once, to hand it to the queue).
+   ring lane (a timed push boxes it once, to hand it to the heap).
    [Apply] carries a function and its argument side by side, which lets
    a caller with a long-lived argument (a fiber resumer) schedule work
    without building a closure for it.
@@ -46,13 +42,6 @@ type event =
 (* always a [Timer] *)
 type timer = event
 
-type timers = Heap_timers | Wheel_timers
-
-(* The timed lane: one of the two interchangeable backends. A closed
-   variant (not a record of closures) so the default heap path costs
-   one branch, no indirect call. *)
-type queue = Qheap of event Heap.t | Qwheel of event Wheel.t
-
 let noop () = ()
 
 (* shared sentinel for vacated ring slots *)
@@ -67,7 +56,7 @@ type t = {
   mutable seq : int;
   mutable executed : int;
   mutable dead : int; (* cancelled timers still buried in the queue *)
-  queue : queue;
+  queue : event Heap.t;  (* the timed lane *)
   (* same-instant FIFO lane: parallel circular buffers, power-of-two
      capacity, [ring_seq] holding each event's global sequence number *)
   mutable ring : event array;
@@ -76,16 +65,13 @@ type t = {
   mutable len : int;
 }
 
-let create ?(timers = Heap_timers) () =
+let create () =
   {
     now = 0.0;
     seq = 0;
     executed = 0;
     dead = 0;
-    queue =
-      (match timers with
-      | Heap_timers -> Qheap (Heap.create ())
-      | Wheel_timers -> Qwheel (Wheel.create ()));
+    queue = Heap.create ();
     ring = [||];
     ring_seq = [||];
     head = 0;
@@ -93,32 +79,6 @@ let create ?(timers = Heap_timers) () =
   }
 
 let now t = t.now
-
-let[@inline] q_is_empty = function
-  | Qheap h -> Heap.is_empty h
-  | Qwheel w -> Wheel.is_empty w
-
-let[@inline] q_length = function
-  | Qheap h -> Heap.length h
-  | Qwheel w -> Wheel.length w
-
-let[@inline] q_min_priority = function
-  | Qheap h -> Heap.min_priority h
-  | Qwheel w -> Wheel.min_priority w
-
-let[@inline] q_min_before q ~priority ~seq =
-  match q with
-  | Qheap h -> Heap.min_before h ~priority ~seq
-  | Qwheel w -> Wheel.min_before w ~priority ~seq
-
-let[@inline] q_pop_exn = function
-  | Qheap h -> Heap.pop_exn h
-  | Qwheel w -> Wheel.pop_exn w
-
-let[@inline] q_push q ~priority ~seq ev =
-  match q with
-  | Qheap h -> Heap.push h ~priority ~seq ev
-  | Qwheel w -> Wheel.push w ~priority ~seq ev
 
 let ring_push t seq ev =
   let cap = Array.length t.ring in
@@ -151,7 +111,7 @@ let[@inline] push_event t ~time ev =
   let seq = t.seq in
   t.seq <- seq + 1;
   if time <= t.now then ring_push t seq ev
-  else q_push t.queue ~priority:time ~seq ev
+  else Heap.push t.queue ~priority:time ~seq ev
 
 let schedule_at t ~time f = push_event t ~time (Call f)
 
@@ -209,21 +169,21 @@ let[@inline] run_event t = function
 let rec exec_next t ~limit =
   if t.len > 0 then begin
     let heap_first =
-      (not (q_is_empty t.queue))
-      && q_min_before t.queue ~priority:t.now ~seq:t.ring_seq.(t.head)
+      (not (Heap.is_empty t.queue))
+      && Heap.min_before t.queue ~priority:t.now ~seq:t.ring_seq.(t.head)
     in
     if heap_first then exec_heap t ~limit
     else if t.now > limit then false
     else run_event t (ring_pop t) || exec_next t ~limit
   end
-  else if not (q_is_empty t.queue) then exec_heap t ~limit
+  else if not (Heap.is_empty t.queue) then exec_heap t ~limit
   else false
 
 and exec_heap t ~limit =
-  let time = q_min_priority t.queue in
+  let time = Heap.min_priority t.queue in
   if time > limit then false
   else
-    match q_pop_exn t.queue with
+    match Heap.pop_exn t.queue with
     | Timer { live = false; _ } ->
         t.dead <- t.dead - 1;
         exec_next t ~limit
@@ -240,6 +200,6 @@ let run ?until t =
   done;
   match until with Some limit when limit > t.now -> t.now <- limit | _ -> ()
 
-let pending t = q_length t.queue + t.len - t.dead
+let pending t = Heap.length t.queue + t.len - t.dead
 
 let executed t = t.executed

@@ -8,16 +8,8 @@
 
 type t
 
-(** Backend for the timed-event queue. [Heap_timers] (the default) is
-    the monolithic SoA 4-ary heap; [Wheel_timers] is the bucketed
-    calendar queue ({!Wheel}), near-O(1) per operation in the
-    millions-of-pending-timers regime. Both produce the exact same
-    [(time, seq)] execution order, so runs are bit-identical across
-    backends; the default keeps the paper reproduction untouched. *)
-type timers = Heap_timers | Wheel_timers
-
 (** [create ()] is a fresh engine with the clock at 0.0 ms. *)
-val create : ?timers:timers -> unit -> t
+val create : unit -> t
 
 (** Current virtual time, in milliseconds. *)
 val now : t -> float

@@ -128,10 +128,6 @@ let[@inline] min_priority t =
   if t.size = 0 then invalid_arg "Heap.min_priority: empty";
   Array.unsafe_get t.prios 0
 
-let[@inline] min_seq t =
-  if t.size = 0 then invalid_arg "Heap.min_seq: empty";
-  Array.unsafe_get t.seqs 0
-
 let min_before t ~priority ~seq =
   if t.size = 0 then invalid_arg "Heap.min_before: empty";
   let p = Array.unsafe_get t.prios 0 in

@@ -37,10 +37,6 @@ val peek_priority : 'a t -> float option
     @raise Invalid_argument if the heap is empty. *)
 val min_priority : 'a t -> float
 
-(** Sequence number of the minimum element.
-    @raise Invalid_argument if the heap is empty. *)
-val min_seq : 'a t -> int
-
 (** [min_before t ~priority ~seq] is whether the minimum element orders
     strictly before [(priority, seq)]. It answers the question without
     returning a float, so it allocates nothing.

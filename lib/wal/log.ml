@@ -2,21 +2,7 @@ open Camelot_sim
 
 type lsn = int
 
-(* Logger-daemon configuration: forces park on an LSN-ordered waiter
-   heap; a daemon fiber drains all pending targets into one platter
-   write and lets the next batch spool while that write's I/O is in
-   flight (double-buffered pipelining). *)
-type daemon_config = {
-  adaptive : bool;
-      (* size the collect window from the observed force arrival rate
-         instead of a fixed sleep *)
-  max_window_ms : float;  (* upper bound on the window; <= 0 = force_ms/4 *)
-  batch_spool : bool;
-      (* defer per-record spool CPU from the foreground appender to the
-         daemon's batched serialization pass *)
-}
-
-let daemon_defaults = { adaptive = true; max_window_ms = 0.0; batch_spool = true }
+type policy = Unbatched | Group_commit of { window_ms : float } | Adaptive
 
 type batch_stats = {
   bs_writes : int;  (* physical writes that carried >= 1 record *)
@@ -39,9 +25,7 @@ type 'a t = {
   mutable size : int;  (* live slots: records.(0 .. size-1) *)
   mutable durable : lsn;
   mutable writing : bool;
-  mutable group_commit : bool;
-  batch_window_ms : float;
-  daemon : daemon_config option;
+  policy : policy;
   (* dependency-log mode: per-site last-writer table mapping a
      caller-chosen chain key (e.g. "server/key") to the LSN of the
      newest record appended under it. [None] = default mode, zero cost
@@ -72,8 +56,7 @@ type 'a t = {
   mutable lag_n : int;
 }
 
-let create ?(group_commit = false) ?(batch_window_ms = 0.0) ?daemon
-    ?(dep_logging = false) site =
+let create ?(policy = Unbatched) ?(dep_logging = false) site =
   let eng = Camelot_mach.Site.engine site in
   {
     site;
@@ -87,9 +70,7 @@ let create ?(group_commit = false) ?(batch_window_ms = 0.0) ?daemon
     size = 0;
     durable = -1;
     writing = false;
-    group_commit;
-    batch_window_ms;
-    daemon;
+    policy;
     dep_last = (if dep_logging then Some (Hashtbl.create 256) else None);
     waiters = Heap.create ();
     waiter_seq = 0;
@@ -114,10 +95,9 @@ let create ?(group_commit = false) ?(batch_window_ms = 0.0) ?daemon
     lag_n = 0;
   }
 
-let daemon_mode t = t.daemon <> None
-
+(* the daemon serializes whole batches on its own fiber *)
 let defers_spool_cpu t =
-  match t.daemon with Some d -> d.batch_spool | None -> false
+  match t.policy with Adaptive -> true | Unbatched | Group_commit _ -> false
 
 (* --- dependency logging ------------------------------------------- *)
 
@@ -234,9 +214,9 @@ let disk_write_to t ~target =
 
 let disk_write t = disk_write_to t ~target:(tail_lsn t)
 
-(* --- legacy leader/follower group commit ------------------------- *)
+(* --- group commit: leader/follower batching ------------------------ *)
 
-let rec force_batched t target =
+let rec force_batched t ~window_ms target =
   if target > t.durable then begin
     if t.writing then begin
       (* a leader's write is in flight; wait for it and re-check *)
@@ -248,14 +228,13 @@ let rec force_batched t target =
       if target > t.durable && t.writing then
         Sync.Condition.wait t.cond t.cond_mutex;
       Sync.Mutex.unlock t.cond_mutex;
-      force_batched t target
+      force_batched t ~window_ms target
     end
     else begin
       t.writing <- true;
       (* let forces issued at this same instant spool their records
          into this batch before the I/O is issued *)
-      if t.batch_window_ms > 0.0 then Fiber.sleep t.batch_window_ms
-      else Fiber.yield ();
+      if window_ms > 0.0 then Fiber.sleep window_ms else Fiber.yield ();
       disk_write t;
       t.writing <- false;
       Sync.Condition.broadcast t.cond
@@ -296,9 +275,10 @@ let force t =
   let target = tail_lsn t in
   t.forces <- t.forces + 1;
   if target > t.durable then
-    if daemon_mode t then force_daemon t target
-    else if t.group_commit then force_batched t target
-    else disk_write t
+    match t.policy with
+    | Unbatched -> disk_write t
+    | Group_commit { window_ms } -> force_batched t ~window_ms target
+    | Adaptive -> force_daemon t target
 
 let append_force t record =
   let lsn = append t record in
@@ -402,8 +382,6 @@ let crash t =
 let forces t = t.forces
 let disk_writes t = t.disk_writes
 let truncations t = t.truncations
-let group_commit t = t.group_commit
-let set_group_commit t flag = t.group_commit <- flag
 
 let batch_stats t =
   let buckets = [| 1; 2; 4; 8; 16; 32; 64; max_int |] in
@@ -426,24 +404,23 @@ let batch_stats t =
 
 let rec wait_durable t lsn =
   if lsn > t.durable then
-    if daemon_mode t then begin
-      (* park on the LSN heap without raising [force_hi]: a lazily
-         written record rides along with the next write or the periodic
-         flush — that is the point of not forcing it *)
-      Fiber.suspend (fun r ->
-          let seq = t.waiter_seq in
-          t.waiter_seq <- seq + 1;
-          Heap.push t.waiters ~priority:(float_of_int lsn) ~seq r);
-      wait_durable t lsn
-    end
-    else begin
-      Sync.Mutex.lock t.cond_mutex;
-      (* same re-check as [force_batched]: a write landing while this
-         fiber acquires the mutex must not be waited for again *)
-      if lsn > t.durable then Sync.Condition.wait t.cond t.cond_mutex;
-      Sync.Mutex.unlock t.cond_mutex;
-      wait_durable t lsn
-    end
+    match t.policy with
+    | Adaptive ->
+        (* park on the LSN heap without raising [force_hi]: a lazily
+           written record rides along with the next write or the periodic
+           flush — that is the point of not forcing it *)
+        Fiber.suspend (fun r ->
+            let seq = t.waiter_seq in
+            t.waiter_seq <- seq + 1;
+            Heap.push t.waiters ~priority:(float_of_int lsn) ~seq r);
+        wait_durable t lsn
+    | Unbatched | Group_commit _ ->
+        Sync.Mutex.lock t.cond_mutex;
+        (* same re-check as [force_batched]: a write landing while this
+           fiber acquires the mutex must not be waited for again *)
+        if lsn > t.durable then Sync.Condition.wait t.cond t.cond_mutex;
+        Sync.Mutex.unlock t.cond_mutex;
+        wait_durable t lsn
 
 (* --- background daemons ------------------------------------------- *)
 
@@ -453,16 +430,11 @@ let rec wait_durable t lsn =
    a crash kills the site's fiber group: a timer that fired in the same
    timestep as the kill escapes cancellation, and its fiber would
    otherwise run one more iteration against the restarted log. *)
-let start_flusher t ~every =
-  if every <= 0.0 then invalid_arg "Log.start_flusher: period must be positive";
-  let inc = Camelot_mach.Site.incarnation t.site in
+let spawn_flusher t ~every ~live =
   Camelot_mach.Site.spawn t.site ~name:"log-flusher" (fun () ->
       let rec loop () =
         Fiber.sleep every;
-        if
-          Camelot_mach.Site.alive t.site
-          && Camelot_mach.Site.incarnation t.site = inc
-        then begin
+        if live () then begin
           (* only flush an idle disk: foreground forces have priority *)
           if
             tail_lsn t > t.durable
@@ -479,31 +451,15 @@ let start_flusher t ~every =
       in
       loop ())
 
-let adaptive_window t (cfg : daemon_config) =
-  if not cfg.adaptive then Float.max 0.0 t.batch_window_ms
-  else if t.ewma_gap_ms < 0.0 then 0.0
-  else begin
-    (* wait about one inter-arrival gap for companions to join the
-       batch — but only when forces are arriving faster than the cap;
-       at low load the window collapses to zero and a force pays only
-       its own platter write *)
-    let cap =
-      if cfg.max_window_ms > 0.0 then cfg.max_window_ms else force_ms t /. 4.0
-    in
-    if t.ewma_gap_ms <= cap then t.ewma_gap_ms else 0.0
-  end
+(* Wait about one force inter-arrival gap for companions to join the
+   batch, but only when forces arrive faster than a quarter of a
+   platter write; at low load the window collapses to zero and a force
+   pays only its own write. *)
+let adaptive_window t =
+  if t.ewma_gap_ms >= 0.0 && t.ewma_gap_ms <= force_ms t /. 4.0 then t.ewma_gap_ms
+  else 0.0
 
-let start_daemon t ~flush_every =
-  let cfg =
-    match t.daemon with
-    | Some cfg -> cfg
-    | None -> invalid_arg "Log.start_daemon: log was not created with ~daemon"
-  in
-  if flush_every <= 0.0 then invalid_arg "Log.start_daemon: period must be positive";
-  let inc = Camelot_mach.Site.incarnation t.site in
-  let live () =
-    Camelot_mach.Site.alive t.site && Camelot_mach.Site.incarnation t.site = inc
-  in
+let spawn_daemon t ~flush_every ~live =
   (* Writer: one platter write per handed-off target. While the write's
      I/O is in flight the controller keeps spooling and serializing the
      next batch — the double buffer. *)
@@ -534,14 +490,12 @@ let start_daemon t ~flush_every =
           let n = target - t.serialized in
           t.serialized <- target;
           Camelot_chaos.point ~site:(Camelot_mach.Site.id t.site) p_batch;
-          if cfg.batch_spool then begin
-            let m = Camelot_mach.Site.model t.site in
-            let cpu =
-              m.Camelot_mach.Cost_model.log_daemon_pass_cpu_ms
-              +. (m.Camelot_mach.Cost_model.log_spool_batch_cpu_ms *. float_of_int n)
-            in
-            if cpu > 0.0 then Camelot_mach.Site.cpu_use t.site cpu
-          end
+          let m = Camelot_mach.Site.model t.site in
+          let cpu =
+            m.Camelot_mach.Cost_model.log_daemon_pass_cpu_ms
+            +. (m.Camelot_mach.Cost_model.log_spool_batch_cpu_ms *. float_of_int n)
+          in
+          if cpu > 0.0 then Camelot_mach.Site.cpu_use t.site cpu
         end;
         if target > t.write_hi && target > t.durable then begin
           t.write_hi <- target;
@@ -556,7 +510,7 @@ let start_daemon t ~flush_every =
                platter is idle, linger briefly so companions arriving at
                the observed rate share the write *)
             if t.write_hi <= t.durable then begin
-              let w = adaptive_window t cfg in
+              let w = adaptive_window t in
               if w > 0.0 then Fiber.sleep w
             end;
             if live () then begin
@@ -568,7 +522,7 @@ let start_daemon t ~flush_every =
             match Mailbox.recv_timeout t.kick flush_every with
             | Some () -> loop ()
             | None ->
-                (* periodic flush of the unforced tail, like the legacy
+                (* periodic flush of the unforced tail, like the
                    background flusher: only when the platter is idle *)
                 if live () then begin
                   if
@@ -582,3 +536,13 @@ let start_daemon t ~flush_every =
         end
       in
       loop ())
+
+let start t ~flush_every =
+  if flush_every <= 0.0 then invalid_arg "Log.start: period must be positive";
+  let inc = Camelot_mach.Site.incarnation t.site in
+  let live () =
+    Camelot_mach.Site.alive t.site && Camelot_mach.Site.incarnation t.site = inc
+  in
+  match t.policy with
+  | Unbatched | Group_commit _ -> spawn_flusher t ~every:flush_every ~live
+  | Adaptive -> spawn_daemon t ~flush_every ~live

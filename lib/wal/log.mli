@@ -10,16 +10,15 @@
       [log_force_ms] per write, capping an unbatched log at
       ~1000/[log_force_ms] forces per second — the paper's "no more
       than about 30 log writes per second" argument;
-    - with {b group commit} enabled, one disk write satisfies every
-      force pending at the moment the write starts (plus, optionally, a
-      batching window timer as in the IMS/Fast-Path and TMF designs the
-      paper cites);
-    - with a {b logger daemon} ([~daemon] + {!start_daemon}), forcing
-      fibers enqueue their LSN target and park on an LSN-ordered waiter
-      heap; the daemon drains all pending targets into one platter
-      write, wakes exactly the satisfied waiters (no broadcast), and
-      lets the next batch spool and serialize while the write's I/O is
-      in flight (double-buffered pipelining);
+    - how forces reach the platter is the log's write-out {!policy}:
+      one write per force, {b group commit} (one disk write satisfies
+      every force pending at the moment the write starts, plus
+      optionally a batching window timer as in the IMS/Fast-Path and
+      TMF designs the paper cites), or the {b logger daemon} (forcing
+      fibers park on an LSN-ordered waiter heap; the daemon drains all
+      pending targets into one platter write, wakes exactly the
+      satisfied waiters, and lets the next batch spool and serialize
+      while the write's I/O is in flight);
     - a site {b crash} discards the volatile tail; the durable prefix
       survives and is what recovery reads;
     - {b truncation} drops the durable prefix below a checkpoint so
@@ -35,43 +34,32 @@ type 'a t
     renumbering the surviving records. *)
 type lsn = int
 
-(** Logger-daemon policy knobs; see {!start_daemon}. *)
-type daemon_config = {
-  adaptive : bool;
-      (** size the collect window from the observed force arrival rate
-          (EWMA of inter-arrival gaps) instead of a fixed sleep *)
-  max_window_ms : float;
-      (** upper bound on the adaptive window; [<= 0] means derive it as
-          [log_force_ms / 4] *)
-  batch_spool : bool;
-      (** defer per-record spool CPU ([log_spool_cpu_ms]) from the
-          foreground appender to the daemon's batched serialization
-          pass ([log_daemon_pass_cpu_ms] +
-          [log_spool_batch_cpu_ms] x records) *)
-}
-
-(** [{ adaptive = true; max_window_ms = 0.0; batch_spool = true }]. *)
-val daemon_defaults : daemon_config
+(** How forces reach the platter (§3.5 log batching).
+    - [Unbatched]: every force is its own disk write, serialized on the
+      platter — the paper's "no more than about 30 log writes per
+      second" strawman.
+    - [Group_commit { window_ms }]: leader/follower batching. The first
+      force of a batch becomes the leader, waits [window_ms] (or, at
+      [0], one same-instant yield) for companions to spool, and one
+      write covers them all.
+    - [Adaptive]: the pipelined logger daemon (see {!start}). Forces
+      park on an LSN-ordered heap; the daemon lingers about one
+      observed force inter-arrival gap (at most [log_force_ms / 4],
+      zero at low load) before handing the batch to the writer, and
+      charges the per-record spool CPU in one batched serialization
+      pass ([log_daemon_pass_cpu_ms] + [log_spool_batch_cpu_ms] x
+      records) instead of on the foreground appender. *)
+type policy = Unbatched | Group_commit of { window_ms : float } | Adaptive
 
 (** [create site] builds the site's log using its cost model's
     [log_force_ms].
-    @param group_commit batch concurrent forces (default false)
-    @param batch_window_ms with group commit, how long a leader waits
-    before starting the disk write, to accumulate more records
-    (default 0)
-    @param daemon route forces through the logger daemon instead of the
-    leader/follower path; requires a later {!start_daemon} (and again
-    after each site restart) for forces to complete.
+    @param policy write-out policy (default [Unbatched]). Forces under
+    [Adaptive] complete only once {!start} has run (and again after
+    each site restart).
     @param dep_logging maintain the per-site last-writer table that
     backs dependency logging ({!dep_next} / {!dep_chains}); off by
     default so the paper-reproduction append path is untouched. *)
-val create :
-  ?group_commit:bool ->
-  ?batch_window_ms:float ->
-  ?daemon:daemon_config ->
-  ?dep_logging:bool ->
-  Camelot_mach.Site.t ->
-  'a t
+val create : ?policy:policy -> ?dep_logging:bool -> Camelot_mach.Site.t -> 'a t
 
 (** Spool a record into the volatile tail; returns its LSN. *)
 val append : 'a t -> 'a -> lsn
@@ -143,16 +131,9 @@ val forces : 'a t -> int
     fewer with). *)
 val disk_writes : 'a t -> int
 
-val group_commit : 'a t -> bool
-
-(** Enable/disable batching at runtime (the Figure 4 experiment knob). *)
-val set_group_commit : 'a t -> bool -> unit
-
-(** Whether this log runs in daemon mode. *)
-val daemon_mode : 'a t -> bool
-
 (** Whether the foreground appender should skip the per-record spool
-    CPU charge because this log's daemon serializes in batches. *)
+    CPU charge because this log's daemon serializes in batches (the
+    [Adaptive] policy). *)
 val defers_spool_cpu : 'a t -> bool
 
 (** {2 Dependency logging (Yao et al.)}
@@ -189,7 +170,7 @@ val dep_seed : 'a t -> key:string -> lsn -> unit
     Empty outside dependency mode. *)
 val dep_chains : 'a t -> (string * lsn) list
 
-(** Logger batching/latency statistics (daemon and legacy writes). *)
+(** Logger batching/latency statistics (every policy's writes). *)
 type batch_stats = {
   bs_writes : int;  (** physical writes that carried >= 1 record *)
   bs_records : int;  (** records covered by those writes *)
@@ -211,27 +192,23 @@ val batch_stats : 'a t -> batch_stats
     else's force or the background flusher). This is how a subordinate
     running the §3.2 optimized protocol learns its lazily-written
     commit record has hit the disk and the commit-ack may go out. In
-    daemon mode the fiber parks on the LSN heap without triggering a
+    [Adaptive] mode the fiber parks on the LSN heap without triggering a
     write: a lazy record rides along with the next force or the
     periodic flush. *)
 val wait_durable : 'a t -> lsn -> unit
 
-(** Spawn the disk manager's background flusher in the site's fiber
-    group: every [every] ms, if the volatile tail is non-empty and the
-    disk idle, write it out. Call again after a site restart. The
-    flusher is pinned to the incarnation that spawned it and exits once
-    the site crashes or restarts. *)
-val start_flusher : 'a t -> every:float -> unit
-
-(** Spawn the logger daemon (controller + writer fibers) in the site's
-    fiber group. The controller drains pending force targets — lingering
-    up to the adaptive window when the platter is idle so companions
-    arriving at the observed rate share the write — charges one batched
-    serialization pass, and hands the batch to the writer; the writer
-    issues one platter write per hand-off while the next batch spools
-    (double buffering). Every [flush_every] ms of idleness the unforced
-    tail is flushed, like {!start_flusher}. Both fibers are pinned to
-    the incarnation that spawned them. Call again after a site restart.
-    @raise Invalid_argument if the log was not created with [~daemon]
-    or [flush_every <= 0]. *)
-val start_daemon : 'a t -> flush_every:float -> unit
+(** Spawn the log's background fibers in the site's fiber group; call
+    again after each site restart. They are pinned to the incarnation
+    that spawned them and exit once the site crashes or restarts.
+    - [Unbatched] and [Group_commit]: the disk manager's flusher. Every
+      [flush_every] ms, if the volatile tail is non-empty and the disk
+      idle, it writes the tail out.
+    - [Adaptive]: the logger daemon, a controller and a writer fiber.
+      The controller drains pending force targets, lingering for the
+      adaptive window when the platter is idle, charges one batched
+      serialization pass, and hands the batch to the writer. The writer
+      issues one platter write per hand-off while the next batch spools
+      (double buffering). After [flush_every] ms of idleness the
+      unforced tail is flushed, as the flusher does.
+    @raise Invalid_argument if [flush_every <= 0]. *)
+val start : 'a t -> flush_every:float -> unit

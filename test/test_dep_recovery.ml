@@ -132,7 +132,7 @@ let observe c in_doubt =
 
 let run_instance ~seed ~dep ~partitions =
   let c =
-    Camelot.Cluster.create ~seed ~config:(config ()) ~group_commit:true
+    Camelot.Cluster.create ~seed ~config:(config ())
       ~logger:Camelot.Cluster.Adaptive ~dep_logging:dep
       ~recovery_partitions:partitions ~sites:n_sites ()
   in

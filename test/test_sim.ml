@@ -91,7 +91,6 @@ let test_heap_min_accessors () =
   Heap.push h ~priority:3.0 ~seq:5 "b";
   Heap.push h ~priority:1.0 ~seq:9 "a";
   check_float "min priority" 1.0 (Heap.min_priority h);
-  Alcotest.(check int) "min seq" 9 (Heap.min_seq h);
   Alcotest.(check bool) "min before a later time" true
     (Heap.min_before h ~priority:2.0 ~seq:0);
   Alcotest.(check bool) "min before a later seq" true
@@ -140,97 +139,6 @@ let prop_heap_random_ops =
       (* drain: the remaining contents come out in exact model order *)
       List.iter (fun _ -> step None) !model;
       Heap.is_empty h)
-
-(* ------------------------------------------------------------------ *)
-(* Wheel *)
-
-let test_wheel_ordering () =
-  let w = Wheel.create () in
-  List.iteri
-    (fun i p -> Wheel.push w ~priority:p ~seq:i p)
-    [ 5.0; 1.0; 3.0; 2.0; 4.0 ];
-  let popped = List.init 5 (fun _ -> Option.get (Wheel.pop w)) in
-  Alcotest.(check (list (float 1e-9))) "sorted" [ 1.0; 2.0; 3.0; 4.0; 5.0 ] popped
-
-let test_wheel_fifo_ties () =
-  let w = Wheel.create () in
-  List.iteri (fun i v -> Wheel.push w ~priority:1.0 ~seq:i v) [ "a"; "b"; "c" ];
-  let popped = List.init 3 (fun _ -> Option.get (Wheel.pop w)) in
-  Alcotest.(check (list string)) "insertion order" [ "a"; "b"; "c" ] popped
-
-let test_wheel_empty () =
-  let w : int Wheel.t = Wheel.create () in
-  Alcotest.(check bool) "empty" true (Wheel.is_empty w);
-  Alcotest.(check bool) "pop none" true (Wheel.pop w = None);
-  Alcotest.check_raises "pop_exn on empty" (Invalid_argument "Wheel.pop_exn: empty")
-    (fun () -> ignore (Wheel.pop_exn w : int))
-
-let test_wheel_overflow_adoption () =
-  (* a 2-bucket, 1ms-wide wheel: anything past 2ms parks in overflow
-     and must still pop in global order as the window rotates *)
-  let w = Wheel.create ~width:1.0 ~buckets:2 () in
-  List.iteri
-    (fun i p -> Wheel.push w ~priority:p ~seq:i p)
-    [ 10.5; 0.5; 3.2; 1.7; 42.0; 10.6 ];
-  Alcotest.(check int) "all counted, overflow included" 6 (Wheel.length w);
-  let popped = List.init 6 (fun _ -> Option.get (Wheel.pop w)) in
-  Alcotest.(check (list (float 1e-9)))
-    "overflow adopted in order" [ 0.5; 1.7; 3.2; 10.5; 10.6; 42.0 ] popped
-
-let test_wheel_late_push () =
-  (* after the window has rotated forward, a push behind it (the engine
-     never does this with absolute times, but cancellation churn plus
-     re-arming can) must still come out in (priority, seq) order *)
-  let w = Wheel.create ~width:1.0 ~buckets:4 () in
-  Wheel.push w ~priority:5.0 ~seq:0 5.0;
-  check_float "window rotated to 5" 5.0 (Option.get (Wheel.pop w));
-  Wheel.push w ~priority:1.0 ~seq:1 1.0;
-  Wheel.push w ~priority:5.5 ~seq:2 5.5;
-  check_float "late entry first" 1.0 (Option.get (Wheel.pop w));
-  check_float "then the window entry" 5.5 (Option.get (Wheel.pop w));
-  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
-
-let test_wheel_min_accessors () =
-  let w = Wheel.create ~width:1.0 ~buckets:2 () in
-  Wheel.push w ~priority:33.0 ~seq:5 "b";
-  Wheel.push w ~priority:1.0 ~seq:9 "a";
-  check_float "min priority" 1.0 (Wheel.min_priority w);
-  Alcotest.(check bool) "min before a later seq" true
-    (Wheel.min_before w ~priority:1.0 ~seq:10);
-  Alcotest.(check bool) "not before its own seq" false
-    (Wheel.min_before w ~priority:1.0 ~seq:9)
-
-(* random push/pop interleavings on tiny geometries (so window
-   rotation, adoption and late pushes all happen constantly), checked
-   pop-for-pop against a plain heap *)
-let prop_wheel_matches_heap =
-  QCheck.Test.make ~name:"wheel pops exactly like a heap" ~count:300
-    QCheck.(
-      triple (int_range 1 5) (int_range 1 8)
-        (list (option (pair (int_bound 30) (int_bound 9)))))
-    (fun (buckets, width10, ops) ->
-      let width = float_of_int width10 /. 10.0 in
-      let w = Wheel.create ~width ~buckets () in
-      let h = Heap.create () in
-      let seq = ref 0 in
-      let step op =
-        (match op with
-        | Some (p10, frac) ->
-            let priority = float_of_int p10 +. (float_of_int frac /. 10.0) in
-            Wheel.push w ~priority ~seq:!seq !seq;
-            Heap.push h ~priority ~seq:!seq !seq;
-            incr seq
-        | None ->
-            if Wheel.pop w <> Heap.pop h then
-              QCheck.Test.fail_report "pop disagrees with heap");
-        if Wheel.length w <> Heap.length h then
-          QCheck.Test.fail_report "length disagrees with heap"
-      in
-      List.iter step ops;
-      while not (Heap.is_empty h) do
-        step None
-      done;
-      Wheel.is_empty w)
 
 (* ------------------------------------------------------------------ *)
 (* Engine *)
@@ -428,67 +336,85 @@ let test_engine_pending_tombstone_beyond_until () =
   Alcotest.(check int) "still zero after the drain" 0 (Engine.pending eng);
   Alcotest.(check int) "only the live event executed" 1 (Engine.executed eng)
 
-(* The cancel-heavy accounting test again, on the wheel backend — the
-   tombstones now spread across buckets and the overflow heap, which
-   [pending] must all see through. Delays span far past the default
-   window so the overflow lane is genuinely exercised. *)
-let test_engine_wheel_cancel_heavy_drains () =
-  let eng = Engine.create ~timers:Engine.Wheel_timers () in
-  let survivors = ref 0 in
-  for i = 1 to 100 do
-    let timer =
-      (* 31ms apart: 100 timers span 3.1s, past the 2048ms window *)
-      Engine.schedule_timer eng ~delay:(float_of_int (i * 31)) (fun () ->
-          incr survivors)
-    in
-    if i mod 5 <> 0 then Engine.cancel eng timer
-  done;
-  Alcotest.(check int) "pending excludes tombstones" 20 (Engine.pending eng);
-  Engine.run eng;
-  Alcotest.(check int) "survivors all ran" 20 !survivors;
-  Alcotest.(check int) "executed counts only live timers" 20 (Engine.executed eng);
-  Alcotest.(check int) "queue fully drained" 0 (Engine.pending eng)
+(* Timers that act from inside their own callbacks: each spec arms a
+   timer that, when it fires, cancels a sibling and may re-arm a
+   follow-up, sometimes at delay 0 (the ring lane). [engine_trace] runs
+   the workload on the engine, [model_trace] on a sorted list of
+   [(time, seq)] entries — the total order the engine promises. Both
+   return the execution log [(time, id)], a follow-up of timer [i]
+   logged as [-1 - i]. *)
+let follow_up_delay i = if i mod 3 = 0 then 0.0 else float_of_int (i mod 7)
 
-(* Run one randomized timer/cancel/reschedule workload on a given
-   backend and return the exact execution log [(time, id)]. Callbacks
-   re-arm follow-up timers and cancel siblings, so the two lanes and
-   (on the wheel) window rotation, adoption and late pushes are all
-   exercised from inside running events. *)
-let backend_trace ~timers specs =
-  let eng = Engine.create ~timers () in
+let engine_trace specs =
+  let eng = Engine.create () in
   let log = ref [] in
   let timers = Hashtbl.create 16 in
   List.iteri
     (fun i (d10, cancel_at, chain) ->
-      let delay = float_of_int d10 /. 4.0 in
       let timer =
-        Engine.schedule_timer eng ~delay (fun () ->
+        Engine.schedule_timer eng ~delay:(float_of_int d10 /. 4.0) (fun () ->
             log := (Engine.now eng, i) :: !log;
-            (* cancel a sibling mid-run *)
             (match Hashtbl.find_opt timers cancel_at with
             | Some tm -> Engine.cancel eng tm
             | None -> ());
-            (* re-arm a follow-up, sometimes at delay 0 (ring lane) *)
             if chain then
-              Engine.schedule eng
-                ~delay:(if i mod 3 = 0 then 0.0 else float_of_int (i mod 7))
-                (fun () -> log := (Engine.now eng, i + 1000) :: !log))
+              Engine.schedule eng ~delay:(follow_up_delay i) (fun () ->
+                  log := (Engine.now eng, -1 - i) :: !log))
       in
       Hashtbl.replace timers i timer)
     specs;
   Engine.run eng;
   List.rev !log
 
-(* Satellite property: the wheel-backed engine replays the exact same
-   (time, seq) schedule as the heap-backed one. Replay failures with
-   CAMELOT_SEED=<printed seed>. *)
-let prop_engine_wheel_heap_identical =
+type model_event = Fire of int | Follow_up of int
+
+let model_trace specs =
+  let specs = Array.of_list specs in
+  (* every spec is armed before the run, so timer [i] holds seq [i] *)
+  let pending =
+    ref
+      (List.sort compare
+         (List.init (Array.length specs) (fun i ->
+              let d10, _, _ = specs.(i) in
+              (float_of_int d10 /. 4.0, i, Fire i))))
+  in
+  let next_seq = ref (Array.length specs) in
+  (* a new entry has the largest seq yet: it goes after every entry
+     with the same or an earlier time *)
+  let rec insert ((time, _, _) as e) = function
+    | ((t, _, _) as x) :: rest when t <= time -> x :: insert e rest
+    | l -> e :: l
+  in
+  let cancelled = Hashtbl.create 16 in
+  let log = ref [] in
+  let rec loop () =
+    match !pending with
+    | [] -> ()
+    | (time, _, ev) :: rest ->
+        pending := rest;
+        (match ev with
+        | Follow_up i -> log := (time, -1 - i) :: !log
+        | Fire i when Hashtbl.mem cancelled i -> ()
+        | Fire i ->
+            log := (time, i) :: !log;
+            let _, cancel_at, chain = specs.(i) in
+            Hashtbl.replace cancelled cancel_at ();
+            if chain then begin
+              let e = (time +. follow_up_delay i, !next_seq, Follow_up i) in
+              pending := insert e !pending;
+              incr next_seq
+            end);
+        loop ()
+  in
+  loop ();
+  List.rev !log
+
+(* Replay failures with CAMELOT_SEED=<printed seed>. *)
+let prop_engine_rearm_matches_model =
   QCheck.Test.make
-    ~name:"wheel-backed engine executes the identical schedule" ~count:300
+    ~name:"cancel/re-arm in callbacks matches model" ~count:300
     QCheck.(list (triple (int_bound 60) (int_bound 19) bool))
-    (fun specs ->
-      backend_trace ~timers:Engine.Heap_timers specs
-      = backend_trace ~timers:Engine.Wheel_timers specs)
+    (fun specs -> engine_trace specs = model_trace specs)
 
 (* ------------------------------------------------------------------ *)
 (* Fiber *)
@@ -1080,18 +1006,6 @@ let () =
           Alcotest.test_case "min accessors" `Quick test_heap_min_accessors;
         ]
         @ qcheck [ prop_heap_sorts; prop_heap_random_ops ] );
-      ( "wheel",
-        [
-          Alcotest.test_case "pops in priority order" `Quick test_wheel_ordering;
-          Alcotest.test_case "FIFO on ties" `Quick test_wheel_fifo_ties;
-          Alcotest.test_case "empty wheel" `Quick test_wheel_empty;
-          Alcotest.test_case "overflow adopted in order" `Quick
-            test_wheel_overflow_adoption;
-          Alcotest.test_case "late push behind the window" `Quick
-            test_wheel_late_push;
-          Alcotest.test_case "min accessors" `Quick test_wheel_min_accessors;
-        ]
-        @ qcheck [ prop_wheel_matches_heap ] );
       ( "engine",
         [
           Alcotest.test_case "time ordering" `Quick test_engine_time_ordering;
@@ -1115,11 +1029,8 @@ let () =
             test_engine_pending_ring_tombstone;
           Alcotest.test_case "pending correct across run ~until" `Quick
             test_engine_pending_tombstone_beyond_until;
-          Alcotest.test_case "wheel backend: cancel-heavy drains" `Quick
-            test_engine_wheel_cancel_heavy_drains;
         ]
-        @ qcheck
-            [ prop_engine_order_matches_model; prop_engine_wheel_heap_identical ] );
+        @ qcheck [ prop_engine_order_matches_model; prop_engine_rearm_matches_model ] );
       ( "fiber",
         [
           Alcotest.test_case "sleep advances clock" `Quick test_fiber_sleep;

@@ -91,8 +91,8 @@ let values c : snapshot =
 let run_instance ~seed ~truncate =
   let config = State.default_config ~threads:workers_per_site () in
   let c =
-    Camelot.Cluster.create ~seed ~config ~group_commit:true
-      ~logger:Camelot.Cluster.Adaptive ~sites:n_sites ()
+    Camelot.Cluster.create ~seed ~config ~logger:Camelot.Cluster.Adaptive
+      ~sites:n_sites ()
   in
   spawn_workload c ~seed;
   spawn_checkpointer c ~truncate;
@@ -144,8 +144,8 @@ let test_auto_checkpointer_truncates_and_recovers () =
   let seed = 5 in
   let config = State.default_config ~threads:workers_per_site () in
   let c =
-    Camelot.Cluster.create ~seed ~config ~group_commit:true
-      ~logger:Camelot.Cluster.Adaptive ~checkpoint_every:16 ~sites:n_sites ()
+    Camelot.Cluster.create ~seed ~config ~logger:Camelot.Cluster.Adaptive
+      ~checkpoint_every:16 ~sites:n_sites ()
   in
   spawn_workload c ~seed;
   Camelot.Cluster.run ~until:(horizon_ms +. 2_000.0) c;

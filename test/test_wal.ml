@@ -6,11 +6,13 @@ open Camelot_sim
 open Camelot_mach
 open Camelot_wal
 
-let make_log ?group_commit ?batch_window_ms () =
+let make_log ?policy () =
   let eng = Engine.create () in
   let site = Site.create eng ~id:0 ~model:Cost_model.rt ~rng:(Rng.create ~seed:3) in
-  let log = Log.create ?group_commit ?batch_window_ms site in
+  let log = Log.create ?policy site in
   (eng, site, log)
+
+let group_commit = Log.Group_commit { window_ms = 0.0 }
 
 let check_float = Alcotest.(check (float 1e-6))
 
@@ -51,7 +53,7 @@ let test_force_noop_when_durable () =
       Alcotest.(check (float 1e-6)) "no write needed" 0.0 (Fiber.now () -. t0))
 
 let test_unbatched_forces_serialize () =
-  let eng, _, log = make_log ~group_commit:false () in
+  let eng, _, log = make_log ~policy:Log.Unbatched () in
   let finish = ref [] in
   for i = 1 to 3 do
     Fiber.spawn eng (fun () ->
@@ -67,7 +69,7 @@ let test_unbatched_forces_serialize () =
   Alcotest.(check int) "three disk writes" 3 (Log.disk_writes log)
 
 let test_group_commit_batches () =
-  let eng, _, log = make_log ~group_commit:true () in
+  let eng, _, log = make_log ~policy:group_commit () in
   let finish = ref [] in
   for i = 1 to 3 do
     Fiber.spawn eng (fun () ->
@@ -84,7 +86,7 @@ let test_group_commit_batches () =
   Alcotest.(check int) "three forces" 3 (Log.forces log)
 
 let test_group_commit_late_arrival_waits () =
-  let eng, _, log = make_log ~group_commit:true () in
+  let eng, _, log = make_log ~policy:group_commit () in
   let late_done = ref 0.0 in
   Fiber.spawn eng (fun () ->
       ignore (Log.append log "early" : int);
@@ -101,7 +103,7 @@ let test_group_commit_late_arrival_waits () =
   Alcotest.(check int) "two disk writes" 2 (Log.disk_writes log)
 
 let test_batch_window_accumulates () =
-  let eng, _, log = make_log ~group_commit:true ~batch_window_ms:10.0 () in
+  let eng, _, log = make_log ~policy:(Log.Group_commit { window_ms = 10.0 }) () in
   let done_at = ref [] in
   Fiber.spawn eng (fun () ->
       ignore (Log.append log "a" : int);
@@ -121,7 +123,7 @@ let test_batch_window_accumulates () =
 
 let test_wait_durable_via_flusher () =
   let eng, _, log = make_log () in
-  Log.start_flusher log ~every:20.0;
+  Log.start log ~flush_every:20.0;
   let woke_at =
     Fiber.run eng (fun () ->
         let lsn = Log.append log "lazy" in
@@ -185,7 +187,7 @@ let test_follower_target_covered_by_inflight_write () =
      the LSN the in-flight leader write will cover must be released by
      that write's broadcast — one disk write, done at 15 — rather than
      waiting for a second write that will never be issued *)
-  let eng, _, log = make_log ~group_commit:true () in
+  let eng, _, log = make_log ~policy:group_commit () in
   let follower_done = ref nan in
   Fiber.spawn eng (fun () ->
       ignore (Log.append log "leader" : int);
@@ -205,7 +207,7 @@ let test_staggered_forces_all_complete () =
   (* lost-wakeup regression: forces arriving before, during, and after
      each write must all terminate; a dropped broadcast would leave a
      fiber suspended forever and the final count short *)
-  let eng, _, log = make_log ~group_commit:true () in
+  let eng, _, log = make_log ~policy:group_commit () in
   let finished = ref 0 in
   List.iter
     (fun delay ->
@@ -234,7 +236,7 @@ let test_wait_durable_already_durable () =
 let test_throughput_cap_without_batching () =
   (* the §3.5 argument: a 15ms force caps an unbatched log at ~66
      writes/s; group commit with many concurrent committers beats it *)
-  let eng, _, log = make_log ~group_commit:false () in
+  let eng, _, log = make_log ~policy:Log.Unbatched () in
   let committed = ref 0 in
   for _ = 1 to 10 do
     Fiber.spawn eng (fun () ->
@@ -252,7 +254,7 @@ let test_throughput_cap_without_batching () =
   let unbatched = !committed in
   let eng2 = Engine.create () in
   let site2 = Site.create eng2 ~id:0 ~model:Cost_model.rt ~rng:(Rng.create ~seed:4) in
-  let log2 = Log.create ~group_commit:true site2 in
+  let log2 = Log.create ~policy:group_commit site2 in
   let committed2 = ref 0 in
   for _ = 1 to 10 do
     Fiber.spawn eng2 (fun () ->
@@ -284,8 +286,8 @@ let test_throughput_cap_without_batching () =
 let make_daemon_log ?(flush_every = 1000.0) () =
   let eng = Engine.create () in
   let site = Site.create eng ~id:0 ~model:Cost_model.rt ~rng:(Rng.create ~seed:3) in
-  let log = Log.create ~group_commit:true ~daemon:Log.daemon_defaults site in
-  Log.start_daemon log ~flush_every;
+  let log = Log.create ~policy:Log.Adaptive site in
+  Log.start log ~flush_every;
   (eng, site, log)
 
 let test_daemon_single_force () =
@@ -388,7 +390,7 @@ let test_flusher_stops_after_crash () =
      already restarted into a new incarnation. It must recognize the
      stale incarnation and exit instead of flushing the new log *)
   let eng, site, log = make_log () in
-  Log.start_flusher log ~every:20.0;
+  Log.start log ~flush_every:20.0;
   Engine.schedule eng ~delay:20.0 (fun () ->
       Site.crash site;
       Log.crash log;

@@ -28,10 +28,10 @@ let fast_config () =
    exponential (it scales with tranman_cpu_ms, so leave that; tests
    that need exactness assert ranges instead). *)
 
-let quiet_cluster ?config ?servers_per_site ?group_commit ?(sites = 2) () =
+let quiet_cluster ?config ?servers_per_site ?(sites = 2) () =
   Camelot.Cluster.create ~model:quiet_model
     ~config:(match config with Some c -> c | None -> fast_config ())
-    ?servers_per_site ?group_commit ~sites ()
+    ?servers_per_site ~sites ()
 
 (* Drive the engine for [ms] more virtual milliseconds (lets background
    fibers — notify, acks, flusher — settle before asserting). *)
