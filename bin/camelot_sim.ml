@@ -3,13 +3,31 @@
 
 open Cmdliner
 
+(* Counts and durations must be positive (durations also finite): a
+   zero horizon divides by zero into nan rows, a zero batch or site
+   count raises. A bad value is a usage error, exit 124. *)
+let positive base ~what ~ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let pos_int = positive Arg.int ~what:"a positive integer" ~ok:(fun n -> n > 0)
+
+let pos_float =
+  positive Arg.float ~what:"a positive finite number" ~ok:(fun x ->
+      x > 0.0 && Float.is_finite x)
+
 let reps =
   let doc = "Repetitions for latency experiments." in
-  Arg.(value & opt int 150 & info [ "reps" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 150 & info [ "reps" ] ~docv:"N" ~doc)
 
 let horizon =
   let doc = "Virtual milliseconds per throughput run." in
-  Arg.(value & opt float 60_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
+  Arg.(value & opt pos_float 60_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
 
 let experiment name summary f =
   let doc = summary in
@@ -197,7 +215,7 @@ let cmds =
             : Camelot_experiments.Logger_sweep.point list));
     (let sites =
        let doc = "Simulated sites driven by the generator." in
-       Arg.(value & opt int 24 & info [ "sites" ] ~docv:"N" ~doc)
+       Arg.(value & opt pos_int 24 & info [ "sites" ] ~docv:"N" ~doc)
      in
      let mix =
        let doc = "Transaction mix: debit-credit or read-mostly." in
@@ -216,19 +234,19 @@ let cmds =
        let doc = "Offered loads to sweep, in transactions/second." in
        Arg.(
          value
-         & opt (some (list float)) None
+         & opt (some (list pos_float)) None
          & info [ "loads" ] ~docv:"TPS,..." ~doc)
      in
      let ol_horizon =
        let doc = "Virtual milliseconds per sweep point." in
-       Arg.(value & opt float 5_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
+       Arg.(value & opt pos_float 5_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
      in
      let batch =
        let doc =
          "Batched executor dequeue: each wakeup charges one context switch \
           and drains up to $(docv) queued transactions."
        in
-       Arg.(value & opt (some int) None & info [ "batch" ] ~docv:"K" ~doc)
+       Arg.(value & opt (some pos_int) None & info [ "batch" ] ~docv:"K" ~doc)
      in
      let diurnal =
        let doc =
@@ -240,7 +258,7 @@ let cmds =
      in
      let peak =
        let doc = "Peak rate of the --diurnal day curve, transactions/second." in
-       Arg.(value & opt float 800.0 & info [ "peak" ] ~docv:"TPS" ~doc)
+       Arg.(value & opt pos_float 800.0 & info [ "peak" ] ~docv:"TPS" ~doc)
      in
      let trace =
        let doc =
@@ -276,15 +294,15 @@ let cmds =
          $ const ()));
     (let sh_sites =
        let doc = "Sites per cluster (every transaction updates all of them)." in
-       Arg.(value & opt int 3 & info [ "sites" ] ~docv:"N" ~doc)
+       Arg.(value & opt pos_int 3 & info [ "sites" ] ~docv:"N" ~doc)
      in
      let workers =
        let doc = "Closed-loop workers per site." in
-       Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N" ~doc)
+       Arg.(value & opt pos_int 4 & info [ "workers" ] ~docv:"N" ~doc)
      in
      let sh_horizon =
        let doc = "Virtual milliseconds per protocol run." in
-       Arg.(value & opt float 20_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
+       Arg.(value & opt pos_float 20_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
      in
      experiment "shootout"
        "Four-way commit-protocol shootout: 2PC, non-blocking, Paxos Commit \
@@ -298,11 +316,11 @@ let cmds =
          $ sh_sites $ workers $ sh_horizon $ const ()));
     (let domains =
        let doc = "Engine domain counts to sweep." in
-       Arg.(value & opt (list int) [ 1; 2; 4; 8 ] & info [ "domains" ] ~docv:"N,..." ~doc)
+       Arg.(value & opt (list pos_int) [ 1; 2; 4; 8 ] & info [ "domains" ] ~docv:"N,..." ~doc)
      in
      let sc_horizon =
        let doc = "Virtual milliseconds per domain count." in
-       Arg.(value & opt float 3_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
+       Arg.(value & opt pos_float 3_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
      in
      experiment "scaling"
        "Engine scaling: the 64-site closed-loop workload at 1/2/4/8 engine \
@@ -315,7 +333,7 @@ let cmds =
          $ domains $ sc_horizon $ const ()));
     (let records =
        let doc = "Log records to replay per partition count." in
-       Arg.(value & opt int 100_000 & info [ "records" ] ~docv:"N" ~doc)
+       Arg.(value & opt pos_int 100_000 & info [ "records" ] ~docv:"N" ~doc)
      in
      experiment "recovery-sweep"
        "Recovery scaling: dependency-partitioned parallel replay at 1/2/4/8 \

@@ -35,7 +35,7 @@ let pp_two_phase_variant ppf v =
     | Unoptimized -> "unoptimized")
 
 type config = {
-  mutable threads : int;  (* read at creation time only *)
+  mutable threads : int;  (* read once, when the TranMan is created *)
   mutable two_phase_variant : two_phase_variant;
   mutable presumption : presumption;
   mutable multicast : bool;  (* coordinator->subordinates fan-out *)
@@ -163,7 +163,7 @@ type t = {
   config : config;
   directory : (Site.id, Protocol.t Camelot_net.Lan.endpoint) Hashtbl.t;
   mutable endpoint : Protocol.t Camelot_net.Lan.endpoint option;
-  mutable pool : Thread_pool.t option;
+  pool : Dispatch.t;  (* one shard: the §3.4 worker pool *)
   families : (int, family) Hashtbl.t;  (* keyed by Tid.family_key *)
   families_mutex : Sync.Mutex.t;
   servers : (string, server_callbacks) Hashtbl.t;
@@ -180,11 +180,6 @@ let me st = Site.id st.site
 let tracing st = Trace.enabled st.trace
 
 let tracef st tag fmt = Trace.record st.trace (engine st) ~tag fmt
-
-let pool st =
-  match st.pool with
-  | Some p -> p
-  | None -> invalid_arg "Tranman: not started"
 
 (* ------------------------------------------------------------------ *)
 (* CPU accounting *)

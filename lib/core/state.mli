@@ -27,7 +27,8 @@ type two_phase_variant = Optimized | Semi_optimized | Unoptimized
 val pp_two_phase_variant : Format.formatter -> two_phase_variant -> unit
 
 (** Per-TranMan configuration. All fields are mutable so experiments
-    can flip knobs; [threads] is read once at creation. *)
+    can flip knobs; [threads] is read once, when the TranMan is created,
+    so a later change never resizes its pool. *)
 type config = {
   mutable threads : int;
   mutable two_phase_variant : two_phase_variant;
@@ -130,7 +131,9 @@ type t = {
   config : config;
   directory : (Site.id, Protocol.t Camelot_net.Lan.endpoint) Hashtbl.t;
   mutable endpoint : Protocol.t Camelot_net.Lan.endpoint option;
-  mutable pool : Thread_pool.t option;
+  pool : Dispatch.t;
+      (** the §3.4 worker pool: one shard with [config.threads]
+          executors, created with the TranMan and kept across restarts *)
   families : (int, family) Hashtbl.t;  (** keyed by {!Tid.family_key} *)
   families_mutex : Sync.Mutex.t;
   servers : (string, server_callbacks) Hashtbl.t;
@@ -154,9 +157,6 @@ val me : t -> Site.id
 val tracing : t -> bool
 
 val tracef : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
-
-(** The worker pool. @raise Invalid_argument if not started. *)
-val pool : t -> Thread_pool.t
 
 (** Charge TranMan CPU for one protocol action (with a small
     exponential jitter modelling OS scheduling noise). *)

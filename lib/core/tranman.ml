@@ -18,7 +18,7 @@ let dispatch st msg =
   if tracing st then tracef st "recv" "%a" Protocol.pp msg;
   let tid = Protocol.tid msg in
   let to_pool handler =
-    Thread_pool.submit (pool st) (fun () ->
+    Dispatch.submit st.pool ~shard:0 (fun () ->
         charge_cpu st;
         handler st msg)
   in
@@ -66,8 +66,7 @@ let dispatch st msg =
 (* ---------------------------------------------------------------- *)
 (* Construction *)
 
-let start st =
-  st.pool <- Some (Thread_pool.create st.site ~threads:st.config.threads);
+let attach st =
   match st.endpoint with
   | Some ep -> Camelot_net.Lan.set_handler ep (dispatch st)
   | None ->
@@ -76,6 +75,7 @@ let start st =
       Hashtbl.replace st.directory (Site.id st.site) ep
 
 let create site ~lan ~log ~directory ~config =
+  let pool = Dispatch.create ~shards:1 ~executors_per_shard:config.threads site in
   let st =
     {
       site;
@@ -84,7 +84,7 @@ let create site ~lan ~log ~directory ~config =
       config;
       directory;
       endpoint = None;
-      pool = None;
+      pool;
       families = Hashtbl.create 64;
       families_mutex = Sync.Mutex.create ();
       servers = Hashtbl.create 8;
@@ -108,15 +108,18 @@ let create site ~lan ~log ~directory ~config =
       trace = Trace.create ~enabled:false ();
     }
   in
-  start st;
+  attach st;
   st
 
+(* The pool re-staffs itself when the site restarts (dropping the
+   requests queued before the crash), so only the endpoint and the
+   volatile tables need attention here. *)
 let restart st =
   (* volatile state of the old incarnation is gone *)
   Hashtbl.reset st.families;
   Hashtbl.reset st.waiters;
   Hashtbl.reset st.servers;
-  start st
+  attach st
 
 let site st = st.site
 let config st = st.config
@@ -154,7 +157,7 @@ let on_pool st job =
     Fiber.Group.register group (fun () ->
         reply caller (Error (tranman_down st "tranman site crashed")))
   in
-  Thread_pool.submit (pool st) (fun () ->
+  Dispatch.submit st.pool ~shard:0 (fun () ->
       charge_cpu st;
       let r = match job () with v -> Ok v | exception e -> Error e in
       Fiber.Group.unregister group hook;

@@ -19,10 +19,11 @@ type t
 exception Unknown_transaction of Tid.t
 
 (** [create site ~lan ~log ~directory ~config] builds and starts the
-    transaction manager: worker threads are spawned in the site's fiber
-    group and the network endpoint is registered in [directory] (the
-    name-service map shared by the cluster). If the site restarts,
-    call {!restart}. *)
+    transaction manager: its worker pool, a one-shard
+    {!Camelot_mach.Dispatch} with [config.threads] executors, is spawned
+    in the site's fiber group, and the network endpoint is registered in
+    [directory] (the name-service map shared by the cluster). The pool
+    re-staffs itself when the site restarts; call {!restart} then too. *)
 val create :
   Camelot_mach.Site.t ->
   lan:Camelot_net.Lan.t ->
@@ -31,9 +32,10 @@ val create :
   config:State.config ->
   t
 
-(** Re-spawn worker threads and re-attach the endpoint after the site
-    restarts (volatile transaction state is gone; recovery rebuilds
-    what the log supports). *)
+(** Forget the volatile transaction state and re-attach the endpoint
+    after the site restarts (recovery rebuilds what the log supports).
+    Requests queued for the pool before the crash are gone with the old
+    incarnation. *)
 val restart : t -> unit
 
 val site : t -> Camelot_mach.Site.t

@@ -76,8 +76,8 @@ type point = {
     debit/credit mix, adaptive logger daemon.
     @param batch batched executor dequeue (see
     {!Camelot_mach.Dispatch.create}): each executor wakeup charges one
-    context switch and drains up to [batch] jobs. Default: legacy
-    per-job dequeue with no switch charge. *)
+    context switch and drains up to [batch] jobs. Default: no switch
+    charge, and an executor drains its whole queue per wakeup. *)
 val run_one :
   ?seed:int ->
   ?sites:int ->

@@ -7,7 +7,9 @@ open Camelot_sim
    arrival the in-flight population is unbounded; here the fiber
    population is [shards * executors_per_shard] no matter the offered
    load — queueing shows up as latency (and, past the knee, as
-   load-shedding at the fault point), never as fiber explosion.
+   load-shedding at the fault point), never as fiber explosion. With
+   one shard this is the TranMan's C-Threads pool (§3.4): identical
+   workers taking any input from one queue.
 
    Executors block on their shard exactly like mailbox receivers: a
    ring of pending resumers, dead entries skipped at delivery, with the
@@ -15,32 +17,26 @@ open Camelot_sim
 
 let fp_enqueue = Camelot_chaos.register ~kind:Choice "dispatch.shard.enqueue"
 
-type policy = Fifo | Priority
-
 type job = unit -> unit
 
 type shard = {
-  fifo : job Ring.t;  (* Fifo policy *)
-  pq : job Heap.t;  (* Priority policy: min priority first *)
+  queue : job Ring.t;
   waiters : job Fiber.resumer Ring.t;  (* idle executors *)
   park : job Fiber.resumer -> unit;  (* joins [waiters] *)
 }
 
 type t = {
   site : Site.t;
-  policy : policy;
   shards : shard array;
   executors_per_shard : int;
-  batch : int option;  (* jobs per wakeup quantum; None = legacy loop *)
-  mutable seq : int;  (* tiebreak for equal priorities *)
+  quantum : int;  (* jobs per wakeup: [batch], or unbounded *)
+  switch_ms : float;  (* CPU per wakeup: one context switch, or 0 *)
   mutable submitted : int;
   mutable completed : int;
+  mutable failed : int;
   mutable shed : int;
   mutable max_depth : int;
 }
-
-let[@inline] shard_depth t s =
-  match t.policy with Fifo -> Ring.length s.fifo | Priority -> Heap.length s.pq
 
 (* Hand [job] to the oldest idle executor still alive; [false] if
    there is none. *)
@@ -54,57 +50,41 @@ let rec wake_waiter s job =
     end
     else wake_waiter s job
 
-let take t s =
-  match t.policy with
-  | Fifo -> Ring.pop_opt s.fifo
-  | Priority -> Heap.pop s.pq
-
+(* A raising job costs the job, not its executor: with one executor
+   per shard, a dead one would strand the shard until the next
+   restart. A kill still unwinds the executor. *)
 let run_job t job =
-  job ();
-  t.completed <- t.completed + 1
+  match job () with
+  | () -> t.completed <- t.completed + 1
+  | exception (Fiber.Cancelled as e) -> raise e
+  | exception e ->
+      t.failed <- t.failed + 1;
+      Format.eprintf "[dispatch] job raised: %s@." (Printexc.to_string e)
 
+(* Batched dequeue (Qadah's executor quantum): each wakeup pays one
+   scheduler context switch, then drains up to [quantum] queued jobs
+   back-to-back before yielding. The switch cost is thereby amortized
+   over the batch — [batch:1] charges it per job, the worst case, which
+   is what makes the knee shift measurable. Without [~batch] the
+   quantum is unbounded and the switch free ([Site.cpu_use] skips a
+   zero charge), so an executor runs jobs until its queue is empty. *)
 let executor_loop t s () =
-  match t.batch with
-  | None ->
-      while true do
-        match take t s with
-        | Some job -> run_job t job
-        | None ->
-            let job = Fiber.suspend s.park in
-            run_job t job
-      done
-  | Some k ->
-      (* Batched dequeue (Qadah's executor quantum): each wakeup pays
-         one scheduler context switch, then drains up to [k] queued
-         jobs back-to-back before yielding the quantum. The switch cost
-         is thereby amortized over the batch — [batch:1] charges it per
-         job, the worst case, which is what makes the knee shift
-         measurable. *)
-      let switch_ms =
-        (Site.model t.site).Cost_model.context_switch_us /. 1000.0
-      in
-      while true do
-        let job =
-          match take t s with
-          | Some job -> job
-          | None -> Fiber.suspend s.park
-        in
-        Site.cpu_use t.site switch_ms;
-        run_job t job;
-        let n = ref 1 in
-        let drained = ref false in
-        while (not !drained) && !n < k do
-          match take t s with
-          | Some job ->
-              run_job t job;
-              incr n
-          | None -> drained := true
-        done;
-        (* quantum spent with work still queued: yield so peers (other
-           executors, newly-resumed transaction fibers) interleave
-           before the next wakeup pays its own switch *)
-        if shard_depth t s > 0 then Fiber.yield ()
-      done
+  while true do
+    let job =
+      if Ring.is_empty s.queue then Fiber.suspend s.park else Ring.pop_exn s.queue
+    in
+    Site.cpu_use t.site t.switch_ms;
+    run_job t job;
+    let n = ref 1 in
+    while !n < t.quantum && not (Ring.is_empty s.queue) do
+      run_job t (Ring.pop_exn s.queue);
+      incr n
+    done;
+    (* quantum spent with work still queued: yield so peers (other
+       executors, newly-resumed transaction fibers) interleave before
+       the next wakeup pays its own switch *)
+    if not (Ring.is_empty s.queue) then Fiber.yield ()
+  done
 
 let spawn_executors t =
   Array.iteri
@@ -116,41 +96,44 @@ let spawn_executors t =
       done)
     t.shards
 
-let create ?(policy = Fifo) ?(shards = 4) ?(executors_per_shard = 1) ?batch
-    site =
+let create ?(shards = 4) ?(executors_per_shard = 1) ?batch site =
   if shards <= 0 then invalid_arg "Dispatch.create: shards must be positive";
   if executors_per_shard <= 0 then
     invalid_arg "Dispatch.create: executors_per_shard must be positive";
-  (match batch with
-  | Some k when k <= 0 -> invalid_arg "Dispatch.create: batch must be positive"
-  | _ -> ());
+  let quantum, switch_ms =
+    match batch with
+    | None -> (max_int, 0.0)
+    | Some k when k <= 0 -> invalid_arg "Dispatch.create: batch must be positive"
+    | Some k -> (k, (Site.model site).Cost_model.context_switch_us /. 1000.0)
+  in
   let t =
     {
       site;
-      policy;
       shards =
         Array.init shards (fun _ ->
             let waiters = Ring.create () in
-            {
-              fifo = Ring.create ();
-              pq = Heap.create ();
-              waiters;
-              park = (fun r -> Ring.push waiters r);
-            });
+            { queue = Ring.create (); waiters; park = (fun r -> Ring.push waiters r) });
       executors_per_shard;
-      batch;
-      seq = 0;
+      quantum;
+      switch_ms;
       submitted = 0;
       completed = 0;
+      failed = 0;
       shed = 0;
       max_depth = 0;
     }
   in
   spawn_executors t;
-  (* a crash kills the executors with the rest of the incarnation;
-     restart re-staffs the shards (queued jobs survive in the queues —
-     whether they can still do useful work is the job's problem) *)
-  Site.on_restart site (fun () -> spawn_executors t);
+  (* the queues belong to one incarnation, like the executors a crash
+     kills: restart drops the jobs queued in the old one, then
+     re-staffs the shards *)
+  Site.on_restart site (fun () ->
+      Array.iter
+        (fun s ->
+          Ring.clear s.queue;
+          Ring.clear s.waiters)
+        t.shards;
+      spawn_executors t);
   t
 
 let shards t = Array.length t.shards
@@ -159,33 +142,27 @@ let shards t = Array.length t.shards
 let shard_of_key t key =
   (key * 0x9E3779B97F4A7C1 land max_int) mod Array.length t.shards
 
-let submit t ?(priority = 0.0) ~shard job =
+let submit t ~shard job =
+  let s = t.shards.(shard) in
+  t.submitted <- t.submitted + 1;
+  if not (wake_waiter s job) then Ring.push s.queue job;
+  let d = Ring.length s.queue in
+  if d > t.max_depth then t.max_depth <- d
+
+let submit_key t ~key job =
   if Camelot_chaos.deny ~site:(Site.id t.site) fp_enqueue then begin
     t.shed <- t.shed + 1;
     false
   end
   else begin
-    let s = t.shards.(shard) in
-    t.submitted <- t.submitted + 1;
-    (if not (wake_waiter s job) then
-       match t.policy with
-       | Fifo -> Ring.push s.fifo job
-       | Priority ->
-           let seq = t.seq in
-           t.seq <- seq + 1;
-           Heap.push s.pq ~priority ~seq job);
-    let d = shard_depth t s in
-    if d > t.max_depth then t.max_depth <- d;
+    submit t ~shard:(shard_of_key t key) job;
     true
   end
 
-let submit_key t ?priority ~key job =
-  submit t ?priority ~shard:(shard_of_key t key) job
-
-let depth t =
-  Array.fold_left (fun acc s -> acc + shard_depth t s) 0 t.shards
+let depth t = Array.fold_left (fun acc s -> acc + Ring.length s.queue) 0 t.shards
 
 let submitted t = t.submitted
 let completed t = t.completed
+let failed t = t.failed
 let shed t = t.shed
 let max_depth t = t.max_depth

@@ -1,6 +1,6 @@
 (** Queue-sharded execution for a site (Qadah's queue-oriented
-    paradigm): work routed by key into per-shard queues, drained by a
-    bounded set of executor fibers.
+    paradigm): work routed by key into per-shard FIFO queues, drained by
+    a bounded set of executor fibers.
 
     Where the closed-loop rig spawns one worker fiber per in-flight
     transaction, a dispatcher keeps the fiber population fixed at
@@ -9,12 +9,16 @@
     when the chaos explorer denies the [dispatch.shard.enqueue] fault
     point, into explicit load-shedding, never into a fiber explosion.
 
-    Executors run in the site's fiber group: a crash kills them with
-    the incarnation, a restart re-staffs the shards automatically. *)
+    One shard with N executors is the TranMan's C-Threads pool (paper
+    §3.4): N identical workers, none tied to a transaction, each taking
+    any input from one queue. The pool size is the parameter Figures 4
+    and 5 vary (1 / 5 / 20 threads).
 
-type policy =
-  | Fifo  (** arrival order per shard *)
-  | Priority  (** lowest [priority] first per shard, FIFO on ties *)
+    Executors run in the site's fiber group, and the queues belong to
+    the same incarnation: a crash kills the executors, and the restart
+    drops every job still queued from before the crash, then re-staffs
+    the shards. A job that raises is counted in {!failed} and reported
+    on stderr; its executor carries on with the next job. *)
 
 type job = unit -> unit
 
@@ -27,15 +31,10 @@ type t
     @param batch batched dequeue: each executor wakeup charges one
     scheduler context switch ({!Cost_model.context_switch_us}) and then
     drains up to [batch] queued jobs back-to-back before yielding, so
-    the switch cost is amortized over the batch. Default: the legacy
-    loop — no per-wakeup charge, one job per take. *)
-val create :
-  ?policy:policy ->
-  ?shards:int ->
-  ?executors_per_shard:int ->
-  ?batch:int ->
-  Site.t ->
-  t
+    the switch cost is amortized over the batch. Default: no switch
+    charge and no limit, so a woken executor runs jobs until its queue
+    is empty. *)
+val create : ?shards:int -> ?executors_per_shard:int -> ?batch:int -> Site.t -> t
 
 val shards : t -> int
 
@@ -44,15 +43,16 @@ val shards : t -> int
 val shard_of_key : t -> int -> int
 
 (** [submit t ~shard job] enqueues [job] on [shard] (or hands it
-    straight to an idle executor). Returns [false] — job dropped, shed
-    counter bumped — iff the [dispatch.shard.enqueue] fault point
-    denies admission; always [true] outside chaos runs.
-    @param priority ordering key under [Priority] policy (ignored under
-    [Fifo]); lower runs sooner. Default 0. *)
-val submit : t -> ?priority:float -> shard:int -> job -> bool
+    straight to an idle executor). Admission is unconditional: this is
+    the path for a site's own internal work, such as TranMan requests. *)
+val submit : t -> shard:int -> job -> unit
 
-(** [submit_key t ~key job] is [submit] to [shard_of_key t key]. *)
-val submit_key : t -> ?priority:float -> key:int -> job -> bool
+(** [submit_key t ~key job] is the admission path for offered load: it
+    is [submit] to [shard_of_key t key], behind the
+    [dispatch.shard.enqueue] fault point. Returns [false] — job
+    dropped, {!shed} bumped — iff that fault point denies admission;
+    always [true] outside chaos runs. *)
+val submit_key : t -> key:int -> job -> bool
 
 (** Jobs currently queued (excluding any running in executors). *)
 val depth : t -> int
@@ -60,8 +60,11 @@ val depth : t -> int
 (** Jobs admitted so far (shed ones excluded). *)
 val submitted : t -> int
 
-(** Jobs finished so far. *)
+(** Jobs that returned normally. *)
 val completed : t -> int
+
+(** Jobs that raised an exception. *)
+val failed : t -> int
 
 (** Jobs dropped by the [dispatch.shard.enqueue] fault point. *)
 val shed : t -> int

@@ -1,5 +1,5 @@
 (* Tests for the simulated Mach layer: cost models, sites,
-   crash/restart, thread pools, IPC/RPC. *)
+   crash/restart, dispatch executors, IPC/RPC. *)
 
 open Camelot_sim
 open Camelot_mach
@@ -105,45 +105,6 @@ let test_cpu_uniprocessor_serializes () =
   check_float "3 slices serialized" 30.0 !finish
 
 (* ------------------------------------------------------------------ *)
-(* Thread pool *)
-
-let test_pool_limits_concurrency () =
-  let eng = Engine.create () in
-  let site = make_site eng in
-  let pool = Thread_pool.create site ~threads:2 in
-  let active = ref 0 and peak = ref 0 in
-  for _ = 1 to 6 do
-    Thread_pool.submit pool (fun () ->
-        incr active;
-        if !active > !peak then peak := !active;
-        Fiber.sleep 10.0;
-        decr active)
-  done;
-  Engine.run eng;
-  Alcotest.(check int) "at most 2 concurrent jobs" 2 !peak;
-  Alcotest.(check int) "all jobs done" 6 (Thread_pool.completed pool)
-
-let test_pool_worker_survives_exn () =
-  let eng = Engine.create () in
-  let site = make_site eng in
-  let pool = Thread_pool.create site ~threads:1 in
-  let ok = ref false in
-  Thread_pool.submit pool (fun () -> failwith "job crash");
-  Thread_pool.submit pool (fun () -> ok := true);
-  Engine.run eng;
-  Alcotest.(check bool) "next job still runs" true !ok
-
-let test_pool_single_thread_blocks_queue () =
-  let eng = Engine.create () in
-  let site = make_site eng in
-  let pool = Thread_pool.create site ~threads:1 in
-  let second_done_at = ref 0.0 in
-  Thread_pool.submit pool (fun () -> Fiber.sleep 50.0);
-  Thread_pool.submit pool (fun () -> second_done_at := Fiber.now ());
-  Engine.run eng;
-  check_float "second waited for first" 50.0 !second_done_at
-
-(* ------------------------------------------------------------------ *)
 (* RPC *)
 
 let two_sites () =
@@ -220,23 +181,10 @@ let test_dispatch_fifo_order () =
   let d = Dispatch.create ~shards:1 site in
   let order = ref [] in
   for i = 1 to 5 do
-    ignore (Dispatch.submit d ~shard:0 (fun () -> order := i :: !order) : bool)
+    Dispatch.submit d ~shard:0 (fun () -> order := i :: !order)
   done;
   Engine.run eng;
   Alcotest.(check (list int)) "FIFO per shard" [ 1; 2; 3; 4; 5 ] (List.rev !order)
-
-let test_dispatch_priority_order () =
-  let eng = Engine.create () in
-  let site = make_site eng in
-  let d = Dispatch.create ~policy:Dispatch.Priority ~shards:1 site in
-  let order = ref [] in
-  List.iter
-    (fun (p, i) ->
-      ignore (Dispatch.submit d ~priority:p ~shard:0 (fun () -> order := i :: !order) : bool))
-    [ (3.0, 3); (1.0, 1); (2.0, 2); (1.0, 11) ];
-  Engine.run eng;
-  Alcotest.(check (list int)) "lowest priority first, FIFO on ties"
-    [ 1; 11; 2; 3 ] (List.rev !order)
 
 let test_dispatch_bounded_executors () =
   let eng = Engine.create () in
@@ -244,14 +192,12 @@ let test_dispatch_bounded_executors () =
   let d = Dispatch.create ~shards:1 ~executors_per_shard:2 site in
   let active = ref 0 and peak = ref 0 and finish = ref 0.0 in
   for _ = 1 to 6 do
-    ignore
-      (Dispatch.submit d ~shard:0 (fun () ->
-           incr active;
-           if !active > !peak then peak := !active;
-           Fiber.sleep 10.0;
-           decr active;
-           finish := Float.max !finish (Fiber.now ()))
-        : bool)
+    Dispatch.submit d ~shard:0 (fun () ->
+        incr active;
+        if !active > !peak then peak := !active;
+        Fiber.sleep 10.0;
+        decr active;
+        finish := Float.max !finish (Fiber.now ()))
   done;
   Engine.run eng;
   Alcotest.(check int) "at most 2 concurrent" 2 !peak;
@@ -284,8 +230,8 @@ let test_dispatch_shard_routing () =
 
 let test_dispatch_batch_amortizes_switches () =
   (* batched dequeue charges one context switch per executor wakeup,
-     amortized over up to [batch] jobs; the legacy loop charges
-     nothing. Jobs are no-ops, so the site's CPU busy time is exactly
+     amortized over up to [batch] jobs; without [~batch] nothing is
+     charged. Jobs are no-ops, so the site's CPU busy time is exactly
      the switch charges. *)
   let run batch jobs =
     let eng = Engine.create () in
@@ -293,7 +239,7 @@ let test_dispatch_batch_amortizes_switches () =
     let d = Dispatch.create ~shards:1 ?batch site in
     let order = ref [] in
     for i = 1 to jobs do
-      ignore (Dispatch.submit d ~shard:0 (fun () -> order := i :: !order) : bool)
+      Dispatch.submit d ~shard:0 (fun () -> order := i :: !order)
     done;
     Engine.run eng;
     Alcotest.(check (list int))
@@ -304,29 +250,44 @@ let test_dispatch_batch_amortizes_switches () =
     Sync.Resource.busy_time (Site.cpu site)
   in
   let switch = Cost_model.rt.Cost_model.context_switch_us /. 1000.0 in
-  check_float "legacy loop charges nothing" 0.0 (run None 4);
+  check_float "unbatched charges nothing" 0.0 (run None 4);
   check_float "batch=1 pays one switch per job" (4.0 *. switch) (run (Some 1) 4);
   check_float "batch=2 halves the switches" (2.0 *. switch) (run (Some 2) 4);
   check_float "batch=8 pays one switch for all" switch (run (Some 8) 4)
+
+let test_dispatch_survives_exn () =
+  let eng = Engine.create () in
+  let site = make_site eng in
+  let d = Dispatch.create ~shards:1 site in
+  let ok = ref false in
+  Dispatch.submit d ~shard:0 (fun () -> failwith "job crash");
+  Dispatch.submit d ~shard:0 (fun () -> ok := true);
+  Engine.run eng;
+  Alcotest.(check bool) "next job still runs" true !ok;
+  Alcotest.(check int) "raising job counted" 1 (Dispatch.failed d);
+  Alcotest.(check int) "other job completed" 1 (Dispatch.completed d)
 
 let test_dispatch_respawns_after_restart () =
   let eng = Engine.create () in
   let site = make_site eng in
   let d = Dispatch.create ~shards:1 site in
-  let done_a = ref false and done_b = ref false in
-  ignore
-    (Dispatch.submit d ~shard:0 (fun () ->
-         Fiber.sleep 50.0;
-         done_a := true)
-      : bool);
-  ignore (Dispatch.submit d ~shard:0 (fun () -> done_b := true) : bool);
-  (* crash mid-job A: the executor dies with the incarnation; restart
-     re-staffs the shard and the new executor drains the queued B *)
+  let done_a = ref false and done_b = ref false and done_c = ref false in
+  Dispatch.submit d ~shard:0 (fun () ->
+      Fiber.sleep 50.0;
+      done_a := true);
+  Dispatch.submit d ~shard:0 (fun () -> done_b := true);
+  (* crash mid-job A: the executor dies with the incarnation, and so
+     does the queue holding B; restart re-staffs the shard, and the new
+     executor serves C, submitted after the restart *)
   Engine.schedule eng ~delay:10.0 (fun () -> Site.crash site);
   Engine.schedule eng ~delay:20.0 (fun () -> Site.restart site);
+  Engine.schedule eng ~delay:30.0 (fun () ->
+      Dispatch.submit d ~shard:0 (fun () -> done_c := true));
   Engine.run eng;
   Alcotest.(check bool) "in-flight job died with the site" false !done_a;
-  Alcotest.(check bool) "queued job drained after restart" true !done_b
+  Alcotest.(check bool) "queued job died with the site" false !done_b;
+  Alcotest.(check int) "queue emptied" 0 (Dispatch.depth d);
+  Alcotest.(check bool) "job submitted after restart runs" true !done_c
 
 (* ------------------------------------------------------------------ *)
 (* Allocation budget *)
@@ -370,12 +331,6 @@ let () =
           Alcotest.test_case "SMP parallel CPU" `Quick test_cpu_multiprocessor_parallelism;
           Alcotest.test_case "uniprocessor serializes" `Quick test_cpu_uniprocessor_serializes;
         ] );
-      ( "thread_pool",
-        [
-          Alcotest.test_case "limits concurrency" `Quick test_pool_limits_concurrency;
-          Alcotest.test_case "worker survives exception" `Quick test_pool_worker_survives_exn;
-          Alcotest.test_case "single thread serializes" `Quick test_pool_single_thread_blocks_queue;
-        ] );
       ( "rpc",
         [
           Alcotest.test_case "local call cost" `Quick test_rpc_local_cost;
@@ -387,12 +342,13 @@ let () =
       ( "dispatch",
         [
           Alcotest.test_case "FIFO order per shard" `Quick test_dispatch_fifo_order;
-          Alcotest.test_case "priority ordering" `Quick test_dispatch_priority_order;
           Alcotest.test_case "bounded executor population" `Quick
             test_dispatch_bounded_executors;
           Alcotest.test_case "shard routing" `Quick test_dispatch_shard_routing;
           Alcotest.test_case "batch amortizes context switches" `Quick
             test_dispatch_batch_amortizes_switches;
+          Alcotest.test_case "executor survives exception" `Quick
+            test_dispatch_survives_exn;
           Alcotest.test_case "restart re-staffs executors" `Quick
             test_dispatch_respawns_after_restart;
         ] );
