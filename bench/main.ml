@@ -182,20 +182,17 @@ let bench_wal_batched () =
   done;
   Camelot_sim.Engine.run ~until:10_000.0 eng
 
-(* Append-path overhead of dependency tracking: identical 1k-record
-   spool loops, one on a plain log, one paying the last-writer probe
-   per record. The delta is the whole foreground cost of dep mode. *)
-let bench_wal_append ~dep () =
+(* The foreground append path: a 1k-record spool loop on a fresh log,
+   no forces. *)
+let bench_wal_append () =
   let eng = Camelot_sim.Engine.create () in
   let site =
     Camelot_mach.Site.create eng ~id:0 ~model:Camelot_mach.Cost_model.rt
       ~rng:(Camelot_sim.Rng.create ~seed:3)
   in
-  let log = Camelot_wal.Log.create ~dep_logging:dep site in
+  let log = Camelot_wal.Log.create site in
   for i = 0 to 999 do
-    let key = "k" ^ string_of_int (i land 63) in
-    let d = Camelot_wal.Log.dep_next log ~key in
-    ignore (Camelot_wal.Log.append log (i + d) : int)
+    ignore (Camelot_wal.Log.append log i : int)
   done
 
 (* Recovery-scan rigs, built once: a 10k-record log, full versus
@@ -274,10 +271,7 @@ let tests =
                  : Camelot_experiments.Throughput.result)));
       Test.make ~name:"wal: 1k append+force batched"
         (Staged.stage bench_wal_batched);
-      Test.make ~name:"wal: 1k append (plain)"
-        (Staged.stage (bench_wal_append ~dep:false));
-      Test.make ~name:"wal: 1k append (dep-tracked)"
-        (Staged.stage (bench_wal_append ~dep:true));
+      Test.make ~name:"wal: 1k append (plain)" (Staged.stage bench_wal_append);
       Test.make ~name:"wal: recovery scan 10k records (full)"
         (Staged.stage (bench_recovery_scan scan_log_full));
       Test.make ~name:"wal: recovery scan 10k records (truncated)"

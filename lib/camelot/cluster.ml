@@ -24,8 +24,7 @@ type t = {
   nodes : node array;
   flush_every_ms : float;
   checkpoint_every : int option;
-  dep_logging : bool;
-  recovery_partitions : int;
+  recovery_partitions : int option;
 }
 
 (* Chaos fault point: a crash between the checkpoint record becoming
@@ -41,12 +40,9 @@ let checkpoint_node ?(truncate = true) n =
   let ck_values = List.concat_map Camelot_server.Data_server.snapshot n.servers in
   let ck_active = List.concat_map Camelot_server.Data_server.inflight n.servers in
   let ck_families = Tranman.family_images n.tranman in
-  (* dependency mode: snapshot the last-writer table so recovery from a
-     truncated log keeps chain continuity ([] otherwise) *)
-  let ck_chains = Camelot_wal.Log.dep_chains n.log in
   let ck_lsn =
     Camelot_wal.Log.append n.log
-      (Record.Checkpoint { ck_values; ck_active; ck_families; ck_chains })
+      (Record.Checkpoint { ck_values; ck_active; ck_families })
   in
   Camelot_wal.Log.force n.log;
   (* a crash landing here leaves a durable checkpoint with the old
@@ -74,14 +70,16 @@ let start_checkpointer ~flush_every_ms n ~every =
       loop ())
 
 let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
-    ?(logger = Unbatched) ?checkpoint_every ?(dep_logging = false)
-    ?(recovery_partitions = 1) ?lock_timeout_ms ?(domains = 1) ~sites () =
+    ?(logger = Unbatched) ?checkpoint_every ?recovery_partitions
+    ?lock_timeout_ms ?(domains = 1) ~sites () =
   if sites <= 0 then invalid_arg "Cluster.create: need at least one site";
   (match checkpoint_every with
   | Some n when n <= 0 -> invalid_arg "Cluster.create: checkpoint_every must be positive"
   | _ -> ());
-  if recovery_partitions <= 0 then
-    invalid_arg "Cluster.create: recovery_partitions must be positive";
+  (match recovery_partitions with
+  | Some k when k <= 0 ->
+      invalid_arg "Cluster.create: recovery_partitions must be positive"
+  | _ -> ());
   if domains <= 0 then invalid_arg "Cluster.create: domains must be positive";
   let domains = min domains sites in
   (* domains = 1 constructs exactly the legacy single-engine cluster:
@@ -114,7 +112,7 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
           Site.create ~shard ?fabric engines.(shard) ~id ~model
             ~rng:(Rng.split rng)
         in
-        let log = Camelot_wal.Log.create ~policy:logger ~dep_logging site in
+        let log = Camelot_wal.Log.create ~policy:logger site in
         Camelot_wal.Log.start log ~flush_every:flush_every_ms;
         let tranman =
           Tranman.create site ~lan:lans.(shard) ~log ~directory
@@ -139,7 +137,6 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
       nodes;
       flush_every_ms;
       checkpoint_every;
-      dep_logging;
       recovery_partitions;
     }
   in
@@ -213,7 +210,7 @@ let restart_site t i =
       Camelot_server.Data_server.reset srv;
       Camelot_server.Data_server.reattach srv)
     n.servers;
-  Camelot_recovery.Recovery.run ~partitions:t.recovery_partitions
+  Camelot_recovery.Recovery.run ?partitions:t.recovery_partitions
     ~tranman:n.tranman ~log:n.log ~servers:n.servers ()
 
 let partition t groups =

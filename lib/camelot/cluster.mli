@@ -50,14 +50,11 @@ type logger = Camelot_wal.Log.policy =
     @param checkpoint_every automatic checkpointer: checkpoint and
     truncate a site's log whenever it holds at least this many records
     (default: no automatic checkpoints)
-    @param dep_logging create every site's log in dependency mode: each
-    update record carries the LSN of the previous update to the same
-    (server, key), checkpoints snapshot the chain table, and recovery
-    may replay partitions in parallel (default false — the
-    paper-reproduction path is byte-identical without it)
-    @param recovery_partitions parallel replay chains used by
-    {!restart_site} (default 1 = sequential; only takes effect with
-    [dep_logging])
+    @param recovery_partitions replay fibers used by {!restart_site}.
+    Given [k], recovery buckets the log by (server, key) into [k]
+    partitions replayed in parallel, each charging replay CPU (see
+    {!Camelot_recovery.Recovery.run}). Omitted: the paper's sequential
+    pass.
     @param lock_timeout_ms bound data-server lock waits: a transaction
     waiting longer aborts with [Lock_timeout] instead of blocking
     forever (default: wait forever — the paper-reproduction behavior)
@@ -78,7 +75,6 @@ val create :
   ?servers_per_site:int ->
   ?logger:logger ->
   ?checkpoint_every:int ->
-  ?dep_logging:bool ->
   ?recovery_partitions:int ->
   ?lock_timeout_ms:float ->
   ?domains:int ->

@@ -89,7 +89,6 @@ let collect cluster =
 let sum_sites f t = List.fold_left (fun acc s -> acc + f s) 0 t.sites
 
 let total_committed = sum_sites (fun s -> s.committed)
-let total_aborted = sum_sites (fun s -> s.aborted)
 let total_log_forces = sum_sites (fun s -> s.log_forces)
 let total_disk_writes = sum_sites (fun s -> s.disk_writes)
 

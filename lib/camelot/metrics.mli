@@ -46,7 +46,6 @@ val collect : Cluster.t -> t
 (** {1 Cluster-wide totals} *)
 
 val total_committed : t -> int
-val total_aborted : t -> int
 val total_log_forces : t -> int
 val total_disk_writes : t -> int
 

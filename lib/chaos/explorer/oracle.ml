@@ -21,8 +21,8 @@
      {!ac5} [ac5-liveness].
 
    The non-AC oracles keep their original names: presumed-abort
-   decision backing, checkpoint truncation integrity, dependency-edge
-   integrity, lock hygiene, and residual log-discipline rules. *)
+   decision backing, checkpoint truncation integrity, lock hygiene, and
+   residual log-discipline rules. *)
 
 open Camelot_core
 
@@ -313,38 +313,6 @@ let check ?(fault_free = false) c txns =
                   Checkpoint"
                  i base
                  (Format.asprintf "%a" Record.pp r))
-  done;
-  (* dependency-edge integrity: in dependency mode every update's edge
-     that still points into the held window must name an older update
-     of the same (server, key); an edge below the base is a head whose
-     predecessor was legally truncated away *)
-  for i = 0 to sites - 1 do
-    let log = Camelot.Cluster.log c i in
-    if Camelot_wal.Log.dep_logging log then begin
-      let base = Camelot_wal.Log.base_lsn log in
-      Camelot_wal.Log.iter_durable log (fun lsn r ->
-          match r with
-          | Record.Update u when u.Record.u_dep >= base -> (
-              if u.Record.u_dep >= lsn then
-                add
-                  (v "dep-edge"
-                     "site %d: update at lsn %d depends forward on lsn %d" i lsn
-                     u.Record.u_dep)
-              else
-                match Camelot_wal.Log.get log u.Record.u_dep with
-                | Record.Update p
-                  when p.Record.u_server = u.Record.u_server
-                       && p.Record.u_key = u.Record.u_key ->
-                    ()
-                | r ->
-                    add
-                      (v "dep-edge"
-                         "site %d: update %s/%s at lsn %d points at lsn %d = \
-                          %s, not a same-key update"
-                         i u.Record.u_server u.Record.u_key lsn u.Record.u_dep
-                         (Format.asprintf "%a" Record.pp r)))
-          | _ -> ())
-    end
   done;
   (* per-transaction value oracles *)
   List.iter

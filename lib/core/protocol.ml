@@ -12,13 +12,6 @@ let pp_commit_protocol ppf = function
   | Paxos_commit -> Format.pp_print_string ppf "PAXOS"
   | Short_commit -> Format.pp_print_string ppf "SHORT"
 
-let commit_protocol_of_string = function
-  | "2pc" | "two-phase" -> Some Two_phase
-  | "nb" | "nonblocking" -> Some Nonblocking
-  | "paxos" | "paxos-commit" -> Some Paxos_commit
-  | "short" | "short-commit" -> Some Short_commit
-  | _ -> None
-
 type vote = Vote_yes of { read_only : bool } | Vote_no
 
 type status =

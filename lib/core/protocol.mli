@@ -18,10 +18,6 @@ type commit_protocol = Two_phase | Nonblocking | Paxos_commit | Short_commit
 
 val pp_commit_protocol : Format.formatter -> commit_protocol -> unit
 
-(** Parse a protocol name as used on CLIs: "2pc", "nb", "paxos",
-    "short" (plus long spellings). *)
-val commit_protocol_of_string : string -> commit_protocol option
-
 (** A subordinate's vote. [Vote_yes] with [read_only = true] means the
     site wrote nothing for this transaction: it drops its locks
     immediately and is excluded from all later phases. *)

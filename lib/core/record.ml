@@ -4,10 +4,6 @@ type update = {
   u_key : string;
   u_old : int;
   u_new : int;
-  u_dep : int;
-      (* dependency edge: LSN of the previous update touching the same
-         (server, key), or -1 when this update heads its chain (first
-         writer, non-dependency log mode, or predecessor truncated) *)
 }
 
 (* mirror of State.quorum_side, duplicated so the record type does not
@@ -38,12 +34,6 @@ type t =
       ck_values : (string * string * int) list;
       ck_active : update list;
       ck_families : family_image list;
-      ck_chains : (string * int) list;
-          (* dependency-log partition metadata: the last-writer table at
-             checkpoint time, [(dep key, LSN of its newest update)] —
-             empty in non-dependency mode. Lets a recovery whose scan
-             starts at this checkpoint rebuild chain continuity for the
-             records the truncation dropped. *)
     }
   | Collecting of {
       g_tid : Tid.t;
@@ -90,7 +80,7 @@ let tid = function
   | End e -> e.e_tid
 
 let pp ppf = function
-  | Checkpoint { ck_values; ck_active; ck_families; _ } ->
+  | Checkpoint { ck_values; ck_active; ck_families } ->
       Format.fprintf ppf "Checkpoint(%d values, %d in-flight updates, %d families)"
         (List.length ck_values) (List.length ck_active)
         (List.length ck_families)
@@ -99,14 +89,8 @@ let pp ppf = function
         Protocol.pp_commit_protocol g.g_protocol
         (String.concat "," (List.map string_of_int g.g_sites))
   | Update u ->
-      (* the dep suffix only ever appears in dependency-log mode, so
-         default-mode output stays byte-identical *)
-      if u.u_dep >= 0 then
-        Format.fprintf ppf "Update(%a %s/%s %d->%d dep=%d)" Tid.pp u.u_tid
-          u.u_server u.u_key u.u_old u.u_new u.u_dep
-      else
-        Format.fprintf ppf "Update(%a %s/%s %d->%d)" Tid.pp u.u_tid u.u_server
-          u.u_key u.u_old u.u_new
+      Format.fprintf ppf "Update(%a %s/%s %d->%d)" Tid.pp u.u_tid u.u_server
+        u.u_key u.u_old u.u_new
   | Prepare p ->
       Format.fprintf ppf "Prepare(%a %a coord=%d sites=[%s])" Tid.pp p.p_tid
         Protocol.pp_commit_protocol p.p_protocol p.p_coordinator

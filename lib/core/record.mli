@@ -31,14 +31,6 @@ type update = {
   u_key : string;
   u_old : int;
   u_new : int;
-  u_dep : int;
-      (** dependency edge (Yao et al.'s dependency logging): the LSN of
-          the previous update touching the same (server, key), or [-1]
-          when this update heads its chain — first writer of the key,
-          the log runs in the default non-dependency mode, or the
-          predecessor was truncated away. Recovery partitions the log
-          into independent chains along these edges and replays them on
-          parallel fibers. *)
 }
 
 (** Which quorum a checkpointed family had joined (mirror of
@@ -73,14 +65,6 @@ type t =
       ck_values : (string * string * int) list;
       ck_active : update list;
       ck_families : family_image list;
-      ck_chains : (string * int) list;
-          (** dependency-log partition metadata: the per-site
-              last-writer table at checkpoint time, as [(dep key,
-              newest LSN)] pairs — empty in non-dependency mode. After
-              truncation this is what keeps chain continuity: an update
-              whose [u_dep] points below the checkpoint is recognized
-              as a chain head, and post-recovery appends resume the
-              recorded chains instead of restarting every key. *)
     }
       (** a forced snapshot: committed [(server, key, value)] triples,
           the updates of transactions still in flight at snapshot time

@@ -519,7 +519,6 @@ let recover st =
     decr lsn
   done;
   let scan_from = match !ck with Some (l, _) -> l | None -> base in
-  let ends = Hashtbl.create 16 in
   (* Seed descriptors from the checkpoint's family images: the state the
      truncated records below the checkpoint would have rebuilt. *)
   (match !ck with
@@ -553,14 +552,9 @@ let recover st =
             im.Record.fi_servers;
           if im.Record.fi_ended then begin
             fam.f_acks_pending <- [];
-            fam.f_ended <- true;
-            Hashtbl.replace ends (Tid.family_key im.Record.fi_tid) ()
+            fam.f_ended <- true
           end)
         images);
-  Camelot_wal.Log.iter_durable_from st.log ~from:scan_from (fun _ r ->
-      match r with
-      | Record.End { e_tid } -> Hashtbl.replace ends (Tid.family_key e_tid) ()
-      | _ -> ());
   Camelot_wal.Log.iter_durable_from st.log ~from:scan_from (fun _ r ->
       match r with
       | Record.Checkpoint { ck_active; _ } ->
@@ -578,12 +572,12 @@ let recover st =
           replay fam r);
   let in_doubt = ref [] in
   Hashtbl.iter
-    (fun key fam ->
+    (fun _ fam ->
       match fam.f_outcome with
       | Some Protocol.Committed
         when st.config.presumption = Presume_abort
              && fam.f_role = Coordinator
-             && (not (Hashtbl.mem ends key))
+             && (not fam.f_ended)
              && fam.f_update_sites <> [] ->
           (* decided but not fully acknowledged: resume notification *)
           let subs = List.filter (fun s -> s <> me st) fam.f_update_sites in
@@ -592,7 +586,7 @@ let recover st =
         when (st.config.presumption = Presume_commit
              || fam.f_protocol = Protocol.Short_commit)
              && fam.f_role = Coordinator
-             && not (Hashtbl.mem ends key) ->
+             && not fam.f_ended ->
           (* presumed commit (and short-commit, which presumes commit
              whatever the configuration): aborts are the acknowledged
              outcome *)

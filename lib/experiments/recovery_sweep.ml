@@ -1,15 +1,16 @@
 (* Recovery-scaling sweep: dependency-partitioned parallel replay
-   (Yao et al.) against the sequential baseline.
+   (Yao et al.), where each key's update chain is one dependency chain
+   and partitions group chains by key hash.
 
-   One site in dependency-log mode is loaded with a ~100k-record log —
-   updates spread over a few hundred keys, committed in batches of 16 —
-   then crashed and restarted with partitions ∈ {1, 2, 4, 8}. The rig
-   gives the site an 8-processor cost model so the per-record replay
-   CPU charged by the chains actually overlaps: simulated recovery time
-   (and so ns/record) drops near-linearly until the partition count
-   approaches either the processor count or the key-collision limit of
-   the chain-head buckets. Everything is virtual time, so the numbers
-   are deterministic and fit for regression guarding. *)
+   One site is loaded with a ~100k-record log — updates spread over a
+   few hundred keys, committed in batches of 16 — then crashed and
+   restarted with partitions ∈ {1, 2, 4, 8}. The rig gives the site an
+   8-processor cost model so the per-record replay CPU charged by the
+   partitions actually overlaps: simulated recovery time (and so
+   ns/record) drops near-linearly until the partition count approaches
+   either the processor count or the key-collision limit of the hash
+   buckets. Everything is virtual time, so the numbers are
+   deterministic and fit for regression guarding. *)
 
 open Camelot_core
 
@@ -31,7 +32,7 @@ let txn_size = 16
 
 let run_one ~records ~partitions =
   let c =
-    Camelot.Cluster.create ~seed:1 ~model:sweep_model ~dep_logging:true
+    Camelot.Cluster.create ~seed:1 ~model:sweep_model
       ~recovery_partitions:partitions ~sites:1 ()
   in
   let server = Camelot.Cluster.server c 0 in
@@ -45,7 +46,6 @@ let run_one ~records ~partitions =
       for i = 0 to records - 1 do
         let key = "k" ^ string_of_int (i mod n_keys) in
         let tid = Tid.root ~origin:0 ~seq:(i / txn_size) in
-        let dep = Camelot_wal.Log.dep_next log ~key:(name ^ "/" ^ key) in
         ignore
           (Camelot_wal.Log.append log
              (Record.Update
@@ -55,7 +55,6 @@ let run_one ~records ~partitions =
                   u_key = key;
                   u_old = i / n_keys;
                   u_new = (i / n_keys) + 1;
-                  u_dep = dep;
                 })
             : int);
         if i mod txn_size = txn_size - 1 then begin

@@ -1,7 +1,8 @@
-(** Recovery-scaling sweep: a ~100k-record dependency-mode log on one
-    8-processor site, crashed and replayed with 1, 2, 4 and 8 parallel
-    partition chains. Reports simulated replay time and ns/record per
-    partition count; all virtual-time, hence deterministic. *)
+(** Recovery-scaling sweep: a ~100k-record log on one 8-processor
+    site, crashed and replayed with 1, 2, 4 and 8 parallel partitions
+    (updates bucketed by (server, key) hash). Reports simulated replay
+    time and ns/record per partition count; all virtual-time, hence
+    deterministic. *)
 
 type point = {
   rp_partitions : int;

@@ -38,8 +38,6 @@ let endpoint _t site handler = { site; handler }
 
 let set_handler ep handler = ep.handler <- handler
 
-let endpoint_site ep = Site.id ep.site
-
 let link_key a b = if a < b then (a, b) else (b, a)
 
 let set_reachable t ~a ~b flag =

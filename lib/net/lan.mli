@@ -43,8 +43,6 @@ val endpoint : t -> Camelot_mach.Site.t -> ('a -> unit) -> 'a endpoint
     processes are recreated). *)
 val set_handler : 'a endpoint -> ('a -> unit) -> unit
 
-val endpoint_site : 'a endpoint -> Camelot_mach.Site.id
-
 (** [send t ~src ep msg] transmits one datagram. Silently dropped if
     the source is dead, the destination is dead at delivery time, the
     sites are partitioned, or the loss dice say so. *)

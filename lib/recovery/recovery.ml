@@ -10,9 +10,7 @@ let p_scan_done = Camelot_chaos.register "recovery.scan.done"
 let p_redo_done = Camelot_chaos.register "recovery.redo.done"
 let p_partition_done = Camelot_chaos.register "recovery.partition.done"
 
-let dep_key (u : Record.update) = u.u_server ^ "/" ^ u.u_key
-
-let run ?(partitions = 1) ~tranman ~log ~servers () =
+let run ?partitions ~tranman ~log ~servers () =
   let site = Tranman.site tranman in
   let site_id = Camelot_mach.Site.id site in
   let in_doubt = Tranman.recover tranman in
@@ -44,16 +42,16 @@ let run ?(partitions = 1) ~tranman ~log ~servers () =
   let base = Camelot_wal.Log.base_lsn log in
   while !checkpoint = None && !lsn >= base do
     (match Camelot_wal.Log.get log !lsn with
-    | Record.Checkpoint { ck_values; ck_active; ck_chains; _ } ->
-        checkpoint := Some (ck_values, ck_active, ck_chains)
-    | Record.Update u -> updates_after := (!lsn, u) :: !updates_after
+    | Record.Checkpoint { ck_values; ck_active; _ } ->
+        checkpoint := Some (ck_values, ck_active)
+    | Record.Update u -> updates_after := u :: !updates_after
     | _ -> ());
     decr lsn
   done;
   let pre_updates =
     match !checkpoint with
     | None -> []
-    | Some (ck_values, ck_active, _) ->
+    | Some (ck_values, ck_active) ->
         List.iter
           (fun (server, key, value) ->
             match server_of server with
@@ -62,19 +60,6 @@ let run ?(partitions = 1) ~tranman ~log ~servers () =
           ck_values;
         ck_active
   in
-  (* Dependency mode: the last-writer table died with the site's memory.
-     Rebuild it — checkpoint snapshot first, then the scanned tail (its
-     LSNs are newer and win) — so post-recovery appends continue the
-     recorded chains instead of restarting every key. *)
-  if Camelot_wal.Log.dep_logging log then begin
-    (match !checkpoint with
-    | Some (_, _, ck_chains) ->
-        List.iter (fun (key, l) -> Camelot_wal.Log.dep_seed log ~key l) ck_chains
-    | None -> ());
-    List.iter
-      (fun (l, u) -> Camelot_wal.Log.dep_seed log ~key:(dep_key u) l)
-      !updates_after
-  end;
   let redo_one (u : Record.update) =
     match server_of u.u_server with
     | None -> ()
@@ -89,110 +74,87 @@ let run ?(partitions = 1) ~tranman ~log ~servers () =
       | None -> ()
       | Some srv -> Camelot_server.Data_server.undo srv u
   in
-  if not (Camelot_wal.Log.dep_logging log) then begin
-    (* sequential replay: the paper's single totally-ordered pass, with
-       no replay CPU model — byte-identical to the reproduction *)
-    let updates = pre_updates @ List.map snd !updates_after in
-    (* forward pass: rebuild values; in-doubt updates also regain locks *)
-    List.iter redo_one updates;
-    Camelot_chaos.point ~site:site_id p_redo_done;
-    (* reverse pass: undo the losers *)
-    List.iter undo_one (List.rev updates)
-  end
-  else begin
-    (* Dependency-partitioned replay (Yao et al.): bucket the window's
-       records into [partitions] chains along the recorded edges, then
-       replay each chain on its own fiber. Records of the same
-       (server, key) always share a bucket — a chain head lands at
-       [hash (dep key) mod k] and followers inherit the head's bucket
-       through [pid_of_lsn] — so no two fibers ever touch the same key
-       and per-chain forward/undo order equals the sequential order
-       restricted to that chain. [partitions = 1] uses the same
-       machinery with a single chain, so the replay CPU model applies
-       uniformly across the sweep. *)
-    let k = max 1 partitions in
-    let pid_of_key key = Hashtbl.hash key mod k in
-    let buckets = Array.make k [] in
-    (* checkpoint in-flight updates carry no LSNs: bucket by chain key,
-       which is exactly where their key's later records land too *)
-    List.iter
-      (fun (u : Record.update) ->
-        let p = pid_of_key (dep_key u) in
-        buckets.(p) <- u :: buckets.(p))
-      pre_updates;
-    let pid_of_lsn = Hashtbl.create 1024 in
-    List.iter
-      (fun (l, (u : Record.update)) ->
-        let p =
-          if u.u_dep >= 0 then
-            match Hashtbl.find_opt pid_of_lsn u.u_dep with
-            | Some p -> p (* follow the chain *)
-            | None ->
-                (* predecessor below the scan window (truncated or
-                   already durable before the checkpoint): chain head *)
-                pid_of_key (dep_key u)
-          else pid_of_key (dep_key u)
-        in
-        Hashtbl.replace pid_of_lsn l p;
-        buckets.(p) <- u :: buckets.(p))
-      !updates_after;
-    let live =
-      List.filter (fun chain -> chain <> []) (Array.to_list buckets)
-    in
-    if live = [] then Camelot_chaos.point ~site:site_id p_redo_done
-    else begin
-      let model = Camelot_mach.Site.model site in
-      let replay_ms = model.Camelot_mach.Cost_model.recovery_replay_cpu_ms in
-      (* charge replay CPU in chunks so k chains overlap across the
-         site's processors without one resource call per record *)
-      let chunk = 512 in
-      let charge n =
-        if replay_ms > 0.0 && n > 0 then
-          Camelot_mach.Site.cpu_use site (replay_ms *. float_of_int n)
-      in
-      let remaining = ref (List.length live) in
-      let waiter = ref None in
-      let finish () =
-        decr remaining;
-        if !remaining = 0 then
-          match !waiter with
-          | Some r -> Camelot_sim.Fiber.resume r (Ok ())
-          | None -> ()
-      in
+  let updates = pre_updates @ !updates_after in
+  (match partitions with
+  | None ->
+      (* sequential replay: the paper's single totally-ordered pass,
+         with no replay CPU model *)
+      (* forward pass: rebuild values; in-doubt updates also regain locks *)
+      List.iter redo_one updates;
+      Camelot_chaos.point ~site:site_id p_redo_done;
+      (* reverse pass: undo the losers *)
+      List.iter undo_one (List.rev updates)
+  | Some k ->
+      (* Partitioned replay (Yao et al.): bucket the window's updates by
+         (server, key) into [k] partitions and replay each on its own
+         fiber. A key's updates form its dependency chain, so no two
+         fibers ever touch the same key, and each key's forward/undo
+         order equals the sequential order restricted to that key.
+         [k = 1] is one partition on the same machinery, so the replay
+         CPU model applies uniformly across the sweep. *)
+      let k = max 1 k in
+      let buckets = Array.make k [] in
       List.iter
-        (fun rev_chain ->
-          let chain = List.rev rev_chain in
-          Camelot_mach.Site.spawn site ~name:"recovery-replay" (fun () ->
-              let n = ref 0 in
-              List.iter
-                (fun u ->
-                  redo_one u;
-                  incr n;
-                  if !n mod chunk = 0 then charge chunk)
-                chain;
-              charge (!n mod chunk);
-              Camelot_chaos.point ~site:site_id p_redo_done;
-              (* undo this chain's losers, newest first *)
-              List.iter undo_one rev_chain;
-              Camelot_chaos.point ~site:site_id p_partition_done;
-              finish ()))
-        live;
-      (* Wait for every partition. The replay fibers belong to the
-         site's incarnation group: if a fault point kills the site
-         mid-recovery they are cancelled and would never resume us, so
-         a group hook turns the kill into [Killed] for the caller (the
-         chaos explorer retries the restart). *)
-      let group = Camelot_mach.Site.group site in
-      if Camelot_sim.Fiber.Group.killed group then raise Camelot_chaos.Killed;
-      let hook =
-        Camelot_sim.Fiber.Group.register group (fun () ->
-            match !waiter with
-            | Some r -> Camelot_sim.Fiber.resume r (Error Camelot_chaos.Killed)
-            | None -> ())
+        (fun (u : Record.update) ->
+          let p = Hashtbl.hash (u.u_server ^ "/" ^ u.u_key) mod k in
+          buckets.(p) <- u :: buckets.(p))
+        updates;
+      let live =
+        List.filter (fun chain -> chain <> []) (Array.to_list buckets)
       in
-      Fun.protect
-        ~finally:(fun () -> Camelot_sim.Fiber.Group.unregister group hook)
-        (fun () -> Camelot_sim.Fiber.suspend (fun r -> waiter := Some r))
-    end
-  end;
+      if live = [] then Camelot_chaos.point ~site:site_id p_redo_done
+      else begin
+        let model = Camelot_mach.Site.model site in
+        let replay_ms = model.Camelot_mach.Cost_model.recovery_replay_cpu_ms in
+        (* charge replay CPU in chunks so k partitions overlap across
+           the site's processors without one resource call per record *)
+        let chunk = 512 in
+        let charge n =
+          if replay_ms > 0.0 && n > 0 then
+            Camelot_mach.Site.cpu_use site (replay_ms *. float_of_int n)
+        in
+        let remaining = ref (List.length live) in
+        let waiter = ref None in
+        let finish () =
+          decr remaining;
+          if !remaining = 0 then
+            match !waiter with
+            | Some r -> Camelot_sim.Fiber.resume r (Ok ())
+            | None -> ()
+        in
+        List.iter
+          (fun rev_chain ->
+            let chain = List.rev rev_chain in
+            Camelot_mach.Site.spawn site ~name:"recovery-replay" (fun () ->
+                let n = ref 0 in
+                List.iter
+                  (fun u ->
+                    redo_one u;
+                    incr n;
+                    if !n mod chunk = 0 then charge chunk)
+                  chain;
+                charge (!n mod chunk);
+                Camelot_chaos.point ~site:site_id p_redo_done;
+                (* undo this partition's losers, newest first *)
+                List.iter undo_one rev_chain;
+                Camelot_chaos.point ~site:site_id p_partition_done;
+                finish ()))
+          live;
+        (* Wait for every partition. The replay fibers belong to the
+           site's incarnation group: if a fault point kills the site
+           mid-recovery they are cancelled and would never resume us,
+           so a group hook turns the kill into [Killed] for the caller
+           (the chaos explorer retries the restart). *)
+        let group = Camelot_mach.Site.group site in
+        if Camelot_sim.Fiber.Group.killed group then raise Camelot_chaos.Killed;
+        let hook =
+          Camelot_sim.Fiber.Group.register group (fun () ->
+              match !waiter with
+              | Some r -> Camelot_sim.Fiber.resume r (Error Camelot_chaos.Killed)
+              | None -> ())
+        in
+        Fun.protect
+          ~finally:(fun () -> Camelot_sim.Fiber.Group.unregister group hook)
+          (fun () -> Camelot_sim.Fiber.suspend (fun r -> waiter := Some r))
+      end);
   in_doubt

@@ -8,9 +8,10 @@
     or quorum-joined but undecided), or loser (everything else —
     presumed abort). Then, per data server:
 
-    - all updates are re-applied in log order (the value store is
-      volatile and rebuilt from scratch — no checkpointing, the log is
-      complete);
+    - the value store is volatile: it restarts from the newest durable
+      checkpoint's snapshot (empty without one), then every update
+      above that checkpoint, plus the checkpoint's in-flight updates,
+      is re-applied in log order;
     - losers' updates are undone in reverse log order;
     - in-doubt updates keep their values, regain their undo records and
       exclusive locks, and block new transactions until the inquiry
@@ -19,25 +20,25 @@
     Call after the site restarts and the servers have been
     reattached.
 
-    {b Dependency-partitioned replay} (Yao et al.): when the log runs
-    in dependency mode and [partitions > 1], the scanned window is
-    bucketed into chains along the recorded [u_dep] edges — records of
-    the same (server, key) always share a bucket — and each bucket is
-    replayed by its own fiber, charging [recovery_replay_cpu_ms] per
-    record so independent chains overlap across the site's processors.
-    Verdict classification, lock re-acquisition for in-doubt updates,
-    and the forward-redo / reverse-undo order are preserved per chain,
-    which makes the result identical to the sequential pass. A
-    dependency-mode log always replays through this machinery
-    ([partitions = 1] is a single chain), so the replay CPU model is
-    uniform across partition counts; a non-dependency log takes the
-    sequential path untouched — no fibers, no CPU charges, byte-for-byte
-    the paper-reproduction behaviour. *)
+    {b Partitioned replay} (Yao et al.): when [partitions] is given,
+    the scanned window's updates are bucketed by
+    [Hashtbl.hash (server ^ "/" ^ key) mod partitions]. A key's updates
+    are its dependency chain, so they always share a bucket, and each
+    bucket is replayed by its own fiber, charging
+    [recovery_replay_cpu_ms] per record so independent buckets overlap
+    across the site's processors. Verdict classification, lock
+    re-acquisition for in-doubt updates, and the forward-redo /
+    reverse-undo order are preserved per key, which makes the result
+    identical to the sequential pass. [partitions = 1] is one bucket on
+    the same machinery, so the replay CPU model is uniform across
+    partition counts. Without [partitions], recovery is the sequential
+    pass: no fibers, no CPU charges, the paper-reproduction
+    behaviour. *)
 
 (** Returns the transactions left in doubt (their watchdogs are
     running).
-    @param partitions number of parallel replay chains (default 1 =
-    sequential; only takes effect on a dependency-mode log)
+    @param partitions number of parallel replay fibers (default: the
+    sequential pass)
     @raise Camelot_chaos.Killed if the site is killed while partitioned
     replay fibers are still running — retry after the next restart. *)
 val run :

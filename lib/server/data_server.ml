@@ -37,13 +37,11 @@ type t = {
   mutable values : (string, int) Hashtbl.t;
   mutable locks : Tid.t Camelot_lock.Lock_table.t;
   families : (int, family_state) Hashtbl.t;  (* keyed by Tid.family_key *)
-  mutable updates_spooled : int;
 }
 
 let name t = t.name
 let site t = t.site
 let locks t = t.locks
-let updates_spooled t = t.updates_spooled
 
 let family_state t tid =
   let key = Tid.family_key tid in
@@ -71,17 +69,12 @@ let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.values []
 let veto_next t tid = (family_state t tid).fs_veto <- tid :: (family_state t tid).fs_veto
 
 let spool_update t tid ~key ~old_v ~new_v =
-  t.updates_spooled <- t.updates_spooled + 1;
   (* the server reports old and new values to the disk manager, which
      copies them into the log buffer — real CPU on the site, unless the
      logger daemon serializes whole batches, in which case the (much
      cheaper) copy is charged by its drain pass instead *)
   if not (Camelot_wal.Log.defers_spool_cpu t.log) then
     Site.cpu_use t.site (Site.model t.site).Cost_model.log_spool_cpu_ms;
-  (* dependency edge: one probe of the log's last-writer table, -1 in
-     default mode. The append must follow immediately (no suspension
-     point) so the LSN [dep_next] recorded is this record's. *)
-  let dep = Camelot_wal.Log.dep_next t.log ~key:(t.name ^ "/" ^ key) in
   ignore
     (Camelot_wal.Log.append t.log
        (Record.Update
@@ -91,7 +84,6 @@ let spool_update t tid ~key ~old_v ~new_v =
             u_key = key;
             u_old = old_v;
             u_new = new_v;
-            u_dep = dep;
           })
       : int)
 
@@ -214,7 +206,6 @@ let create ~name ~tranman ~log ?lock_timeout_ms () =
         Camelot_lock.Lock_table.create (Site.engine site)
           ~is_ancestor:Tid.is_ancestor;
       families = Hashtbl.create 16;
-      updates_spooled = 0;
     }
   in
   reattach t;
@@ -268,8 +259,7 @@ let reset t =
   t.values <- Hashtbl.create 64;
   t.locks <-
     Camelot_lock.Lock_table.create (Site.engine t.site) ~is_ancestor:Tid.is_ancestor;
-  Hashtbl.reset t.families;
-  t.updates_spooled <- 0
+  Hashtbl.reset t.families
 
 let redo t (u : Record.update) =
   if u.u_server = t.name then Hashtbl.replace t.values u.u_key u.u_new
@@ -326,9 +316,6 @@ let inflight t =
                  u_key = e.e_key;
                  u_old = e.e_old;
                  u_new = new_v;
-                 (* checkpoint images carry no dependency edges; the
-                    chain metadata travels separately in [ck_chains] *)
-                 u_dep = -1;
                }
               :: acc)
       in

@@ -51,9 +51,6 @@ val peek : t -> string -> int
 (** Keys with non-zero or explicitly-written values. *)
 val keys : t -> string list
 
-(** Number of update records this server has spooled. *)
-val updates_spooled : t -> int
-
 (** The lock table (inspection/tests). *)
 val locks : t -> Camelot_core.Tid.t Camelot_lock.Lock_table.t
 

@@ -49,10 +49,6 @@ let pop_exn t =
 
 let pop_opt t = if t.len = 0 then None else Some (pop_exn t)
 
-let peek_exn t =
-  if t.len = 0 then invalid_arg "Ring.peek_exn: empty";
-  (Obj.obj (Array.unsafe_get t.buf t.head) : 'a)
-
 let iter f t =
   let cap = Array.length t.buf in
   for i = 0 to t.len - 1 do

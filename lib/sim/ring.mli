@@ -21,10 +21,6 @@ val pop_exn : 'a t -> 'a
 
 val pop_opt : 'a t -> 'a option
 
-(** Head element without removing it.
-    @raise Invalid_argument if empty. *)
-val peek_exn : 'a t -> 'a
-
 (** FIFO-order iteration over current contents. *)
 val iter : ('a -> unit) -> 'a t -> unit
 

@@ -128,11 +128,6 @@ let pp_histogram ?(buckets = 10) ppf t =
       Format.fprintf ppf "%10.2f..%-10.2f %6d %s@." lo hi n bar)
     bins
 
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f"
-    s.n s.mean s.stddev s.min s.p50 s.p95 s.p99 s.max
-
 module Tail = struct
   (* Log-bucketed (HDR-style) histogram: bucket [i] spans
      [lowest * growth^i, lowest * growth^(i+1)), so relative error per

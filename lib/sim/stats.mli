@@ -47,8 +47,6 @@ type summary = {
 
 val summarize : t -> summary
 
-val pp_summary : Format.formatter -> summary -> unit
-
 (** [histogram t ~buckets] divides [\[min, max\]] into [buckets] equal
     bins and counts samples per bin (the last bin includes the
     maximum).

@@ -26,11 +26,6 @@ type 'a t = {
   mutable durable : lsn;
   mutable writing : bool;
   policy : policy;
-  (* dependency-log mode: per-site last-writer table mapping a
-     caller-chosen chain key (e.g. "server/key") to the LSN of the
-     newest record appended under it. [None] = default mode, zero cost
-     on the append path. *)
-  dep_last : (string, lsn) Hashtbl.t option;
   (* daemon state *)
   waiters : unit Fiber.resumer Heap.t;  (* min-heap keyed by target LSN *)
   mutable waiter_seq : int;
@@ -56,7 +51,7 @@ type 'a t = {
   mutable lag_n : int;
 }
 
-let create ?(policy = Unbatched) ?(dep_logging = false) site =
+let create ?(policy = Unbatched) site =
   let eng = Camelot_mach.Site.engine site in
   {
     site;
@@ -71,7 +66,6 @@ let create ?(policy = Unbatched) ?(dep_logging = false) site =
     durable = -1;
     writing = false;
     policy;
-    dep_last = (if dep_logging then Some (Hashtbl.create 256) else None);
     waiters = Heap.create ();
     waiter_seq = 0;
     kick = Mailbox.create eng;
@@ -98,42 +92,6 @@ let create ?(policy = Unbatched) ?(dep_logging = false) site =
 (* the daemon serializes whole batches on its own fiber *)
 let defers_spool_cpu t =
   match t.policy with Adaptive -> true | Unbatched | Group_commit _ -> false
-
-(* --- dependency logging ------------------------------------------- *)
-
-let dep_logging t = t.dep_last <> None
-
-(* The hot append path's whole dependency cost: one probe of the
-   last-writer table (plus the replace that installs the upcoming
-   append's LSN). Must be immediately followed by the append whose
-   record carries the returned edge — nothing may append in between
-   (callers never suspend there; fibers are cooperative). *)
-let dep_next t ~key =
-  match t.dep_last with
-  | None -> -1
-  | Some tbl ->
-      let prev = match Hashtbl.find_opt tbl key with Some l -> l | None -> -1 in
-      Hashtbl.replace tbl key (t.base + t.size);
-      prev
-
-(* Recovery-side rebuild: remember [lsn] as [key]'s newest writer if it
-   beats what the table already holds (scans replay oldest-first, so a
-   plain replace would also do; the max keeps it order-insensitive). *)
-let dep_seed t ~key lsn =
-  match t.dep_last with
-  | None -> ()
-  | Some tbl -> (
-      match Hashtbl.find_opt tbl key with
-      | Some l when l >= lsn -> ()
-      | Some _ | None -> Hashtbl.replace tbl key lsn)
-
-(* Snapshot of the last-writer table for checkpoint partition metadata,
-   sorted so checkpoint records are deterministic. *)
-let dep_chains t =
-  match t.dep_last with
-  | None -> []
-  | Some tbl ->
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
 
 let append t record =
   let capacity = Array.length t.records in
@@ -372,10 +330,7 @@ let crash t =
   t.write_hi <- t.durable;
   t.force_hi <- t.durable;
   t.last_force_at <- -1.0;
-  t.ewma_gap_ms <- -1.0;
-  (* the last-writer table lived in the site's memory; recovery rebuilds
-     it from the newest checkpoint's [ck_chains] plus the scanned tail *)
-  match t.dep_last with Some tbl -> Hashtbl.reset tbl | None -> ()
+  t.ewma_gap_ms <- -1.0
 
 (* --- accessors ---------------------------------------------------- *)
 

@@ -55,11 +55,8 @@ type policy = Unbatched | Group_commit of { window_ms : float } | Adaptive
     [log_force_ms].
     @param policy write-out policy (default [Unbatched]). Forces under
     [Adaptive] complete only once {!start} has run (and again after
-    each site restart).
-    @param dep_logging maintain the per-site last-writer table that
-    backs dependency logging ({!dep_next} / {!dep_chains}); off by
-    default so the paper-reproduction append path is untouched. *)
-val create : ?policy:policy -> ?dep_logging:bool -> Camelot_mach.Site.t -> 'a t
+    each site restart). *)
+val create : ?policy:policy -> Camelot_mach.Site.t -> 'a t
 
 (** Spool a record into the volatile tail; returns its LSN. *)
 val append : 'a t -> 'a -> lsn
@@ -135,40 +132,6 @@ val disk_writes : 'a t -> int
     CPU charge because this log's daemon serializes in batches (the
     [Adaptive] policy). *)
 val defers_spool_cpu : 'a t -> bool
-
-(** {2 Dependency logging (Yao et al.)}
-
-    In dependency-log mode the log keeps a per-site {e last-writer
-    table}: chain key (caller-chosen, e.g. ["server/key"]) to the LSN
-    of the newest record appended under that key. Appenders query it in
-    O(1) to stamp each update with a dependency edge; recovery
-    partitions the log along those edges and replays the chains on
-    parallel fibers. *)
-
-(** Whether this log was created with [~dep_logging:true]. *)
-val dep_logging : 'a t -> bool
-
-(** [dep_next t ~key] returns the LSN of the previous record appended
-    under [key] ([-1] if none, or if the log is not in dependency
-    mode) and records the {e next} append's LSN as [key]'s new last
-    writer. The caller must append the record carrying the returned
-    edge before any other append — in practice: build the record and
-    [append] it immediately, with no suspension point in between. One
-    hash probe + one replace; a no-op returning [-1] outside
-    dependency mode. *)
-val dep_next : 'a t -> key:string -> lsn
-
-(** [dep_seed t ~key lsn] tells the table that [lsn] wrote [key], kept
-    only if newer than what the table already holds. Recovery uses this
-    to rebuild the table from the newest checkpoint's chain snapshot
-    and the scanned tail. No-op outside dependency mode. *)
-val dep_seed : 'a t -> key:string -> lsn -> unit
-
-(** Snapshot of the last-writer table as [(chain key, newest LSN)]
-    pairs, sorted by key for determinism — the partition metadata a
-    checkpoint records so truncation does not sever chain continuity.
-    Empty outside dependency mode. *)
-val dep_chains : 'a t -> (string * lsn) list
 
 (** Logger batching/latency statistics (every policy's writes). *)
 type batch_stats = {

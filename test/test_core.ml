@@ -77,7 +77,7 @@ let prop_parent_inverts_child =
 let test_record_tid () =
   let u =
     Record.Update
-      { u_tid = root0; u_server = "s"; u_key = "k"; u_old = 1; u_new = 2; u_dep = -1 }
+      { u_tid = root0; u_server = "s"; u_key = "k"; u_old = 1; u_new = 2 }
   in
   Alcotest.(check tid_testable) "update tid" root0 (Record.tid u);
   let c = Record.Commit { c_tid = root0; c_sites = [ 1; 2 ] } in

@@ -1,16 +1,15 @@
-(* Dependency-partitioned recovery: replaying the log's chains on
-   parallel fibers must be observationally identical to the sequential
-   pass.
+(* Dependency-partitioned recovery: replaying the log's per-key chains
+   on parallel fibers, bucketed by (server, key) hash, must be
+   observationally identical to the sequential pass.
 
    The property runs the same seeded random workload on twin clusters
-   that differ only in log mode: one plain (sequential recovery), one
-   dependency-tracking replayed at k partitions. Dependency tracking
-   adds no virtual time and draws no randomness, so the twins stay in
-   lockstep until every site is crashed *mid-workload* — leaving
-   winners, losers and in-doubt families in the logs. After restart,
-   recovered values, re-acquired locks and the in-doubt sets must
-   agree for every k, and so must the final values once the in-doubt
-   families resolve. *)
+   that differ only in recovery mode: one sequential, one replayed at k
+   partitions. The recovery mode adds no virtual time before the crash
+   and draws no randomness, so the twins stay in lockstep until every
+   site is crashed *mid-workload* — leaving winners, losers and
+   in-doubt families in the logs. After restart, recovered values,
+   re-acquired locks and the in-doubt sets must agree for every k, and
+   so must the final values once the in-doubt families resolve. *)
 
 open Camelot_core
 
@@ -73,8 +72,9 @@ let spawn_workload c ~seed =
   done
 
 let spawn_checkpointer c =
-  (* periodic truncating checkpoints, so the dep chains must survive
-     through the [ck_chains] snapshot, not just raw update records *)
+  (* periodic truncating checkpoints, so recovery must start from a
+     checkpoint's snapshot and in-flight updates, not just raw update
+     records *)
   for site = 0 to n_sites - 1 do
     let node = Camelot.Cluster.node c site in
     Camelot_mach.Site.spawn node.Camelot.Cluster.site (fun () ->
@@ -130,11 +130,11 @@ let observe c in_doubt =
   in
   { o_values = values c; o_locks; o_in_doubt }
 
-let run_instance ~seed ~dep ~partitions =
+let run_instance ~seed ?partitions () =
   let c =
     Camelot.Cluster.create ~seed ~config:(config ())
-      ~logger:Camelot.Cluster.Adaptive ~dep_logging:dep
-      ~recovery_partitions:partitions ~sites:n_sites ()
+      ~logger:Camelot.Cluster.Adaptive ?recovery_partitions:partitions
+      ~sites:n_sites ()
   in
   spawn_workload c ~seed;
   spawn_checkpointer c;
@@ -167,7 +167,7 @@ let test_partitioned_equals_sequential () =
   let seeds = [ 7; 42; 1 + Random.State.int rand 99_989 ] in
   List.iter
     (fun seed ->
-      let ref_obs, ref_final = run_instance ~seed ~dep:false ~partitions:1 in
+      let ref_obs, ref_final = run_instance ~seed () in
       (* the crash interrupted real work, or the property is vacuous *)
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: workload produced state" seed)
@@ -175,7 +175,7 @@ let test_partitioned_equals_sequential () =
         (List.exists (fun (_, _, v) -> v > 0) ref_obs.o_values);
       List.iter
         (fun partitions ->
-          let obs, final = run_instance ~seed ~dep:true ~partitions in
+          let obs, final = run_instance ~seed ~partitions () in
           Alcotest.check obs_testable
             (Printf.sprintf
                "seed %d: dep recovery at %d partition(s) == sequential" seed
@@ -189,76 +189,6 @@ let test_partitioned_equals_sequential () =
         [ 1; 2; 4; 8 ])
     seeds
 
-(* ------------------------------------------------------------------ *)
-(* Log-level dependency API *)
-
-let with_log ~dep f =
-  let eng = Camelot_sim.Engine.create () in
-  let site =
-    Camelot_mach.Site.create eng ~id:0 ~model:Testutil.quiet_model
-      ~rng:(Camelot_sim.Rng.create ~seed:3)
-  in
-  let log = Camelot_wal.Log.create ~dep_logging:dep site in
-  Camelot_sim.Fiber.run eng (fun () -> f log)
-
-let test_dep_next_threads_chains () =
-  with_log ~dep:true (fun log ->
-      Alcotest.(check bool) "mode on" true (Camelot_wal.Log.dep_logging log);
-      (* first writer of a key has no predecessor *)
-      Alcotest.(check int) "a: head" (-1) (Camelot_wal.Log.dep_next log ~key:"s/a");
-      let l0 = Camelot_wal.Log.append log 10 in
-      (* second writer points at the first's LSN *)
-      Alcotest.(check int) "a: chained" l0 (Camelot_wal.Log.dep_next log ~key:"s/a");
-      let l1 = Camelot_wal.Log.append log 11 in
-      Alcotest.(check int) "b: head" (-1) (Camelot_wal.Log.dep_next log ~key:"s/b");
-      let l2 = Camelot_wal.Log.append log 12 in
-      Alcotest.(check (list (pair string int)))
-        "chain table holds each key's last writer"
-        [ ("s/a", l1); ("s/b", l2) ]
-        (Camelot_wal.Log.dep_chains log))
-
-let test_dep_seed_keeps_newest () =
-  with_log ~dep:true (fun log ->
-      Camelot_wal.Log.dep_seed log ~key:"s/a" 5;
-      (* older than the recorded last writer: ignored *)
-      Camelot_wal.Log.dep_seed log ~key:"s/a" 3;
-      Camelot_wal.Log.dep_seed log ~key:"s/b" 7;
-      (* newer: wins *)
-      Camelot_wal.Log.dep_seed log ~key:"s/b" 9;
-      Alcotest.(check (list (pair string int)))
-        "newest LSN per key survives"
-        [ ("s/a", 5); ("s/b", 9) ]
-        (Camelot_wal.Log.dep_chains log))
-
-let test_crash_clears_chain_table () =
-  with_log ~dep:true (fun log ->
-      ignore (Camelot_wal.Log.dep_next log ~key:"s/a" : int);
-      ignore (Camelot_wal.Log.append log 1 : int);
-      Camelot_wal.Log.crash log;
-      (* volatile last-writer table died with the site; recovery
-         reseeds it from ck_chains and the scanned tail *)
-      Alcotest.(check (list (pair string int)))
-        "table empty after crash" []
-        (Camelot_wal.Log.dep_chains log);
-      Alcotest.(check int)
-        "post-crash writer is a chain head" (-1)
-        (Camelot_wal.Log.dep_next log ~key:"s/a"))
-
-let test_plain_log_has_no_chains () =
-  with_log ~dep:false (fun log ->
-      Alcotest.(check bool) "mode off" false (Camelot_wal.Log.dep_logging log);
-      Alcotest.(check int)
-        "dep_next is the sentinel" (-1)
-        (Camelot_wal.Log.dep_next log ~key:"s/a");
-      ignore (Camelot_wal.Log.append log 1 : int);
-      Alcotest.(check int)
-        "still the sentinel" (-1)
-        (Camelot_wal.Log.dep_next log ~key:"s/a");
-      Camelot_wal.Log.dep_seed log ~key:"s/a" 3;
-      Alcotest.(check (list (pair string int)))
-        "no chain table" []
-        (Camelot_wal.Log.dep_chains log))
-
 let () =
   Alcotest.run "camelot_dep_recovery"
     [
@@ -266,16 +196,5 @@ let () =
         [
           Alcotest.test_case "partitioned recovery == sequential" `Quick
             test_partitioned_equals_sequential;
-        ] );
-      ( "log-api",
-        [
-          Alcotest.test_case "dep_next threads per-key chains" `Quick
-            test_dep_next_threads_chains;
-          Alcotest.test_case "dep_seed keeps the newest LSN" `Quick
-            test_dep_seed_keeps_newest;
-          Alcotest.test_case "crash clears the chain table" `Quick
-            test_crash_clears_chain_table;
-          Alcotest.test_case "plain log has no chains" `Quick
-            test_plain_log_has_no_chains;
         ] );
     ]

@@ -146,35 +146,6 @@ let test_endpoint_rebind () =
   Engine.run eng;
   Alcotest.(check (pair int int)) "handler swapped" (1, 1) (!first, !second)
 
-(* ------------------------------------------------------------------ *)
-(* Reliability helpers *)
-
-let test_dedup () =
-  let d = Reliable.Dedup.create ~capacity:2 () in
-  Alcotest.(check bool) "first time" false (Reliable.Dedup.seen d "a");
-  Alcotest.(check bool) "duplicate" true (Reliable.Dedup.seen d "a");
-  Alcotest.(check bool) "b fresh" false (Reliable.Dedup.seen d "b");
-  Alcotest.(check bool) "c evicts a" false (Reliable.Dedup.seen d "c");
-  Alcotest.(check bool) "a was evicted" false (Reliable.Dedup.seen d "a")
-
-let test_retransmitter_until_stop () =
-  let eng = Engine.create () in
-  let sends = ref 0 in
-  let r = Reliable.Retransmitter.start eng ~every:10.0 (fun () -> incr sends) in
-  Engine.schedule eng ~delay:35.0 (fun () -> Reliable.Retransmitter.stop r);
-  Engine.run eng;
-  (* t=0,10,20,30 *)
-  Alcotest.(check int) "four sends" 4 !sends;
-  Alcotest.(check bool) "stopped" true (Reliable.Retransmitter.stopped r)
-
-let test_retransmitter_max_tries () =
-  let eng = Engine.create () in
-  let sends = ref 0 in
-  let r = Reliable.Retransmitter.start eng ~every:5.0 ~max_tries:3 (fun () -> incr sends) in
-  Engine.run eng;
-  Alcotest.(check int) "bounded tries" 3 !sends;
-  Alcotest.(check int) "tries counter" 3 (Reliable.Retransmitter.tries r)
-
 let () =
   Alcotest.run "camelot_net"
     [
@@ -189,11 +160,5 @@ let () =
           Alcotest.test_case "partition and heal" `Quick test_partition_and_heal;
           Alcotest.test_case "loss probability" `Quick test_loss_probability;
           Alcotest.test_case "endpoint rebind" `Quick test_endpoint_rebind;
-        ] );
-      ( "reliable",
-        [
-          Alcotest.test_case "dedup cache" `Quick test_dedup;
-          Alcotest.test_case "retransmit until stop" `Quick test_retransmitter_until_stop;
-          Alcotest.test_case "retransmit max tries" `Quick test_retransmitter_max_tries;
         ] );
     ]
