@@ -7,9 +7,12 @@
    artifact plus the core data structures).
 
    The whole run is summarised into a machine-readable JSON baseline
-   (default [BENCH_7.json], override with [--json FILE]): every
-   micro-benchmark's ns/run plus the Part 1 wall-clock, so successive
-   revisions have a perf trajectory to compare against.
+   (default [BENCH.new.json], override with [--json FILE]): every
+   micro-benchmark's ns/run, the engine-scaling wall clock and the
+   Part 1 wall clock, for compare.exe to hold against the committed
+   BENCH.json. Every entry is wall clock spent by the simulator; the
+   modelled results Part 1 prints are pinned exactly by the tier-1
+   goldens in test/golden, not here.
 
    Usage: main.exe [--quick] [--json FILE]. --quick is a fast pass
    (fewer repetitions). Any other argument, or --json without a file,
@@ -32,7 +35,7 @@ let quick, json_path =
         parse quick file rest
     | _ -> usage ()
   in
-  parse false "BENCH_7.json" (List.tl (Array.to_list Sys.argv))
+  parse false "BENCH.new.json" (List.tl (Array.to_list Sys.argv))
 
 (* ------------------------------------------------------------------ *)
 (* Part 1: the paper's tables and figures *)
@@ -52,7 +55,7 @@ let reproduce () =
   Camelot_experiments.Ablations.run ~reps:(if quick then 30 else 80) ();
   (* keep this last: everything above must stay byte-identical across
      perf-only PRs, so new sections only ever append *)
-  Camelot_experiments.Throughput.run ~horizon_ms ()
+  ignore (Camelot_experiments.Throughput.run ~horizon_ms () : _ list)
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks *)
@@ -363,76 +366,11 @@ let micro_benchmarks () =
        estimates);
   estimates
 
-(* Deterministic recovery-scaling points (virtual time, not wall
-   clock), folded into the baseline so compare.exe can hold the
-   partition curve monotone across revisions. Always the full
-   100k-record log: it costs little wall clock and keeps names and
-   values identical between quick and full runs. *)
-let recovery_sweep_estimates () =
-  List.map
-    (fun (p : Camelot_experiments.Recovery_sweep.point) ->
-      ( Printf.sprintf "recovery: dep replay %dk ns/record (partitions=%d)"
-          (p.rp_records / 1000) p.rp_partitions,
-        Some p.rp_ns_per_record ))
-    (Camelot_experiments.Recovery_sweep.run ())
-
-(* Open-loop sweep points (virtual time, deterministic): p99 latency
-   and abort rate per offered load. compare.exe holds the p99-vs-load
-   series to a visible saturation knee — an engine or dispatch change
-   that flattens the curve (the open loop no longer saturating) or
-   explodes the sub-knee latency shows up here. *)
-let open_loop_estimates () =
-  List.concat_map
-    (fun (p : Camelot_experiments.Open_loop.point) ->
-      [
-        ( Printf.sprintf "open-loop: p99 ms (load=%.0f)" p.offered_tps,
-          Some p.p99_ms );
-        ( Printf.sprintf "open-loop: abort pct (load=%.0f)" p.offered_tps,
-          Some (100.0 *. p.abort_rate) );
-      ])
-    (Camelot_experiments.Open_loop.run ())
-
-(* Batched-dequeue point at the open-loop knee (virtual time,
-   deterministic): the sweep's knee load (400 tps) re-run with
-   [~batch:8] — each executor wakeup charges one context switch and
-   drains up to 8 queued transactions. The un-batched load=400 entries
-   above are the comparator pair; the names avoid the "p99 ms (load="
-   pattern so these points never join the knee-guard series. *)
-let batch_estimates () =
-  let p =
-    Camelot_experiments.Open_loop.run_one
-      ~arrival:(Camelot_experiments.Open_loop.Poisson { rate_tps = 400.0 })
-      ~batch:8 ~horizon_ms:5_000.0 ()
-  in
-  [
-    ("open-loop: knee p99 ms (batch=8)", Some p.Camelot_experiments.Open_loop.p99_ms);
-    ( "open-loop: knee done tps (batch=8)",
-      Some p.Camelot_experiments.Open_loop.completed_tps );
-  ]
-
-(* Protocol-shootout points (virtual time, deterministic): committed
-   transactions per virtual second and protocol messages per
-   transaction for every commit protocol on the closed-loop
-   all-site-update rig. compare.exe holds Paxos-F=0 throughput within
-   5% of 2PC's — the degenerate single-acceptor case must keep riding
-   the 2PC exchange. *)
-let shootout_estimates () =
-  List.concat_map
-    (fun (r : Camelot_experiments.Shootout.row) ->
-      [
-        ( Printf.sprintf "shootout: commit tps (%s)" r.sh_name,
-          Some (float_of_int r.sh_committed /. 20.0) );
-        ( Printf.sprintf "shootout: msgs per txn (%s)" r.sh_name,
-          Some r.sh_msgs_per_txn );
-      ])
-    (Camelot_experiments.Shootout.collect ~horizon_ms:20_000.0 ())
-
-(* Engine-scaling points (wall clock, genuinely host-dependent — the
-   one part of the baseline that is not virtual time): the 64-site
-   closed-loop workload at 1/2/4/8 engine domains. Every entry name
-   carries the host core count, so baselines from different machines
-   never get compared entry-to-entry; on the same machine the 25%
-   ns-guard catches a sharded engine that got slower. compare.exe's
+(* Engine-scaling points (wall clock of the 64-site closed-loop
+   workload at 1/2/4/8 engine domains, genuinely host-dependent). Every
+   entry name carries the host core count, so baselines from different
+   machines never get compared entry-to-entry; on the same machine the
+   25% ns-guard catches a sharded engine that got slower. compare.exe's
    scaling guard additionally holds the speedup curve (monotone to
    >= 1.5x at 4 domains) — but only arms itself when the recorded core
    count is >= 4, since speedup on fewer cores measures nothing. *)
@@ -462,25 +400,12 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_baseline ~path ~repro_wall_clock_s ~throughput estimates =
+let write_baseline ~path ~repro_wall_clock_s estimates =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"schema\": \"camelot-bench/1\",\n";
   Printf.fprintf oc "  \"quick\": %b,\n" quick;
   Printf.fprintf oc "  \"reproduction_wall_clock_s\": %.6f,\n" repro_wall_clock_s;
-  Printf.fprintf oc "  \"throughput_tps\": {\n";
-  let nt = List.length throughput in
-  List.iteri
-    (fun i
-         ((off : Camelot_experiments.Throughput.result),
-          (on_ : Camelot_experiments.Throughput.result)) ->
-      Printf.fprintf oc "    \"workers=%d gc=off\": %.3f,\n" off.workers_per_site
-        off.tps;
-      Printf.fprintf oc "    \"workers=%d gc=on\": %.3f%s\n" on_.workers_per_site
-        on_.tps
-        (if i = nt - 1 then "" else ","))
-    throughput;
-  Printf.fprintf oc "  },\n";
   Printf.fprintf oc "  \"benchmarks_ns_per_run\": {\n";
   let n = List.length estimates in
   List.iteri
@@ -497,12 +422,9 @@ let write_baseline ~path ~repro_wall_clock_s ~throughput estimates =
 
 let () =
   let t0 = Unix.gettimeofday () in
-  let throughput = reproduce () in
+  reproduce ();
   let repro_wall_clock_s = Unix.gettimeofday () -. t0 in
-  let estimates =
-    micro_benchmarks () @ recovery_sweep_estimates () @ open_loop_estimates ()
-    @ batch_estimates () @ shootout_estimates () @ scaling_estimates ()
-  in
-  write_baseline ~path:json_path ~repro_wall_clock_s ~throughput estimates;
+  let estimates = micro_benchmarks () @ scaling_estimates () in
+  write_baseline ~path:json_path ~repro_wall_clock_s estimates;
   print_newline ();
   print_endline "bench: done."

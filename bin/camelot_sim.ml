@@ -298,7 +298,7 @@ let cmds =
      in
      let workers =
        let doc = "Closed-loop workers per site." in
-       Arg.(value & opt pos_int 4 & info [ "workers" ] ~docv:"N" ~doc)
+       Arg.(value & opt pos_int 2 & info [ "workers" ] ~docv:"N" ~doc)
      in
      let sh_horizon =
        let doc = "Virtual milliseconds per protocol run." in
