@@ -34,16 +34,14 @@ bench:
 	dune exec bench/main.exe
 
 # Fast CI-friendly pass: best-of-3 short timings for every
-# microbenchmark plus the Part-1 reproduction wall clock and the
-# domain-scaling sweep, written to the untracked BENCH.new.json.
+# microbenchmark plus the Part-1 reproduction wall clock, written to
+# the untracked BENCH.new.json.
 bench-smoke:
 	dune exec bench/main.exe -- --quick --json BENCH.new.json
 
 # Fail if any wall-clock entry present in both files got more than 25%
-# slower than the committed BENCH.json, or if (on a >=4-core host) the
-# new 64-site engine-scaling curve does not reach 1.5x at 4 domains.
-# Modelled results are not compared here: the tier-1 goldens in
-# test/golden pin them exactly.
+# slower than the committed BENCH.json. Modelled results are not
+# compared here: the tier-1 goldens in test/golden pin them exactly.
 bench-compare:
 	dune exec bench/compare.exe -- BENCH.json BENCH.new.json
 

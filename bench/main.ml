@@ -8,9 +8,8 @@
 
    The whole run is summarised into a machine-readable JSON baseline
    (default [BENCH.new.json], override with [--json FILE]): every
-   micro-benchmark's ns/run, the engine-scaling wall clock and the
-   Part 1 wall clock, for compare.exe to hold against the committed
-   BENCH.json. Every entry is wall clock spent by the simulator; the
+   micro-benchmark's ns/run and the Part 1 wall clock, for compare.exe
+   to hold against the committed BENCH.json. Every entry is wall clock spent by the simulator; the
    modelled results Part 1 prints are pinned exactly by the tier-1
    goldens in test/golden, not here.
 
@@ -366,23 +365,6 @@ let micro_benchmarks () =
        estimates);
   estimates
 
-(* Engine-scaling points (wall clock of the 64-site closed-loop
-   workload at 1/2/4/8 engine domains, genuinely host-dependent). Every
-   entry name carries the host core count, so baselines from different
-   machines never get compared entry-to-entry; on the same machine the
-   25% ns-guard catches a sharded engine that got slower. compare.exe's
-   scaling guard additionally holds the speedup curve (monotone to
-   >= 1.5x at 4 domains) — but only arms itself when the recorded core
-   count is >= 4, since speedup on fewer cores measures nothing. *)
-let scaling_estimates () =
-  let cores = Camelot_experiments.Scaling.host_cores () in
-  List.map
-    (fun (p : Camelot_experiments.Scaling.point) ->
-      ( Printf.sprintf "scaling: 64-site wall ms (domains=%d, cores=%d)"
-          p.sc_domains cores,
-        Some (1000.0 *. p.sc_wall_s) ))
-    (Camelot_experiments.Scaling.run ~horizon_ms:4_000.0 ())
-
 (* ------------------------------------------------------------------ *)
 (* Machine-readable baseline *)
 
@@ -424,7 +406,7 @@ let () =
   let t0 = Unix.gettimeofday () in
   reproduce ();
   let repro_wall_clock_s = Unix.gettimeofday () -. t0 in
-  let estimates = micro_benchmarks () @ scaling_estimates () in
+  let estimates = micro_benchmarks () in
   write_baseline ~path:json_path ~repro_wall_clock_s estimates;
   print_newline ();
   print_endline "bench: done."

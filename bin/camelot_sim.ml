@@ -61,7 +61,7 @@ let all_cmd =
 let chaos_cmd =
   let budget =
     let doc = "Fault schedules to run (enumerated singles, then random pairs)." in
-    Arg.(value & opt int 1200 & info [ "budget" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 1200 & info [ "budget" ] ~docv:"N" ~doc)
   in
   let seed =
     let doc = "Seed for the randomized schedule generator." in
@@ -109,7 +109,7 @@ let chaos_cmd =
        is split across jobs; a shared --corpus merges their finds by \
        coverage signature."
     in
-    Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 1 & info [ "jobs" ] ~docv:"N" ~doc)
   in
   let run budget seed schedule workload inject_bug fuzz corpus jobs () =
     let open Camelot_chaos_explorer in
@@ -158,6 +158,10 @@ let chaos_cmd =
           else print_endline "chaos: injected bug caught, as it should be"
         end
         else if r.Explorer.rp_failures <> [] then exit 1
+        else if workload <> None then
+          (* the coverage checks below hold for the default pool only:
+             one workload cannot reach every fault point *)
+          ()
         else if r.Explorer.rp_missing <> [] then begin
           print_endline "chaos: some registered fault points were never exercised";
           exit 1
@@ -165,14 +169,13 @@ let chaos_cmd =
         else if
           (* the default pool must include at least one multi-shot run,
              so cross-transaction recovery states stay exercised *)
-          workload = None
-          && not
-               (List.exists
-                  (fun (name, n) ->
-                    String.length name >= 9
-                    && String.sub name 0 9 = "multishot"
-                    && n > 0)
-                  r.Explorer.rp_workload_runs)
+          not
+            (List.exists
+               (fun (name, n) ->
+                 String.length name >= 9
+                 && String.sub name 0 9 = "multishot"
+                 && n > 0)
+               r.Explorer.rp_workload_runs)
         then begin
           print_endline "chaos: no multi-shot schedule was run";
           exit 1
@@ -314,23 +317,6 @@ let cmds =
                   ~horizon_ms ()
                  : Camelot_experiments.Shootout.row list))
          $ sh_sites $ workers $ sh_horizon $ const ()));
-    (let domains =
-       let doc = "Engine domain counts to sweep." in
-       Arg.(value & opt (list pos_int) [ 1; 2; 4; 8 ] & info [ "domains" ] ~docv:"N,..." ~doc)
-     in
-     let sc_horizon =
-       let doc = "Virtual milliseconds per domain count." in
-       Arg.(value & opt pos_float 3_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
-     in
-     experiment "scaling"
-       "Engine scaling: the 64-site closed-loop workload at 1/2/4/8 engine \
-        domains; identical virtual-time results, wall-clock speedup curve."
-       Term.(
-         const (fun domain_range horizon_ms () ->
-             ignore
-               (Camelot_experiments.Scaling.run ~horizon_ms ~domain_range ()
-                 : Camelot_experiments.Scaling.point list))
-         $ domains $ sc_horizon $ const ()));
     (let records =
        let doc = "Log records to replay per partition count." in
        Arg.(value & opt pos_int 100_000 & info [ "records" ] ~docv:"N" ~doc)

@@ -15,11 +15,8 @@ type logger = Camelot_wal.Log.policy =
   | Adaptive
 
 type t = {
-  engine : Engine.t;  (* shard 0's engine *)
-  engines : Engine.t array;  (* one per shard *)
-  lan : Camelot_net.Lan.t;  (* shard 0's lan *)
-  lans : Camelot_net.Lan.t array;  (* one per shard *)
-  fabric : Domains.t option;  (* present iff domains > 1 *)
+  engine : Engine.t;
+  lan : Camelot_net.Lan.t;
   model : Cost_model.t;
   nodes : node array;
   flush_every_ms : float;
@@ -71,7 +68,7 @@ let start_checkpointer ~flush_every_ms n ~every =
 
 let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
     ?(logger = Unbatched) ?checkpoint_every ?recovery_partitions
-    ?lock_timeout_ms ?(domains = 1) ~sites () =
+    ?lock_timeout_ms ~sites () =
   if sites <= 0 then invalid_arg "Cluster.create: need at least one site";
   (match checkpoint_every with
   | Some n when n <= 0 -> invalid_arg "Cluster.create: checkpoint_every must be positive"
@@ -80,24 +77,11 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
   | Some k when k <= 0 ->
       invalid_arg "Cluster.create: recovery_partitions must be positive"
   | _ -> ());
-  if domains <= 0 then invalid_arg "Cluster.create: domains must be positive";
-  let domains = min domains sites in
-  (* domains = 1 constructs exactly the legacy single-engine cluster:
-     one engine, one LAN, no fabric, and the same RNG split sequence
-     (one LAN split, then one split per site) — byte-identical to the
-     non-sharded code this generalizes. *)
-  let engines = Array.init domains (fun _ -> Engine.create ()) in
-  let engine = engines.(0) in
-  let fabric =
-    if domains = 1 then None
-    else Some (Domains.create ~lookahead:(Cost_model.lookahead_ms model) engines)
-  in
+  let engine = Engine.create () in
+  (* every schedule depends on this split order: one for the LAN, then
+     one per site *)
   let rng = Rng.create ~seed in
-  let lans =
-    Array.init domains (fun shard ->
-        Camelot_net.Lan.create engines.(shard) ~model ~rng:(Rng.split rng))
-  in
-  let lan = lans.(0) in
+  let lan = Camelot_net.Lan.create engine ~model ~rng:(Rng.split rng) in
   let directory = Hashtbl.create 16 in
   let base_config =
     match config with Some c -> c | None -> State.default_config ()
@@ -107,15 +91,11 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
   let flush_every_ms = Float.max 50.0 (4.0 *. model.Cost_model.log_force_ms) in
   let nodes =
     Array.init sites (fun id ->
-        let shard = Placement.shard_of_site ~sites ~domains id in
-        let site =
-          Site.create ~shard ?fabric engines.(shard) ~id ~model
-            ~rng:(Rng.split rng)
-        in
+        let site = Site.create engine ~id ~model ~rng:(Rng.split rng) in
         let log = Camelot_wal.Log.create ~policy:logger site in
         Camelot_wal.Log.start log ~flush_every:flush_every_ms;
         let tranman =
-          Tranman.create site ~lan:lans.(shard) ~log ~directory
+          Tranman.create site ~lan ~log ~directory
             ~config:(State.copy_config base_config)
         in
         let servers =
@@ -129,10 +109,7 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
   let t =
     {
       engine;
-      engines;
       lan;
-      lans;
-      fabric;
       model;
       nodes;
       flush_every_ms;
@@ -148,9 +125,7 @@ let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
 
 let engine t = t.engine
 let lan t = t.lan
-let lans t = Array.to_list t.lans
-let domains t = Array.length t.engines
-let fabric t = t.fabric
+let lans t = [ t.lan ]
 let sites t = Array.length t.nodes
 
 let node t i =
@@ -213,12 +188,8 @@ let restart_site t i =
   Camelot_recovery.Recovery.run ?partitions:t.recovery_partitions
     ~tranman:n.tranman ~log:n.log ~servers:n.servers ()
 
-let partition t groups =
-  Array.iter (fun lan -> Camelot_net.Lan.partition lan groups) t.lans
+let partition t groups = Camelot_net.Lan.partition t.lan groups
 
-let heal t = Array.iter Camelot_net.Lan.heal t.lans
+let heal t = Camelot_net.Lan.heal t.lan
 
-let run ?until t =
-  match t.fabric with
-  | None -> Engine.run ?until t.engine
-  | Some fabric -> Domains.run ?until fabric
+let run ?until t = Engine.run ?until t.engine

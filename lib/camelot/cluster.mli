@@ -57,17 +57,7 @@ type logger = Camelot_wal.Log.policy =
     pass.
     @param lock_timeout_ms bound data-server lock waits: a transaction
     waiting longer aborts with [Lock_timeout] instead of blocking
-    forever (default: wait forever — the paper-reproduction behavior)
-    @param domains engine shards, one OCaml domain each (default 1;
-    capped at [sites]). Sites are placed in contiguous blocks
-    ({!Camelot_mach.Placement}); cross-shard datagrams and RPCs ride
-    the conservative-lookahead fabric ({!Camelot_sim.Domains}), whose
-    window is {!Camelot_mach.Cost_model.lookahead_ms} of [model].
-    [domains = 1] constructs the legacy single-engine cluster,
-    bit-identical to previous behavior. With [domains > 1],
-    {!crash_site}/{!restart_site}/{!checkpoint}/{!partition}/{!heal}
-    must only be called between {!run}s (when no domain is running)
-    or from a fiber of the site's own shard. *)
+    forever (default: wait forever — the paper-reproduction behavior) *)
 val create :
   ?seed:int ->
   ?model:Camelot_mach.Cost_model.t ->
@@ -77,26 +67,19 @@ val create :
   ?checkpoint_every:int ->
   ?recovery_partitions:int ->
   ?lock_timeout_ms:float ->
-  ?domains:int ->
   sites:int ->
   unit ->
   t
 
-(** Shard 0's engine (the only engine when [domains = 1]). *)
+(** The one event engine every site runs on. *)
 val engine : t -> Camelot_sim.Engine.t
 
-(** Shard 0's LAN segment (the only one when [domains = 1]). *)
+(** The token ring every site sends on. *)
 val lan : t -> Camelot_net.Lan.t
 
-(** Every shard's LAN segment, shard order. Traffic counters must be
-    summed across all of them on a multi-domain cluster. *)
+(** [[lan t]]: kept for callers that sum traffic counters over a list
+    of LANs. *)
 val lans : t -> Camelot_net.Lan.t list
-
-(** Number of engine shards (1 = legacy single-domain). *)
-val domains : t -> int
-
-(** The conservative-sync fabric, present iff [domains > 1]. *)
-val fabric : t -> Camelot_sim.Domains.t option
 
 val sites : t -> int
 val node : t -> int -> node

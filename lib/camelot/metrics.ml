@@ -76,14 +76,13 @@ let site_snapshot cluster elapsed i =
 
 let collect cluster =
   let elapsed = Engine.now (Cluster.engine cluster) in
-  let lans = Cluster.lans cluster in
-  let sum f = List.fold_left (fun acc lan -> acc + f lan) 0 lans in
+  let lan = Cluster.lan cluster in
   {
     elapsed_ms = elapsed;
     sites = List.init (Cluster.sites cluster) (site_snapshot cluster elapsed);
-    datagrams_sent = sum Camelot_net.Lan.sent;
-    datagrams_delivered = sum Camelot_net.Lan.delivered;
-    datagrams_dropped = sum Camelot_net.Lan.dropped;
+    datagrams_sent = Camelot_net.Lan.sent lan;
+    datagrams_delivered = Camelot_net.Lan.delivered lan;
+    datagrams_dropped = Camelot_net.Lan.dropped lan;
   }
 
 let sum_sites f t = List.fold_left (fun acc s -> acc + f s) 0 t.sites

@@ -18,8 +18,7 @@ let points : (string, kind) Hashtbl.t = Hashtbl.create 32
 (* The sink and the notes are domain-local: each OCaml domain gets its
    own slot, so parallel fuzz jobs (one explorer per domain) attach and
    drive their own sinks without seeing each other. Code running on a
-   domain whose slot is empty — e.g. remote shards of a multi-domain
-   cluster — sees the hooks as detached no-ops. *)
+   domain whose slot is empty sees the hooks as detached no-ops. *)
 let sink : sink option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 

@@ -136,12 +136,6 @@ let rpc_legs t =
     ("server CornMan<->NetMsgServer IPC", t.comman_ipc_ms);
   ]
 
-(* Minimum virtual delay of any cross-site interaction: a datagram
-   takes at least [datagram_ms] on the wire, an RPC leg at least half
-   of [netmsg_rpc_ms] (jitter only adds). This is the safe
-   conservative-synchronization window for domain-sharded runs. *)
-let lookahead_ms t = Float.min t.datagram_ms (t.netmsg_rpc_ms /. 2.0)
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>%s (%.1f MIPS, %d cpu)@,\

@@ -83,9 +83,4 @@ val vax : t
     [remote_rpc_ms]. *)
 val rpc_legs : t -> (string * float) list
 
-(** Minimum virtual delay of any cross-site interaction under this
-    model — the conservative lookahead window for domain-sharded
-    simulation: [min datagram_ms (netmsg_rpc_ms / 2)]. *)
-val lookahead_ms : t -> float
-
 val pp : Format.formatter -> t -> unit

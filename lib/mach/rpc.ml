@@ -42,8 +42,6 @@ let leg site charge =
 let call_remote_accounted ~client ~server handler =
   let model = Site.model client in
   let open Cost_model in
-  if not (Site.colocated client server) then
-    invalid_arg "Rpc.call_remote_accounted: sites on different shards";
   if not (Site.alive server) then fail (Site.id server) "server site down";
   let incarnation = Site.incarnation server in
   let half_wire () =
@@ -79,70 +77,5 @@ let call_remote_accounted ~client ~server handler =
   in
   (result, legs)
 
-(* Cross-shard RPC. The accounted path above runs the handler on the
-   client's own fiber, which is only sound when both sites share an
-   engine; across domains the call becomes messages through the
-   fabric. The request leg posts a closure to the server's shard that
-   spawns a handler fiber in the server site's group — so a server
-   crash kills it and the client, hearing nothing, times out like a
-   broken connection. The reply (or the handler's exception) posts
-   back and resumes the client. Wire legs and CornMan CPU charges
-   mirror the §4.1 decomposition; each half-wire is at least
-   [netmsg_rpc_ms / 2], which is what lets the fabric's conservative
-   lookahead count RPCs among its bounded-delay traffic. *)
-let call_remote_fabric fabric ~client ~server handler =
-  let model = Site.model client in
-  let open Cost_model in
-  if not (Site.alive server) then fail (Site.id server) "server site down";
-  Site.cpu_use client model.comman_ipc_ms;
-  Site.cpu_use client model.comman_cpu_ms;
-  let c_eng = Site.engine client in
-  let c_shard = Site.shard client and s_shard = Site.shard server in
-  let request_arrives =
-    let jitter = Rng.exponential (Site.rng client) ~mean:model.rpc_jitter_ms in
-    Engine.now c_eng +. (model.netmsg_rpc_ms /. 2.0) +. (jitter /. 2.0)
-  in
-  let outcome =
-    Fiber.suspend (fun resumer ->
-        let timeout =
-          Engine.schedule_timer c_eng ~delay:rpc_timeout_ms (fun () ->
-              if Fiber.is_pending resumer then Fiber.resume resumer (Ok None))
-        in
-        (* Runs on the server's shard once the handler finishes; the
-           answer rides the reply half-wire home, where it lands back
-           on the client's engine. *)
-        let reply result =
-          let s_eng = Site.engine server in
-          let jitter =
-            Rng.exponential (Site.rng server) ~mean:model.rpc_jitter_ms
-          in
-          let arrives =
-            Engine.now s_eng +. (model.netmsg_rpc_ms /. 2.0) +. (jitter /. 2.0)
-          in
-          Domains.post fabric ~src:s_shard ~dst:c_shard ~time:arrives
-            (fun () ->
-              Engine.cancel c_eng timeout;
-              if Fiber.is_pending resumer then
-                Fiber.resume resumer (Ok (Some result)))
-        in
-        Domains.post fabric ~src:c_shard ~dst:s_shard ~time:request_arrives
-          (fun () ->
-            if Site.alive server then
-              Site.spawn server ~name:"rpc-handler" (fun () ->
-                  Site.cpu_use server model.comman_cpu_ms;
-                  Site.cpu_use server model.comman_ipc_ms;
-                  match handler () with
-                  | v -> reply (Ok v)
-                  | exception e -> reply (Error e))))
-  in
-  match outcome with
-  | None ->
-      raise (Rpc_failure { callee = Site.id server; reason = "rpc timeout" })
-  | Some (Ok v) -> v
-  | Some (Error e) -> raise e
-
 let call_remote ~client ~server handler =
-  match Site.fabric client with
-  | Some fabric when not (Site.colocated client server) ->
-      call_remote_fabric fabric ~client ~server handler
-  | _ -> fst (call_remote_accounted ~client ~server handler)
+  fst (call_remote_accounted ~client ~server handler)

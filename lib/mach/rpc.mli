@@ -33,19 +33,13 @@ val outofline_ipc : Site.t -> unit
 val call_local : Site.t -> (unit -> 'a) -> 'a
 
 (** [call_remote ~client ~server handler] performs a full remote RPC,
-    running [handler] at the server between the request and reply legs.
-    When the two sites live on different engine shards of a
-    domain-sharded simulation, the call is carried as request/reply
-    messages over the fabric and [handler] runs in a fiber of the
-    server site's group; colocated sites take the legacy direct path,
-    so single-domain runs are untouched.
+    running [handler] on the calling fiber between the request and
+    reply legs.
     @raise Rpc_failure if [server] is dead at request time or crashes
-    before the reply is sent (cross-shard: if no reply arrives within
-    [rpc_timeout_ms]). *)
+    before the reply is sent. *)
 val call_remote : client:Site.t -> server:Site.t -> (unit -> 'a) -> 'a
 
 (** As {!call_remote}, also returning the per-leg latency accounting of
-    §4.1 (labels match {!Cost_model.rpc_legs}). Direct-path only:
-    @raise Invalid_argument if the sites are on different shards. *)
+    §4.1 (labels match {!Cost_model.rpc_legs}). *)
 val call_remote_accounted :
   client:Site.t -> server:Site.t -> (unit -> 'a) -> 'a * (string * float) list

@@ -8,22 +8,18 @@ type t = {
   model : Cost_model.t;
   rng : Rng.t;
   cpu : Sync.Resource.t;
-  shard : int;
-  fabric : Domains.t option;
   mutable group : Fiber.Group.t;
   mutable alive : bool;
   mutable incarnation : int;
   mutable restart_hooks : (unit -> unit) list;
 }
 
-let create ?(shard = 0) ?fabric eng ~id ~model ~rng =
+let create eng ~id ~model ~rng =
   {
     id;
     eng;
     model;
     rng;
-    shard;
-    fabric;
     cpu =
       Sync.Resource.create ~servers:model.Cost_model.cpus eng
         ~name:(Printf.sprintf "site%d.cpu" id);
@@ -37,9 +33,6 @@ let id t = t.id
 let engine t = t.eng
 let model t = t.model
 let rng t = t.rng
-let shard t = t.shard
-let fabric t = t.fabric
-let colocated a b = a.shard = b.shard
 let group t = t.group
 let alive t = t.alive
 let incarnation t = t.incarnation

@@ -13,15 +13,8 @@ type id = int
 type t
 
 (** [create engine ~id ~model ~rng] builds a site whose CPU bank has
-    [model.cpus] servers.
-    @param shard the engine shard this site lives on (default 0).
-    @param fabric the multi-domain fabric, when the simulation is
-    domain-sharded; sites on different shards route messages and RPCs
-    through it. Single-domain simulations omit it and take exactly the
-    legacy code paths. *)
+    [model.cpus] servers. *)
 val create :
-  ?shard:int ->
-  ?fabric:Camelot_sim.Domains.t ->
   Camelot_sim.Engine.t ->
   id:id ->
   model:Cost_model.t ->
@@ -31,16 +24,6 @@ val create :
 val id : t -> id
 val engine : t -> Camelot_sim.Engine.t
 val model : t -> Cost_model.t
-
-(** Engine shard this site is placed on (0 when single-domain). *)
-val shard : t -> int
-
-(** The multi-domain fabric, when one exists. *)
-val fabric : t -> Camelot_sim.Domains.t option
-
-(** Whether two sites share an engine shard (always true
-    single-domain). *)
-val colocated : t -> t -> bool
 
 (** Site-local RNG stream. *)
 val rng : t -> Camelot_sim.Rng.t

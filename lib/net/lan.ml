@@ -11,11 +11,8 @@ type t = {
   nics : (Site.id, nic) Hashtbl.t;
   cut_links : (Site.id * Site.id, unit) Hashtbl.t;
   mutable sent : int;
-  (* Delivery counters are atomic because a cross-shard datagram is
-     counted from the destination's domain; [sent] is only ever
-     touched by the owning shard. *)
-  delivered : int Atomic.t;
-  dropped : int Atomic.t;
+  mutable delivered : int;
+  mutable dropped : int;
 }
 
 type 'a endpoint = { site : Site.t; mutable handler : 'a -> unit }
@@ -30,8 +27,8 @@ let create ?(loss = 0.0) eng ~model ~rng =
     nics = Hashtbl.create 16;
     cut_links = Hashtbl.create 16;
     sent = 0;
-    delivered = Atomic.make 0;
-    dropped = Atomic.make 0;
+    delivered = 0;
+    dropped = 0;
   }
 
 let endpoint _t site handler = { site; handler }
@@ -78,27 +75,18 @@ let transmit t ~src ~start ep msg =
   t.sent <- t.sent + 1;
   let src_id = Site.id src in
   let dst_id = Site.id ep.site in
-  if Rng.bool t.rng ~p:t.loss then Atomic.incr t.dropped
-  else if Camelot_chaos.deny ~site:src_id p_datagram then Atomic.incr t.dropped
+  if Rng.bool t.rng ~p:t.loss then t.dropped <- t.dropped + 1
+  else if Camelot_chaos.deny ~site:src_id p_datagram then
+    t.dropped <- t.dropped + 1
   else begin
     let jitter = Rng.exponential t.rng ~mean:t.model.Cost_model.datagram_jitter_ms in
     let arrival = start +. t.model.Cost_model.datagram_ms +. jitter in
-    let deliver () =
-      if Site.alive ep.site && reachable t src_id dst_id then begin
-        Atomic.incr t.delivered;
-        ep.handler msg
-      end
-      else Atomic.incr t.dropped
-    in
-    (* The loss/chaos/jitter draws above all happen on the sender's
-       shard against the sender's RNG; only the delivery hops shards.
-       Transit is at least [datagram_ms], so the fabric's lookahead
-       contract holds. *)
-    match Site.fabric src with
-    | Some fabric when not (Site.colocated src ep.site) ->
-        Domains.post fabric ~src:(Site.shard src) ~dst:(Site.shard ep.site)
-          ~time:arrival deliver
-    | _ -> Engine.schedule_at t.eng ~time:arrival deliver
+    Engine.schedule_at t.eng ~time:arrival (fun () ->
+        if Site.alive ep.site && reachable t src_id dst_id then begin
+          t.delivered <- t.delivered + 1;
+          ep.handler msg
+        end
+        else t.dropped <- t.dropped + 1)
   end
 
 (* Serialize on the source NIC: each datagram occupies the interface for
@@ -138,5 +126,5 @@ let multicast t ~src eps msg =
   end
 
 let sent t = t.sent
-let delivered t = Atomic.get t.delivered
-let dropped t = Atomic.get t.dropped
+let delivered t = t.delivered
+let dropped t = t.dropped

@@ -40,7 +40,15 @@ module Group : sig
 
   (** [kill t] cancels every fiber of the group currently blocked in
       [sleep]/[suspend] and prevents queued-but-unstarted fibers of the
-      group from starting. Idempotent. *)
+      group from starting. Idempotent.
+
+      A fiber whose wake-up is already queued when the group dies (its
+      resumer fired earlier in the same instant) is not blocked any
+      more, so it is not cancelled: it runs one more step, up to its
+      next [sleep]/[suspend], which then raises {!Cancelled}. Code
+      whose wait can end in a crash instant must check the site's
+      incarnation before publishing anything, as the write-ahead log
+      does for a platter write. *)
   val kill : t -> unit
 
   val killed : t -> bool

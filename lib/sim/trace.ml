@@ -53,27 +53,3 @@ let clear t =
   Array.fill t.ring 0 t.capacity None;
   t.next <- 0;
   t.count <- 0
-
-(* Merge several traces into one timeline. Ties break by the traces'
-   list position, then by each trace's own order, so the result is a
-   deterministic function of the inputs — the property the
-   multi-domain trace tests lean on. *)
-let merge traces =
-  let tagged =
-    List.concat
-      (List.mapi
-         (fun src (name, t) ->
-           List.mapi (fun pos r -> (r.time, src, pos, name, r)) (dump t))
-         traces)
-  in
-  let sorted =
-    List.sort
-      (fun (t1, s1, p1, _, _) (t2, s2, p2, _, _) ->
-        let c = Float.compare t1 t2 in
-        if c <> 0 then c
-        else
-          let c = Int.compare s1 s2 in
-          if c <> 0 then c else Int.compare p1 p2)
-      tagged
-  in
-  List.map (fun (_, _, _, name, r) -> (name, r)) sorted

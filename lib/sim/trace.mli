@@ -36,8 +36,3 @@ val dump : t -> record list
 val pp : Format.formatter -> t -> unit
 
 val clear : t -> unit
-
-(** [merge traces] interleaves several named traces into one timeline
-    ordered by time, breaking ties by list position and then each
-    trace's own order. Deterministic in its inputs. *)
-val merge : (string * t) list -> (string * record) list

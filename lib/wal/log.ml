@@ -153,22 +153,31 @@ let wake_waiters t =
   in
   drain ()
 
-(* One physical write makes everything spooled at [target] durable. *)
+(* One physical write makes everything spooled at [target] durable.
+   A write whose site died (or died and restarted) while it was on the
+   platter is dropped: a fiber woken in the crash instant runs one more
+   step after [crash] has cut the tail, and must not advance [durable]
+   past it. *)
 let disk_write_to t ~target =
+  let site = t.site in
+  let inc = Camelot_mach.Site.incarnation site in
   ignore (Sync.Resource.use t.disk ~duration:(force_ms t) : float);
-  t.disk_writes <- t.disk_writes + 1;
-  let site_id = Camelot_mach.Site.id t.site in
-  if Camelot_chaos.deny ~site:site_id p_torn then begin
-    (* the partial-durability update must precede the crash so
-       [crash]'s truncation sees the torn write's true extent *)
-    if target - 1 > t.durable then t.durable <- target - 1;
-    Camelot_chaos.die ~site:site_id ()
-  end;
-  note_batch t ~target;
-  if target > t.durable then t.durable <- target;
-  note_lag t ~target;
-  wake_waiters t;
-  Sync.Condition.broadcast t.cond
+  if Camelot_mach.Site.alive site && Camelot_mach.Site.incarnation site = inc
+  then begin
+    t.disk_writes <- t.disk_writes + 1;
+    let site_id = Camelot_mach.Site.id site in
+    if Camelot_chaos.deny ~site:site_id p_torn then begin
+      (* the partial-durability update must precede the crash so
+         [crash]'s truncation sees the torn write's true extent *)
+      if target - 1 > t.durable then t.durable <- target - 1;
+      Camelot_chaos.die ~site:site_id ()
+    end;
+    note_batch t ~target;
+    if target > t.durable then t.durable <- target;
+    note_lag t ~target;
+    wake_waiters t;
+    Sync.Condition.broadcast t.cond
+  end
 
 let disk_write t = disk_write_to t ~target:(tail_lsn t)
 

@@ -20,7 +20,9 @@
       satisfied waiters, and lets the next batch spool and serialize
       while the write's I/O is in flight);
     - a site {b crash} discards the volatile tail; the durable prefix
-      survives and is what recovery reads;
+      survives and is what recovery reads. A platter write still in
+      flight when its site dies (or dies and restarts) is lost with it,
+      even when it would complete in the crash instant;
     - {b truncation} drops the durable prefix below a checkpoint so
       recovery scans and memory stay O(window), not O(history).
 

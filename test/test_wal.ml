@@ -171,6 +171,29 @@ let test_crash_with_nothing_durable_empties () =
   Alcotest.(check int) "empty" 0 (Log.records_spooled log);
   Alcotest.(check int) "nothing durable" (-1) (Log.durable_lsn log)
 
+(* A platter write completing in the instant its site crashes: the
+   writer's wake-up is already queued when the crash kills the group,
+   so the fiber runs one more step after [Log.crash] has cut the tail.
+   That step must not make the lost records durable. *)
+let test_write_landing_at_crash_dropped () =
+  let eng, site, log = make_log () in
+  Site.spawn site (fun () ->
+      for i = 0 to 2 do
+        ignore (Log.append log (Printf.sprintf "r%d" i) : int)
+      done;
+      Log.force log);
+  Fiber.spawn eng (fun () ->
+      Fiber.sleep 1.0;
+      (* the force's 15 ms write completes at t = 15 *)
+      Engine.schedule eng ~delay:14.0 (fun () ->
+          Site.crash site;
+          Log.crash log));
+  Engine.run eng;
+  Alcotest.(check int) "nothing durable" (-1) (Log.durable_lsn log);
+  Alcotest.(check int) "tail cut" (-1) (Log.tail_lsn log);
+  Alcotest.(check int) "dropped write not counted" 0 (Log.disk_writes log);
+  Alcotest.(check (list (pair int string))) "no records" [] (Log.all_records log)
+
 let test_records_accessors () =
   let eng, _, log = make_log () in
   Fiber.run eng (fun () ->
@@ -485,6 +508,8 @@ let () =
             test_crash_releases_dropped_records;
           Alcotest.test_case "crash with nothing durable empties" `Quick
             test_crash_with_nothing_durable_empties;
+          Alcotest.test_case "write landing at crash dropped" `Quick
+            test_write_landing_at_crash_dropped;
           Alcotest.test_case "record accessors" `Quick test_records_accessors;
           Alcotest.test_case "follower covered by in-flight write" `Quick
             test_follower_target_covered_by_inflight_write;
