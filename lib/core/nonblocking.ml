@@ -174,7 +174,7 @@ let coordinate st fam =
                    and one site must never log both a Replication and a
                    Refusal record (change 4) *)
                 let claimed =
-                  Sync.Mutex.with_lock fam.f_mutex (fun () ->
+                  with_family_lock fam (fun () ->
                       if fam.f_outcome <> None || fam.f_quorum_side = Q_abort
                       then false
                       else begin
@@ -345,7 +345,7 @@ let takeover st fam =
                re-checked under the family lock because a concurrent
                Replicate handler may be forcing a Replication record *)
             let joined_abort =
-              Sync.Mutex.with_lock fam.f_mutex (fun () ->
+              with_family_lock fam (fun () ->
                   if fam.f_quorum_side = Q_none && fam.f_outcome = None then begin
                     ignore
                       (log_append_force st (Record.Refusal { f_tid = tid }) : int);

@@ -102,7 +102,9 @@ type server_callbacks = {
 }
 
 (* Per-transaction descriptor inside a family (paper §3.4: a hash table
-   of transaction descriptors hangs off each family descriptor). *)
+   of transaction descriptors hangs off each family descriptor). The
+   root's descriptor lives in the family itself; the table exists only
+   once a nested member joins. *)
 type member = {
   mem_tid : Tid.t;
   mutable mem_resolved : Protocol.outcome option;  (* nested commit/abort *)
@@ -118,8 +120,11 @@ type quorum_side = Q_none | Q_commit | Q_abort
 type family = {
   f_root : Tid.t;
   f_role : role;
-  f_mutex : Sync.Mutex.t;  (* per-family lock, paper §3.4 *)
-  f_members : (Tid.t, member) Hashtbl.t;
+  mutable f_mutex : Sync.Mutex.t option;
+      (* per-family lock, paper §3.4; created by [with_family_lock] *)
+  f_top : member;  (* the root's own descriptor *)
+  mutable f_members : (Tid.t, member) Hashtbl.t option;
+      (* every member, root first; [None] until a nested member joins *)
   mutable f_servers : string list;  (* local servers that joined *)
   mutable f_remote_sites : Site.id list;  (* coordinator: where it spread *)
   mutable f_protocol : Protocol.commit_protocol;
@@ -133,7 +138,7 @@ type family = {
   mutable f_quorum_side : quorum_side;
   mutable f_outcome : Protocol.outcome option;
   mutable f_acks_pending : Site.id list;  (* coordinator: commit-acks awaited *)
-  mutable f_ended : bool;  (* an End record was written: fully forgotten *)
+  mutable f_ended : bool;  (* an End record was written: nothing more to do *)
   mutable f_watchdog : bool;  (* a timeout watcher is running *)
   mutable f_orphan_watch : bool;  (* an orphan watcher is running *)
   mutable f_acceptors : Site.id list;  (* paxos: the 2F+1 acceptor set *)
@@ -165,7 +170,6 @@ type t = {
   mutable endpoint : Protocol.t Camelot_net.Lan.endpoint option;
   pool : Dispatch.t;  (* one shard: the §3.4 worker pool *)
   families : (int, family) Hashtbl.t;  (* keyed by Tid.family_key *)
-  families_mutex : Sync.Mutex.t;
   servers : (string, server_callbacks) Hashtbl.t;
   mutable next_seq : int;
   waiters : (int, Protocol.t Mailbox.t) Hashtbl.t;  (* keyed by Tid.family_key *)
@@ -205,8 +209,9 @@ let new_family st ~root ~role ~protocol =
     {
       f_root = root;
       f_role = role;
-      f_mutex = Sync.Mutex.create ();
-      f_members = Hashtbl.create 8;
+      f_mutex = None;
+      f_top = { mem_tid = root; mem_resolved = None; mem_children = 0 };
+      f_members = None;
       f_servers = [];
       f_remote_sites = [];
       f_protocol = protocol;
@@ -226,10 +231,7 @@ let new_family st ~root ~role ~protocol =
       f_pax_accepted = [];
     }
   in
-  Hashtbl.replace fam.f_members root
-    { mem_tid = root; mem_resolved = None; mem_children = 0 };
-  Sync.Mutex.with_lock st.families_mutex (fun () ->
-      Hashtbl.replace st.families (family_key root) fam);
+  Hashtbl.replace st.families (family_key root) fam;
   fam
 
 (* Find the family, creating a subordinate-side descriptor if this is
@@ -241,22 +243,54 @@ let find_or_join_family st tid =
       let role = if Tid.origin tid = me st then Coordinator else Subordinate in
       new_family st ~root:(Tid.top tid) ~role ~protocol:Protocol.Two_phase
 
-let member st fam tid =
-  match Hashtbl.find_opt fam.f_members tid with
-  | Some m -> m
-  | None ->
-      let m = { mem_tid = tid; mem_resolved = None; mem_children = 0 } in
-      Hashtbl.replace fam.f_members tid m;
-      ignore st;
-      m
+(* The table is built as every family once built it at creation:
+   [Hashtbl.create 8], root inserted first. The first resize and the
+   order within buckets depend on that insertion history, and
+   [unresolved_children] folds in bucket order, which fixes the order
+   children abort in. *)
+let member fam tid =
+  if Tid.is_top tid then fam.f_top
+  else
+    let members =
+      match fam.f_members with
+      | Some members -> members
+      | None ->
+          let members = Hashtbl.create 8 in
+          Hashtbl.replace members fam.f_root fam.f_top;
+          fam.f_members <- Some members;
+          members
+    in
+    match Hashtbl.find_opt members tid with
+    | Some m -> m
+    | None ->
+        let m = { mem_tid = tid; mem_resolved = None; mem_children = 0 } in
+        Hashtbl.replace members tid m;
+        m
 
 (* Is every proper descendant of [root] resolved? Top-level commit
    requires it. *)
 let unresolved_children fam =
-  Hashtbl.fold
-    (fun tid m acc ->
-      if (not (Tid.is_top tid)) && m.mem_resolved = None then tid :: acc else acc)
-    fam.f_members []
+  match fam.f_members with
+  | None -> []
+  | Some members ->
+      Hashtbl.fold
+        (fun tid m acc ->
+          if (not (Tid.is_top tid)) && m.mem_resolved = None then tid :: acc
+          else acc)
+        members []
+
+(* Only non-blocking quorum claims and Paxos acceptor state take the
+   family lock, so most families never build one. *)
+let with_family_lock fam f =
+  let mutex =
+    match fam.f_mutex with
+    | Some mutex -> mutex
+    | None ->
+        let mutex = Sync.Mutex.create () in
+        fam.f_mutex <- Some mutex;
+        mutex
+  in
+  Sync.Mutex.with_lock mutex f
 
 (* ------------------------------------------------------------------ *)
 (* Messaging *)
@@ -297,9 +331,10 @@ let send_piggybacked st ~dst msg =
 let fan_out st ~dsts msg =
   if st.config.multicast then begin
     let eps = List.filter_map (endpoint_of st) dsts in
-    tracef st "send" "multicast -> [%s]: %a"
-      (String.concat "," (List.map string_of_int dsts))
-      Protocol.pp msg;
+    if tracing st then
+      tracef st "send" "multicast -> [%s]: %a"
+        (String.concat "," (List.map string_of_int dsts))
+        Protocol.pp msg;
     List.iter (fun dst -> count_send st ~dst msg) dsts;
     Camelot_net.Lan.multicast st.lan ~src:st.site eps msg
   end
@@ -414,13 +449,17 @@ let status_of_family st tid : Protocol.status =
               else Protocol.St_active))
 
 (* Mark resolved; the descriptor is retained as a tombstone so that
-   duplicate messages can be answered idempotently. *)
+   duplicate messages can be answered idempotently. The two [Some]s are
+   static constants, so resolving allocates nothing. *)
 let resolve_family st fam outcome =
   if fam.f_outcome = None then begin
-    fam.f_outcome <- Some outcome;
     (match outcome with
-    | Protocol.Committed -> st.stats.n_committed <- st.stats.n_committed + 1
-    | Protocol.Aborted -> st.stats.n_aborted <- st.stats.n_aborted + 1);
+    | Protocol.Committed ->
+        fam.f_outcome <- Some Protocol.Committed;
+        st.stats.n_committed <- st.stats.n_committed + 1
+    | Protocol.Aborted ->
+        fam.f_outcome <- Some Protocol.Aborted;
+        st.stats.n_aborted <- st.stats.n_aborted + 1);
     if tracing st then
       tracef st "txn" "%a resolved: %a" Tid.pp fam.f_root Protocol.pp_outcome
         outcome

@@ -84,12 +84,16 @@ type role = Coordinator | Subordinate
 type quorum_side = Q_none | Q_commit | Q_abort
 
 (** The family descriptor (§3.4): one per transaction family known at
-    this site, protected by its own lock. *)
+    this site, with its own lock. The lock and the members table are
+    built on first use ({!with_family_lock}, {!member}), so a family
+    that never nests and never claims a quorum side carries neither. *)
 type family = {
   f_root : Tid.t;
   f_role : role;
-  f_mutex : Sync.Mutex.t;
-  f_members : (Tid.t, member) Hashtbl.t;
+  mutable f_mutex : Sync.Mutex.t option;  (** see {!with_family_lock} *)
+  f_top : member;  (** the root's own descriptor *)
+  mutable f_members : (Tid.t, member) Hashtbl.t option;
+      (** every member, root first; [None] until a nested member joins *)
   mutable f_servers : string list;
   mutable f_remote_sites : Site.id list;
   mutable f_protocol : Protocol.commit_protocol;
@@ -101,7 +105,9 @@ type family = {
   mutable f_quorum_side : quorum_side;
   mutable f_outcome : Protocol.outcome option;
   mutable f_acks_pending : Site.id list;
-  mutable f_ended : bool;  (** an End record was written: fully forgotten *)
+  mutable f_ended : bool;
+      (** an End record was written: no acknowledgement is outstanding.
+          The descriptor stays in [families] as a tombstone. *)
   mutable f_watchdog : bool;
   mutable f_orphan_watch : bool;
   mutable f_acceptors : Site.id list;  (** paxos: the 2F+1 acceptor set *)
@@ -135,7 +141,6 @@ type t = {
       (** the §3.4 worker pool: one shard with [config.threads]
           executors, created with the TranMan and kept across restarts *)
   families : (int, family) Hashtbl.t;  (** keyed by {!Tid.family_key} *)
-  families_mutex : Sync.Mutex.t;
   servers : (string, server_callbacks) Hashtbl.t;
   mutable next_seq : int;
   waiters : (int, Protocol.t Mailbox.t) Hashtbl.t;
@@ -172,10 +177,17 @@ val new_family : t -> root:Tid.t -> role:role -> protocol:Protocol.commit_protoc
     contact. *)
 val find_or_join_family : t -> Tid.t -> family
 
-val member : t -> family -> Tid.t -> member
+(** The member's descriptor, created on first use. The root's is
+    [f_top]; the first nested member builds the members table. *)
+val member : family -> Tid.t -> member
 
-(** Proper descendants of the root not yet committed or aborted. *)
+(** Proper descendants of the root not yet committed or aborted, in
+    members-table order. *)
 val unresolved_children : family -> Tid.t list
+
+(** [with_family_lock fam f] runs [f] under the family's lock, creating
+    the lock on first use. *)
+val with_family_lock : family -> (unit -> 'a) -> 'a
 
 (** {1 Messaging} *)
 
@@ -222,7 +234,8 @@ val abort_local : t -> family -> unit
 val status_of_family : t -> Tid.t -> Protocol.status
 
 (** Mark resolved (idempotent); updates statistics. The descriptor
-    stays as a tombstone for duplicate-message answers. *)
+    stays as a tombstone for duplicate-message answers. Allocates
+    nothing. *)
 val resolve_family : t -> family -> Protocol.outcome -> unit
 
 val majority : int -> int

@@ -162,7 +162,7 @@ let start_takeover_watchdog st fam ~takeover =
    Participants cast their vote as a ballot-0 phase-2a; a recovery
    coordinator runs phase 1 at a higher ballot and re-proposes every
    instance. The acceptor state (highest ballot, accepted triples)
-   lives in the family descriptor under f_mutex. *)
+   lives in the family descriptor under the family lock. *)
 
 (* Deliver an acceptor's reply to the instance leader. When the leader
    is this very site (the F = 0 degenerate case, or a local takeover),
@@ -187,7 +187,7 @@ let reply_to_leader st ~leader ~tid msg =
 let paxos_do_accept st fam ~instance ~ballot ~vote ~leader =
   let tid = fam.f_root in
   let accepted =
-    Sync.Mutex.with_lock fam.f_mutex (fun () ->
+    with_family_lock fam (fun () ->
         if ballot < fam.f_pax_ballot then false
         else begin
           fam.f_pax_ballot <- ballot;
@@ -231,7 +231,7 @@ let paxos_do_accept st fam ~instance ~ballot ~vote ~leader =
 let paxos_do_promise st fam ~ballot ~from =
   let tid = fam.f_root in
   let promised =
-    Sync.Mutex.with_lock fam.f_mutex (fun () ->
+    with_family_lock fam (fun () ->
         if ballot < fam.f_pax_ballot then None
         else begin
           if ballot > fam.f_pax_ballot then begin
@@ -417,11 +417,11 @@ let handle_replicate st msg =
           (* never prepared here (or long forgotten): presumed abort *)
           ()
       | Some fam ->
-          (* f_mutex serializes quorum-side decisions (§3.4 per-family
-             lock): the side check and the force that backs it must be
-             atomic against a concurrent takeover refusal, or one site
-             could join both quorums (change 4 forbids exactly that). *)
-          Sync.Mutex.with_lock fam.f_mutex (fun () ->
+          (* the family lock (§3.4) serializes quorum-side decisions:
+             the side check and the force that backs it must be atomic
+             against a concurrent takeover refusal, or one site could
+             join both quorums (change 4 forbids exactly that). *)
+          with_family_lock fam (fun () ->
               match (fam.f_outcome, fam.f_quorum_side) with
               | Some Protocol.Committed, _ | None, Q_commit ->
                   (* duplicate: re-ack *)
@@ -546,9 +546,9 @@ let handle_join_abort_quorum st msg =
             (* never heard of it: safe to promise never to commit it *)
             find_or_join_family st m_tid
       in
-      (* under f_mutex, against a concurrent handle_replicate — a site
-         must never end up on both quorum sides *)
-      Sync.Mutex.with_lock fam.f_mutex (fun () ->
+      (* under the family lock, against a concurrent handle_replicate —
+         a site must never end up on both quorum sides *)
+      with_family_lock fam (fun () ->
           match (fam.f_outcome, fam.f_quorum_side) with
           | Some Protocol.Committed, _ | None, Q_commit -> reply false
           | Some Protocol.Aborted, _ | None, Q_abort -> reply true
@@ -566,7 +566,7 @@ let handle_child_finish st msg =
       match find_family st m_tid with
       | None -> ()
       | Some fam -> (
-          let m = member st fam m_tid in
+          let m = member fam m_tid in
           match m.mem_resolved with
           | Some _ -> ()
           | None ->

@@ -86,7 +86,6 @@ let create site ~lan ~log ~directory ~config =
       endpoint = None;
       pool;
       families = Hashtbl.create 64;
-      families_mutex = Sync.Mutex.create ();
       servers = Hashtbl.create 8;
       next_seq = 0;
       waiters = Hashtbl.create 16;
@@ -188,18 +187,18 @@ let begin_transaction st =
 let begin_nested st ~parent =
   on_pool st (fun () ->
       let fam = require_family st parent in
-      let pm = member st fam parent in
+      let pm = member fam parent in
       let n = (Site.id st.site * 4096) + pm.mem_children in
       pm.mem_children <- pm.mem_children + 1;
       let tid = Tid.child parent ~n in
-      ignore (member st fam tid : member);
-      tracef st "txn" "begin nested %a" Tid.pp tid;
+      ignore (member fam tid : member);
+      if tracing st then tracef st "txn" "begin nested %a" Tid.pp tid;
       tid)
 
 (* Resolve a subtransaction: apply at local servers, push to the
    family's other sites (best effort; they also learn at prepare). *)
 let finish_nested st fam tid outcome =
-  let m = member st fam tid in
+  let m = member fam tid in
   if m.mem_resolved = None then begin
     m.mem_resolved <- Some outcome;
     List.iter
@@ -278,18 +277,18 @@ let abort st tid =
 let outcome st tid =
   match find_family st tid with None -> None | Some fam -> fam.f_outcome
 
-(* Garbage-collect the descriptor of a finished transaction (after its
-   End record, a real system reclaims the memory; the simulator keeps
-   tombstones for convenient inspection unless told otherwise). After
-   this, inquiries answer "unknown" — which is where the presumption
-   earns its name. *)
+(* Drop the descriptor of a resolved transaction. After this,
+   inquiries answer "unknown", which is where the presumption earns its
+   name. No protocol path calls it: every resolved family stays in
+   [families] as a tombstone until the site crashes, so duplicate
+   messages get idempotent answers and [outcome] keeps answering. A
+   tombstone is the family record and its root member; the lock and
+   the members table exist only if the family used them. *)
 let forget st tid =
   match find_family st tid with
   | None -> ()
   | Some fam ->
-      if fam.f_outcome <> None then
-        Sync.Mutex.with_lock st.families_mutex (fun () ->
-            Hashtbl.remove st.families (family_key tid))
+      if fam.f_outcome <> None then Hashtbl.remove st.families (family_key tid)
 
 (* LU 6.2-style heuristic commit (paper §5): an operator resolves a
    blocked transaction by decree. Correctness is not guaranteed — if
@@ -319,7 +318,7 @@ let join st tid ~server =
   ignore
     (on_pool st (fun () ->
          let fam = find_or_join_family st tid in
-         ignore (member st fam tid : member);
+         ignore (member fam tid : member);
          if not (List.mem server fam.f_servers) then
            fam.f_servers <- server :: fam.f_servers;
          if fam.f_role = Subordinate then Subordinate.start_orphan_watchdog st fam;

@@ -69,11 +69,12 @@ val abort : t -> Tid.t -> unit
 (** The outcome of a transaction this TranMan still remembers. *)
 val outcome : t -> Tid.t -> Protocol.outcome option
 
-(** Garbage-collect a finished transaction's descriptor (a real system
-    does this after the End record; the simulator keeps tombstones for
-    inspection until told otherwise). Afterwards inquiries answer
-    "unknown", which is exactly what the configured presumption
-    interprets. No-op while the transaction is unresolved. *)
+(** Garbage-collect a finished transaction's descriptor. No protocol
+    path calls this: a resolved descriptor stays as a tombstone until
+    the site crashes, so duplicate messages get idempotent answers and
+    {!outcome} keeps answering. Afterwards inquiries answer "unknown",
+    which is exactly what the configured presumption interprets. No-op
+    while the transaction is unresolved. *)
 val forget : t -> Tid.t -> unit
 
 (** Heuristic resolution of a blocked transaction by an operator (the

@@ -75,8 +75,9 @@ let start_notify ?(outcome = Protocol.Committed) st fam ~update_subs =
       ignore (log_append st (Record.End { e_tid = tid }) : int);
       fam.f_ended <- true;
       unregister_waiter st tid;
-      tracef st "2pc" "%a: all %a-acks in; forgotten" Tid.pp tid
-        Protocol.pp_outcome outcome)
+      if tracing st then
+        tracef st "2pc" "%a: all %a-acks in; forgotten" Tid.pp tid
+          Protocol.pp_outcome outcome)
 
 (* Abort everywhere we know about. Presumed abort: the abort record is
    not forced, no acknowledgements are collected, and the descriptor

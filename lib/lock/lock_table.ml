@@ -20,14 +20,17 @@ type 'o waiter = {
    per-owner index can hold direct entry references and a release
    never re-hashes the key string. Holder sets are small (a handful of
    family members), so parallel arrays with linear scans beat assoc
-   lists on both allocation and locality. *)
+   lists on both allocation and locality. Most keys are never waited
+   on: an entry shares the vacant sentinel's empty queue until its
+   first wait gives it one of its own, so nothing is ever added to the
+   shared queue. *)
 type 'o entry = {
   e_key : string;
   e_hash : int;
   mutable h_owners : 'o array;
   mutable h_modes : mode array;
   mutable h_len : int;
-  queue : 'o waiter Queue.t;
+  mutable queue : 'o waiter Queue.t;
 }
 
 (* Entries currently held by one owner (append-only between releases). *)
@@ -39,7 +42,10 @@ type 'o owned = {
 type 'o t = {
   eng : Engine.t;
   is_ancestor : 'o -> 'o -> bool;
-  mutable slots : 'o entry option array;  (* open-addressed, power of two *)
+  vacant : 'o entry;
+      (* marks an empty slot; it holds nothing, queues nothing and is
+         never written, so a lookup may return it as "no such key" *)
+  mutable slots : 'o entry array;  (* open-addressed, power of two *)
   mutable n_entries : int;
   owners : ('o, 'o owned) Hashtbl.t;
   mutable grants : int;
@@ -47,10 +53,15 @@ type 'o t = {
 }
 
 let create eng ~is_ancestor =
+  let vacant =
+    { e_key = ""; e_hash = 0; h_owners = [||]; h_modes = [||]; h_len = 0;
+      queue = Queue.create () }
+  in
   {
     eng;
     is_ancestor;
-    slots = Array.make 64 None;
+    vacant;
+    slots = Array.make 64 vacant;
     n_entries = 0;
     owners = Hashtbl.create 64;
     grants = 0;
@@ -58,50 +69,51 @@ let create eng ~is_ancestor =
   }
 
 (* Linear probing; returns the key's slot or the insertion point. *)
-let probe slots h key =
+let probe t h key =
+  let slots = t.slots in
   let mask = Array.length slots - 1 in
   let rec go i =
     let j = (h + i) land mask in
-    match slots.(j) with
-    | None -> j
-    | Some e when e.e_hash = h && String.equal e.e_key key -> j
-    | Some _ -> go (i + 1)
+    let e = slots.(j) in
+    if e == t.vacant || (e.e_hash = h && String.equal e.e_key key) then j
+    else go (i + 1)
   in
   go 0
 
 let resize t =
-  let slots = Array.make (2 * Array.length t.slots) None in
+  let slots = Array.make (2 * Array.length t.slots) t.vacant in
   let mask = Array.length slots - 1 in
   Array.iter
-    (function
-      | None -> ()
-      | Some e as s ->
-          let rec place i =
-            let j = (e.e_hash + i) land mask in
-            if slots.(j) = None then slots.(j) <- s else place (i + 1)
-          in
-          place 0)
+    (fun e ->
+      if e != t.vacant then
+        let rec place i =
+          let j = (e.e_hash + i) land mask in
+          if slots.(j) == t.vacant then slots.(j) <- e else place (i + 1)
+        in
+        place 0)
     t.slots;
   t.slots <- slots
 
 let entry t key =
   let h = Hashtbl.hash key in
-  let j = probe t.slots h key in
-  match t.slots.(j) with
-  | Some e -> e
-  | None ->
-      let e =
-        { e_key = key; e_hash = h; h_owners = [||]; h_modes = [||]; h_len = 0;
-          queue = Queue.create () }
-      in
-      t.slots.(j) <- Some e;
-      t.n_entries <- t.n_entries + 1;
-      if 2 * t.n_entries >= Array.length t.slots then resize t;
-      e
+  let j = probe t h key in
+  let e = t.slots.(j) in
+  if e != t.vacant then e
+  else begin
+    let e =
+      { e_key = key; e_hash = h; h_owners = [||]; h_modes = [||]; h_len = 0;
+        queue = t.vacant.queue }
+    in
+    t.slots.(j) <- e;
+    t.n_entries <- t.n_entries + 1;
+    if 2 * t.n_entries >= Array.length t.slots then resize t;
+    e
+  end
 
+(* The key's entry, or [t.vacant] if it has none. *)
 let find_entry t key =
   let h = Hashtbl.hash key in
-  t.slots.(probe t.slots h key)
+  t.slots.(probe t h key)
 
 (* --- holder sets --------------------------------------------------- *)
 
@@ -235,6 +247,7 @@ let acquire_opt t ~owner ~key mode ~timeout =
                 w_timer = Engine.no_timer;
               }
             in
+            if e.queue == t.vacant.queue then e.queue <- Queue.create ();
             Queue.add w e.queue;
             (* the new waiter may be grantable right away if everything
                ahead of it is dead *)
@@ -293,8 +306,7 @@ let try_acquire t ~owner ~key mode =
       end
       else false
 
-let held t ~owner ~key =
-  match find_entry t key with None -> None | Some e -> held_mode e owner
+let held t ~owner ~key = held_mode (find_entry t key) owner
 
 let release_all t ~owner =
   match Hashtbl.find_opt t.owners owner with
@@ -333,13 +345,11 @@ let transfer t ~from_ ~to_ =
         done
 
 let holders t ~key =
-  match find_entry t key with
-  | None -> []
-  | Some e ->
-      let rec go i acc =
-        if i < 0 then acc else go (i - 1) ((e.h_owners.(i), e.h_modes.(i)) :: acc)
-      in
-      go (e.h_len - 1) []
+  let e = find_entry t key in
+  let rec go i acc =
+    if i < 0 then acc else go (i - 1) ((e.h_owners.(i), e.h_modes.(i)) :: acc)
+  in
+  go (e.h_len - 1) []
 
 let keys_of t ~owner =
   match Hashtbl.find_opt t.owners owner with
@@ -351,24 +361,18 @@ let keys_of t ~owner =
       go (o.o_len - 1) []
 
 let queue_length t ~key =
-  match find_entry t key with
-  | None -> 0
-  | Some e ->
-      Queue.fold
-        (fun acc w ->
-          if (not w.w_abandoned) && Fiber.is_pending w.w_resume then acc + 1
-          else acc)
-        0 e.queue
+  Queue.fold
+    (fun acc w ->
+      if (not w.w_abandoned) && Fiber.is_pending w.w_resume then acc + 1 else acc)
+    0 (find_entry t key).queue
 
 let all_held t =
   let acc = ref [] in
   Array.iter
-    (function
-      | None -> ()
-      | Some e ->
-          for i = e.h_len - 1 downto 0 do
-            acc := (e.e_key, e.h_owners.(i), e.h_modes.(i)) :: !acc
-          done)
+    (fun e ->
+      for i = e.h_len - 1 downto 0 do
+        acc := (e.e_key, e.h_owners.(i), e.h_modes.(i)) :: !acc
+      done)
     t.slots;
   !acc
 
@@ -376,17 +380,17 @@ let break_all t =
   (* resumes are queued through the engine, so firing them while
      walking the slot array cannot re-enter the table *)
   Array.iter
-    (function
-      | None -> ()
-      | Some e ->
-          Queue.iter
-            (fun w ->
-              Engine.cancel t.eng w.w_timer;
-              w.w_abandoned <- true;
-              if Fiber.is_pending w.w_resume then
-                Fiber.resume w.w_resume (Error Broken))
-            e.queue;
-          Queue.clear e.queue)
+    (fun e ->
+      if e.queue != t.vacant.queue then begin
+        Queue.iter
+          (fun w ->
+            Engine.cancel t.eng w.w_timer;
+            w.w_abandoned <- true;
+            if Fiber.is_pending w.w_resume then
+              Fiber.resume w.w_resume (Error Broken))
+          e.queue;
+        Queue.clear e.queue
+      end)
     t.slots
 
 let grants t = t.grants

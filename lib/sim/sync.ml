@@ -17,7 +17,7 @@ let rec wake_next waiters =
     else wake_next waiters
 
 module Mutex = struct
-  (* Every transaction family keeps a mutex, so a mutex stays small:
+  (* A mutex stays small, since a transaction family may build one:
      only a contended [lock] builds its enqueue closure. *)
   type t = {
     mutable held : bool;

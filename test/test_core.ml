@@ -132,6 +132,43 @@ let test_config_copy_independent () =
   copy.State.multicast <- true;
   Alcotest.(check bool) "original untouched" false base.State.multicast
 
+(* --- tracing ------------------------------------------------------- *)
+
+(* Per-transaction trace lines sit behind [State.tracing], so a
+   disabled trace costs one branch. Enabled, a distributed commit still
+   records its multicast and, once every ack is in, its "forgotten"
+   line. *)
+let test_traced_commit_records_guarded_lines () =
+  let c = Testutil.quiet_cluster ~sites:3 () in
+  Camelot.Cluster.each_config c (fun cfg -> cfg.State.multicast <- true);
+  let tm = Camelot.Cluster.tranman c 0 in
+  Camelot_sim.Trace.set_enabled (Tranman.trace tm) true;
+  let o =
+    Camelot_sim.Fiber.run (Camelot.Cluster.engine c) (fun () ->
+        let tid = Tranman.begin_transaction tm in
+        List.iter
+          (fun site ->
+            ignore
+              (Camelot.Cluster.op c ~origin:0 tid ~site
+                 (Camelot_server.Data_server.Write ("k", 1))
+                : int))
+          [ 0; 1; 2 ];
+        Tranman.commit tm tid)
+  in
+  Testutil.check_committed o;
+  Testutil.settle c 3000.0;
+  let messages =
+    List.map
+      (fun r -> r.Camelot_sim.Trace.message)
+      (Camelot_sim.Trace.dump (Tranman.trace tm))
+  in
+  let recorded what p =
+    Alcotest.(check bool) what true (List.exists p messages)
+  in
+  recorded "multicast line"
+    (String.starts_with ~prefix:"multicast -> [2,1]: Prepare(");
+  recorded "forgotten line" (String.ends_with ~suffix:"-acks in; forgotten")
+
 (* --- static analysis (Table 3 / §4.3 formulas) --------------------- *)
 
 let rt = Camelot_mach.Cost_model.rt
@@ -228,6 +265,11 @@ let () =
           Alcotest.test_case "record tid extraction" `Quick test_record_tid;
           Alcotest.test_case "protocol tid and printing" `Quick test_protocol_tid_and_pp;
           Alcotest.test_case "config copies are independent" `Quick test_config_copy_independent;
+        ] );
+      ( "tracing",
+        [
+          Alcotest.test_case "traced distributed commit records guarded lines" `Quick
+            test_traced_commit_records_guarded_lines;
         ] );
       ( "static_analysis",
         [

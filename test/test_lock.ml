@@ -415,6 +415,55 @@ let prop_timeout_interleavings =
       if Engine.pending eng <> 0 then violated := true;
       not !violated)
 
+(* Every key ever locked keeps its interned entry, so an entry's size
+   is what a wide key space costs for good. The budget sits about 10%
+   above today's cost of 25.3 words: the entry, its two 4-slot holder
+   arrays, the key string, its share of the slot array and the last
+   owner, which holder slot 0 still references. *)
+let test_retained_per_key () =
+  let eng, t = make () in
+  let n = 10_000 in
+  let keys = Array.init n (fun i -> "k" ^ string_of_int i) in
+  let before = Obj.reachable_words (Obj.repr t) in
+  Fiber.run eng (fun () ->
+      Array.iteri
+        (fun i key ->
+          let owner = o ~fam:i [] in
+          Lock_table.acquire t ~owner ~key x;
+          Lock_table.release_all t ~owner)
+        keys);
+  Alcotest.(check int) "nothing held" 0 (List.length (Lock_table.all_held t));
+  let per_key =
+    float_of_int (Obj.reachable_words (Obj.repr t) - before) /. float_of_int n
+  in
+  if per_key > 27.8 then
+    Alcotest.failf "%.1f retained words per key, budget 27.8" per_key
+
+(* Keys that were never waited on share one empty queue; a wait must
+   give its key a queue of its own. *)
+let test_wait_gets_own_queue () =
+  let eng, t = make () in
+  let a = o ~fam:1 [] and b = o ~fam:2 [] and c = o ~fam:3 [] in
+  Fiber.spawn eng (fun () ->
+      Lock_table.acquire t ~owner:a ~key:"idle" s;
+      Lock_table.acquire t ~owner:a ~key:"busy" x;
+      Fiber.sleep 10.0;
+      Lock_table.release_all t ~owner:a);
+  Fiber.spawn eng (fun () ->
+      Fiber.sleep 1.0;
+      Lock_table.acquire t ~owner:b ~key:"busy" x);
+  Fiber.spawn eng (fun () ->
+      Fiber.sleep 2.0;
+      Alcotest.(check int) "waiter queued on busy" 1
+        (Lock_table.queue_length t ~key:"busy");
+      Alcotest.(check int) "idle queue still empty" 0
+        (Lock_table.queue_length t ~key:"idle");
+      Alcotest.(check bool) "idle key grantable" true
+        (Lock_table.try_acquire t ~owner:c ~key:"idle" s));
+  Engine.run eng;
+  Alcotest.(check (option (of_pp Lock_table.pp_mode))) "waiter granted"
+    (Some x) (Lock_table.held t ~owner:b ~key:"busy")
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -433,7 +482,11 @@ let () =
           Alcotest.test_case "acquire_all merges duplicates" `Quick
             test_acquire_all_merges_duplicates;
           Alcotest.test_case "try_acquire" `Quick test_try_acquire;
+          Alcotest.test_case "a wait gets its own queue" `Quick
+            test_wait_gets_own_queue;
         ] );
+      ( "retained",
+        [ Alcotest.test_case "10k keys, words per key" `Quick test_retained_per_key ] );
       ( "timeout",
         [
           Alcotest.test_case "gives up" `Quick test_timeout_gives_up;

@@ -164,6 +164,35 @@ let test_commit_idempotent () =
       check_committed o1;
       check_committed o2)
 
+(* Every resolved family stays behind as a tombstone, so its size is
+   what each finished transaction costs for good. A read-only local
+   transaction grows the cluster by 38.0 words today: the family
+   record (23), its root member (4), its root identifier (3), its
+   one-server join list (3), its [families] bucket (4) and a share of
+   that table's growing bucket array. The budget sits about 10%
+   above. *)
+let test_retained_per_read_only_txn () =
+  let c = quiet_cluster ~sites:1 () in
+  let tm = Camelot.Cluster.tranman c 0 in
+  let run n =
+    Fiber.run (Camelot.Cluster.engine c) (fun () ->
+        for _ = 1 to n do
+          let tid = Tranman.begin_transaction tm in
+          ignore (Camelot.Cluster.op c ~origin:0 tid ~site:0 (Data_server.Read "x") : int);
+          check_committed (Tranman.commit tm tid)
+        done);
+    settle c 100.0
+  in
+  run 100;
+  let n = 2_000 in
+  let before = Obj.reachable_words (Obj.repr c) in
+  run n;
+  let per_txn =
+    float_of_int (Obj.reachable_words (Obj.repr c) - before) /. float_of_int n
+  in
+  if per_txn > 41.8 then
+    Alcotest.failf "%.1f retained words per transaction, budget 41.8" per_txn
+
 (* --- nesting ------------------------------------------------------- *)
 
 let test_nested_commit_into_parent () =
@@ -284,6 +313,42 @@ let test_top_commit_aborts_unresolved_children () =
   Alcotest.(check int) "parent committed" 1 (peek c 0 "p");
   Alcotest.(check int) "unresolved child aborted" 0 (peek c 0 "c")
 
+(* A top-level commit aborts its unresolved children deepest first,
+   ties in members-table order. [Hashtbl.create 8] rounds up to 16
+   buckets and first resizes at its 33rd entry, so 32 children and the
+   root cross that resize and this order depends on the root going in
+   first. It was recorded when every family built its table at
+   creation. *)
+let test_abort_order_across_resize () =
+  let c = quiet_cluster ~sites:1 () in
+  let tm = Camelot.Cluster.tranman c 0 in
+  let aborted = ref [] in
+  Tranman.register_server tm
+    {
+      State.sv_name = "stub";
+      sv_vote = (fun _ -> Protocol.Vote_yes { read_only = true });
+      sv_commit = ignore;
+      sv_abort = (fun tid -> aborted := Tid.to_string tid :: !aborted);
+      sv_subcommit = ignore;
+      sv_release = ignore;
+    };
+  let o =
+    Fiber.run (Camelot.Cluster.engine c) (fun () ->
+        let parent = Tranman.begin_transaction tm in
+        Tranman.join tm parent ~server:"stub";
+        for _ = 1 to 32 do
+          ignore (Tranman.begin_nested tm ~parent : Tid.t)
+        done;
+        Tranman.commit tm parent)
+  in
+  check_committed o;
+  Alcotest.(check (list string))
+    "abort order"
+    (List.map (Printf.sprintf "T0.0/%d")
+       [ 16; 2; 17; 18; 29; 25; 5; 12; 27; 28; 30; 31; 10; 3; 21; 9;
+         4; 0; 7; 20; 26; 14; 23; 6; 8; 15; 24; 19; 1; 22; 13; 11 ])
+    (List.rev !aborted)
+
 let () =
   Alcotest.run "camelot_txn"
     [
@@ -303,6 +368,8 @@ let () =
           Alcotest.test_case "unknown tid raises" `Quick test_unknown_tid_raises;
           Alcotest.test_case "descriptor GC (forget)" `Quick test_forget_gc;
           Alcotest.test_case "commit idempotent" `Quick test_commit_idempotent;
+          Alcotest.test_case "read-only tombstone budget" `Quick
+            test_retained_per_read_only_txn;
         ] );
       ( "nested",
         [
@@ -316,5 +383,7 @@ let () =
           Alcotest.test_case "grandchildren" `Quick test_grandchildren;
           Alcotest.test_case "top commit aborts unresolved children" `Quick
             test_top_commit_aborts_unresolved_children;
+          Alcotest.test_case "abort order across the members table's resize" `Quick
+            test_abort_order_across_resize;
         ] );
     ]
