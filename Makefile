@@ -34,8 +34,7 @@ bench:
 	dune exec bench/main.exe
 
 # Fast CI-friendly pass: best-of-3 short timings for every
-# microbenchmark plus the Part-1 reproduction wall clock, written to
-# the untracked BENCH.new.json.
+# microbenchmark, written to the untracked BENCH.new.json.
 bench-smoke:
 	dune exec bench/main.exe -- --quick --json BENCH.new.json
 

@@ -1,17 +1,12 @@
-(* The full benchmark harness.
+(* The wall-clock benchmark harness: Bechamel micro-benchmarks of the
+   library's own hot paths (the cost of simulating the systems, one
+   Test.make per reproduced artifact plus the core data structures).
 
-   Part 1 regenerates every table and figure of the paper's evaluation
-   (§4) from the simulation — the reproduction proper. Part 2 runs
-   Bechamel micro-benchmarks of the library's own hot paths (wall-clock
-   cost of simulating the systems, one Test.make per reproduced
-   artifact plus the core data structures).
-
-   The whole run is summarised into a machine-readable JSON baseline
-   (default [BENCH.new.json], override with [--json FILE]): every
-   micro-benchmark's ns/run and the Part 1 wall clock, for compare.exe
-   to hold against the committed BENCH.json. Every entry is wall clock spent by the simulator; the
-   modelled results Part 1 prints are pinned exactly by the tier-1
-   goldens in test/golden, not here.
+   Every micro-benchmark's ns/run is written to a machine-readable JSON
+   baseline (default [BENCH.new.json], override with [--json FILE]) for
+   compare.exe to hold against the committed BENCH.json. Every entry is
+   wall clock spent by the simulator; the modelled results are pinned
+   exactly by the tier-1 goldens in test/golden, not here.
 
    Usage: main.exe [--quick] [--json FILE]. --quick is a fast pass
    (fewer repetitions). Any other argument, or --json without a file,
@@ -37,27 +32,7 @@ let quick, json_path =
   parse false "BENCH.new.json" (List.tl (Array.to_list Sys.argv))
 
 (* ------------------------------------------------------------------ *)
-(* Part 1: the paper's tables and figures *)
-
-let reproduce () =
-  let reps = if quick then 40 else 150 in
-  let horizon_ms = if quick then 20_000.0 else 60_000.0 in
-  Camelot_experiments.Table1.run ();
-  Camelot_experiments.Table2.run ~reps ();
-  Camelot_experiments.Rpc_breakdown.run ~reps:(if quick then 200 else 1000) ();
-  Camelot_experiments.Fig2.run ~reps ();
-  Camelot_experiments.Table3.run ~reps ();
-  Camelot_experiments.Fig3.run ~reps ();
-  Camelot_experiments.Fig4.run ~horizon_ms ();
-  Camelot_experiments.Fig5.run ~horizon_ms ();
-  Camelot_experiments.Multicast.run ~reps:(if quick then 100 else 300) ();
-  Camelot_experiments.Ablations.run ~reps:(if quick then 30 else 80) ();
-  (* keep this last: everything above must stay byte-identical across
-     perf-only PRs, so new sections only ever append *)
-  ignore (Camelot_experiments.Throughput.run ~horizon_ms () : _ list)
-
-(* ------------------------------------------------------------------ *)
-(* Part 2: Bechamel micro-benchmarks *)
+(* Bechamel micro-benchmarks *)
 
 let bench_heap () =
   let h = Camelot_sim.Heap.create () in
@@ -267,10 +242,11 @@ let tests =
       Test.make ~name:"txn: closed-loop 8 workers/site, 1 s (gc on)"
         (Staged.stage (fun () ->
              ignore
-               (Camelot_experiments.Throughput.run_one
+               (Camelot_experiments.Closed_loop.run
+                  ~mix:Camelot_experiments.Closed_loop.Table3
                   ~logger:(Camelot.Cluster.Group_commit { window_ms = 0.0 })
-                  ~workers_per_site:8 ~horizon_ms:1000.0 ()
-                 : Camelot_experiments.Throughput.result)));
+                  ~sites:2 ~workers_per_site:8 ~horizon_ms:1000.0 ()
+                 : Camelot_experiments.Closed_loop.result)));
       Test.make ~name:"wal: 1k append+force batched"
         (Staged.stage bench_wal_batched);
       Test.make ~name:"wal: 1k append (plain)" (Staged.stage bench_wal_append);
@@ -281,10 +257,11 @@ let tests =
       Test.make ~name:"txn: closed-loop 4 sites, 8 workers/site, 1 s (gc on)"
         (Staged.stage (fun () ->
              ignore
-               (Camelot_experiments.Throughput.run_one ~sites:4
-                  ~logger:Camelot.Cluster.Adaptive ~workers_per_site:8
-                  ~horizon_ms:1000.0 ()
-                 : Camelot_experiments.Throughput.result)));
+               (Camelot_experiments.Closed_loop.run
+                  ~mix:Camelot_experiments.Closed_loop.Table3
+                  ~logger:Camelot.Cluster.Adaptive ~sites:4
+                  ~workers_per_site:8 ~horizon_ms:1000.0 ()
+                 : Camelot_experiments.Closed_loop.result)));
     ]
 
 (* The timer-scaling group runs AFTER (and apart from) the main
@@ -382,12 +359,11 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let write_baseline ~path ~repro_wall_clock_s estimates =
+let write_baseline ~path estimates =
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"schema\": \"camelot-bench/1\",\n";
   Printf.fprintf oc "  \"quick\": %b,\n" quick;
-  Printf.fprintf oc "  \"reproduction_wall_clock_s\": %.6f,\n" repro_wall_clock_s;
   Printf.fprintf oc "  \"benchmarks_ns_per_run\": {\n";
   let n = List.length estimates in
   List.iteri
@@ -403,10 +379,7 @@ let write_baseline ~path ~repro_wall_clock_s estimates =
   Printf.printf "bench: baseline written to %s\n" path
 
 let () =
-  let t0 = Unix.gettimeofday () in
-  reproduce ();
-  let repro_wall_clock_s = Unix.gettimeofday () -. t0 in
   let estimates = micro_benchmarks () in
-  write_baseline ~path:json_path ~repro_wall_clock_s estimates;
+  write_baseline ~path:json_path estimates;
   print_newline ();
   print_endline "bench: done."

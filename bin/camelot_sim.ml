@@ -21,9 +21,15 @@ let pos_float =
   positive Arg.float ~what:"a positive finite number" ~ok:(fun x ->
       x > 0.0 && Float.is_finite x)
 
+(* The latency experiments drop their first warm-up repetitions, so a
+   count at or below it measures nothing: zero tables, or a crash on an
+   empty sample. *)
 let reps =
-  let doc = "Repetitions for latency experiments." in
-  Arg.(value & opt pos_int 150 & info [ "reps" ] ~docv:"N" ~doc)
+  let warmup = Camelot_experiments.Workload.warmup in
+  let doc = Printf.sprintf "Repetitions for latency experiments (above %d)." warmup in
+  let above = Printf.sprintf "an integer above %d" warmup in
+  let reps = positive Arg.int ~what:above ~ok:(fun n -> n > warmup) in
+  Arg.(value & opt reps 150 & info [ "reps" ] ~docv:"N" ~doc)
 
 let horizon =
   let doc = "Virtual milliseconds per throughput run." in
@@ -322,7 +328,7 @@ let cmds =
        Arg.(value & opt pos_int 100_000 & info [ "records" ] ~docv:"N" ~doc)
      in
      experiment "recovery-sweep"
-       "Recovery scaling: dependency-partitioned parallel replay at 1/2/4/8 \
+       "Recovery scaling: parallel replay partitioned by key hash at 1/2/4/8 \
         partitions."
        Term.(
          const (fun records () ->

@@ -297,24 +297,11 @@ let with_family_lock fam f =
 
 let endpoint_of st site_id = Hashtbl.find_opt st.directory site_id
 
-(* Message accounting hook: the shootout experiment and the
-   message-count conformance test install one to tally datagrams per
-   transaction. Fires once per destination, for unicast, piggybacked
-   and multicast sends alike. *)
-let on_send : (src:Site.id -> dst:Site.id -> Protocol.t -> unit) option ref =
-  ref None
-
-let count_send st ~dst msg =
-  match !on_send with
-  | None -> ()
-  | Some f -> f ~src:(Site.id st.site) ~dst msg
-
 let send st ~dst msg =
   match endpoint_of st dst with
   | None -> if tracing st then tracef st "send" "no endpoint for site %d" dst
   | Some ep ->
       if tracing st then tracef st "send" "-> %d: %a" dst Protocol.pp msg;
-      count_send st ~dst msg;
       Camelot_net.Lan.send st.lan ~src:st.site ep msg
 
 let send_piggybacked st ~dst msg =
@@ -323,7 +310,6 @@ let send_piggybacked st ~dst msg =
   | Some ep ->
       if tracing st then
         tracef st "send" "-> %d (piggyback): %a" dst Protocol.pp msg;
-      count_send st ~dst msg;
       Camelot_net.Lan.send_piggybacked st.lan ~src:st.site ep msg
 
 (* Coordinator fan-out: one multicast or a serialized train of unicasts
@@ -335,7 +321,6 @@ let fan_out st ~dsts msg =
       tracef st "send" "multicast -> [%s]: %a"
         (String.concat "," (List.map string_of_int dsts))
         Protocol.pp msg;
-    List.iter (fun dst -> count_send st ~dst msg) dsts;
     Camelot_net.Lan.multicast st.lan ~src:st.site eps msg
   end
   else List.iter (fun dst -> send st ~dst msg) dsts

@@ -191,11 +191,6 @@ val with_family_lock : family -> (unit -> 'a) -> 'a
 
 (** {1 Messaging} *)
 
-(** Message accounting hook: installed by the shootout experiment and
-    the message-count conformance test to tally datagrams. Fires once
-    per destination for unicast, piggybacked and multicast sends. *)
-val on_send : (src:Site.id -> dst:Site.id -> Protocol.t -> unit) option ref
-
 val send : t -> dst:Site.id -> Protocol.t -> unit
 val send_piggybacked : t -> dst:Site.id -> Protocol.t -> unit
 

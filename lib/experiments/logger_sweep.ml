@@ -1,7 +1,7 @@
 (* Logger-bottleneck sweep: where does the log stop being the
    bottleneck, and which write-out policy gets there first?
 
-   Three policies over the closed-loop Table-3 mix of [Throughput]:
+   Three policies over the closed-loop Table-3 mix of [Closed_loop]:
 
    - naive:    every commit force is its own platter write (group
                commit off) — the §3.5 strawman;
@@ -34,10 +34,15 @@ let collect ?(horizon_ms = 20_000.0) () =
     (fun sites ->
       List.map
         (fun workers ->
+          (* a commit counts once at every site that resolves it, so a
+             distributed update counts at each of its sites *)
           let tps logger =
-            (Throughput.run_one ~sites ~logger ~workers_per_site:workers
-               ~horizon_ms ())
-              .Throughput.tps
+            let r =
+              Closed_loop.run ~mix:Closed_loop.Table3 ~logger ~sites
+                ~workers_per_site:workers ~horizon_ms ()
+            in
+            float_of_int (Camelot.Metrics.total_committed r.Closed_loop.metrics)
+            /. (horizon_ms /. 1000.0)
           in
           {
             sweep_sites = sites;

@@ -1,4 +1,4 @@
-(* Open-loop traffic rig: unlike the closed loop in [Throughput], where
+(* Open-loop traffic rig: unlike the closed loop in [Closed_loop], where
    a worker only offers its next transaction after the previous one
    returns (so offered load self-throttles at saturation), here every
    arrival is scheduled as its own engine timer up front — the offered

@@ -2,7 +2,7 @@
     queue-sharded execution across dozens of sites, reporting latency
     tails (p50/p99/p999), abort rate, and the saturation knee.
 
-    Where {!Throughput} is closed-loop (offered load self-throttles at
+    Where {!Closed_loop} is closed-loop (offered load self-throttles at
     saturation, hiding the tails), this rig schedules one engine timer
     per arrival — the offered rate never yields, so past the knee the
     dispatch queues grow, p99 blows up, and the backlog column shows

@@ -1,6 +1,6 @@
-(* Recovery-scaling sweep: dependency-partitioned parallel replay
-   (Yao et al.), where each key's update chain is one dependency chain
-   and partitions group chains by key hash.
+(* Recovery-scaling sweep: partitioned parallel replay (Yao et al.),
+   where updates are bucketed by the hash of their (server, key), so
+   each key's update chain replays in one partition.
 
    One site is loaded with a ~100k-record log — updates spread over a
    few hundred keys, committed in batches of 16 — then crashed and
@@ -85,6 +85,8 @@ let run ?records () =
   (match points with
   | [] -> ()
   | p :: _ ->
+      (* the wording predates key-hash bucketing; the recovery_sweep
+         golden pins it until the next recovery re-baseline *)
       Report.header
         (Printf.sprintf
            "Recovery scaling: dependency-partitioned replay of a %d-record \

@@ -4,13 +4,12 @@
    the table reports what each protocol's extra machinery costs — and
    buys — in latency, variance, aborts and messages per transaction.
 
-   Every transaction updates one key at every site (sites touched in
-   ascending order, so multi-site lock acquisition follows one global
-   hierarchy), which is the worst case for the commit path: every
-   participant votes, every force is on the critical path.
-   [State.on_send] tallies protocol datagrams; messages/txn at F = 0
-   versus F = 1 shows the acceptor fan-out the Paxos variant pays for
-   surviving a coordinator crash without blocking. *)
+   Every transaction updates one key at every site, which is the worst
+   case for the commit path: every participant votes, every force is
+   on the critical path. Messages/txn counts every datagram the
+   cluster's LAN carried; at F = 0 versus F = 1 it shows the acceptor
+   fan-out the Paxos variant pays for surviving a coordinator crash
+   without blocking. *)
 
 open Camelot_sim
 open Camelot_core
@@ -27,96 +26,40 @@ type row = {
   sh_msgs_per_txn : float;
 }
 
-(* A wide-enough key space that lock queueing stays a minor term:
-   the table is about the commit path (forces, datagrams, quorum
-   waits), not about lock convoys — though the occasional conflict
-   keeps the abort column honest. *)
-let keys_per_site = 64
-
-let think_mean_ms = 50.0
-
-let run_one ?(seed = 11) ?(sites = 3) ?(workers_per_site = 2)
-    ?(horizon_ms = 20_000.0) ~name ~protocol ~paxos_f () =
-  let config = State.default_config ~threads:workers_per_site () in
-  config.State.paxos_f <- paxos_f;
-  (* a latency table, not a failure drill: keep the inquiry and
-     takeover watchdogs out of the fault-free runs even when queueing
-     stretches a commit past the default silence thresholds *)
-  config.State.vote_timeout_ms <- 2_000.0;
-  config.State.subordinate_timeout_ms <- 10_000.0;
-  let c =
-    Camelot.Cluster.create ~seed ~model:Camelot_mach.Cost_model.vax ~config
-      ~sites ()
-  in
-  let lat = Stats.create () in
-  let committed = ref 0 and aborted = ref 0 in
-  let msgs = ref 0 in
-  for site = 0 to sites - 1 do
-    let node = Camelot.Cluster.node c site in
-    let tm = Camelot.Cluster.tranman c site in
-    for w = 0 to workers_per_site - 1 do
-      let rng = Rng.create ~seed:(seed + (site * 8191) + (w * 131) + 1) in
-      Camelot_mach.Site.spawn node.Camelot.Cluster.site (fun () ->
-          let rec loop () =
-            if Fiber.now () < horizon_ms then begin
-              Fiber.sleep (Rng.exponential rng ~mean:think_mean_ms);
-              if Fiber.now () < horizon_ms then begin
-                let t0 = Fiber.now () in
-                let tid = Tranman.begin_transaction tm in
-                let key =
-                  Printf.sprintf "k%d" (Rng.int_below rng keys_per_site)
-                in
-                for s = 0 to sites - 1 do
-                  ignore
-                    (Camelot.Cluster.op c ~origin:site tid ~site:s
-                       (Camelot_server.Data_server.Add (key, 1))
-                      : int)
-                done;
-                (match Tranman.commit tm ~protocol tid with
-                | Protocol.Committed ->
-                    incr committed;
-                    Stats.add lat (Fiber.now () -. t0)
-                | Protocol.Aborted -> incr aborted);
-                loop ()
-              end
-            end
-          in
-          loop ())
-    done
-  done;
-  State.on_send := Some (fun ~src:_ ~dst:_ (_ : Protocol.t) -> incr msgs);
-  Fun.protect
-    ~finally:(fun () -> State.on_send := None)
-    (fun () -> Camelot.Cluster.run ~until:horizon_ms c);
-  let decided = !committed + !aborted in
-  {
-    sh_name = name;
-    sh_committed = !committed;
-    sh_aborted = !aborted;
-    sh_abort_rate =
-      (if decided = 0 then 0.0
-       else float_of_int !aborted /. float_of_int decided);
-    sh_mean_ms = (if Stats.count lat = 0 then 0.0 else Stats.mean lat);
-    sh_sd_ms = (if Stats.count lat = 0 then 0.0 else Stats.stddev lat);
-    sh_p50_ms = (if Stats.count lat = 0 then 0.0 else Stats.median lat);
-    sh_p99_ms = (if Stats.count lat = 0 then 0.0 else Stats.percentile lat 99.0);
-    sh_msgs_per_txn =
-      (if decided = 0 then 0.0 else float_of_int !msgs /. float_of_int decided);
-  }
-
 let contenders =
+  let all_sites protocol paxos_f = Closed_loop.All_sites { protocol; paxos_f } in
   [
-    ("2pc", Protocol.Two_phase, 0);
-    ("nonblocking", Protocol.Nonblocking, 0);
-    ("paxos F=0", Protocol.Paxos_commit, 0);
-    ("paxos F=1", Protocol.Paxos_commit, 1);
-    ("short-commit", Protocol.Short_commit, 0);
+    ("2pc", all_sites Protocol.Two_phase 0);
+    ("nonblocking", all_sites Protocol.Nonblocking 0);
+    ("paxos F=0", all_sites Protocol.Paxos_commit 0);
+    ("paxos F=1", all_sites Protocol.Paxos_commit 1);
+    ("short-commit", all_sites Protocol.Short_commit 0);
   ]
 
-let collect ?sites ?workers_per_site ?horizon_ms () =
+let row name (r : Closed_loop.result) =
+  let decided = r.Closed_loop.committed + r.Closed_loop.aborted in
+  let per_decided n =
+    if decided = 0 then 0.0 else float_of_int n /. float_of_int decided
+  in
+  let lat = r.Closed_loop.latency in
+  let stat f = if Stats.count lat = 0 then 0.0 else f lat in
+  {
+    sh_name = name;
+    sh_committed = r.Closed_loop.committed;
+    sh_aborted = r.Closed_loop.aborted;
+    sh_abort_rate = per_decided r.Closed_loop.aborted;
+    sh_mean_ms = stat Stats.mean;
+    sh_sd_ms = stat Stats.stddev;
+    sh_p50_ms = stat Stats.median;
+    sh_p99_ms = stat (fun s -> Stats.percentile s 99.0);
+    sh_msgs_per_txn =
+      per_decided r.Closed_loop.metrics.Camelot.Metrics.datagrams_sent;
+  }
+
+let collect ?(sites = 3) ?(workers_per_site = 2) ?(horizon_ms = 20_000.0) () =
   List.map
-    (fun (name, protocol, paxos_f) ->
-      run_one ?sites ?workers_per_site ?horizon_ms ~name ~protocol ~paxos_f ())
+    (fun (name, mix) ->
+      row name (Closed_loop.run ~mix ~sites ~workers_per_site ~horizon_ms ()))
     contenders
 
 let run ?sites ?workers_per_site ?horizon_ms () =

@@ -15,26 +15,12 @@ type row = {
   sh_sd_ms : float;
   sh_p50_ms : float;
   sh_p99_ms : float;
-  sh_msgs_per_txn : float;  (** protocol datagrams / decided transactions *)
+  sh_msgs_per_txn : float;  (** LAN datagrams / decided transactions *)
 }
 
-(** One cluster run under one protocol. Defaults: 3 sites, 4 workers
-    per site, 20 s virtual horizon, VAX cost model. *)
-val run_one :
-  ?seed:int ->
-  ?sites:int ->
-  ?workers_per_site:int ->
-  ?horizon_ms:float ->
-  name:string ->
-  protocol:Camelot_core.Protocol.commit_protocol ->
-  paxos_f:int ->
-  unit ->
-  row
-
-(** The five contenders: name, protocol, F. *)
-val contenders : (string * Camelot_core.Protocol.commit_protocol * int) list
-
-(** Run every contender on identical cluster shapes. *)
+(** Run the five contenders (2PC, non-blocking, Paxos F=0 and F=1,
+    short-commit) on identical cluster shapes. Defaults: 3 sites, 2
+    workers per site, 20 s virtual horizon. *)
 val collect :
   ?sites:int -> ?workers_per_site:int -> ?horizon_ms:float -> unit -> row list
 

@@ -24,8 +24,10 @@ let state_variant = function
   | Semi_optimized_write -> State.Semi_optimized
   | Unoptimized_write -> State.Unoptimized
 
-let minimal_transactions ?(seed = 42) ?(multicast = false) ?(warmup = 3)
-    ~protocol ~variant ~subordinates ~reps () =
+let warmup = 3
+
+let minimal_transactions ?(seed = 42) ?(multicast = false) ~protocol ~variant
+    ~subordinates ~reps () =
   let c = Camelot.Cluster.create ~seed ~sites:(subordinates + 1) () in
   Camelot.Cluster.each_config c (fun cfg ->
       cfg.State.two_phase_variant <- state_variant variant;

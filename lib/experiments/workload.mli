@@ -23,20 +23,23 @@ type latency_result = {
       (** the raw latency samples, for distribution plots *)
 }
 
+(** Leading repetitions {!minimal_transactions} runs but does not
+    measure (3). *)
+val warmup : int
+
 (** [minimal_transactions ~protocol ~variant ~subordinates ~reps ()]
     runs the §4.2 basic experiment: [reps] back-to-back minimal
     transactions (one small operation at one server at each site,
     always the same data element — so lock contention between
     consecutive transactions arises exactly as in the paper) from an
     application at site 0, against [subordinates]+1 sites on the RT
-    cost model.
+    cost model. The first {!warmup} repetitions are dropped, so [reps]
+    must exceed it for any sample to be measured.
     @param multicast coordinator fan-out by multicast (default false)
-    @param seed determinism (default 42)
-    @param warmup dropped leading repetitions (default 3). *)
+    @param seed determinism (default 42) *)
 val minimal_transactions :
   ?seed:int ->
   ?multicast:bool ->
-  ?warmup:int ->
   protocol:Protocol.commit_protocol ->
   variant:variant ->
   subordinates:int ->

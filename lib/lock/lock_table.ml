@@ -141,13 +141,18 @@ let holder_add e owner mode =
   e.h_len <- e.h_len + 1
 
 (* Swap-remove; repoint the vacated slot at a live owner so the array
-   never retains a released one beyond [h_len]. *)
+   never retains a released one beyond [h_len]. An emptied set drops
+   its arrays, as a fresh entry has none. *)
 let holder_remove_at e i =
   let last = e.h_len - 1 in
   e.h_owners.(i) <- e.h_owners.(last);
   e.h_modes.(i) <- e.h_modes.(last);
-  if last > 0 then e.h_owners.(last) <- e.h_owners.(0);
-  e.h_len <- last
+  e.h_owners.(last) <- e.h_owners.(0);
+  e.h_len <- last;
+  if last = 0 then begin
+    e.h_owners <- [||];
+    e.h_modes <- [||]
+  end
 
 (* --- per-owner index ----------------------------------------------- *)
 

@@ -161,6 +161,82 @@ let test_multicast_reduces_variance () =
     true
     (abs_float (mean m -. mean u) < 0.15 *. mean u)
 
+(* --- extension claims, on the goldens' own runs --------------------- *)
+
+let claim msg ok = Alcotest.(check bool) msg true ok
+
+(* The runs behind shootout.expected: `camelot_sim shootout`. *)
+let shootout_rows = lazy (Shootout.collect ())
+
+let shootout name =
+  List.find (fun r -> r.Shootout.sh_name = name) (Lazy.force shootout_rows)
+
+let msgs name = (shootout name).Shootout.sh_msgs_per_txn
+
+let test_shootout_no_aborts () =
+  List.iter
+    (fun r -> Alcotest.(check int) (r.Shootout.sh_name ^ " aborts") 0 r.Shootout.sh_aborted)
+    (Lazy.force shootout_rows)
+
+let test_shootout_message_order () =
+  let order = [ "short-commit"; "2pc"; "nonblocking"; "paxos F=1" ] in
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> msgs a < msgs b && ascending rest
+    | [ _ ] | [] -> true
+  in
+  claim
+    (String.concat " < " (List.map (fun n -> Printf.sprintf "%s %.2f" n (msgs n)) order))
+    (ascending order)
+
+let test_shootout_paxos_f0_rides_2pc () =
+  let pax = msgs "paxos F=0" and two = msgs "2pc" in
+  claim
+    (Printf.sprintf "Paxos F=0 %.2f within 0.1 of 2PC %.2f msgs/txn" pax two)
+    (abs_float (pax -. two) < 0.1)
+
+let test_shootout_nb_latency_ratio () =
+  let mean name = (shootout name).Shootout.sh_mean_ms in
+  let ratio = mean "nonblocking" /. mean "2pc" in
+  claim (Printf.sprintf "1 < NB/2PC mean latency (%.2f) < 2" ratio) (ratio > 1.0 && ratio < 2.0)
+
+(* The runs behind logger_sweep_20s.expected:
+   `camelot_sim logger-sweep --horizon 20000`. *)
+let sweep_points = lazy (Logger_sweep.collect ~horizon_ms:20_000.0 ())
+
+let sweep_at sites =
+  List.filter (fun p -> p.Logger_sweep.sweep_sites = sites) (Lazy.force sweep_points)
+
+let peak tps points = List.fold_left (fun acc p -> max acc (tps p)) 0.0 points
+
+let test_sweep_adaptive_never_slower () =
+  List.iter
+    (fun (p : Logger_sweep.point) ->
+      claim
+        (Printf.sprintf "%d sites x %d workers: adaptive %.1f >= naive %.1f, fixed %.1f"
+           p.sweep_sites p.sweep_workers p.adaptive_tps p.naive_tps p.fixed_tps)
+        (p.adaptive_tps >= p.naive_tps && p.adaptive_tps >= p.fixed_tps))
+    (Lazy.force sweep_points)
+
+let test_sweep_fixed_peak_beats_naive () =
+  List.iter
+    (fun sites ->
+      let naive = peak (fun p -> p.Logger_sweep.naive_tps) (sweep_at sites) in
+      let fixed = peak (fun p -> p.Logger_sweep.fixed_tps) (sweep_at sites) in
+      claim
+        (Printf.sprintf "%d sites: fixed peak %.1f > naive peak %.1f" sites fixed naive)
+        (fixed > naive))
+    Logger_sweep.site_range
+
+(* Past its knee the naive logger loses throughput: added workers only
+   queue on the serial platter. *)
+let test_sweep_naive_falls_past_knee () =
+  let points = sweep_at 2 in
+  let knee = peak (fun p -> p.Logger_sweep.naive_tps) points in
+  let last = (List.nth points (List.length points - 1)).Logger_sweep.naive_tps in
+  claim
+    (Printf.sprintf "2-site naive falls from its peak %.1f to %.1f" knee last)
+    (last < 0.9 *. knee)
+
 (* --- workload sanity ------------------------------------------------ *)
 
 let test_mixed_fraction_interpolates () =
@@ -205,5 +281,22 @@ let () =
       ( "multicast",
         [
           Alcotest.test_case "variance reduction" `Slow test_multicast_reduces_variance;
+        ] );
+      ( "claims",
+        [
+          Alcotest.test_case "shootout: no protocol aborts" `Slow
+            test_shootout_no_aborts;
+          Alcotest.test_case "shootout: msgs/txn order" `Slow
+            test_shootout_message_order;
+          Alcotest.test_case "shootout: Paxos F=0 rides 2PC" `Slow
+            test_shootout_paxos_f0_rides_2pc;
+          Alcotest.test_case "shootout: NB/2PC latency in (1, 2)" `Slow
+            test_shootout_nb_latency_ratio;
+          Alcotest.test_case "logger sweep: adaptive never slower" `Slow
+            test_sweep_adaptive_never_slower;
+          Alcotest.test_case "logger sweep: fixed peak beats naive" `Slow
+            test_sweep_fixed_peak_beats_naive;
+          Alcotest.test_case "logger sweep: naive falls past its knee" `Slow
+            test_sweep_naive_falls_past_knee;
         ] );
     ]

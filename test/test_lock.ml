@@ -417,9 +417,8 @@ let prop_timeout_interleavings =
 
 (* Every key ever locked keeps its interned entry, so an entry's size
    is what a wide key space costs for good. The budget sits about 10%
-   above today's cost of 25.3 words: the entry, its two 4-slot holder
-   arrays, the key string, its share of the slot array and the last
-   owner, which holder slot 0 still references. *)
+   above today's cost of 12.3 words: the entry, the key string and its
+   share of the slot array. A released key keeps no holder arrays. *)
 let test_retained_per_key () =
   let eng, t = make () in
   let n = 10_000 in
@@ -436,8 +435,27 @@ let test_retained_per_key () =
   let per_key =
     float_of_int (Obj.reachable_words (Obj.repr t) - before) /. float_of_int n
   in
-  if per_key > 27.8 then
-    Alcotest.failf "%.1f retained words per key, budget 27.8" per_key
+  if per_key > 13.5 then
+    Alcotest.failf "%.1f retained words per key, budget 13.5" per_key
+
+(* The table outlives the transactions that lock through it, so a
+   released owner must not stay reachable from the key it held. *)
+let test_released_owner_collectable () =
+  let eng, t = make () in
+  let weak = Weak.create 1 in
+  (* a function of its own, so no slot of this frame keeps the owner *)
+  let lock_once () =
+    let owner = { fam = Sys.opaque_identity 7; path = [] } in
+    Weak.set weak 0 (Some owner);
+    Fiber.run eng (fun () ->
+        Lock_table.acquire t ~owner ~key:"k" x;
+        Lock_table.release_all t ~owner)
+  in
+  lock_once ();
+  Gc.full_major ();
+  Alcotest.(check bool) "released owner collected" false (Weak.check weak 0);
+  Alcotest.(check int) "key still interned, unheld" 0
+    (List.length (Lock_table.holders t ~key:"k"))
 
 (* Keys that were never waited on share one empty queue; a wait must
    give its key a queue of its own. *)
@@ -486,7 +504,11 @@ let () =
             test_wait_gets_own_queue;
         ] );
       ( "retained",
-        [ Alcotest.test_case "10k keys, words per key" `Quick test_retained_per_key ] );
+        [
+          Alcotest.test_case "10k keys, words per key" `Quick test_retained_per_key;
+          Alcotest.test_case "released owner collectable" `Quick
+            test_released_owner_collectable;
+        ] );
       ( "timeout",
         [
           Alcotest.test_case "gives up" `Quick test_timeout_gives_up;

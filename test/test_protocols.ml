@@ -158,7 +158,7 @@ let test_2pc_paxos_f0_identical_outcomes () =
 (* --- message-count accounting (fault-free commit path) ------------- *)
 
 (* One update transaction from site 0 touching both other sites, under
-   pinned presumed abort; [State.on_send] tallies every datagram until
+   pinned presumed abort; the cluster's LAN counts every datagram until
    the cluster quiesces. At F = 0 the sole Paxos acceptor rides the
    coordinator, votes travel as ballot-0 acceptances over the same
    datagram count as 2PC votes, and the acceptance self-hand-off is
@@ -169,21 +169,16 @@ let count_messages ~protocol ~paxos_f =
   cfg.State.presumption <- State.Presume_abort;
   cfg.State.paxos_f <- paxos_f;
   let c = quiet_cluster ~config:cfg ~sites:3 () in
-  let total = ref 0 in
-  State.on_send := Some (fun ~src:_ ~dst:_ (_ : Protocol.t) -> incr total);
-  Fun.protect
-    ~finally:(fun () -> State.on_send := None)
-    (fun () ->
-      Camelot_sim.Fiber.run (Camelot.Cluster.engine c) (fun () ->
-          let t =
-            Workload.start_txn c ~label:"msg" ~protocol ~origin:0
-              ~writes:[ (0, "ka", 1); (1, "kb", 2); (2, "kc", 3) ]
-          in
-          wait_until ~what:"committed" (fun () ->
-              !(t.Workload.x_result) = Some Protocol.Committed);
-          (* let the outcome notices, acks and End settle *)
-          Camelot_sim.Fiber.sleep 5000.0));
-  !total
+  Camelot_sim.Fiber.run (Camelot.Cluster.engine c) (fun () ->
+      let t =
+        Workload.start_txn c ~label:"msg" ~protocol ~origin:0
+          ~writes:[ (0, "ka", 1); (1, "kb", 2); (2, "kc", 3) ]
+      in
+      wait_until ~what:"committed" (fun () ->
+          !(t.Workload.x_result) = Some Protocol.Committed);
+      (* let the outcome notices, acks and End settle *)
+      Camelot_sim.Fiber.sleep 5000.0);
+  Camelot_net.Lan.sent (Camelot.Cluster.lan c)
 
 let test_message_counts () =
   let m2pc = count_messages ~protocol:Protocol.Two_phase ~paxos_f:0 in
