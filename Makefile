@@ -11,23 +11,24 @@ test:
 # fault-schedule explorer. It writes no tracked file.
 check: build test bench-smoke bench-compare chaos-smoke
 
-# Bounded deterministic fault-injection sweep (~a second of wall
-# clock): enumerates crash/partition/drop singles at every registered
-# fault point for both commit protocols, then random pairs, and fails
-# on any oracle violation or uncovered fault point.
+# Bounded deterministic fault-injection search (~a second of wall
+# clock): runs the crash/partition/drop singles at every registered
+# fault point for every commit protocol, then mutates the schedules
+# that grew coverage, and fails on any oracle violation or uncovered
+# fault point.
 chaos-smoke:
 	dune exec bin/camelot_sim.exe -- chaos --budget 1200 --seed 42
 
-# Deep coverage-guided fuzzing pass (~2 min): 100k schedules mutated
-# from a persistent corpus under CHAOS_CORPUS (reused across runs, so
-# later sessions start from everything earlier ones found). JOBS > 1
-# splits the budget over that many parallel fuzzing domains sharing
+# Deep pass of the same search (~20 s on a 2-core host): 100k schedules
+# mutated from a persistent corpus under CHAOS_CORPUS (reused across
+# runs, so later sessions start from everything earlier ones found).
+# JOBS > 1 splits the budget over that many parallel domains sharing
 # the corpus. Not part of `make check` — run it before
 # protocol-touching changes land.
 CHAOS_CORPUS ?= _chaos_corpus
 JOBS ?= 1
 chaos-deep:
-	dune exec bin/camelot_sim.exe -- chaos --fuzz --budget 100000 --seed 42 \
+	dune exec bin/camelot_sim.exe -- chaos --budget 100000 --seed 42 \
 		--corpus $(CHAOS_CORPUS) --jobs $(JOBS)
 
 bench:

@@ -66,11 +66,11 @@ let all_cmd =
 
 let chaos_cmd =
   let budget =
-    let doc = "Fault schedules to run (enumerated singles, then random pairs)." in
+    let doc = "Fault schedules to run, shrinking runs included." in
     Arg.(value & opt pos_int 1200 & info [ "budget" ] ~docv:"N" ~doc)
   in
   let seed =
-    let doc = "Seed for the randomized schedule generator." in
+    let doc = "Seed for the search's corpus picks and mutations." in
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc)
   in
   let schedule =
@@ -91,33 +91,22 @@ let chaos_cmd =
     in
     Arg.(value & flag & info [ "inject-bug" ] ~doc)
   in
-  let fuzz =
-    let doc =
-      "Coverage-guided fuzzing instead of enumerate+random: schedules that \
-       grow (fault-point x hit x phase) tuple coverage enter a corpus and \
-       are mutated preferentially."
-    in
-    Arg.(value & flag & info [ "fuzz" ] ~doc)
-  in
   let corpus =
     let doc =
-      "Corpus directory for --fuzz: interesting schedules are persisted here \
-       and reloaded on the next run. Defaults to $(b,CAMELOT_CORPUS) if set."
+      "Corpus directory: schedules that grew coverage are persisted here \
+       and reloaded on the next run."
     in
-    Arg.(
-      value
-      & opt (some string) (Sys.getenv_opt "CAMELOT_CORPUS")
-      & info [ "corpus" ] ~docv:"DIR" ~doc)
+    Arg.(value & opt (some string) None & info [ "corpus" ] ~docv:"DIR" ~doc)
   in
   let jobs =
     let doc =
-      "Parallel fuzzing jobs for --fuzz, one OCaml domain each. The budget \
-       is split across jobs; a shared --corpus merges their finds by \
-       coverage signature."
+      "Parallel search jobs, one OCaml domain each. The budget is split \
+       across jobs; a shared --corpus merges their finds by coverage \
+       signature."
     in
     Arg.(value & opt pos_int 1 & info [ "jobs" ] ~docv:"N" ~doc)
   in
-  let run budget seed schedule workload inject_bug fuzz corpus jobs () =
+  let run budget seed schedule workload inject_bug corpus jobs () =
     let open Camelot_chaos_explorer in
     let mutate_config c =
       if inject_bug then c.Camelot_core.State.unsafe_skip_prepare_force <- true
@@ -148,11 +137,8 @@ let chaos_cmd =
           if n mod 100 = 0 then Printf.eprintf "chaos: %d/%d schedules\n%!" n total
         in
         let r =
-          if fuzz then
-            Explorer.fuzz ~mutate_config ~budget ~seed ~jobs
-              ?corpus_dir:corpus ?workloads ~progress ()
-          else
-            Explorer.explore ~mutate_config ~budget ~seed ?workloads ~progress ()
+          Explorer.fuzz ~mutate_config ~budget ~seed ~jobs ?corpus_dir:corpus
+            ?workloads ~progress ()
         in
         Format.printf "%a" Explorer.pp_report r;
         if inject_bug then begin
@@ -188,10 +174,10 @@ let chaos_cmd =
         end
   in
   experiment "chaos"
-    "Deterministic fault-schedule explorer/fuzzer with AC1-AC5 oracles."
+    "Coverage-guided fault-schedule explorer with AC1-AC5 oracles."
     Term.(
-      const run $ budget $ seed $ schedule $ workload $ inject_bug $ fuzz
-      $ corpus $ jobs $ const ())
+      const run $ budget $ seed $ schedule $ workload $ inject_bug $ corpus
+      $ jobs $ const ())
 
 let cmds =
   [

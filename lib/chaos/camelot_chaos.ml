@@ -4,9 +4,11 @@ exception Killed
 
 type kind = Step | Choice
 type action = Pass | Deny | Kill
+type note = Votes of int | Ballot of int | Quorum_commit | Quorum_abort
 
 type sink = {
   on_hit : point:string -> site:int -> action;
+  on_note : site:int -> note -> unit;
   crash : site:int -> unit;
 }
 
@@ -15,10 +17,10 @@ type sink = {
    plain shared state is fine. *)
 let points : (string, kind) Hashtbl.t = Hashtbl.create 32
 
-(* The sink and the notes are domain-local: each OCaml domain gets its
-   own slot, so parallel fuzz jobs (one explorer per domain) attach and
-   drive their own sinks without seeing each other. Code running on a
-   domain whose slot is empty sees the hooks as detached no-ops. *)
+(* The sink is domain-local: each OCaml domain gets its own slot, so
+   parallel fuzz jobs (one explorer per domain) attach and drive their
+   own sinks without seeing each other. Code running on a domain whose
+   slot is empty sees the hooks as detached no-ops. *)
 let sink : sink option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -30,7 +32,9 @@ let registered () =
   Hashtbl.fold (fun name kind acc -> (name, kind) :: acc) points []
   |> List.sort compare
 
-let attach ~on_hit ~crash = Domain.DLS.get sink := Some { on_hit; crash }
+let attach ~on_hit ~on_note ~crash =
+  Domain.DLS.get sink := Some { on_hit; on_note; crash }
+
 let detach () = Domain.DLS.get sink := None
 let attached () = !(Domain.DLS.get sink) <> None
 
@@ -59,18 +63,19 @@ let deny ~site name =
   | Some s -> (
       match s.on_hit ~point:name ~site with Pass -> false | Deny | Kill -> true)
 
-(* Per-site protocol-state notes: a short free-form tag (votes still
-   outstanding, quorum side, current ballot) that the explorer folds
-   into the coverage tuple of the next hits at that site. Notes cost
-   one branch when detached and are cleared per run by the explorer. *)
-let notes : (int, string) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+(* The note value is built only under an attached sink, so a detached
+   call is one branch and allocates nothing. *)
+let note_votes ~site n =
+  match !(Domain.DLS.get sink) with
+  | None -> ()
+  | Some s -> s.on_note ~site (Votes n)
 
-let note ~site tag =
-  if !(Domain.DLS.get sink) <> None then
-    Hashtbl.replace (Domain.DLS.get notes) site tag
+let note_ballot ~site b =
+  match !(Domain.DLS.get sink) with
+  | None -> ()
+  | Some s -> s.on_note ~site (Ballot b)
 
-let noted ~site =
-  Option.value ~default:"" (Hashtbl.find_opt (Domain.DLS.get notes) site)
-
-let reset_notes () = Hashtbl.reset (Domain.DLS.get notes)
+let note_quorum ~site ~commit =
+  match !(Domain.DLS.get sink) with
+  | None -> ()
+  | Some s -> s.on_note ~site (if commit then Quorum_commit else Quorum_abort)

@@ -37,17 +37,29 @@ val register : ?kind:kind -> string -> string
 (** All declared fault points, sorted by name. *)
 val registered : unit -> (string * kind) list
 
-(** [attach ~on_hit ~crash] connects an explorer. [on_hit] is called
-    on every hit of every point; [crash] must fail-stop the given site
-    (kill its fiber group and truncate its volatile log tail).
-    Attaching replaces any previous sink.
+(** Protocol state a site is in, reported with {!note_votes},
+    {!note_ballot} and {!note_quorum}. *)
+type note =
+  | Votes of int  (** yes-votes a collecting coordinator still awaits *)
+  | Ballot of int  (** ballot of the Paxos resolve round in progress *)
+  | Quorum_commit  (** the site forced its non-blocking Replication record *)
+  | Quorum_abort  (** the site forced its non-blocking Refusal record *)
 
-    The sink (and the notes below) are domain-local: each OCaml domain
-    attaches its own, so parallel fuzz jobs — one explorer per domain —
-    never observe each other. A domain with nothing attached sees the
-    hooks as free no-ops. *)
+(** [attach ~on_hit ~on_note ~crash] connects an explorer. [on_hit] is
+    called on every hit of every point; [on_note] on every protocol-state
+    note; [crash] must fail-stop the given site (kill its fiber group
+    and truncate its volatile log tail). Attaching replaces any previous
+    sink.
+
+    The sink is domain-local: each OCaml domain attaches its own, so
+    parallel fuzz jobs — one explorer per domain — never observe each
+    other. A domain with nothing attached sees the hooks as free
+    no-ops. *)
 val attach :
-  on_hit:(point:string -> site:int -> action) -> crash:(site:int -> unit) -> unit
+  on_hit:(point:string -> site:int -> action) ->
+  on_note:(site:int -> note -> unit) ->
+  crash:(site:int -> unit) ->
+  unit
 
 (** Disconnect the sink; hooks revert to free no-ops. *)
 val detach : unit -> unit
@@ -65,17 +77,14 @@ val point : site:int -> string -> unit
     blocks, never raises — safe in raw engine callbacks. *)
 val deny : site:int -> string -> bool
 
-(** [note ~site tag] records a short protocol-state tag for [site]
-    (votes outstanding, quorum side, ballot number). The attached
-    explorer folds the current note into each coverage tuple, widening
-    the coverage signal with protocol state. No-op when detached. *)
-val note : site:int -> string -> unit
+(** [note_votes ~site n], [note_ballot ~site b] and
+    [note_quorum ~site ~commit] pass [site]'s current {!note} to the
+    sink. They take the note's fields, not a [note], so a detached call
+    is a single branch and allocates nothing. *)
+val note_votes : site:int -> int -> unit
 
-(** The current note for [site] ([""] when none). *)
-val noted : site:int -> string
-
-(** Clear every note; the explorer calls this at the start of a run. *)
-val reset_notes : unit -> unit
+val note_ballot : site:int -> int -> unit
+val note_quorum : site:int -> commit:bool -> unit
 
 (** [die ~site ()] crashes [site] via the attached [crash] callback
     and terminates the calling fiber: if the fiber belongs to the

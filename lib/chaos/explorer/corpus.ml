@@ -12,15 +12,9 @@
    re-finds a still-unfixed bug on its first few runs. Tokens are the
    exact replayable `--schedule` format. *)
 
-type entry = {
-  e_schedule : Schedule.t;
-  e_signature : string;
-  e_run : int;  (* run index at which this entry grew coverage *)
-}
-
 type t = {
   dir : string option;
-  mutable entries : entry list;  (* newest-first *)
+  mutable entries : Schedule.t list;  (* newest-first *)
   seen : (string, unit) Hashtbl.t;  (* admitted signatures *)
 }
 
@@ -32,8 +26,6 @@ let create ?dir () =
   { dir; entries = []; seen = Hashtbl.create 64 }
 
 let size t = List.length t.entries
-let entries t = t.entries
-let mem t signature = Hashtbl.mem t.seen signature
 
 (* Schedules saved by previous sessions, in stable (sorted-filename)
    order so reloading is deterministic. Unparseable files are skipped:
@@ -84,17 +76,15 @@ let write_file t name lines =
         Sys.rename tmp (Filename.concat d name)
       with Sys_error _ -> ())
 
-(* Admit a schedule that grew global coverage. Returns false when an
+(* Admit a schedule that grew global coverage, unless an
    equal-signature entry is already present. *)
-let add t ~run schedule ~signature =
-  if mem t signature then false
-  else begin
+let add t schedule ~signature =
+  if not (Hashtbl.mem t.seen signature) then begin
     Hashtbl.replace t.seen signature ();
-    t.entries <- { e_schedule = schedule; e_signature = signature; e_run = run } :: t.entries;
+    t.entries <- schedule :: t.entries;
     write_file t
       ("cov-" ^ Coverage.short signature ^ ".schedule")
-      [ Schedule.to_string schedule; signature ];
-    true
+      [ Schedule.to_string schedule; signature ]
   end
 
 (* Persist a failing schedule (original and shrunk tokens both replay;
@@ -119,6 +109,8 @@ let pick t rng =
 
 (* A same-workload partner for splicing. *)
 let pick_for_workload t rng workload =
-  match List.filter (fun e -> e.e_schedule.Schedule.s_workload = workload) t.entries with
+  match
+    List.filter (fun (s : Schedule.t) -> s.Schedule.s_workload = workload) t.entries
+  with
   | [] -> None
   | es -> Some (List.nth es (Camelot_sim.Rng.int_below rng (List.length es)))

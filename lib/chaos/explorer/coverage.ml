@@ -20,10 +20,16 @@ type phase = Workload | Recover | Hammer
 
 let phase_to_char = function Workload -> 'w' | Recover -> 'r' | Hammer -> 'h'
 
-(* [c_note] is the hitting site's protocol-state note at hit time
-   (votes outstanding, quorum side, ballot) — "" when none, which keeps
-   pre-note signatures byte-identical. *)
+(* [c_note] is the hitting site's protocol-state note at hit time,
+   rendered by [note_to_string] — "" when none, which keeps pre-note
+   signatures byte-identical. *)
 type tuple = { c_point : string; c_hit : int; c_phase : phase; c_note : string }
+
+let note_to_string = function
+  | Camelot_chaos.Votes n -> "v" ^ string_of_int n
+  | Camelot_chaos.Ballot b -> "b" ^ string_of_int b
+  | Camelot_chaos.Quorum_commit -> "qc"
+  | Camelot_chaos.Quorum_abort -> "qa"
 
 (* Hit indices above the cap collapse into one overflow bucket:
    "fired a 13th-or-later time" is one fact, not an unbounded family. *)

@@ -16,19 +16,13 @@
    schedule *reached*, as (fault-point × hit-index × phase) — and
    their canonical signature.
 
-   Two search modes share the machinery:
-
-   - {!explore}: enumerate one-injection schedules from a counting run
-     (which records how often each fault point fires per site), then
-     fill the remaining budget with seeded random two-injection
-     schedules;
-   - {!fuzz}: coverage-guided — schedules that grow the global tuple
-     set enter a {!Corpus} (optionally persisted and reloaded across
-     sessions), and the budget is spent mutating corpus members with
-     {!Mutate}, preferring recent coverage growers.
-
-   Failing schedules are greedily shrunk to a minimal replayable
-   token in both modes. *)
+   The search ({!fuzz}) is coverage-guided: a counting run per workload
+   records how often each fault point fires per site, a yield-ordered
+   sweep runs every single injection those counts allow, and the rest
+   of the budget mutates the schedules that grew global coverage (the
+   {!Corpus}, optionally persisted and reloaded across sessions) with
+   {!Mutate}, preferring recent growers. Failing schedules are greedily
+   shrunk to a minimal replayable token. *)
 
 open Camelot_core
 
@@ -54,7 +48,7 @@ type report = {
   rp_missing : string list;  (* registered points never hit *)
   rp_tuples : int;  (* distinct coverage tuples over all runs *)
   rp_workload_runs : (string * int) list;  (* workload -> runs *)
-  rp_corpus : int;  (* corpus entries (fuzz mode; 0 otherwise) *)
+  rp_corpus : int;  (* corpus entries *)
   rp_last_new : int;  (* run index that last grew coverage *)
   rp_growth : (int * int) list;  (* (runs, tuples) curve samples *)
 }
@@ -110,11 +104,11 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
   (* CHAOS_TRACE=1 prints every hit during a replay — the fastest way
      to see what a failing token actually did *)
   let trace = Sys.getenv_opt "CHAOS_TRACE" <> None in
-  let phase_char () =
-    match !phase with
-    | Coverage.Workload -> 'w'
-    | Coverage.Recover -> 'r'
-    | Coverage.Hammer -> 'h'
+  (* each site's latest protocol-state note, rendered once as it is
+     recorded *)
+  let notes : (int, string) Hashtbl.t = Hashtbl.create 16 in
+  let on_note ~site note =
+    Hashtbl.replace notes site (Coverage.note_to_string note)
   in
   let injections = Array.of_list s.Schedule.s_injections in
   let fired = Array.make (Array.length injections) false in
@@ -124,12 +118,14 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
     let n = Option.value ~default:0 (Hashtbl.find_opt hits k) + 1 in
     Hashtbl.replace hits k n;
     Hashtbl.replace tuples
-      (Coverage.tuple ~note:(Camelot_chaos.noted ~site) ~point ~hit:n
+      (Coverage.tuple ?note:(Hashtbl.find_opt notes site) ~point ~hit:n
          ~phase:!phase ())
       ();
     if trace then
       Printf.eprintf "[trace] %8.0fms %c %s/%d#%d\n%!"
-        (Camelot_sim.Fiber.now ()) (phase_char ()) point site n;
+        (Camelot_sim.Fiber.now ())
+        (Coverage.phase_to_char !phase)
+        point site n;
     let action = ref Camelot_chaos.Pass in
     Array.iteri
       (fun i (inj : Schedule.injection) ->
@@ -142,7 +138,7 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
           fired.(i) <- true;
           if trace then
             Printf.eprintf "[trace] %8.0fms %c FIRE %s\n%!"
-              (Camelot_sim.Fiber.now ()) (phase_char ())
+              (Camelot_sim.Fiber.now ()) (Coverage.phase_to_char !phase)
               (Schedule.injection_to_string inj);
           match inj.Schedule.i_fault with
           | Schedule.Drop -> action := Camelot_chaos.Deny
@@ -162,7 +158,7 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
     crashed_ever.(site) <- true;
     if trace then
       Printf.eprintf "[trace] %8.0fms %c CRASH site %d\n%!"
-        (Camelot_sim.Fiber.now ()) (phase_char ()) site;
+        (Camelot_sim.Fiber.now ()) (Coverage.phase_to_char !phase) site;
     let node = Camelot.Cluster.node c site in
     if Camelot_mach.Site.alive node.Camelot.Cluster.site then
       Camelot.Cluster.crash_site c site
@@ -204,8 +200,7 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
     in
     loop ()
   in
-  Camelot_chaos.attach ~on_hit ~crash;
-  Camelot_chaos.reset_notes ();
+  Camelot_chaos.attach ~on_hit ~on_note ~crash;
   let txns_cell = ref [] in
   Fun.protect ~finally:Camelot_chaos.detach (fun () ->
       Camelot_sim.Fiber.run (Camelot.Cluster.engine c) (fun () ->
@@ -316,10 +311,7 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
 (* Greedy minimisation of a failing schedule: drop injections while
    the run still fails, then lower each surviving injection's hit
    index as far as it will go. *)
-let shrink ?mutate_config ?run (s : Schedule.t) =
-  let run =
-    match run with Some r -> r | None -> run_schedule ?mutate_config
-  in
+let shrink ~run (s : Schedule.t) =
   let fails s = (run s).rr_violations <> [] in
   let rec drop_pass (s : Schedule.t) =
     let n = List.length s.Schedule.s_injections in
@@ -388,250 +380,129 @@ let singles_for hits =
                      [ mk Schedule.Crash; mk Schedule.Isolate ])))
     hits
 
-(* --- search bookkeeping ------------------------------------------- *)
+(* --- the search --------------------------------------------------- *)
 
 let default_workloads () = List.map (fun w -> w.Workload.w_name) Workload.all
-
-(* State shared by both search modes: per-point hit totals, the global
-   distinct-tuple set, the coverage-growth curve (sampled at
-   powers-of-two run counts), and the failure list with shrinking. *)
-type search = {
-  sr_run : Schedule.t -> run_result;
-  sr_budget : int;
-  sr_max_failures : int;
-  sr_progress : int -> int -> unit;
-  sr_coverage : (string, int) Hashtbl.t;
-  sr_tuples : (Coverage.tuple, unit) Hashtbl.t;
-  sr_wruns : (string, int) Hashtbl.t;
-  mutable sr_runs : int;
-  mutable sr_failures : failure list;
-  mutable sr_last_new : int;
-  mutable sr_growth : (int * int) list;  (* newest-first *)
-}
-
-let search_create ?mutate_config ~budget ~max_failures ~progress () =
-  {
-    sr_run = run_schedule ?mutate_config;
-    sr_budget = budget;
-    sr_max_failures = max_failures;
-    sr_progress = progress;
-    sr_coverage = Hashtbl.create 64;
-    sr_tuples = Hashtbl.create 256;
-    sr_wruns = Hashtbl.create 16;
-    sr_runs = 0;
-    sr_failures = [];
-    sr_last_new = 0;
-    sr_growth = [];
-  }
-
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
-(* Run one schedule, absorb its coverage; returns the result and how
-   many globally-new tuples it contributed. *)
-let search_exec sr (s : Schedule.t) =
-  let r = sr.sr_run s in
-  sr.sr_runs <- sr.sr_runs + 1;
-  sr.sr_progress sr.sr_runs sr.sr_budget;
-  let w = s.Schedule.s_workload in
-  Hashtbl.replace sr.sr_wruns w
-    (Option.value ~default:0 (Hashtbl.find_opt sr.sr_wruns w) + 1);
-  List.iter
-    (fun ((p, _), n) ->
-      Hashtbl.replace sr.sr_coverage p
-        (Option.value ~default:0 (Hashtbl.find_opt sr.sr_coverage p) + n))
-    r.rr_hits;
-  let fresh =
-    List.fold_left
-      (fun k t ->
-        if Hashtbl.mem sr.sr_tuples t then k
-        else begin
-          Hashtbl.replace sr.sr_tuples t ();
-          k + 1
-        end)
-      0 r.rr_tuples
-  in
-  if fresh > 0 then sr.sr_last_new <- sr.sr_runs;
-  if is_pow2 sr.sr_runs then
-    sr.sr_growth <- (sr.sr_runs, Hashtbl.length sr.sr_tuples) :: sr.sr_growth;
-  (r, fresh)
+let bump tbl k n =
+  Hashtbl.replace tbl k (Option.value ~default:0 (Hashtbl.find_opt tbl k) + n)
 
-let search_give_up sr =
-  sr.sr_runs >= sr.sr_budget
-  || List.length sr.sr_failures >= sr.sr_max_failures
-
-(* Shrink a failing run to a minimal replayable token and record it.
-   Shrink runs count against the budget and feed coverage like any
-   other run. *)
-let search_consider ?(on_failure = fun (_ : Schedule.t) -> ()) sr
-    (r : run_result) =
-  if r.rr_violations <> [] then begin
-    let exec1 s = fst (search_exec sr s) in
-    let shrunk = shrink ~run:exec1 r.rr_schedule in
-    (* re-run the shrunk schedule to report its violations *)
-    let final = exec1 shrunk in
-    on_failure shrunk;
-    sr.sr_failures <-
-      {
-        fl_original = r.rr_schedule;
-        fl_shrunk = shrunk;
-        fl_violations =
-          (if final.rr_violations <> [] then final.rr_violations
-           else r.rr_violations);
-      }
-      :: sr.sr_failures
-  end
-
-let search_report sr ~corpus =
+(* A report from per-point hit totals, the distinct-tuple set and
+   per-workload run counts. *)
+let report ~runs ~failures ~coverage ~tuples ~wruns ~corpus ~last_new ~growth
+    =
   let registered = List.map fst (Camelot_chaos.registered ()) in
-  let growth =
-    List.rev
-      (match sr.sr_growth with
-      | (n, _) :: _ when n = sr.sr_runs -> sr.sr_growth
-      | g -> (sr.sr_runs, Hashtbl.length sr.sr_tuples) :: g)
-  in
   {
-    rp_runs = sr.sr_runs;
-    rp_failures = List.rev sr.sr_failures;
+    rp_runs = runs;
+    rp_failures = failures;
     rp_coverage =
       List.filter_map
-        (fun p ->
-          Option.map (fun n -> (p, n)) (Hashtbl.find_opt sr.sr_coverage p))
+        (fun p -> Option.map (fun n -> (p, n)) (Hashtbl.find_opt coverage p))
         registered;
-    rp_missing =
-      List.filter (fun p -> not (Hashtbl.mem sr.sr_coverage p)) registered;
-    rp_tuples = Hashtbl.length sr.sr_tuples;
+    rp_missing = List.filter (fun p -> not (Hashtbl.mem coverage p)) registered;
+    rp_tuples = Hashtbl.length tuples;
     rp_workload_runs =
-      List.sort compare
-        (Hashtbl.fold (fun k n acc -> (k, n) :: acc) sr.sr_wruns []);
+      List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) wruns []);
     rp_corpus = corpus;
-    rp_last_new = sr.sr_last_new;
+    rp_last_new = last_new;
     rp_growth = growth;
   }
 
-(* --- exploration: enumerate + random ------------------------------ *)
+(* One job's search: counting runs seed the per-workload injection
+   pools and the corpus; schedules saved by earlier sessions replay
+   next (admitted again if they still grow coverage); a yield-ordered
+   sweep runs every single injection; then the budget is spent mutating
+   corpus schedules, preferring recent growers. A schedule enters the
+   corpus iff it contributed at least one globally-new tuple.
 
-let explore ?mutate_config ?(budget = 1200) ?(seed = 42) ?workloads
-    ?(max_failures = 3) ?(progress = fun (_ : int) (_ : int) -> ()) () =
-  let workloads =
-    match workloads with Some ws -> ws | None -> default_workloads ()
-  in
-  let rng = Camelot_sim.Rng.create ~seed in
-  let sr = search_create ?mutate_config ~budget ~max_failures ~progress () in
-  let exec s = fst (search_exec sr s) in
-  let give_up () = search_give_up sr in
-  let consider r = search_consider sr r in
-  (* counting runs: discover each workload's (point, site) hit counts *)
-  let pools =
-    List.filter_map
-      (fun name ->
-        if give_up () then None
-        else begin
-          let r = exec { Schedule.s_workload = name; s_injections = [] } in
-          consider r;
-          let singles = singles_for r.rr_hits in
-          if singles = [] then None else Some (name, Array.of_list singles)
-        end)
-      workloads
-  in
-  (* deterministic single-injection sweep *)
-  List.iter
-    (fun (name, pool) ->
-      Array.iter
-        (fun inj ->
-          if not (give_up ()) then
-            consider
-              (exec { Schedule.s_workload = name; s_injections = [ inj ] }))
-        pool)
-    pools;
-  (* seeded random two-injection schedules fill the remaining budget *)
-  let pools = Array.of_list pools in
-  if Array.length pools > 0 then
-    while not (give_up ()) do
-      let name, pool =
-        pools.(Camelot_sim.Rng.int_below rng (Array.length pools))
-      in
-      let pick () = pool.(Camelot_sim.Rng.int_below rng (Array.length pool)) in
-      let a = pick () and b = pick () in
-      consider
-        (exec { Schedule.s_workload = name; s_injections = [ a; b ] })
-    done;
-  search_report sr ~corpus:0
-
-(* --- fuzzing: coverage-guided ------------------------------------- *)
-
-(* Coverage-guided search: counting runs seed the per-workload
-   injection pools and the corpus; schedules saved by earlier sessions
-   replay next (admitted again if they still grow coverage); then the
-   budget is spent mutating corpus schedules, preferring recent
-   growers. A child enters the corpus iff it contributed at least one
-   globally-new tuple.
-
-   [fuzz_one] is one job's worth; it additionally returns the job's
-   distinct-tuple set so a parallel merge can union coverage instead
-   of double-counting. *)
+   Also returns the job's distinct-tuple set, so a parallel merge can
+   union coverage instead of double-counting. *)
 let fuzz_one ?mutate_config ~budget ~seed ?corpus_dir ?workloads
     ~max_failures ~progress () =
   let workloads =
     match workloads with Some ws -> ws | None -> default_workloads ()
   in
   let rng = Camelot_sim.Rng.create ~seed in
-  let sr = search_create ?mutate_config ~budget ~max_failures ~progress () in
   let corpus = Corpus.create ?dir:corpus_dir () in
-  let consider r =
-    search_consider ~on_failure:(Corpus.note_failure corpus) sr r
+  (* point -> hits; distinct tuples; workload -> runs; workload -> fresh
+     tuples, for the sweep's energy scores *)
+  let coverage = Hashtbl.create 64 and tuples = Hashtbl.create 256 in
+  let wruns = Hashtbl.create 16 and wyield = Hashtbl.create 16 in
+  let runs = ref 0 and failures = ref [] and last_new = ref 0 in
+  (* (runs, tuples) sampled at powers-of-two run counts, newest-first *)
+  let growth = ref [] in
+  let give_up () = !runs >= budget || List.length !failures >= max_failures in
+  (* Run one schedule and absorb its coverage; returns the result and
+     how many globally-new tuples it contributed. *)
+  let exec (s : Schedule.t) =
+    let r = run_schedule ?mutate_config s in
+    incr runs;
+    progress !runs budget;
+    bump wruns s.Schedule.s_workload 1;
+    List.iter (fun ((p, _), n) -> bump coverage p n) r.rr_hits;
+    let fresh =
+      List.fold_left
+        (fun k t ->
+          if Hashtbl.mem tuples t then k
+          else begin
+            Hashtbl.replace tuples t ();
+            k + 1
+          end)
+        0 r.rr_tuples
+    in
+    if fresh > 0 then last_new := !runs;
+    if is_pow2 !runs then growth := (!runs, Hashtbl.length tuples) :: !growth;
+    (r, fresh)
   in
-  let admit (r : run_result) fresh =
-    if fresh > 0 then
-      ignore
-        (Corpus.add corpus ~run:sr.sr_runs r.rr_schedule
-           ~signature:r.rr_signature
-          : bool)
+  (* One search step. A failing schedule is shrunk to a minimal
+     replayable token; shrink runs count against the budget and feed
+     coverage like any other run. *)
+  let step (s : Schedule.t) =
+    let r, fresh = exec s in
+    bump wyield s.Schedule.s_workload fresh;
+    if r.rr_violations <> [] then begin
+      let run s = fst (exec s) in
+      let shrunk = shrink ~run s in
+      (* re-run the shrunk schedule to report its violations *)
+      let final = run shrunk in
+      Corpus.note_failure corpus shrunk;
+      failures :=
+        {
+          fl_original = s;
+          fl_shrunk = shrunk;
+          fl_violations =
+            (if final.rr_violations <> [] then final.rr_violations
+             else r.rr_violations);
+        }
+        :: !failures
+    end;
+    if fresh > 0 then Corpus.add corpus s ~signature:r.rr_signature;
+    r
   in
-  (* per-workload fresh-tuple yield, for the sweep's energy scores *)
-  let wyield : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let note_yield name fresh =
-    Hashtbl.replace wyield name
-      (Option.value ~default:0 (Hashtbl.find_opt wyield name) + fresh)
+  (* counting runs: each workload's injection pool, and the bare
+     schedules as corpus roots *)
+  let pools =
+    List.filter_map
+      (fun name ->
+        if give_up () then None
+        else
+          let r = step { Schedule.s_workload = name; s_injections = [] } in
+          match singles_for r.rr_hits with
+          | [] -> None
+          | singles -> Some (name, Array.of_list singles))
+      workloads
   in
-  (* counting runs: pools + the bare schedules as corpus roots *)
-  let pools : (string, Schedule.injection array) Hashtbl.t =
-    Hashtbl.create 16
-  in
-  List.iter
-    (fun name ->
-      if not (search_give_up sr) then begin
-        let r, fresh =
-          search_exec sr { Schedule.s_workload = name; s_injections = [] }
-        in
-        note_yield name fresh;
-        consider r;
-        admit r fresh;
-        let singles = singles_for r.rr_hits in
-        if singles <> [] then Hashtbl.replace pools name (Array.of_list singles)
-      end)
-    workloads;
   (* replay what earlier sessions found interesting *)
   List.iter
     (fun (s : Schedule.t) ->
       if
-        (not (search_give_up sr))
+        (not (give_up ()))
         && List.mem s.Schedule.s_workload workloads
         && s.Schedule.s_injections <> []
-      then begin
-        let r, fresh = search_exec sr s in
-        note_yield s.Schedule.s_workload fresh;
-        consider r;
-        admit r fresh
-      end)
+      then ignore (step s : run_result))
     (Corpus.load corpus);
-  (* mutation loop *)
-  let pool_arr =
-    Array.of_list
-      (List.filter_map
-         (fun name ->
-           Option.map (fun p -> (name, p)) (Hashtbl.find_opt pools name))
-         workloads)
-  in
+  let pool_arr = Array.of_list pools in
   let random_single () =
     if Array.length pool_arr = 0 then None
     else
@@ -643,81 +514,73 @@ let fuzz_one ?mutate_config ~budget ~seed ?corpus_dir ?workloads
   in
   (* deterministic singles, yield-ordered: every (workload, single)
      pair at most once, drawn greedily from the workload with the best
-     fresh-tuples-per-run average so far (optimistic +1 prior). This
-     is explore's enumeration with AFL-style energy assignment — the
-     budget flows to whatever workload keeps producing new coverage
-     instead of marching through the list in declaration order. *)
-  let sweep : (string, Schedule.injection list ref) Hashtbl.t =
-    Hashtbl.create 16
+     fresh-tuples-per-run average so far (optimistic +1 prior) — an
+     AFL-style energy assignment, so the budget flows to whatever
+     workload keeps producing new coverage instead of marching through
+     the list in declaration order *)
+  let sweep =
+    Array.map (fun (name, p) -> (name, ref (Array.to_list p))) pool_arr
   in
-  Array.iter
-    (fun (name, p) -> Hashtbl.replace sweep name (ref (Array.to_list p)))
-    pool_arr;
   let wscore name =
     let y = Option.value ~default:0 (Hashtbl.find_opt wyield name) in
-    let n = Option.value ~default:0 (Hashtbl.find_opt sr.sr_wruns name) in
+    let n = Option.value ~default:0 (Hashtbl.find_opt wruns name) in
     float_of_int (y + 1) /. float_of_int (n + 1)
   in
   let next_sweep () =
     let best =
       Array.fold_left
-        (fun acc (name, _) ->
-          match Hashtbl.find_opt sweep name with
-          | None | Some { contents = [] } -> acc
-          | Some _ -> (
-              match acc with
-              | Some b when wscore b >= wscore name -> acc
-              | _ -> Some name))
-        None pool_arr
+        (fun acc ((name, left) as cand) ->
+          match (!left, acc) with
+          | [], _ -> acc
+          | _, Some (b, _) when wscore b >= wscore name -> acc
+          | _ -> Some cand)
+        None sweep
     in
     match best with
-    | None -> None
-    | Some name -> (
-        match Hashtbl.find_opt sweep name with
-        | None | Some { contents = [] } -> None
-        | Some l ->
-            let i = List.hd !l in
-            l := List.tl !l;
-            Some { Schedule.s_workload = name; s_injections = [ i ] })
+    | Some (name, ({ contents = inj :: rest } as left)) ->
+        left := rest;
+        Some { Schedule.s_workload = name; s_injections = [ inj ] }
+    | _ -> None
   in
   let mutated () =
     match Corpus.pick corpus rng with
     | None -> random_single ()
-    | Some e -> (
-        let s = e.Corpus.e_schedule in
+    | Some s -> (
         let pool =
-          Option.value ~default:[||]
-            (Hashtbl.find_opt pools s.Schedule.s_workload)
+          Option.value ~default:[||] (List.assoc_opt s.Schedule.s_workload pools)
         in
         let partner () =
-          Option.map
-            (fun e -> e.Corpus.e_schedule)
-            (Corpus.pick_for_workload corpus rng s.Schedule.s_workload)
+          Corpus.pick_for_workload corpus rng s.Schedule.s_workload
         in
         match Mutate.mutate rng ~pool ~partner s with
         | Some child -> Some child
         | None -> random_single ())
   in
-  let exhausted = ref (Array.length pool_arr = 0 && Corpus.size corpus = 0) in
-  while not (search_give_up sr || !exhausted) do
-    (* the enumeration guarantees breadth and feeds the corpus (every
-       fresh-tuple child is admitted); mutation owns the long tail
-       after it *)
-    let child =
-      match next_sweep () with Some s -> Some s | None -> mutated ()
-    in
-    match child with
-    | None -> exhausted := true
-    | Some child ->
-        let r, fresh = search_exec sr child in
-        note_yield child.Schedule.s_workload fresh;
-        consider r;
-        admit r fresh
-  done;
-  ( search_report sr ~corpus:(Corpus.size corpus),
-    Hashtbl.fold (fun t () acc -> t :: acc) sr.sr_tuples [] )
+  (* the sweep guarantees breadth and feeds the corpus; mutation owns
+     the long tail after it *)
+  let rec loop () =
+    if not (give_up ()) then
+      let child =
+        match next_sweep () with Some _ as s -> s | None -> mutated ()
+      in
+      match child with
+      | None -> ()
+      | Some child ->
+          ignore (step child : run_result);
+          loop ()
+  in
+  loop ();
+  let growth =
+    List.rev
+      (match !growth with
+      | (n, _) :: _ when n = !runs -> !growth
+      | g -> (!runs, Hashtbl.length tuples) :: g)
+  in
+  ( report ~runs:!runs ~failures:(List.rev !failures) ~coverage ~tuples ~wruns
+      ~corpus:(Corpus.size corpus) ~last_new:!last_new ~growth,
+    Hashtbl.fold (fun t () acc -> t :: acc) tuples [] )
 
-(* --- parallel fuzzing --------------------------------------------- *)
+(* --- parallel jobs ------------------------------------------------ *)
 
 (* Seed stride between jobs: a large prime, so derived per-schedule rng
    streams of neighbouring jobs never line up. *)
@@ -728,39 +591,26 @@ let job_seed_stride = 1_000_003
    the growth curve collapses to its final (runs, tuples) sample —
    per-job curves don't compose meaningfully. *)
 let merge_reports ~corpus parts =
-  let registered = List.map fst (Camelot_chaos.registered ()) in
   let coverage = Hashtbl.create 64 in
   let wruns = Hashtbl.create 16 in
   let tuples = Hashtbl.create 256 in
-  let bump tbl k n =
-    Hashtbl.replace tbl k (Option.value ~default:0 (Hashtbl.find_opt tbl k) + n)
-  in
   List.iter
     (fun ((r : report), tups) ->
       List.iter (fun (p, n) -> bump coverage p n) r.rp_coverage;
       List.iter (fun (w, n) -> bump wruns w n) r.rp_workload_runs;
       List.iter (fun t -> Hashtbl.replace tuples t ()) tups)
     parts;
-  let runs = List.fold_left (fun acc ((r : report), _) -> acc + r.rp_runs) 0 parts in
-  let distinct = Hashtbl.length tuples in
-  {
-    rp_runs = runs;
-    rp_failures = List.concat_map (fun ((r : report), _) -> r.rp_failures) parts;
-    rp_coverage =
-      List.filter_map
-        (fun p -> Option.map (fun n -> (p, n)) (Hashtbl.find_opt coverage p))
-        registered;
-    rp_missing = List.filter (fun p -> not (Hashtbl.mem coverage p)) registered;
-    rp_tuples = distinct;
-    rp_workload_runs =
-      List.sort compare (Hashtbl.fold (fun k n acc -> (k, n) :: acc) wruns []);
-    rp_corpus = corpus;
-    (* job-local indices; the max is "the deepest any job got before
-       coverage dried up" *)
-    rp_last_new =
-      List.fold_left (fun acc ((r : report), _) -> max acc r.rp_last_new) 0 parts;
-    rp_growth = [ (runs, distinct) ];
-  }
+  let runs =
+    List.fold_left (fun acc ((r : report), _) -> acc + r.rp_runs) 0 parts
+  in
+  report ~runs
+    ~failures:(List.concat_map (fun ((r : report), _) -> r.rp_failures) parts)
+    ~coverage ~tuples ~wruns ~corpus
+      (* job-local indices; the max is "the deepest any job got before
+         coverage dried up" *)
+    ~last_new:
+      (List.fold_left (fun acc ((r : report), _) -> max acc r.rp_last_new) 0 parts)
+    ~growth:[ (runs, Hashtbl.length tuples) ]
 
 (* Count the published corpus entries on disk, after every job has
    finished renaming its admissions in. *)
@@ -771,14 +621,15 @@ let corpus_files dir =
       (fun acc f -> if Filename.check_suffix f ".schedule" then acc + 1 else acc)
       0 (Sys.readdir dir)
 
-(* [fuzz ~jobs:n] splits the budget over [n] independent fuzzing jobs,
-   one OCaml domain each, seeded [seed + i * stride]. Jobs share the
+(* [fuzz ~budget ~seed ()] runs the search over [budget] schedules.
+   [~jobs:n] splits the budget over [n] independent jobs, one OCaml
+   domain each, seeded [seed + i * stride]. Jobs share the
    corpus directory — admissions are atomic renames keyed by coverage
    signature, so concurrent jobs merge by signature and a job's finds
    seed later sessions of every other job — but not in-memory state:
    each job runs its own explorer behind its own domain-local chaos
    sink. *)
-let fuzz ?mutate_config ?(budget = 5000) ?(seed = 42) ?(jobs = 1) ?corpus_dir
+let fuzz ?mutate_config ~budget ~seed ?(jobs = 1) ?corpus_dir
     ?workloads ?(max_failures = 3)
     ?(progress = fun (_ : int) (_ : int) -> ()) () =
   if jobs <= 0 then invalid_arg "Explorer.fuzz: jobs must be positive";
@@ -821,9 +672,8 @@ let pp_report ppf r =
   Format.fprintf ppf "chaos: %d schedules run, %d failing@." r.rp_runs
     (List.length r.rp_failures);
   Format.fprintf ppf
-    "tuples: %d distinct (point x hit x phase), last new at run %d%s@."
-    r.rp_tuples r.rp_last_new
-    (if r.rp_corpus > 0 then Printf.sprintf ", corpus %d" r.rp_corpus else "");
+    "tuples: %d distinct (point x hit x phase), last new at run %d, corpus %d@."
+    r.rp_tuples r.rp_last_new r.rp_corpus;
   Format.fprintf ppf "growth:%s@."
     (String.concat ""
        (List.map (fun (n, t) -> Printf.sprintf " %d:%d" n t) r.rp_growth));

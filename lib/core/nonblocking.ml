@@ -188,7 +188,7 @@ let coordinate st fam =
                                   r_update_sites = fam.f_update_sites;
                                 })
                             : int);
-                        Camelot_chaos.note ~site:(me st) "qc";
+                        Camelot_chaos.note_quorum ~site:(me st) ~commit:true;
                         Camelot_chaos.point ~site:(me st) p_replication_forced;
                         fam.f_quorum_side <- Q_commit;
                         true
@@ -349,7 +349,7 @@ let takeover st fam =
                   if fam.f_quorum_side = Q_none && fam.f_outcome = None then begin
                     ignore
                       (log_append_force st (Record.Refusal { f_tid = tid }) : int);
-                    Camelot_chaos.note ~site:(me st) "qa";
+                    Camelot_chaos.note_quorum ~site:(me st) ~commit:false;
                     Camelot_chaos.point ~site:(me st) p_refusal_forced;
                     fam.f_quorum_side <- Q_abort
                   end;

@@ -62,7 +62,7 @@ let rec resolve st fam mb ~attempt =
   | Some o -> o
   | None ->
       let ballot = ballot_of st ~attempt in
-      Camelot_chaos.note ~site:(me st) (Printf.sprintf "b%d" ballot);
+      Camelot_chaos.note_ballot ~site:(me st) ballot;
       tracef st "paxos" "%a: resolving at ballot %d" Tid.pp tid ballot;
       let acceptors = fam.f_acceptors in
       let needed = quorum_of acceptors in
@@ -268,8 +268,7 @@ let collect_ballot0 st fam mb ~prepare_msg =
               in
               if not (List.mem m_from acks) then
                 Hashtbl.replace tally m_instance (m_from :: acks, ro || read_only);
-              Camelot_chaos.note ~site:(me st)
-                (Printf.sprintf "v%d" (List.length (missing ())));
+              Camelot_chaos.note_votes ~site:(me st) (List.length (missing ()));
               wait_round retries)
       | Some (Protocol.Vote { m_vote = Protocol.Vote_no; _ }) -> refused := true
       | Some (Protocol.Status { m_from; m_status = Protocol.St_committed; _ }) ->

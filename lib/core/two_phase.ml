@@ -170,8 +170,7 @@ let collect_votes st fam mb ~subs ~prepare_msg =
           match m_vote with
           | Protocol.Vote_yes { read_only } ->
               note_yes ~from:m_from ~read_only;
-              Camelot_chaos.note ~site:(me st)
-                (Printf.sprintf "v%d" votes.n_pending);
+              Camelot_chaos.note_votes ~site:(me st) votes.n_pending;
               wait_round retries
           | Protocol.Vote_no ->
               votes.refused <- true)

@@ -34,15 +34,14 @@ let collect ?(horizon_ms = 20_000.0) () =
     (fun sites ->
       List.map
         (fun workers ->
-          (* a commit counts once at every site that resolves it, so a
-             distributed update counts at each of its sites *)
+          (* transactions the workers saw commit: a distributed update
+             counts once, not at each site that resolves it *)
           let tps logger =
             let r =
               Closed_loop.run ~mix:Closed_loop.Table3 ~logger ~sites
                 ~workers_per_site:workers ~horizon_ms ()
             in
-            float_of_int (Camelot.Metrics.total_committed r.Closed_loop.metrics)
-            /. (horizon_ms /. 1000.0)
+            float_of_int r.Closed_loop.committed /. (horizon_ms /. 1000.0)
           in
           {
             sweep_sites = sites;

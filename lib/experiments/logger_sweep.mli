@@ -5,8 +5,8 @@
     workers per site. Shows where each policy's throughput knee sits
     and that the daemon moves the bottleneck off the log. *)
 
-(** The TPS columns are {!Camelot.Metrics.total_committed} per second
-    of virtual time: a commit counts at every site that resolves it. *)
+(** The TPS columns are transactions the workers saw commit per second
+    of virtual time: a distributed commit counts once. *)
 type point = {
   sweep_sites : int;
   sweep_workers : int;

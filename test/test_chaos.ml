@@ -1,10 +1,11 @@
-(* Acceptance tests for the fault-schedule explorer and fuzzer: a
-   bounded exploration of the real protocols is clean, the whole
-   pipeline is deterministic and replayable, a deliberately planted
-   durability bug is caught and shrunk to a minimal schedule, the
-   multi-shot chains commit fault-free up to the paper's 24 sites, the
-   mutators only emit valid replayable tokens, and every persisted
-   corpus entry reproduces its recorded coverage signature. *)
+(* Acceptance tests for the fault-schedule explorer: a bounded
+   exploration of the real protocols is clean, the whole pipeline is
+   deterministic and replayable, a deliberately planted durability bug
+   is caught and shrunk to a minimal schedule, the multi-shot chains
+   commit fault-free up to the paper's 24 sites, the mutators only emit
+   valid replayable tokens, every persisted corpus entry reproduces its
+   recorded coverage signature, the smoke run keeps its claims, and a
+   detached protocol note allocates nothing. *)
 
 open Camelot_chaos_explorer
 
@@ -35,54 +36,60 @@ let test_bare_workloads_clean () =
         (List.length r.Explorer.rr_violations))
     Workload.all
 
+(* A bounded search of the real protocols is clean, and it is itself a
+   simulation: same seed, same everything. *)
 let test_exploration_clean_and_deterministic () =
-  let explore () = Explorer.explore ~budget:300 ~seed:11 () in
-  let r1 = explore () in
+  let search () = Explorer.fuzz ~budget:300 ~seed:11 () in
+  let r1 = search () in
   Alcotest.(check int) "no failing schedules" 0 (List.length r1.Explorer.rp_failures);
   Alcotest.(check int) "budget honoured" 300 r1.Explorer.rp_runs;
-  (* the explorer is itself a simulation: same seed, same everything *)
-  let r2 = explore () in
-  Alcotest.(check bool) "identical coverage on replay" true
+  let r2 = search () in
+  Alcotest.(check int) "same tuple count" r1.Explorer.rp_tuples
+    r2.Explorer.rp_tuples;
+  Alcotest.(check bool) "same coverage" true
     (r1.Explorer.rp_coverage = r2.Explorer.rp_coverage);
-  Alcotest.(check bool) "identical missing set" true
-    (r1.Explorer.rp_missing = r2.Explorer.rp_missing)
+  Alcotest.(check bool) "same growth curve" true
+    (r1.Explorer.rp_growth = r2.Explorer.rp_growth);
+  (* full fault-point coverage, the protocol-sibling points included *)
+  Alcotest.(check (list string))
+    "no registered point left unhit" [] r1.Explorer.rp_missing;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (p ^ " covered") true
+        (List.mem_assoc p r1.Explorer.rp_coverage))
+    [
+      "paxos.accept.forced";
+      "paxos.ballot.conflict";
+      "paxos.takeover.start";
+      "short.release.early";
+      "coord.votes.collected";
+    ]
+
+(* One search under the planted bug backs two cases: the search's own
+   verdict here, the replay of its shrunk tokens under "fuzz". The
+   knob plants the real bug it exists for: the subordinate's prepare
+   record is spooled instead of forced, so a crash after voting yes
+   loses the promise and the oracles must see torn commits. *)
+let skip_prepare_force c =
+  c.Camelot_core.State.unsafe_skip_prepare_force <- true
+
+let planted_bug_search =
+  lazy
+    (Explorer.fuzz ~mutate_config:skip_prepare_force ~budget:300 ~seed:11
+       ~max_failures:3 ())
 
 let test_injected_bug_caught_and_shrunk () =
-  (* plant the real bug the knob exists for: the subordinate's prepare
-     record is spooled instead of forced, so a crash after voting yes
-     loses the promise and the oracles must see torn commits *)
-  let mutate_config c =
-    c.Camelot_core.State.unsafe_skip_prepare_force <- true
-  in
-  let r = Explorer.explore ~mutate_config ~budget:300 ~seed:11 ~max_failures:3 () in
+  let r = Lazy.force planted_bug_search in
   Alcotest.(check bool) "bug caught" true (r.Explorer.rp_failures <> []);
+  (* minimality: shrinking must land on a single injection *)
   List.iter
     (fun f ->
-      (* minimality: shrinking must land on a single injection... *)
       Alcotest.(check int)
         ("shrunk to one injection: "
         ^ Schedule.to_string f.Explorer.fl_shrunk)
         1
-        (List.length f.Explorer.fl_shrunk.Schedule.s_injections);
-      (* ...that still fails when replayed from its token *)
-      let token = Schedule.to_string f.Explorer.fl_shrunk in
-      match Schedule.of_string token with
-      | None -> Alcotest.failf "shrunk token did not parse: %s" token
-      | Some s ->
-          let rr = Explorer.run_schedule ~mutate_config s in
-          Alcotest.(check bool)
-            ("replayed failure still fails: " ^ token)
-            true
-            (rr.Explorer.rr_violations <> []))
-    r.Explorer.rp_failures;
-  (* the same schedules are clean without the planted bug *)
-  List.iter
-    (fun f ->
-      let rr = Explorer.run_schedule ~mutate_config:no_mutation f.Explorer.fl_shrunk in
-      Alcotest.(check int)
-        ("clean without the bug: " ^ Schedule.to_string f.Explorer.fl_shrunk)
-        0
-        (List.length rr.Explorer.rr_violations))
+        (List.length f.Explorer.fl_shrunk.Schedule.s_injections))
     r.Explorer.rp_failures
 
 (* --- committed replay tokens: paxos takeover and quorum split ----- *)
@@ -346,39 +353,55 @@ let test_corpus_determinism () =
             (r1.Explorer.rr_violations = r2.Explorer.rr_violations))
     files
 
+(* Each shrunk failure of the planted-bug search still fails when
+   replayed from its token, and is clean without the planted bug. *)
+let test_fuzz_shrunk_tokens_replay () =
+  let r = Lazy.force planted_bug_search in
+  Alcotest.(check bool) "fuzzer caught the bug" true
+    (r.Explorer.rp_failures <> []);
+  List.iter
+    (fun f ->
+      let token = Schedule.to_string f.Explorer.fl_shrunk in
+      match Schedule.of_string token with
+      | None -> Alcotest.failf "shrunk token did not parse: %s" token
+      | Some s ->
+          let rr = Explorer.run_schedule ~mutate_config:skip_prepare_force s in
+          Alcotest.(check bool)
+            ("replayed failure still fails: " ^ token)
+            true
+            (rr.Explorer.rr_violations <> []);
+          let clean = Explorer.run_schedule ~mutate_config:no_mutation s in
+          Alcotest.(check int)
+            ("clean without the bug: " ^ token)
+            0
+            (List.length clean.Explorer.rr_violations))
+    r.Explorer.rp_failures
+
+(* The claims `make chaos-smoke` and chaos_smoke.expected rest on,
+   checked on that same run: it replays identically, it finds no
+   failure, it hits every registered point, it runs a multi-shot
+   schedule, and it reaches more distinct tuples than the 938 that the
+   enumerate-then-random-pairs search this one replaced reached at
+   this budget and seed. *)
 let test_fuzz_deterministic_and_beats_explore () =
-  let fz () = Explorer.fuzz ~budget:300 ~seed:42 () in
-  let r1 = fz () in
-  let r2 = fz () in
-  Alcotest.(check int) "same tuple count" r1.Explorer.rp_tuples
+  let smoke () = Explorer.fuzz ~budget:1200 ~seed:42 () in
+  let r = smoke () in
+  let r2 = smoke () in
+  Alcotest.(check int) "same tuple count" r.Explorer.rp_tuples
     r2.Explorer.rp_tuples;
   Alcotest.(check bool) "same coverage" true
-    (r1.Explorer.rp_coverage = r2.Explorer.rp_coverage);
+    (r.Explorer.rp_coverage = r2.Explorer.rp_coverage);
   Alcotest.(check bool) "same growth curve" true
-    (r1.Explorer.rp_growth = r2.Explorer.rp_growth);
-  (* at the same budget, coverage guidance reaches strictly more
-     distinct tuples than enumerate+random *)
-  let re = Explorer.explore ~budget:300 ~seed:42 () in
-  Alcotest.(check bool)
-    (Printf.sprintf "fuzz tuples (%d) > explore tuples (%d)"
-       r1.Explorer.rp_tuples re.Explorer.rp_tuples)
-    true
-    (r1.Explorer.rp_tuples > re.Explorer.rp_tuples);
-  (* full fault-point coverage, the protocol-sibling points included *)
-  Alcotest.(check (list string))
-    "no registered point left unhit" [] r1.Explorer.rp_missing;
-  List.iter
-    (fun p ->
-      Alcotest.(check bool)
-        (p ^ " covered") true
-        (List.mem_assoc p r1.Explorer.rp_coverage))
-    [
-      "paxos.accept.forced";
-      "paxos.ballot.conflict";
-      "paxos.takeover.start";
-      "short.release.early";
-      "coord.votes.collected";
-    ]
+    (r.Explorer.rp_growth = r2.Explorer.rp_growth);
+  Alcotest.(check int) "no failing schedules" 0 (List.length r.Explorer.rp_failures);
+  Alcotest.(check (list string)) "no registered point left unhit" []
+    r.Explorer.rp_missing;
+  Alcotest.(check bool) "a multi-shot schedule ran" true
+    (List.exists
+       (fun (w, n) -> String.starts_with ~prefix:"multishot" w && n > 0)
+       r.Explorer.rp_workload_runs);
+  if r.Explorer.rp_tuples <= 938 then
+    Alcotest.failf "%d distinct tuples, not more than 938" r.Explorer.rp_tuples
 
 (* Parallel fuzzing: the budget splits exactly across the job domains,
    every job runs behind its own domain-local sink (no cross-talk →
@@ -417,33 +440,21 @@ let test_fuzz_parallel_jobs () =
   Alcotest.(check bool) "sequential fuzz after parallel is clean" true
     (seq.Explorer.rp_failures = [])
 
-(* The fuzzer finds, shrinks and reports the planted bug; the shrunk
-   token replays to a failure with the bug and to a clean run without
-   it. *)
-let test_fuzz_finds_and_shrinks_bug () =
-  let mutate_config c =
-    c.Camelot_core.State.unsafe_skip_prepare_force <- true
+(* A detached note costs one branch: protocol code calls it on every
+   yes-vote a coordinator collects, outside any explorer. *)
+let test_detached_note_allocates_nothing () =
+  let ops = 10_000 in
+  let votes site =
+    for n = 1 to ops do
+      Camelot_chaos.note_votes ~site n
+    done
   in
-  let r = Explorer.fuzz ~mutate_config ~budget:250 ~seed:11 ~max_failures:3 () in
-  Alcotest.(check bool) "fuzzer caught the bug" true
-    (r.Explorer.rp_failures <> []);
-  List.iter
-    (fun f ->
-      let token = Schedule.to_string f.Explorer.fl_shrunk in
-      match Schedule.of_string token with
-      | None -> Alcotest.failf "shrunk token did not parse: %s" token
-      | Some s ->
-          let rr = Explorer.run_schedule ~mutate_config s in
-          Alcotest.(check bool)
-            ("replayed failure still fails: " ^ token)
-            true
-            (rr.Explorer.rr_violations <> []);
-          let clean = Explorer.run_schedule s in
-          Alcotest.(check int)
-            ("clean without the bug: " ^ token)
-            0
-            (List.length clean.Explorer.rr_violations))
-    r.Explorer.rp_failures
+  votes 0;
+  let before = Gc.minor_words () in
+  votes 1;
+  let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
+  if per_op > 0.1 then
+    Alcotest.failf "detached note: %.1f words per call, budget 0.1" per_op
 
 let () =
   Alcotest.run "camelot_chaos"
@@ -488,8 +499,13 @@ let () =
           Alcotest.test_case "deterministic and beats explore at equal budget"
             `Quick test_fuzz_deterministic_and_beats_explore;
           Alcotest.test_case "planted bug found and shrunk by fuzzing" `Quick
-            test_fuzz_finds_and_shrinks_bug;
+            test_fuzz_shrunk_tokens_replay;
           Alcotest.test_case "parallel jobs share a corpus" `Quick
             test_fuzz_parallel_jobs;
+        ] );
+      ( "alloc",
+        [
+          Alcotest.test_case "detached note" `Quick
+            test_detached_note_allocates_nothing;
         ] );
     ]

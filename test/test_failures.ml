@@ -281,6 +281,7 @@ let crash_at_votes_collected ~protocol ?(paxos_f = 0) ~expect () =
             Camelot_chaos.Kill
           end
           else Camelot_chaos.Pass)
+        ~on_note:(fun ~site:_ _ -> ())
         ~crash:(fun ~site -> Camelot.Cluster.crash_site c site);
       Fun.protect ~finally:Camelot_chaos.detach (fun () ->
           wait_until ~what:"coordinator crashed at votes-collected" (fun () ->
@@ -507,6 +508,7 @@ let test_crash_mid_recovery_then_recover ~at () =
             if !hits = 1 then Camelot_chaos.Kill else Camelot_chaos.Pass
           end
           else Camelot_chaos.Pass)
+        ~on_note:(fun ~site:_ _ -> ())
         ~crash:(fun ~site -> Camelot.Cluster.crash_site c site);
       Fun.protect ~finally:Camelot_chaos.detach (fun () ->
           (match Camelot.Cluster.restart_site c 1 with
