@@ -21,7 +21,7 @@ type t = {
   nodes : node array;
   flush_every_ms : float;
   checkpoint_every : int option;
-  recovery_partitions : int option;
+  recovery_partitions : int;
 }
 
 (* Chaos fault point: a crash between the checkpoint record becoming
@@ -67,16 +67,14 @@ let start_checkpointer ~flush_every_ms n ~every =
       loop ())
 
 let create ?(seed = 1) ?(model = Cost_model.rt) ?config ?(servers_per_site = 1)
-    ?(logger = Unbatched) ?checkpoint_every ?recovery_partitions
+    ?(logger = Unbatched) ?checkpoint_every ?(recovery_partitions = 1)
     ?lock_timeout_ms ~sites () =
   if sites <= 0 then invalid_arg "Cluster.create: need at least one site";
   (match checkpoint_every with
   | Some n when n <= 0 -> invalid_arg "Cluster.create: checkpoint_every must be positive"
   | _ -> ());
-  (match recovery_partitions with
-  | Some k when k <= 0 ->
-      invalid_arg "Cluster.create: recovery_partitions must be positive"
-  | _ -> ());
+  if recovery_partitions <= 0 then
+    invalid_arg "Cluster.create: recovery_partitions must be positive";
   let engine = Engine.create () in
   (* every schedule depends on this split order: one for the LAN, then
      one per site *)
@@ -185,7 +183,7 @@ let restart_site t i =
       Camelot_server.Data_server.reset srv;
       Camelot_server.Data_server.reattach srv)
     n.servers;
-  Camelot_recovery.Recovery.run ?partitions:t.recovery_partitions
+  Camelot_recovery.Recovery.run ~partitions:t.recovery_partitions
     ~tranman:n.tranman ~log:n.log ~servers:n.servers ()
 
 let partition t groups = Camelot_net.Lan.partition t.lan groups

@@ -50,11 +50,10 @@ type logger = Camelot_wal.Log.policy =
     @param checkpoint_every automatic checkpointer: checkpoint and
     truncate a site's log whenever it holds at least this many records
     (default: no automatic checkpoints)
-    @param recovery_partitions replay fibers used by {!restart_site}.
-    Given [k], recovery buckets the log by (server, key) into [k]
-    partitions replayed in parallel, each charging replay CPU (see
-    {!Camelot_recovery.Recovery.run}). Omitted: the paper's sequential
-    pass.
+    @param recovery_partitions replay fibers used by {!restart_site}
+    (default 1, the paper's single pass). Recovery buckets the log by
+    (server, key) into this many partitions replayed in parallel, each
+    charging replay CPU (see {!Camelot_recovery.Recovery.run}).
     @param lock_timeout_ms bound data-server lock waits: a transaction
     waiting longer aborts with [Lock_timeout] instead of blocking
     forever (default: wait forever — the paper-reproduction behavior) *)
@@ -124,8 +123,11 @@ val checkpoint : ?truncate:bool -> t -> int -> unit
 val crash_site : t -> int -> unit
 
 (** Restart after a crash: new incarnation, TranMan and servers
-    rebuilt, recovery replays the durable log. Returns the transactions
-    still in doubt. *)
+    rebuilt, recovery replays the durable log on the site's replay
+    fibers and waits for them, so call it from inside a fiber. Returns
+    the transactions still in doubt.
+    @raise Camelot_chaos.Killed if the site is killed again before its
+    replay finishes *)
 val restart_site : t -> int -> Tid.t list
 
 (** Partition the network into groups (see {!Camelot_net.Lan.partition}). *)

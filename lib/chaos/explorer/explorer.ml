@@ -93,7 +93,7 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
     Camelot.Cluster.create ~seed:cluster_seed ~model:quiet_model
       ~config:(chaos_config ()) ~logger:w.Workload.w_logger
       ?checkpoint_every:w.Workload.w_checkpoint_every
-      ?recovery_partitions:w.Workload.w_recovery_partitions
+      ~recovery_partitions:w.Workload.w_recovery_partitions
       ~sites:w.Workload.w_sites ()
   in
   Camelot.Cluster.each_config c mutate_config;

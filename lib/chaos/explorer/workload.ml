@@ -26,8 +26,7 @@ type t = {
   w_sites : int;
   w_logger : Camelot.Cluster.logger;  (* log write-out policy *)
   w_checkpoint_every : int option;  (* automatic checkpoint+truncate *)
-  w_recovery_partitions : int option;
-      (* parallel replay fibers on restart; None = sequential pass *)
+  w_recovery_partitions : int;  (* parallel replay fibers on restart *)
   w_start : Camelot.Cluster.t -> txn list;
 }
 
@@ -334,50 +333,50 @@ let all =
   [
     { w_name = "pair-2pc"; w_protocol = Protocol.Two_phase; w_sites = 2;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None; w_start = pair_2pc };
+      w_recovery_partitions = 1; w_start = pair_2pc };
     { w_name = "trio-nb"; w_protocol = Protocol.Nonblocking; w_sites = 3;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None; w_start = trio_nb };
+      w_recovery_partitions = 1; w_start = trio_nb };
     { w_name = "trio-paxos"; w_protocol = Protocol.Paxos_commit; w_sites = 3;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None; w_start = trio_paxos };
+      w_recovery_partitions = 1; w_start = trio_paxos };
     { w_name = "pair-short"; w_protocol = Protocol.Short_commit; w_sites = 2;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None; w_start = pair_short };
+      w_recovery_partitions = 1; w_start = pair_short };
     { w_name = "nested"; w_protocol = Protocol.Two_phase; w_sites = 2;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None; w_start = nested };
+      w_recovery_partitions = 1; w_start = nested };
     { w_name = "shard-2pc"; w_protocol = Protocol.Two_phase; w_sites = 2;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None; w_start = shard_2pc };
+      w_recovery_partitions = 1; w_start = shard_2pc };
     { w_name = "mixed"; w_protocol = Protocol.Nonblocking; w_sites = 3;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None; w_start = mixed };
+      w_recovery_partitions = 1; w_start = mixed };
     { w_name = "ckpt-2pc"; w_protocol = Protocol.Two_phase; w_sites = 2;
       w_logger = adaptive; w_checkpoint_every = Some 8;
-      w_recovery_partitions = None; w_start = ckpt_2pc };
-    (* the ckpt-2pc shape with partitioned recovery (two replay
+      w_recovery_partitions = 1; w_start = ckpt_2pc };
+    (* the ckpt-2pc shape with two recovery partitions (two replay
        fibers, one per group of per-key dependency chains): injections
        land around truncating checkpoints and crash-mid-parallel-replay.
        Persisted corpora and replay tokens name this workload and
        multishot-dep, so the names stay. *)
     { w_name = "dep-2pc"; w_protocol = Protocol.Two_phase; w_sites = 2;
       w_logger = adaptive; w_checkpoint_every = Some 8;
-      w_recovery_partitions = Some 2; w_start = ckpt_2pc };
+      w_recovery_partitions = 2; w_start = ckpt_2pc };
     (* the multi-shot chains: cross-transaction recovery states the
        concurrent pair workloads cannot reach (a crash during shot N's
        recovery delays — or cancels — shot N+1) *)
     { w_name = "multishot-2pc"; w_protocol = Protocol.Two_phase; w_sites = 4;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None;
+      w_recovery_partitions = 1;
       w_start = multishot ~shots:3 ~protocol:Protocol.Two_phase };
     { w_name = "multishot-nb"; w_protocol = Protocol.Nonblocking; w_sites = 4;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None;
+      w_recovery_partitions = 1;
       w_start = multishot ~shots:2 ~protocol:Protocol.Nonblocking };
     { w_name = "multishot-dep"; w_protocol = Protocol.Two_phase; w_sites = 4;
       w_logger = adaptive; w_checkpoint_every = Some 8;
-      w_recovery_partitions = Some 2;
+      w_recovery_partitions = 2;
       w_start = multishot ~shots:4 ~protocol:Protocol.Two_phase };
   ]
 
@@ -388,7 +387,7 @@ let hidden =
   [
     { w_name = "multishot-24"; w_protocol = Protocol.Two_phase; w_sites = 24;
       w_logger = unbatched; w_checkpoint_every = None;
-      w_recovery_partitions = None;
+      w_recovery_partitions = 1;
       w_start = multishot ~shots:4 ~protocol:Protocol.Two_phase };
   ]
 

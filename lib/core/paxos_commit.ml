@@ -252,15 +252,19 @@ let collect_ballot0 st fam mb ~prepare_msg =
     | None -> false
   in
   let missing () = List.filter (fun i -> not (satisfied i)) instances in
-  let rec wait_round retries =
-    if !refused || missing () = [] then ()
+  (* [pending] is [missing ()], rebuilt only when a message changes the
+     tally *)
+  let rec wait_round retries pending =
+    if !refused || pending = [] then pending
     else
       match Mailbox.recv_timeout mb st.config.vote_timeout_ms with
       | Some (Protocol.Paxos_accepted { m_from; m_instance; m_ballot = 0; m_vote; _ })
         -> (
           charge_cpu st;
           match m_vote with
-          | Protocol.Vote_no -> refused := true
+          | Protocol.Vote_no ->
+              refused := true;
+              pending
           | Protocol.Vote_yes { read_only } ->
               let acks, ro =
                 Option.value ~default:([], read_only)
@@ -268,30 +272,34 @@ let collect_ballot0 st fam mb ~prepare_msg =
               in
               if not (List.mem m_from acks) then
                 Hashtbl.replace tally m_instance (m_from :: acks, ro || read_only);
-              Camelot_chaos.note_votes ~site:(me st) (List.length (missing ()));
-              wait_round retries)
-      | Some (Protocol.Vote { m_vote = Protocol.Vote_no; _ }) -> refused := true
+              let pending = missing () in
+              Camelot_chaos.note_votes ~site:(me st) (List.length pending);
+              wait_round retries pending)
+      | Some (Protocol.Vote { m_vote = Protocol.Vote_no; _ }) ->
+          refused := true;
+          pending
       | Some (Protocol.Status { m_from; m_status = Protocol.St_committed; _ }) ->
           (* a read-only participant that already resolved re-answers a
              duplicate prepare this way: its instance needs no quorum *)
           Hashtbl.replace tally m_from (fam.f_acceptors, true);
-          wait_round retries
-      | Some _ -> wait_round retries
+          wait_round retries (missing ())
+      | Some _ -> wait_round retries pending
       | None ->
-          if fam.f_outcome <> None || retries >= st.config.max_vote_retries then ()
+          if fam.f_outcome <> None || retries >= st.config.max_vote_retries then
+            pending
           else begin
-            let lag = List.filter (fun i -> i <> me st) (missing ()) in
+            let lag = List.filter (fun i -> i <> me st) pending in
             tracef st "paxos" "%a: reproposing to %d instance(s)" Tid.pp
               fam.f_root (List.length lag);
             fan_out st ~dsts:lag prepare_msg;
-            wait_round (retries + 1)
+            wait_round (retries + 1) pending
           end
   in
-  wait_round 0;
+  let undecided = wait_round 0 (missing ()) in
   let ro_instances =
     Hashtbl.fold (fun i (_, ro) acc -> if ro then i :: acc else acc) tally []
   in
-  (!refused, missing (), ro_instances)
+  (!refused, undecided, ro_instances)
 
 let coordinate st fam =
   let tid = fam.f_root in

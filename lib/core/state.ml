@@ -45,7 +45,6 @@ type config = {
   mutable outcome_retry_ms : float;
   mutable subordinate_timeout_ms : float;  (* silence before inquiry/takeover *)
   mutable takeover_retry_ms : float;  (* non-blocking: pause between takeover rounds *)
-  mutable piggyback_delay_ms : float;  (* simulated wait for a ride on later traffic *)
   mutable commit_quorum : int option;  (* non-blocking: override majority *)
   mutable orphan_timeout_ms : float;
       (* a joined-but-never-prepared subordinate family inquires after
@@ -74,7 +73,6 @@ let default_config ?(threads = 5) () =
     outcome_retry_ms = 400.0;
     subordinate_timeout_ms = 1500.0;
     takeover_retry_ms = 500.0;
-    piggyback_delay_ms = 25.0;
     commit_quorum = None;
     orphan_timeout_ms = 10_000.0;
     unsafe_skip_prepare_force = false;

@@ -40,7 +40,6 @@ type config = {
   mutable outcome_retry_ms : float;
   mutable subordinate_timeout_ms : float;
   mutable takeover_retry_ms : float;
-  mutable piggyback_delay_ms : float;
   mutable commit_quorum : int option;
   mutable orphan_timeout_ms : float;
   mutable unsafe_skip_prepare_force : bool;

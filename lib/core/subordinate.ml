@@ -23,6 +23,10 @@ let p_release_early = Camelot_chaos.register "short.release.early"
 (* --------------------------------------------------------------- *)
 (* Applying a decided outcome at a subordinate *)
 
+(* How long a semi-optimized subordinate's ack waits for a ride on
+   later traffic. *)
+let piggyback_delay_ms = 25.0
+
 (* Commit locally under the configured §4.2 variant. Returns once the
    subordinate's part of the completion path is done; ack traffic and
    lazy log writes continue in background fibers. *)
@@ -59,7 +63,7 @@ let apply_commit st fam ~ack_to =
       ignore (log_append_force st commit_rec : int);
       drop_local_locks st fam;
       Site.spawn st.site ~name:"commit-ack" (fun () ->
-          Fiber.sleep st.config.piggyback_delay_ms;
+          Fiber.sleep piggyback_delay_ms;
           send_piggybacked st ~dst:coordinator ack)
   | Unoptimized ->
       ignore (log_append_force st commit_rec : int);

@@ -344,8 +344,12 @@ let status st tid = status_of_family st tid
    that were prepared but undecided re-enter the blocked state and
    resolve through the normal inquiry/takeover machinery. *)
 
-(* Protocol images for a checkpoint record: what a recovery starting at
-   the checkpoint needs instead of the truncated records below it.
+(* Protocol images: what a family's log records say about it. One fold
+   over the log builds them for both consumers: a checkpoint record
+   carries them in place of the records below it that truncation may
+   drop, and recovery installs them as the rebuilt descriptors. A
+   recovery from a truncated log therefore rebuilds exactly what a
+   full-log replay would have.
 
    The images are derived by replaying the log itself (seeded from the
    previous checkpoint's images), NOT by snapshotting the volatile
@@ -354,8 +358,7 @@ let status st tid = status_of_family st tid
    record is already spooled while the flag is still false. A snapshot
    taken in that window would let truncation drop a Prepare record that
    nothing summarizes; replaying the records the checkpoint replaces
-   captures them by construction, and makes recovery from the truncated
-   log rebuild exactly what a full-log replay would have. *)
+   captures them by construction. *)
 let image_apply (im : Record.family_image) = function
   | Record.Checkpoint _ -> im
   | Record.Update { u_server; _ } ->
@@ -372,8 +375,14 @@ let image_apply (im : Record.family_image) = function
         fi_acceptors =
           (if p_acceptors <> [] then p_acceptors else im.Record.fi_acceptors);
       }
+  (* an acceptor that is no participant logs only Paxos records, and
+     they alone say which protocol resolves the family here *)
   | Record.Paxos_promised { pp_ballot; _ } ->
-      { im with Record.fi_pax_ballot = max pp_ballot im.Record.fi_pax_ballot }
+      {
+        im with
+        Record.fi_pax_ballot = max pp_ballot im.Record.fi_pax_ballot;
+        fi_protocol = Protocol.Paxos_commit;
+      }
   | Record.Paxos_accepted { pa_instance; pa_ballot; pa_vote; _ } ->
       {
         im with
@@ -383,6 +392,7 @@ let image_apply (im : Record.family_image) = function
           :: List.filter
                (fun (i, _, _) -> i <> pa_instance)
                im.Record.fi_pax_accepted;
+        fi_protocol = Protocol.Paxos_commit;
       }
   | Record.Replication { r_sites; r_update_sites; _ } ->
       {
@@ -413,12 +423,13 @@ let blank_image root =
     fi_pax_accepted = [];
   }
 
-let family_images st =
-  let log = st.log in
+(* The image of every family the log mentions up to [upto], in order of
+   first appearance. The newest checkpoint at or below [upto] seeds the
+   fold with its images and in-flight updates (after a truncation it
+   sits exactly at base, so the backward scan stays O(window)); the
+   records above it fold in. *)
+let images_upto log ~upto =
   let base = Camelot_wal.Log.base_lsn log in
-  let upto = Camelot_wal.Log.tail_lsn log in
-  (* newest checkpoint at or above base (after a truncation it sits
-     exactly at base, so this scan stays O(window)) *)
   let seed = ref None in
   let lsn = ref upto in
   while !seed = None && !lsn >= base do
@@ -429,146 +440,67 @@ let family_images st =
     decr lsn
   done;
   let tbl : (int, Record.family_image) Hashtbl.t = Hashtbl.create 16 in
+  let order = ref [] in
+  let set (im : Record.family_image) =
+    let k = Tid.key im.Record.fi_tid in
+    if not (Hashtbl.mem tbl k) then order := k :: !order;
+    Hashtbl.replace tbl k im
+  in
   let apply r =
-    match r with
-    | Record.Checkpoint _ -> ()
-    | r ->
-        let root = Tid.top (Record.tid r) in
-        let k = Tid.key root in
-        let im =
-          match Hashtbl.find_opt tbl k with
-          | Some im -> im
-          | None -> blank_image root
-        in
-        Hashtbl.replace tbl k (image_apply im r)
+    let root = Tid.top (Record.tid r) in
+    let im =
+      match Hashtbl.find_opt tbl (Tid.key root) with
+      | Some im -> im
+      | None -> blank_image root
+    in
+    set (image_apply im r)
   in
   let replay_from =
     match !seed with
     | None -> base
     | Some (ck_lsn, images, ck_active) ->
-        List.iter
-          (fun (im : Record.family_image) ->
-            Hashtbl.replace tbl (Tid.key im.Record.fi_tid) im)
-          images;
+        List.iter set images;
         (* the seeding checkpoint's in-flight updates carry server
            associations, like live update records *)
         List.iter (fun (u : Record.update) -> apply (Record.Update u)) ck_active;
         ck_lsn + 1
   in
+  (* no checkpoint lies above the seed *)
   for lsn = replay_from to upto do
     apply (Camelot_wal.Log.get log lsn)
   done;
-  let images = Hashtbl.fold (fun _ im acc -> im :: acc) tbl [] in
+  List.rev_map (Hashtbl.find tbl) !order
+
+let family_images st =
+  let images = images_upto st.log ~upto:(Camelot_wal.Log.tail_lsn st.log) in
   List.sort (fun a b -> compare a.Record.fi_tid b.Record.fi_tid) images
 
+(* A recovered descriptor is its family's image: everything volatile
+   died with the old incarnation. *)
+let install st (im : Record.family_image) =
+  let fam = find_or_join_family st im.Record.fi_tid in
+  fam.f_protocol <- im.Record.fi_protocol;
+  fam.f_prepared <- im.Record.fi_prepared;
+  fam.f_sites <- im.Record.fi_sites;
+  fam.f_update_sites <- im.Record.fi_update_sites;
+  fam.f_quorum_side <-
+    (match im.Record.fi_quorum with
+    | Record.Fq_none -> Q_none
+    | Record.Fq_commit -> Q_commit
+    | Record.Fq_abort -> Q_abort);
+  fam.f_outcome <- im.Record.fi_outcome;
+  fam.f_servers <- im.Record.fi_servers;
+  fam.f_ended <- im.Record.fi_ended;
+  fam.f_acceptors <- im.Record.fi_acceptors;
+  fam.f_pax_ballot <- im.Record.fi_pax_ballot;
+  fam.f_pax_accepted <- im.Record.fi_pax_accepted
+
 let recover st =
-  (* last-writer-wins reconstruction of per-family protocol state *)
-  let replay (fam : family) = function
-    | Record.Checkpoint _ -> ()
-    | Record.Update { u_server; _ } ->
-        (* re-associate the server so a later resolution reaches it
-           (drop-locks, undo) — the volatile join list died in the
-           crash *)
-        if not (List.mem u_server fam.f_servers) then
-          fam.f_servers <- u_server :: fam.f_servers
-    | Record.Collecting { g_sites; g_protocol; _ } ->
-        (* presumed commit (or short-commit): voting had begun; without
-           a later outcome record this transaction must be aborted and
-           remembered *)
-        fam.f_prepared <- true;
-        fam.f_sites <- g_sites;
-        fam.f_protocol <- g_protocol
-    | Record.Prepare { p_protocol; p_sites; p_acceptors; _ } ->
-        fam.f_prepared <- true;
-        fam.f_protocol <- p_protocol;
-        if p_sites <> [] then fam.f_sites <- p_sites;
-        if p_acceptors <> [] then fam.f_acceptors <- p_acceptors
-    | Record.Paxos_promised { pp_ballot; _ } ->
-        fam.f_pax_ballot <- max pp_ballot fam.f_pax_ballot;
-        fam.f_protocol <- Protocol.Paxos_commit
-    | Record.Paxos_accepted { pa_instance; pa_ballot; pa_vote; _ } ->
-        fam.f_pax_ballot <- max pa_ballot fam.f_pax_ballot;
-        fam.f_pax_accepted <-
-          (pa_instance, pa_ballot, pa_vote)
-          :: List.filter (fun (i, _, _) -> i <> pa_instance) fam.f_pax_accepted;
-        fam.f_protocol <- Protocol.Paxos_commit
-    | Record.Replication { r_sites; r_update_sites; _ } ->
-        fam.f_quorum_side <- Q_commit;
-        fam.f_sites <- r_sites;
-        fam.f_update_sites <- r_update_sites
-    | Record.Commit { c_sites; _ } ->
-        fam.f_outcome <- Some Protocol.Committed;
-        fam.f_update_sites <- c_sites
-    | Record.Abort _ -> fam.f_outcome <- Some Protocol.Aborted
-    | Record.Refusal _ -> fam.f_quorum_side <- Q_abort
-    | Record.End _ ->
-        fam.f_acks_pending <- [];
-        fam.f_ended <- true
-  in
-  (* Find the newest durable checkpoint with one backward scan from the
-     tail; everything below it is summarized by its family images (and
-     may already have been truncated away). *)
-  let base = Camelot_wal.Log.base_lsn st.log in
-  let ck = ref None in
-  let lsn = ref (Camelot_wal.Log.durable_lsn st.log) in
-  while !ck = None && !lsn >= base do
-    (match Camelot_wal.Log.get st.log !lsn with
-    | Record.Checkpoint { ck_families; _ } -> ck := Some (!lsn, ck_families)
-    | _ -> ());
-    decr lsn
-  done;
-  let scan_from = match !ck with Some (l, _) -> l | None -> base in
-  (* Seed descriptors from the checkpoint's family images: the state the
-     truncated records below the checkpoint would have rebuilt. *)
-  (match !ck with
-  | None -> ()
-  | Some (_, images) ->
-      List.iter
-        (fun (im : Record.family_image) ->
-          let fam = find_or_join_family st im.Record.fi_tid in
-          fam.f_protocol <- im.Record.fi_protocol;
-          if im.Record.fi_prepared then fam.f_prepared <- true;
-          if im.Record.fi_sites <> [] then fam.f_sites <- im.Record.fi_sites;
-          if im.Record.fi_update_sites <> [] then
-            fam.f_update_sites <- im.Record.fi_update_sites;
-          (match im.Record.fi_quorum with
-          | Record.Fq_none -> ()
-          | Record.Fq_commit -> fam.f_quorum_side <- Q_commit
-          | Record.Fq_abort -> fam.f_quorum_side <- Q_abort);
-          (match im.Record.fi_outcome with
-          | Some o -> fam.f_outcome <- Some o
-          | None -> ());
-          if im.Record.fi_acceptors <> [] then
-            fam.f_acceptors <- im.Record.fi_acceptors;
-          if im.Record.fi_pax_ballot > fam.f_pax_ballot then
-            fam.f_pax_ballot <- im.Record.fi_pax_ballot;
-          if im.Record.fi_pax_accepted <> [] then
-            fam.f_pax_accepted <- im.Record.fi_pax_accepted;
-          List.iter
-            (fun s ->
-              if not (List.mem s fam.f_servers) then
-                fam.f_servers <- s :: fam.f_servers)
-            im.Record.fi_servers;
-          if im.Record.fi_ended then begin
-            fam.f_acks_pending <- [];
-            fam.f_ended <- true
-          end)
-        images);
-  Camelot_wal.Log.iter_durable_from st.log ~from:scan_from (fun _ r ->
-      match r with
-      | Record.Checkpoint { ck_active; _ } ->
-          (* in-flight updates snapshotted at checkpoint time carry the
-             same server associations as live update records *)
-          List.iter
-            (fun (u : Record.update) ->
-              let fam = find_or_join_family st u.Record.u_tid in
-              if not (List.mem u.Record.u_server fam.f_servers) then
-                fam.f_servers <- u.Record.u_server :: fam.f_servers)
-            ck_active
-      | r ->
-          let tid = Record.tid r in
-          let fam = find_or_join_family st tid in
-          replay fam r);
+  (* in first-appearance order, checkpoint images first, as a
+     record-by-record replay would create the descriptors: the families
+     table's iteration order below depends on it *)
+  List.iter (install st)
+    (images_upto st.log ~upto:(Camelot_wal.Log.durable_lsn st.log));
   let in_doubt = ref [] in
   Hashtbl.iter
     (fun _ fam ->

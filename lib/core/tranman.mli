@@ -101,23 +101,31 @@ val join : t -> Tid.t -> server:string -> unit
     to [sites] (merged into the coordinator's participant list). *)
 val note_sites : t -> Tid.t -> Camelot_mach.Site.id list -> unit
 
-(** What this site knows about a transaction (used by recovery and
-    exposed for tests). *)
+(** What this site knows about a transaction (read by the chaos
+    oracles and tests). *)
 val status : t -> Tid.t -> Protocol.status
 
-(** Protocol images of the families not yet forgotten, sorted by root
+(** Protocol images of every family the log mentions, sorted by root
     TID — what a checkpoint record must carry so that a recovery
     starting its scan at the checkpoint (after the log below it was
     truncated) rebuilds the same descriptors the dropped records would
-    have. *)
+    have. The images fold the whole log up to its tail: the newest
+    checkpoint's images and in-flight updates, then every record above
+    it. {!recover} installs the same fold, taken up to the durable
+    LSN. *)
 val family_images : t -> Record.family_image list
 
-(** Rebuild protocol state from the durable log after a restart:
-    prepared-but-undecided transactions re-enter the blocked state
-    (2PC: inquiry loop; non-blocking: takeover), coordinator-side
-    commits without an [End] record resume notification. Servers must
-    be re-registered first; returns the transactions still in doubt.
-    The scan is index-aware: one backward pass finds the newest durable
-    checkpoint, its family images seed the descriptors, and the forward
-    replay starts there instead of at LSN 0. *)
+(** Rebuild protocol state from the durable log after a restart. Each
+    family's descriptor is its image from the fold {!family_images}
+    uses, taken up to the durable LSN: one backward pass finds the
+    newest durable checkpoint, and the forward fold starts there
+    instead of at LSN 0. Every family is then classified once:
+    committed, aborted (undecided families that never prepared or
+    joined a quorum abort now, by presumed abort), or in doubt.
+    In-doubt transactions re-enter the blocked state (2PC: inquiry
+    loop; non-blocking and Paxos: takeover), and coordinator-side
+    outcomes still owed acknowledgements resume notification. Servers
+    must be re-registered first; returns the transactions in doubt,
+    which is the list the recovery process ([Recovery.run]) takes its
+    verdicts from. *)
 val recover : t -> Tid.t list

@@ -78,9 +78,9 @@ let rt =
        overhead the per-update spool charge models *)
     log_daemon_pass_cpu_ms = 0.3;
     log_spool_batch_cpu_ms = 0.25;
-    (* dependency-partitioned recovery: CPU per replayed log record
-       (value re-installation + verdict lookup), charged by each replay
-       fiber so chains on different processors overlap *)
+    (* recovery: CPU per replayed log record (value re-installation +
+       verdict lookup), charged by each replay fiber so partitions on
+       different processors overlap *)
     recovery_replay_cpu_ms = 0.02;
     ipc_cpu_fraction = 0.85;
     rpc_jitter_ms = 0.8;

@@ -59,9 +59,9 @@ type t = {
           in a pass (replaces [log_spool_cpu_ms] when the daemon defers
           spool work) *)
   recovery_replay_cpu_ms : float;
-      (** dependency-partitioned recovery: CPU per replayed record,
-          charged by each chain's replay fiber so independent chains
-          overlap across the site's processors *)
+      (** recovery: CPU per replayed record, charged by each
+          partition's replay fiber so independent partitions overlap
+          across the site's processors *)
   ipc_cpu_fraction : float;
       (** share of an IPC's latency spent on the CPU (the rest is
           scheduling wait during which the processor is free) *)

@@ -141,6 +141,23 @@ let test_short_commit_early_release_crash =
   replay_token ~token:"pair-short:crash@short.release.early/0#1"
     ~expect_points:[ "short.release.early" ]
 
+(* Two schedules that lost a committed non-blocking write: a prepared
+   participant forced a Refusal while taking over, the other sites'
+   commit quorum committed the transaction, and the participant's
+   recovery undid its update instead of holding it in doubt. Both end
+   with a torn force at site 2 and must replay clean. *)
+let test_nb_refused_participant_keeps_committed_write_mixed =
+  replay_token
+    ~token:
+      "mixed:isolate@nb.replication.forced/1#1+drop@net.datagram/1#1+crash@sub.vote.sent/0#1+drop@wal.force.torn/2#5"
+    ~expect_points:[ "nb.refusal.forced" ]
+
+let test_nb_refused_participant_keeps_committed_write_trio =
+  replay_token
+    ~token:
+      "trio-nb:isolate@coord.votes.collected/0#1+drop@wal.force.torn/1#6+drop@wal.force.torn/2#5"
+    ~expect_points:[ "nb.refusal.forced" ]
+
 (* Shrinking converges on the new protocols too: plant the
    prepare-force bug, find a failing single-injection schedule on the
    short-commit pair, mutate it, and check the shrink lands back on a
@@ -479,6 +496,10 @@ let () =
             test_short_commit_early_release_crash;
           Alcotest.test_case "shrinking converges on new protocols" `Quick
             test_shrink_converges_on_new_protocols;
+          Alcotest.test_case "mixed: refused participant keeps write" `Quick
+            test_nb_refused_participant_keeps_committed_write_mixed;
+          Alcotest.test_case "trio-nb: refused participant keeps write" `Quick
+            test_nb_refused_participant_keeps_committed_write_trio;
         ] );
       ( "multishot",
         [

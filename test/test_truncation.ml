@@ -8,7 +8,10 @@
    consumes no virtual time, so the two simulations stay in lockstep;
    after quiescing, every site is crashed and restarted, and the
    recovered values must agree between the twins — and with the
-   pre-crash committed state. *)
+   pre-crash committed state. The distributed transactions run under
+   each commit protocol in turn, so non-blocking Replication and Paxos
+   acceptance records cross checkpoints too (no fault-free run forces
+   a Refusal). *)
 
 open Camelot_core
 
@@ -18,7 +21,7 @@ let checkpoint_every_ms = 400.0
 let n_sites = 2
 let workers_per_site = 3
 
-let spawn_workload c ~seed =
+let spawn_workload c ~seed ~protocol =
   for site = 0 to n_sites - 1 do
     let node = Camelot.Cluster.node c site in
     let tm = Camelot.Cluster.tranman c site in
@@ -34,17 +37,15 @@ let spawn_workload c ~seed =
                   List.nth keys (Camelot_sim.Rng.int_below rng (List.length keys))
                 in
                 if Camelot_sim.Rng.uniform rng < 0.3 then begin
-                  (* distributed update through presumed-abort 2PC;
-                     ascending site order, so no cross-site deadlock *)
+                  (* distributed update; ascending site order, so no
+                     cross-site deadlock *)
                   for s = 0 to n_sites - 1 do
                     ignore
                       (Camelot.Cluster.op c ~origin:site tid ~site:s
                          (Camelot_server.Data_server.Add (key, 1))
                         : int)
                   done;
-                  ignore
-                    (Tranman.commit tm ~protocol:Protocol.Two_phase tid
-                      : Protocol.outcome)
+                  ignore (Tranman.commit tm ~protocol tid : Protocol.outcome)
                 end
                 else begin
                   ignore
@@ -88,13 +89,13 @@ let values c : snapshot =
         keys)
     (List.init n_sites Fun.id)
 
-let run_instance ~seed ~truncate =
+let run_instance ~seed ~protocol ~truncate =
   let config = State.default_config ~threads:workers_per_site () in
   let c =
     Camelot.Cluster.create ~seed ~config ~logger:Camelot.Cluster.Adaptive
       ~sites:n_sites ()
   in
-  spawn_workload c ~seed;
+  spawn_workload c ~seed ~protocol;
   spawn_checkpointer c ~truncate;
   (* run past the horizon so every transaction resolves *)
   Camelot.Cluster.run ~until:(horizon_ms +. 2_000.0) c;
@@ -118,24 +119,35 @@ let run_instance ~seed ~truncate =
 
 let test_truncated_equals_full_recovery () =
   List.iter
-    (fun seed ->
-      let pre_t, post_t, truncated = run_instance ~seed ~truncate:true in
-      let pre_f, post_f, _ = run_instance ~seed ~truncate:false in
-      (* the twins really were in lockstep before the crash *)
-      Alcotest.(check (list (triple int string int)))
-        (Printf.sprintf "seed %d: twins agree pre-crash" seed)
-        pre_f pre_t;
-      (* the property is vacuous unless truncation actually happened *)
-      Alcotest.(check bool)
-        (Printf.sprintf "seed %d: some site truncated" seed)
-        true (truncated <> []);
-      Alcotest.(check (list (triple int string int)))
-        (Printf.sprintf "seed %d: full-log recovery preserves state" seed)
-        pre_f post_f;
-      Alcotest.(check (list (triple int string int)))
-        (Printf.sprintf "seed %d: truncated recovery equals full recovery" seed)
-        post_f post_t)
-    [ 7; 11; 23; 42; 101 ]
+    (fun protocol ->
+      List.iter
+        (fun seed ->
+          let case =
+            Format.asprintf "%a seed %d" Protocol.pp_commit_protocol protocol
+              seed
+          in
+          let pre_t, post_t, truncated =
+            run_instance ~seed ~protocol ~truncate:true
+          in
+          let pre_f, post_f, _ = run_instance ~seed ~protocol ~truncate:false in
+          (* the twins really were in lockstep before the crash *)
+          Alcotest.(check (list (triple int string int)))
+            (case ^ ": twins agree pre-crash") pre_f pre_t;
+          (* the property is vacuous unless truncation actually happened *)
+          Alcotest.(check bool)
+            (case ^ ": some site truncated")
+            true (truncated <> []);
+          Alcotest.(check (list (triple int string int)))
+            (case ^ ": full-log recovery preserves state") pre_f post_f;
+          Alcotest.(check (list (triple int string int)))
+            (case ^ ": truncated recovery equals full recovery") post_f post_t)
+        [ 7; 11; 23; 42; 101 ])
+    [
+      Protocol.Two_phase;
+      Protocol.Nonblocking;
+      Protocol.Paxos_commit;
+      Protocol.Short_commit;
+    ]
 
 let test_auto_checkpointer_truncates_and_recovers () =
   (* the automatic checkpointer daemon: no explicit checkpoint calls,
@@ -147,7 +159,7 @@ let test_auto_checkpointer_truncates_and_recovers () =
     Camelot.Cluster.create ~seed ~config ~logger:Camelot.Cluster.Adaptive
       ~checkpoint_every:16 ~sites:n_sites ()
   in
-  spawn_workload c ~seed;
+  spawn_workload c ~seed ~protocol:Protocol.Two_phase;
   Camelot.Cluster.run ~until:(horizon_ms +. 2_000.0) c;
   let pre = values c in
   List.iter
