@@ -104,6 +104,9 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
   (* CHAOS_TRACE=1 prints every hit during a replay — the fastest way
      to see what a failing token actually did *)
   let trace = Sys.getenv_opt "CHAOS_TRACE" <> None in
+  (* the engine's clock, not [Fiber.now]: a [deny] point such as
+     [net.datagram] is hit from raw engine events too *)
+  let now () = Camelot_sim.Engine.now (Camelot.Cluster.engine c) in
   (* each site's latest protocol-state note, rendered once as it is
      recorded *)
   let notes : (int, string) Hashtbl.t = Hashtbl.create 16 in
@@ -122,10 +125,8 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
          ~phase:!phase ())
       ();
     if trace then
-      Printf.eprintf "[trace] %8.0fms %c %s/%d#%d\n%!"
-        (Camelot_sim.Fiber.now ())
-        (Coverage.phase_to_char !phase)
-        point site n;
+      Printf.eprintf "[trace] %8.0fms %c %s/%d#%d\n%!" (now ())
+        (Coverage.phase_to_char !phase) point site n;
     let action = ref Camelot_chaos.Pass in
     Array.iteri
       (fun i (inj : Schedule.injection) ->
@@ -137,8 +138,8 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
         then begin
           fired.(i) <- true;
           if trace then
-            Printf.eprintf "[trace] %8.0fms %c FIRE %s\n%!"
-              (Camelot_sim.Fiber.now ()) (Coverage.phase_to_char !phase)
+            Printf.eprintf "[trace] %8.0fms %c FIRE %s\n%!" (now ())
+              (Coverage.phase_to_char !phase)
               (Schedule.injection_to_string inj);
           match inj.Schedule.i_fault with
           | Schedule.Drop -> action := Camelot_chaos.Deny
@@ -157,8 +158,8 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
   let crash ~site =
     crashed_ever.(site) <- true;
     if trace then
-      Printf.eprintf "[trace] %8.0fms %c CRASH site %d\n%!"
-        (Camelot_sim.Fiber.now ()) (Coverage.phase_to_char !phase) site;
+      Printf.eprintf "[trace] %8.0fms %c CRASH site %d\n%!" (now ())
+        (Coverage.phase_to_char !phase) site;
     let node = Camelot.Cluster.node c site in
     if Camelot_mach.Site.alive node.Camelot.Cluster.site then
       Camelot.Cluster.crash_site c site

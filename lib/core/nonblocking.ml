@@ -303,9 +303,10 @@ let adopt st fam outcome =
       }
   in
   fan_out st ~dsts:peers outcome_msg;
-  Site.spawn st.site ~name:"takeover-renotify" (fun () ->
-      Fiber.sleep st.config.outcome_retry_ms;
-      fan_out st ~dsts:peers outcome_msg)
+  ignore
+    (Site.after st.site ~delay:st.config.outcome_retry_ms (fun () ->
+         defer st (fun () -> fan_out st ~dsts:peers outcome_msg))
+      : Engine.timer)
 
 let takeover st fam =
   Camelot_chaos.point ~site:(me st) p_takeover_start;

@@ -14,6 +14,7 @@ val coordinate : State.t -> State.family -> Protocol.outcome
     poll every participant's status; adopt any decided outcome; commit
     on a visible commit quorum of replication records; otherwise
     assemble an abort quorum of forced refusals; if neither quorum is
-    reachable, retry until the situation changes. Runs in the
-    subordinate's watchdog fiber; also re-entered from recovery. *)
+    reachable, retry until the situation changes. Runs in the fiber
+    the subordinate's takeover timer spawns when it fires; recovery
+    re-arms that timer. *)
 val takeover : State.t -> State.family -> unit

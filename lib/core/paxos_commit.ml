@@ -216,13 +216,14 @@ let adopt st fam outcome =
       { m_tid = tid; m_from = me st; m_outcome = outcome; m_protocol = fam.f_protocol }
   in
   fan_out st ~dsts:peers outcome_msg;
-  Site.spawn st.site ~name:"paxos-renotify" (fun () ->
-      Fiber.sleep st.config.outcome_retry_ms;
-      fan_out st ~dsts:peers outcome_msg)
+  ignore
+    (Site.after st.site ~delay:st.config.outcome_retry_ms (fun () ->
+         defer st (fun () -> fan_out st ~dsts:peers outcome_msg))
+      : Engine.timer)
 
-(* A prepared participant's takeover (runs in the watchdog fiber, and
-   re-entered from recovery): become the leader at a higher ballot and
-   finish every instance. *)
+(* A prepared participant's takeover (runs in the fiber its takeover
+   timer spawns; recovery re-arms that timer): become the leader at a
+   higher ballot and finish every instance. *)
 let takeover st fam =
   Camelot_chaos.point ~site:(me st) p_takeover_start;
   let tid = fam.f_root in

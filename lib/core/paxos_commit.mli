@@ -16,6 +16,7 @@ val coordinate : State.t -> State.family -> Protocol.outcome
 (** Finish the transaction as a recovery coordinator: phase 1 at a
     proposer-tagged ballot, re-propose every instance (the
     highest-ballot acceptance seen by a promise quorum, or a no-vote),
-    decide on phase-2b quorums, then apply and propagate. Runs in the
-    subordinate's watchdog fiber; also re-entered from recovery. *)
+    decide on phase-2b quorums, then apply and propagate. Runs in the fiber
+    the subordinate's takeover timer spawns when it fires; recovery
+    re-arms that timer. *)
 val takeover : State.t -> State.family -> unit

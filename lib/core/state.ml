@@ -137,8 +137,10 @@ type family = {
   mutable f_outcome : Protocol.outcome option;
   mutable f_acks_pending : Site.id list;  (* coordinator: commit-acks awaited *)
   mutable f_ended : bool;  (* an End record was written: nothing more to do *)
-  mutable f_watchdog : bool;  (* a timeout watcher is running *)
-  mutable f_orphan_watch : bool;  (* an orphan watcher is running *)
+  mutable f_watchdog : Engine.timer;
+      (* the prepared subordinate's inquiry or takeover timer;
+         [Engine.no_timer] until armed and again once resolved *)
+  mutable f_orphan_watch : Engine.timer;  (* the unprepared one's inquiry timer *)
   mutable f_acceptors : Site.id list;  (* paxos: the 2F+1 acceptor set *)
   mutable f_pax_ballot : int;
       (* paxos acceptor: highest ballot promised or accepted; 0 is the
@@ -183,6 +185,12 @@ let tracing st = Trace.enabled st.trace
 
 let tracef st tag fmt = Trace.record st.trace (engine st) ~tag fmt
 
+(* A timer expiry's raw work runs one same-instant event after the
+   timer fires, which is where a fiber the timer spawns starts. So
+   expiries due at the same instant run in the order their timers were
+   armed, whether their work runs raw or in a fiber. *)
+let defer st f = Engine.schedule (engine st) ~delay:0.0 f
+
 (* ------------------------------------------------------------------ *)
 (* CPU accounting *)
 
@@ -222,8 +230,8 @@ let new_family st ~root ~role ~protocol =
       f_outcome = None;
       f_acks_pending = [];
       f_ended = false;
-      f_watchdog = false;
-      f_orphan_watch = false;
+      f_watchdog = Engine.no_timer;
+      f_orphan_watch = Engine.no_timer;
       f_acceptors = [];
       f_pax_ballot = 0;
       f_pax_accepted = [];
@@ -443,6 +451,12 @@ let resolve_family st fam outcome =
     | Protocol.Aborted ->
         fam.f_outcome <- Some Protocol.Aborted;
         st.stats.n_aborted <- st.stats.n_aborted + 1);
+    (* a resolved family parks nothing: its watchdogs are disarmed *)
+    let eng = engine st in
+    Engine.cancel eng fam.f_watchdog;
+    fam.f_watchdog <- Engine.no_timer;
+    Engine.cancel eng fam.f_orphan_watch;
+    fam.f_orphan_watch <- Engine.no_timer;
     if tracing st then
       tracef st "txn" "%a resolved: %a" Tid.pp fam.f_root Protocol.pp_outcome
         outcome

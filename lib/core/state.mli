@@ -107,8 +107,16 @@ type family = {
   mutable f_ended : bool;
       (** an End record was written: no acknowledgement is outstanding.
           The descriptor stays in [families] as a tombstone. *)
-  mutable f_watchdog : bool;
-  mutable f_orphan_watch : bool;
+  mutable f_watchdog : Engine.timer;
+      (** a prepared subordinate's protocol timeout: the 2PC and
+          short-commit inquiry timer, or the non-blocking and Paxos
+          takeover timer ({!Subordinate.start_inquiry_watchdog},
+          {!Subordinate.start_takeover_watchdog}). [Engine.no_timer]
+          until armed; {!resolve_family} cancels it and resets it. *)
+  mutable f_orphan_watch : Engine.timer;
+      (** a joined but unprepared subordinate's orphan-inquiry timer
+          ({!Subordinate.start_orphan_watchdog}); [Engine.no_timer]
+          until armed, cancelled and reset by {!resolve_family} *)
   mutable f_acceptors : Site.id list;  (** paxos: the 2F+1 acceptor set *)
   mutable f_pax_ballot : int;
       (** paxos acceptor: highest promised/accepted ballot (0 = the
@@ -161,6 +169,13 @@ val me : t -> Site.id
 val tracing : t -> bool
 
 val tracef : t -> string -> ('a, Format.formatter, unit, unit) format4 -> 'a
+
+(** [defer st f] runs [f] as a raw event at the current instant,
+    after the events already queued for it. A protocol timer's expiry
+    defers its raw work this way, so it runs where a fiber the timer
+    spawned would start: expiries due at the same instant then run in
+    the order their timers were armed, whatever their kind. *)
+val defer : t -> (unit -> unit) -> unit
 
 (** Charge TranMan CPU for one protocol action (with a small
     exponential jitter modelling OS scheduling noise). *)
@@ -227,9 +242,10 @@ val abort_local : t -> family -> unit
 
 val status_of_family : t -> Tid.t -> Protocol.status
 
-(** Mark resolved (idempotent); updates statistics. The descriptor
-    stays as a tombstone for duplicate-message answers. Allocates
-    nothing. *)
+(** Mark resolved (idempotent); updates statistics and disarms the
+    family's watchdog timers, so a resolved family leaves no pending
+    event behind. The descriptor stays as a tombstone for
+    duplicate-message answers. Allocates nothing. *)
 val resolve_family : t -> family -> Protocol.outcome -> unit
 
 val majority : int -> int

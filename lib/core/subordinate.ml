@@ -98,26 +98,35 @@ let apply_outcome st fam outcome ~ack_to =
 (* --------------------------------------------------------------- *)
 (* Waiting for the coordinator *)
 
+(* The watchdogs are engine timers, not sleeping fibers (§3.3: a
+   timeout only triggers an inquiry or a takeover). An inquiry reads the
+   family and sends a datagram, which needs no thread, so it runs as a
+   raw event ([defer]); a takeover blocks, so its timer spawns a fiber
+   when it fires. [Site.after] drops the expiry of a crashed
+   incarnation, and [resolve_family] disarms both timers, so a resolved
+   family leaves nothing pending. *)
+
 (* 2PC window of vulnerability: a prepared subordinate that stops
    hearing from its coordinator stays blocked, periodically asking what
    happened. Presumed abort resolves an "unknown" answer to abort. *)
 let start_inquiry_watchdog st fam =
-  if not fam.f_watchdog then begin
-    fam.f_watchdog <- true;
+  if fam.f_watchdog == Engine.no_timer then begin
     let tid = fam.f_root in
-    Site.spawn st.site ~name:"2pc-inquiry" (fun () ->
-        let rec loop () =
-          Fiber.sleep st.config.subordinate_timeout_ms;
-          if fam.f_outcome = None then begin
-            st.stats.n_inquiries <- st.stats.n_inquiries + 1;
-            tracef st "2pc" "%a blocked; inquiring coordinator %d" Tid.pp tid
-              (Tid.origin tid);
-            send st ~dst:(Tid.origin tid)
-              (Protocol.Inquiry { m_tid = tid; m_from = me st });
-            loop ()
-          end
-        in
-        loop ())
+    let rec arm () =
+      fam.f_watchdog <-
+        Site.after st.site ~delay:st.config.subordinate_timeout_ms expire
+    and expire () = defer st inquire
+    and inquire () =
+      if fam.f_outcome = None then begin
+        st.stats.n_inquiries <- st.stats.n_inquiries + 1;
+        tracef st "2pc" "%a blocked; inquiring coordinator %d" Tid.pp tid
+          (Tid.origin tid);
+        send st ~dst:(Tid.origin tid)
+          (Protocol.Inquiry { m_tid = tid; m_from = me st });
+        arm ()
+      end
+    in
+    arm ()
   end
 
 (* A subordinate family that was joined by a server but never reached
@@ -126,39 +135,40 @@ let start_inquiry_watchdog st fam =
    abort-protocol rule of §2 applies: inquire, and let presumed abort
    free the site. *)
 let start_orphan_watchdog st fam =
-  if not fam.f_orphan_watch then begin
-    fam.f_orphan_watch <- true;
+  if fam.f_orphan_watch == Engine.no_timer && fam.f_outcome = None then begin
     let tid = fam.f_root in
-    Site.spawn st.site ~name:"orphan-watch" (fun () ->
-        let rec loop () =
-          Fiber.sleep st.config.orphan_timeout_ms;
-          if fam.f_outcome = None && (not fam.f_prepared) && not fam.f_read_only_done
-          then begin
-            st.stats.n_inquiries <- st.stats.n_inquiries + 1;
-            tracef st "orphan" "%a: inactive; inquiring coordinator %d" Tid.pp
-              tid (Tid.origin tid);
-            send st ~dst:(Tid.origin tid)
-              (Protocol.Inquiry { m_tid = tid; m_from = me st });
-            loop ()
-          end
-        in
-        loop ())
+    let rec arm () =
+      fam.f_orphan_watch <-
+        Site.after st.site ~delay:st.config.orphan_timeout_ms expire
+    and expire () = defer st inquire
+    and inquire () =
+      if fam.f_outcome = None && (not fam.f_prepared) && not fam.f_read_only_done
+      then begin
+        st.stats.n_inquiries <- st.stats.n_inquiries + 1;
+        tracef st "orphan" "%a: inactive; inquiring coordinator %d" Tid.pp tid
+          (Tid.origin tid);
+        send st ~dst:(Tid.origin tid)
+          (Protocol.Inquiry { m_tid = tid; m_from = me st });
+        arm ()
+      end
+    in
+    arm ()
   end
 
 (* Non-blocking: silence makes the subordinate a coordinator (change 2
    of §3.3). The takeover itself lives in [Nonblocking]; the dispatcher
    passes it in to avoid a module cycle. *)
 let start_takeover_watchdog st fam ~takeover =
-  if not fam.f_watchdog then begin
-    fam.f_watchdog <- true;
-    Site.spawn st.site ~name:"nb-takeover" (fun () ->
-        Fiber.sleep st.config.subordinate_timeout_ms;
-        if fam.f_outcome = None then begin
-          st.stats.n_takeovers <- st.stats.n_takeovers + 1;
-          tracef st "nb" "%a timed out; becoming coordinator" Tid.pp fam.f_root;
-          takeover st fam
-        end)
-  end
+  if fam.f_watchdog == Engine.no_timer then
+    fam.f_watchdog <-
+      Site.after st.site ~delay:st.config.subordinate_timeout_ms (fun () ->
+          Site.spawn st.site ~name:"nb-takeover" (fun () ->
+              if fam.f_outcome = None then begin
+                st.stats.n_takeovers <- st.stats.n_takeovers + 1;
+                tracef st "nb" "%a timed out; becoming coordinator" Tid.pp
+                  fam.f_root;
+                takeover st fam
+              end))
 
 (* --------------------------------------------------------------- *)
 (* Paxos Commit acceptor (Gray & Lamport): one consensus instance per

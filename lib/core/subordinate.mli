@@ -15,20 +15,34 @@ val apply_abort : State.t -> State.family -> unit
 val apply_outcome :
   State.t -> State.family -> Protocol.outcome -> ack_to:Camelot_mach.Site.id -> unit
 
-(** 2PC window of vulnerability: periodically ask the coordinator for
-    the outcome while blocked. *)
+(** {1 Watchdogs}
+
+    Each watchdog is an engine timer ({!Camelot_mach.Site.after}), not
+    a sleeping fiber: a family holds at most one in [f_watchdog] and
+    one in [f_orphan_watch], arming one that is already armed is a
+    no-op, {!State.resolve_family} disarms both, and a crash silences
+    them (the expiry of a dead incarnation is dropped;
+    {!Tranman.recover} re-arms the in-doubt families'). *)
+
+(** 2PC window of vulnerability: while the family is unresolved, send
+    an inquiry to the coordinator every [subordinate_timeout_ms],
+    counted in [n_inquiries]. Arms [f_watchdog]. *)
 val start_inquiry_watchdog : State.t -> State.family -> unit
 
 (** Orphan detection (the §2 abort-protocol rule): a subordinate family
-    joined by a server but never prepared inquires after a long
-    inactivity timeout; presumed abort then frees its locks if the
-    client or coordinator died. *)
+    joined by a server but never prepared inquires every
+    [orphan_timeout_ms] until it prepares, votes read-only or
+    resolves; presumed abort then frees its locks if the client or
+    coordinator died. Arms [f_orphan_watch]; a resolved family arms
+    nothing. *)
 val start_orphan_watchdog : State.t -> State.family -> unit
 
-(** Non-blocking and Paxos Commit: become a (recovery) coordinator
-    after the configured silence ([takeover] is
+(** Non-blocking and Paxos Commit: after [subordinate_timeout_ms] of
+    silence, spawn a site fiber that becomes a (recovery) coordinator
+    if the family is still unresolved ([takeover] is
     {!Nonblocking.takeover} or {!Paxos_commit.takeover}, passed in by
-    the dispatcher to avoid a module cycle). *)
+    the dispatcher to avoid a module cycle). Arms [f_watchdog]; no
+    fiber exists before the timer fires. *)
 val start_takeover_watchdog :
   State.t -> State.family -> takeover:(State.t -> State.family -> unit) -> unit
 

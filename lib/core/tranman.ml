@@ -560,13 +560,15 @@ let recover st =
                 : int)
           end)
     st.families;
-  (* start the appropriate blocked-state watchdogs *)
+  (* re-arm the appropriate blocked-state watchdogs: the old
+     incarnation's died with it *)
   List.iter
     (fun tid ->
       match find_family st tid with
       | None -> ()
       | Some fam -> (
-          fam.f_watchdog <- false;
+          Engine.cancel (engine st) fam.f_watchdog;
+          fam.f_watchdog <- Engine.no_timer;
           match fam.f_protocol with
           | Protocol.Nonblocking ->
               Subordinate.start_takeover_watchdog st fam

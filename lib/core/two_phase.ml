@@ -46,7 +46,10 @@ let commit_local st fam ~read_only =
    abort this runs for commits (the §3.2 rule: "the coordinator must
    not forget about the transaction before the subordinate writes its
    own commit record"); under presumed commit it runs for aborts
-   instead. Runs off the completion path. *)
+   instead. Runs off the completion path: each retry period is an
+   engine timer whose expiry retransmits to the laggards ([defer]), and
+   the first expiry that finds every ack in spawns the fiber that
+   writes End (it passes a chaos point, which needs a fiber). *)
 let start_notify ?(outcome = Protocol.Committed) st fam ~update_subs =
   let tid = fam.f_root in
   fam.f_acks_pending <- update_subs;
@@ -60,24 +63,28 @@ let start_notify ?(outcome = Protocol.Committed) st fam ~update_subs =
       }
   in
   fan_out st ~dsts:update_subs outcome_msg;
-  Site.spawn st.site ~name:"2pc-notify" (fun () ->
-      let rec loop () =
-        if fam.f_acks_pending <> [] then begin
-          Fiber.sleep st.config.outcome_retry_ms;
-          if fam.f_acks_pending <> [] then begin
-            fan_out st ~dsts:fam.f_acks_pending outcome_msg;
-            loop ()
-          end
-        end
-      in
-      loop ();
-      Camelot_chaos.point ~site:(me st) p_acks_in;
-      ignore (log_append st (Record.End { e_tid = tid }) : int);
-      fam.f_ended <- true;
-      unregister_waiter st tid;
-      if tracing st then
-        tracef st "2pc" "%a: all %a-acks in; forgotten" Tid.pp tid
-          Protocol.pp_outcome outcome)
+  let rec wait_acks () =
+    if fam.f_acks_pending = [] then
+      Site.spawn st.site ~name:"2pc-notify" (fun () ->
+          Camelot_chaos.point ~site:(me st) p_acks_in;
+          ignore (log_append st (Record.End { e_tid = tid }) : int);
+          fam.f_ended <- true;
+          unregister_waiter st tid;
+          if tracing st then
+            tracef st "2pc" "%a: all %a-acks in; forgotten" Tid.pp tid
+              Protocol.pp_outcome outcome)
+    else
+      ignore
+        (Site.after st.site ~delay:st.config.outcome_retry_ms expire : Engine.timer)
+  and expire () =
+    if fam.f_acks_pending = [] then wait_acks ()
+    else defer st retry
+  and retry () =
+    if fam.f_acks_pending <> [] then
+      fan_out st ~dsts:fam.f_acks_pending outcome_msg;
+    wait_acks ()
+  in
+  wait_acks ()
 
 (* Abort everywhere we know about. Presumed abort: the abort record is
    not forced, no acknowledgements are collected, and the descriptor

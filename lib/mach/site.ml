@@ -54,6 +54,11 @@ let on_restart t hook = t.restart_hooks <- hook :: t.restart_hooks
 
 let spawn t ?name fn = Fiber.spawn t.eng ~group:t.group ?name fn
 
+let after t ~delay f =
+  let incarnation = t.incarnation in
+  Engine.schedule_timer t.eng ~delay (fun () ->
+      if t.alive && t.incarnation = incarnation then f ())
+
 let cpu_use t ms = if ms > 0.0 then ignore (Sync.Resource.use t.cpu ~duration:ms : float)
 
 let cpu t = t.cpu

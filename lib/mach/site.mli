@@ -52,6 +52,17 @@ val on_restart : t -> (unit -> unit) -> unit
 (** Spawn a fiber belonging to this site's current incarnation. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
 
+(** [after t ~delay f] arms an engine timer that runs [f] [delay] ms
+    from now, unless the site crashed or restarted in between: a
+    callback of a dead incarnation is dropped, as a crash kills that
+    incarnation's fibers. Returns the handle for
+    {!Camelot_sim.Engine.cancel}. [f] runs as a raw engine event, not
+    in a fiber, so it must not block or reach a
+    {!Camelot_chaos.point}; it may send datagrams and spawn a fiber
+    for work that blocks. An exception it raises stops the
+    simulation ({!Camelot_sim.Engine.schedule_timer}). *)
+val after : t -> delay:float -> (unit -> unit) -> Camelot_sim.Engine.timer
+
 (** Occupy one CPU of the site for [ms] of virtual time (FCFS).
     Returns immediately if [ms <= 0]. *)
 val cpu_use : t -> float -> unit

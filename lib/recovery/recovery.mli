@@ -33,8 +33,8 @@
     rebuilds the same state. The default, one partition, is the
     paper's single totally-ordered pass on the same machinery. *)
 
-(** Returns the transactions left in doubt (their watchdogs are
-    running).
+(** Returns the transactions left in doubt (their watchdog timers are
+    armed).
     @param partitions number of parallel replay fibers (default 1)
     @raise Camelot_chaos.Killed if the site is killed while replay
     fibers are still running — retry after the next restart. *)

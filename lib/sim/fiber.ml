@@ -185,8 +185,8 @@ let run eng fn =
   spawn eng ~name:"main"
     ~on_exn:(fun e -> result := Some (Error e))
     (fun () -> result := Some (Ok (fn ())));
-  (* step until the main fiber completes: background fibers (flushers,
-     watchdogs) may keep the queue non-empty forever *)
+  (* step until the main fiber completes: background fibers (flushers)
+     and armed protocol timers may keep the queue non-empty forever *)
   while Option.is_none !result && Engine.step eng do
     ()
   done;

@@ -146,6 +146,40 @@ let test_2pc_multicast_commit () =
       Alcotest.(check int) (Printf.sprintf "k%d" site) 1 (peek c site (Printf.sprintf "k%d" site)))
     [ 0; 1; 2; 3 ]
 
+(* A resolved transaction parks nothing. K fault-free commits over 3
+   sites at the default timeouts, then 500 ms: the last commit resolves
+   everywhere and its notify period expires once, but no subordinate
+   or orphan timeout is due. Every family disarms its watchdogs when it
+   resolves, so what stays pending is the sites' own daemons, the same
+   for any K; a watchdog that outlived its family would add pending
+   events with every commit. *)
+let test_resolved_txns_leave_nothing_pending () =
+  let pending_after k =
+    let c = Camelot.Cluster.create ~sites:3 () in
+    let tm = Camelot.Cluster.tranman c 0 in
+    Fiber.run (Camelot.Cluster.engine c) (fun () ->
+        for _ = 1 to k do
+          let tid = Tranman.begin_transaction tm in
+          List.iter
+            (fun site ->
+              ignore
+                (Camelot.Cluster.op c ~origin:0 tid ~site (Data_server.Add ("k", 1))
+                  : int))
+            [ 0; 1; 2 ];
+          check_committed (Tranman.commit tm tid)
+        done);
+    settle c 500.0;
+    for site = 0 to 2 do
+      Alcotest.(check int)
+        (Printf.sprintf "K = %d: no inquiry at site %d" k site)
+        0
+        (Tranman.stats (Camelot.Cluster.tranman c site)).State.n_inquiries
+    done;
+    Engine.pending (Camelot.Cluster.engine c)
+  in
+  let five = pending_after 5 in
+  Alcotest.(check int) "pending events, K = 50 vs K = 5" five (pending_after 50)
+
 let test_site_tracking_via_comm () =
   (* the commit succeeds only because the CornMan hook told the
      coordinator about site 1; verify the mechanism end to end *)
@@ -381,6 +415,8 @@ let () =
           Alcotest.test_case "three subordinates" `Quick test_2pc_three_subordinates;
           Alcotest.test_case "multicast fan-out" `Quick test_2pc_multicast_commit;
           Alcotest.test_case "CornMan site tracking" `Quick test_site_tracking_via_comm;
+          Alcotest.test_case "resolved commits leave nothing pending" `Quick
+            test_resolved_txns_leave_nothing_pending;
         ] );
       ( "nonblocking",
         [

@@ -154,6 +154,56 @@ let test_2pc_sub_crash_after_vote_in_doubt_commits () =
             ~key:"k"
           = []))
 
+(* A watchdog is an engine timer, and a crash leaves it queued:
+   [Site.after] drops an expiry whose site died or restarted since the
+   timer was armed, as a crash kills its site's fibers. Site 1
+   prepares, its vote is lost in a partition, and it crashes before
+   its first inquiry is due. Down for over three timeouts, it counts no
+   inquiry. Restarted, it re-arms the in-doubt family's watchdog;
+   crashed and restarted again before that timer is due, the dead
+   incarnation's timer stays silent too. The live incarnation's
+   watchdog then inquires once, and presumed abort resolves the
+   family. *)
+let test_2pc_dead_incarnation_watchdog_silent () =
+  let c = quiet_cluster ~sites:2 () in
+  let timeout = (Camelot.Cluster.config c 1).State.subordinate_timeout_ms in
+  let tm1 = Camelot.Cluster.tranman c 1 in
+  let inquiries () = (Tranman.stats tm1).State.n_inquiries in
+  let result, tid_cell =
+    spawn_txn c ~origin:0 ~ops:[ (1, Data_server.Write ("k", 9)) ] ()
+  in
+  orchestrate c (fun () ->
+      (* cut the network while the prepare force is in flight: the
+         yes-vote leaves only once it completes *)
+      wait_until ~what:"sub prepare appended" (fun () -> has_record c 1 is_prepare);
+      Camelot.Cluster.partition c [ [ 0 ]; [ 1 ] ];
+      let tid = Option.get !tid_cell in
+      wait_until ~what:"sub prepared, watchdog armed" (fun () ->
+          Tranman.status tm1 tid = Protocol.St_prepared);
+      Camelot.Cluster.crash_site c 1;
+      Fiber.sleep (3.5 *. timeout);
+      Alcotest.(check int) "no inquiry while down" 0 (inquiries ());
+      Alcotest.(check bool) "coordinator aborted on vote timeout" true
+        (!result = Some Protocol.Aborted);
+      let restart () =
+        Alcotest.(check int) "family in doubt after restart" 1
+          (List.length (Camelot.Cluster.restart_site c 1))
+      in
+      restart ();
+      Fiber.sleep (timeout /. 4.0);
+      Camelot.Cluster.crash_site c 1;
+      Fiber.sleep (timeout /. 4.0);
+      restart ();
+      (* past the dead incarnation's expiry, before the live one's *)
+      Fiber.sleep (0.75 *. timeout);
+      Alcotest.(check int) "dead incarnation's watchdog silent" 0 (inquiries ());
+      Alcotest.(check int) "value held in doubt" 9 (peek c 1 "k");
+      Camelot.Cluster.heal c;
+      wait_until ~what:"presumed abort by inquiry" (fun () -> peek c 1 "k" = 0);
+      Alcotest.check status_testable "resolved" Protocol.St_aborted
+        (Tranman.status tm1 tid);
+      Alcotest.(check int) "the live watchdog inquired once" 1 (inquiries ()))
+
 (* ------------------------------------------------------------------ *)
 (* Non-blocking commit failures *)
 
@@ -272,22 +322,7 @@ let crash_at_votes_collected ~protocol ?(paxos_f = 0) ~expect () =
       ()
   in
   orchestrate c (fun () ->
-      let fired = ref false in
-      Camelot_chaos.attach
-        ~on_hit:(fun ~point ~site ->
-          if point = Two_phase.p_votes_collected && site = 0 && not !fired
-          then begin
-            fired := true;
-            Camelot_chaos.Kill
-          end
-          else Camelot_chaos.Pass)
-        ~on_note:(fun ~site:_ _ -> ())
-        ~crash:(fun ~site -> Camelot.Cluster.crash_site c site);
-      Fun.protect ~finally:Camelot_chaos.detach (fun () ->
-          wait_until ~what:"coordinator crashed at votes-collected" (fun () ->
-              !fired);
-          Fiber.sleep 300.0;
-          ignore (Camelot.Cluster.restart_site c 0 : Tid.t list));
+      crash_coordinator_at_votes_collected c;
       match expect with
       | `Commit ->
           wait_until ~what:"subs commit" (fun () ->
@@ -634,6 +669,8 @@ let () =
             test_2pc_sub_crash_before_vote_aborts;
           Alcotest.test_case "sub crash after vote: in-doubt then commit" `Quick
             test_2pc_sub_crash_after_vote_in_doubt_commits;
+          Alcotest.test_case "dead incarnation's watchdog stays silent" `Quick
+            test_2pc_dead_incarnation_watchdog_silent;
         ] );
       ( "abort_protocol",
         [

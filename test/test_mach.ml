@@ -313,6 +313,32 @@ let test_cpu_use_alloc_budget () =
   if per_use > 32.0 then
     Alcotest.failf "Site.cpu_use: %.1f words per use, budget 32.0" per_use
 
+(* Minor-heap words to arm a watchdog with [Site.after] and disarm it,
+   as a family that resolves before its timeout does, averaged over
+   10k pairs: 13 today, the timer event (3), the incarnation guard's
+   closure (6), and the expiry time boxed once on its way into the
+   queue and once on its way out when the tombstone drains (2 + 2).
+   The expiry callback is built once, as the watchdogs build theirs,
+   and a first pass sizes the queue. A [Fiber.spawn] plus one [sleep]
+   costs 74 (DESIGN.md §5e). The budget sits about 10% above. *)
+let test_watchdog_alloc_budget () =
+  let pairs = 10_000 in
+  let eng = Engine.create () in
+  let site = make_site eng in
+  let expire () = () in
+  let run () =
+    for _ = 1 to pairs do
+      Engine.cancel eng (Site.after site ~delay:1500.0 expire)
+    done;
+    Engine.run eng
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let per_pair = (Gc.minor_words () -. before) /. float_of_int pairs in
+  if per_pair > 14.3 then
+    Alcotest.failf "Site.after + cancel: %.1f words per pair, budget 14.3" per_pair
+
 let () =
   Alcotest.run "camelot_mach"
     [
@@ -355,5 +381,7 @@ let () =
       ( "alloc",
         [
           Alcotest.test_case "Site.cpu_use budget" `Quick test_cpu_use_alloc_budget;
+          Alcotest.test_case "watchdog arm and disarm budget" `Quick
+            test_watchdog_alloc_budget;
         ] );
     ]

@@ -10,8 +10,9 @@
    recovered values must agree between the twins — and with the
    pre-crash committed state. The distributed transactions run under
    each commit protocol in turn, so non-blocking Replication and Paxos
-   acceptance records cross checkpoints too (no fault-free run forces
-   a Refusal). *)
+   acceptance records cross checkpoints too. No fault-free run forces a
+   Refusal, so one deterministic twin case aborts a non-blocking
+   transaction through an abort quorum first. *)
 
 open Camelot_core
 
@@ -149,6 +150,113 @@ let test_truncated_equals_full_recovery () =
       Protocol.Short_commit;
     ]
 
+(* The twin case for a Refusal record: test_failures' "non-blocking:
+   abort via takeover", over values committed at 1 beforehand. The
+   coordinator dies between the last vote and its outcome, no
+   Replication record exists anywhere, and the subordinates' takeover
+   forces Refusals to assemble an abort quorum. Once both are durable
+   every site checkpoints, truncating in one twin only; after the abort
+   settles, every site crashes and restarts. Returns the values and the
+   family's status at every site before the crash and after recovery,
+   the quorum-abort images the checkpoints carried, and the sites whose
+   log was truncated. *)
+let refusal_twin ~truncate =
+  let c = Testutil.quiet_cluster ~sites:3 () in
+  let sites = List.init 3 Fun.id in
+  let write ~origin tid ~site key v =
+    ignore
+      (Camelot.Cluster.op c ~origin tid ~site (Camelot_server.Data_server.Write (key, v))
+        : int)
+  in
+  let tid = ref None in
+  let snapshot () =
+    let tid = Option.get !tid in
+    ( List.concat_map
+        (fun site ->
+          List.map (fun key -> (site, key, Testutil.peek c site key)) [ "vb"; "vc" ])
+        sites,
+      List.map (fun site -> Tranman.status (Camelot.Cluster.tranman c site) tid) sites
+    )
+  in
+  let refusal_durable site =
+    List.exists
+      (fun (_, r) -> Testutil.is_refusal r)
+      (Camelot_wal.Log.durable_records (Camelot.Cluster.log c site))
+  in
+  let quorum_abort_images site =
+    List.fold_left
+      (fun n (_, r) ->
+        match r with
+        | Record.Checkpoint { ck_families; _ } ->
+            n
+            + List.length
+                (List.filter
+                   (fun im -> im.Record.fi_quorum = Record.Fq_abort)
+                   ck_families)
+        | _ -> n)
+      0
+      (Camelot_wal.Log.durable_records (Camelot.Cluster.log c site))
+  in
+  let pre, images =
+    Camelot_sim.Fiber.run (Camelot.Cluster.engine c) (fun () ->
+        List.iter
+          (fun (site, key) ->
+            let tm = Camelot.Cluster.tranman c site in
+            let t = Tranman.begin_transaction tm in
+            write ~origin:site t ~site key 1;
+            Testutil.check_committed (Tranman.commit tm t))
+          [ (1, "vb"); (2, "vc") ];
+        let tm = Camelot.Cluster.tranman c 0 in
+        Camelot_mach.Site.spawn (Camelot.Cluster.node c 0).Camelot.Cluster.site
+          (fun () ->
+            let t = Tranman.begin_transaction tm in
+            tid := Some t;
+            write ~origin:0 t ~site:1 "vb" 2;
+            write ~origin:0 t ~site:2 "vc" 3;
+            (* the coordinator's site dies under this call *)
+            match Tranman.commit tm ~protocol:Protocol.Nonblocking t with
+            | (_ : Protocol.outcome) -> ()
+            | exception Camelot_mach.Rpc.Rpc_failure _ -> ());
+        Testutil.crash_coordinator_at_votes_collected c;
+        Testutil.wait_until ~what:"refusals durable" (fun () ->
+            refusal_durable 1 && refusal_durable 2);
+        List.iter (fun site -> Camelot.Cluster.checkpoint ~truncate c site) sites;
+        Testutil.wait_until ~what:"abort applied" (fun () ->
+            Testutil.peek c 1 "vb" = 1 && Testutil.peek c 2 "vc" = 1);
+        Camelot_sim.Fiber.sleep 1_000.0;
+        let pre = snapshot () in
+        let images = List.fold_left (fun n s -> n + quorum_abort_images s) 0 sites in
+        List.iter (Camelot.Cluster.crash_site c) sites;
+        List.iter
+          (fun site -> ignore (Camelot.Cluster.restart_site c site : Tid.t list))
+          sites;
+        (pre, images))
+  in
+  Testutil.settle c 2_000.0;
+  let truncated =
+    List.filter
+      (fun site -> Camelot_wal.Log.base_lsn (Camelot.Cluster.log c site) > 0)
+      sites
+  in
+  (pre, snapshot (), images, truncated)
+
+let test_refusal_crosses_checkpoint () =
+  let values = Alcotest.(list (triple int string int)) in
+  let statuses = Alcotest.list Testutil.status_testable in
+  let (pre_vt, pre_st), (post_vt, post_st), _, truncated =
+    refusal_twin ~truncate:true
+  in
+  let (pre_vf, pre_sf), (post_vf, post_sf), images, _ = refusal_twin ~truncate:false in
+  Alcotest.check values "twins agree pre-crash" pre_vf pre_vt;
+  Alcotest.check statuses "twins' statuses agree pre-crash" pre_sf pre_st;
+  (* not vacuous: the refusing sites truncated, and a Refusal crossed *)
+  Alcotest.(check (list int)) "refusing sites truncated" [ 1; 2 ]
+    (List.filter (fun s -> s <> 0) truncated);
+  Alcotest.(check bool) "a checkpoint carried a quorum-abort image" true (images > 0);
+  Alcotest.check values "full-log recovery preserves state" pre_vf post_vf;
+  Alcotest.check values "truncated recovery equals full recovery" post_vf post_vt;
+  Alcotest.check statuses "recovered statuses agree" post_sf post_st
+
 let test_auto_checkpointer_truncates_and_recovers () =
   (* the automatic checkpointer daemon: no explicit checkpoint calls,
      just a record-count threshold — the log must stay bounded and
@@ -192,6 +300,8 @@ let () =
         [
           Alcotest.test_case "truncated recovery == full recovery" `Quick
             test_truncated_equals_full_recovery;
+          Alcotest.test_case "refused participant: truncated == full recovery"
+            `Quick test_refusal_crosses_checkpoint;
           Alcotest.test_case "auto checkpointer truncates and recovers" `Quick
             test_auto_checkpointer_truncates_and_recovers;
         ] );

@@ -101,3 +101,24 @@ let wait_until ?(timeout = 30_000.0) ?(what = "condition") pred =
     end
   in
   loop ()
+
+(* The decision-point crash: site 0 dies the first time its
+   coordinator has every vote in and no outcome logged (the
+   [coord.votes.collected] fault point), and restarts 300 ms later.
+   Call it from the orchestrating fiber while the transaction commits
+   in a site-0 fiber. *)
+let crash_coordinator_at_votes_collected c =
+  let fired = ref false in
+  Camelot_chaos.attach
+    ~on_hit:(fun ~point ~site ->
+      if point = Two_phase.p_votes_collected && site = 0 && not !fired then begin
+        fired := true;
+        Camelot_chaos.Kill
+      end
+      else Camelot_chaos.Pass)
+    ~on_note:(fun ~site:_ _ -> ())
+    ~crash:(fun ~site -> Camelot.Cluster.crash_site c site);
+  Fun.protect ~finally:Camelot_chaos.detach (fun () ->
+      wait_until ~what:"coordinator crashed at votes-collected" (fun () -> !fired);
+      Camelot_sim.Fiber.sleep 300.0;
+      ignore (Camelot.Cluster.restart_site c 0 : Tid.t list))
