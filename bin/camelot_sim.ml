@@ -4,8 +4,8 @@
 open Cmdliner
 
 (* Counts and durations must be positive (durations also finite): a
-   zero horizon divides by zero into nan rows, a zero batch or site
-   count raises. A bad value is a usage error, exit 124. *)
+   zero horizon divides by zero into nan rows, a zero site count
+   raises. A bad value is a usage error, exit 124. *)
 let positive base ~what ~ok =
   let parse s =
     match Arg.conv_parser base s with
@@ -236,57 +236,15 @@ let cmds =
        let doc = "Virtual milliseconds per sweep point." in
        Arg.(value & opt pos_float 5_000.0 & info [ "horizon" ] ~docv:"MS" ~doc)
      in
-     let batch =
-       let doc =
-         "Batched executor dequeue: each wakeup charges one context switch \
-          and drains up to $(docv) queued transactions."
-       in
-       Arg.(value & opt (some pos_int) None & info [ "batch" ] ~docv:"K" ~doc)
-     in
-     let diurnal =
-       let doc =
-         "Replace the load sweep with one built-in day curve (sinusoidal \
-          piecewise-rate Poisson, trough 15% of --peak, 24 segments over the \
-          horizon)."
-       in
-       Arg.(value & flag & info [ "diurnal" ] ~doc)
-     in
-     let peak =
-       let doc = "Peak rate of the --diurnal day curve, transactions/second." in
-       Arg.(value & opt pos_float 800.0 & info [ "peak" ] ~docv:"TPS" ~doc)
-     in
-     let trace =
-       let doc =
-         "Replay a rate trace (one \"t_ms rate_tps\" per line, '#' comments) \
-          as a piecewise-rate Poisson arrival process."
-       in
-       Arg.(value & opt (some file) None & info [ "trace" ] ~docv:"FILE" ~doc)
-     in
      experiment "open-loop"
-       "Open-loop sweep: Poisson arrivals (optionally diurnal or \
-        trace-driven), Zipf keys, queue-sharded execution; p50/p99/p999, \
-        abort rate, saturation knee."
+       "Open-loop sweep: Poisson arrivals, Zipf keys, queue-sharded \
+        execution; p50/p99/p999, abort rate, saturation knee."
        Term.(
-         const (fun sites mix loads horizon_ms batch diurnal peak trace () ->
-             let module O = Camelot_experiments.Open_loop in
-             match trace with
-             | Some file ->
-                 ignore
-                   (O.run_piecewise ~sites ~mix ?batch
-                      ~arrival:(O.trace_of_file file) ~horizon_ms ()
-                     : O.point)
-             | None when diurnal ->
-                 ignore
-                   (O.run_piecewise ~sites ~mix ?batch
-                      ~arrival:(O.day_curve ~peak_tps:peak ~horizon_ms ())
-                      ~horizon_ms ()
-                     : O.point)
-             | None ->
-                 ignore
-                   (O.run ~sites ~mix ?batch ?loads ~horizon_ms ()
-                     : O.point list))
-         $ sites $ mix $ loads $ ol_horizon $ batch $ diurnal $ peak $ trace
-         $ const ()));
+         const (fun sites mix loads horizon_ms () ->
+             ignore
+               (Camelot_experiments.Open_loop.run ~sites ~mix ?loads ~horizon_ms ()
+                 : Camelot_experiments.Open_loop.point list))
+         $ sites $ mix $ loads $ ol_horizon $ const ()));
     (let sh_sites =
        let doc = "Sites per cluster (every transaction updates all of them)." in
        Arg.(value & opt pos_int 3 & info [ "sites" ] ~docv:"N" ~doc)

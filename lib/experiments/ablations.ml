@@ -222,8 +222,8 @@ let ablate_mixed_workload () =
     :: List.map
          (fun f ->
            let r =
-             Workload.throughput ~update_fraction:f ~update:true ~pairs:4
-               ~threads:20 ~group_commit:gc ~horizon_ms:30_000.0 ()
+             Workload.throughput ~update_fraction:f ~pairs:4 ~threads:20
+               ~group_commit:gc ~horizon_ms:30_000.0 ()
            in
            Printf.sprintf "%.1f" r.Workload.tps)
          fractions

@@ -7,8 +7,8 @@ let collect ?(horizon_ms = 60_000.0) () =
     (fun (threads, group_commit) ->
       List.map
         (fun pairs ->
-          Workload.throughput ~update:true ~pairs ~threads ~group_commit
-            ~horizon_ms ())
+          Workload.throughput ~update_fraction:1.0 ~pairs ~threads
+            ~group_commit ~horizon_ms ())
         pairs_range)
     configs
 

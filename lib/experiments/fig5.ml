@@ -7,8 +7,8 @@ let collect ?(horizon_ms = 60_000.0) () =
     (fun threads ->
       List.map
         (fun pairs ->
-          Workload.throughput ~update:false ~pairs ~threads ~group_commit:false
-            ~horizon_ms ())
+          Workload.throughput ~update_fraction:0.0 ~pairs ~threads
+            ~group_commit:false ~horizon_ms ())
         pairs_range)
     thread_configs
 

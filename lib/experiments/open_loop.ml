@@ -21,88 +21,6 @@ open Camelot_sim
 open Camelot_core
 module Dispatch = Camelot_mach.Dispatch
 
-(* Arrival process, by offered rate in transactions/second. [Bursty]
-   keeps the same mean rate but releases arrivals [burst] at a time at
-   Poisson epochs — a crude on/off source that stresses queue depth.
-   [Piecewise] is a piecewise-constant-rate Poisson process — the
-   diurnal/trace-driven source: each [(start_ms, rate_tps)] segment
-   holds its rate until the next segment starts (the last one until the
-   horizon). *)
-type arrival =
-  | Poisson of { rate_tps : float }
-  | Bursty of { rate_tps : float; burst : int }
-  | Piecewise of { segments : (float * float) list }
-
-(* For [Piecewise] the offered rate is the peak segment rate — the
-   figure a capacity planner would quote for a diurnal curve. *)
-let offered_rate = function
-  | Poisson { rate_tps } | Bursty { rate_tps; _ } -> rate_tps
-  | Piecewise { segments } ->
-      List.fold_left (fun acc (_, r) -> Float.max acc r) 0.0 segments
-
-(* Built-in day curve: one sinusoidal "day" mapped onto the horizon,
-   starting and ending at the overnight trough (15% of peak), sampled
-   into [steps] constant-rate segments ("hours"). *)
-let trough_fraction = 0.15
-
-let day_curve ?(steps = 24) ~peak_tps ~horizon_ms () =
-  if steps <= 0 then invalid_arg "Open_loop.day_curve: steps must be positive";
-  if peak_tps <= 0.0 then
-    invalid_arg "Open_loop.day_curve: peak must be positive";
-  let mid = (1.0 +. trough_fraction) /. 2.0 in
-  let amp = (1.0 -. trough_fraction) /. 2.0 in
-  Piecewise
-    {
-      segments =
-        List.init steps (fun i ->
-            let start = horizon_ms *. float_of_int i /. float_of_int steps in
-            (* rate at the segment midpoint *)
-            let x = (float_of_int i +. 0.5) /. float_of_int steps in
-            let rate =
-              peak_tps *. (mid -. (amp *. Float.cos (2.0 *. Float.pi *. x)))
-            in
-            (start, rate));
-    }
-
-(* Trace file: one "t_ms rate_tps" pair per line ('#' comments and
-   blank lines ignored), ascending times — replayed as a [Piecewise]
-   arrival process. *)
-let trace_of_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let segments = ref [] in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           let line =
-             match String.index_opt line '#' with
-             | Some i -> String.sub line 0 i
-             | None -> line
-           in
-           match
-             String.split_on_char ' ' line
-             |> List.concat_map (String.split_on_char '\t')
-             |> List.filter (fun s -> s <> "")
-           with
-           | [] -> ()
-           | [ t; r ] -> (
-               match (float_of_string_opt t, float_of_string_opt r) with
-               | Some t, Some r -> segments := (t, r) :: !segments
-               | _ ->
-                   failwith
-                     (Printf.sprintf "%s:%d: malformed trace line" path !lineno))
-           | _ ->
-               failwith
-                 (Printf.sprintf
-                    "%s:%d: expected \"t_ms rate_tps\"" path !lineno)
-         done
-       with End_of_file -> ());
-      Piecewise { segments = List.rev !segments })
-
 (* Transaction mixes. [Debit_credit] is the TPC-style transfer pair —
    two exclusive locks taken in draw order (deliberately unordered, so
    hot-key cycles deadlock and resolve by timeout-abort); [Read_mostly]
@@ -129,75 +47,18 @@ let sample_txn mix zipf rng =
       let k = Rng.Zipf.draw zipf rng in
       if Rng.bool rng ~p:p_lookup then Lookup k else Deposit k
 
-(* Arrival instants in [0, horizon_ms), ascending. Pure function of the
-   rng stream, so generator tests can check the process in isolation. *)
-let arrival_times arrival ~rng ~horizon_ms =
-  if offered_rate arrival <= 0.0 then
+(* Poisson arrival instants in [0, horizon_ms), ascending. Pure
+   function of the rng stream, so generator tests can check the process
+   in isolation. *)
+let arrival_times ~rate_tps ~rng ~horizon_ms =
+  if rate_tps <= 0.0 then
     invalid_arg "Open_loop.arrival_times: rate must be positive";
-  let out = ref [] in
-  let t = ref 0.0 in
-  (match arrival with
-  | Poisson { rate_tps } ->
-      let mean = 1000.0 /. rate_tps in
-      let rec loop () =
-        t := !t +. Rng.exponential rng ~mean;
-        if !t < horizon_ms then begin
-          out := !t :: !out;
-          loop ()
-        end
-      in
-      loop ()
-  | Bursty { rate_tps; burst } ->
-      if burst <= 0 then invalid_arg "Open_loop.arrival_times: burst must be positive";
-      let mean = 1000.0 *. float_of_int burst /. rate_tps in
-      let rec loop () =
-        t := !t +. Rng.exponential rng ~mean;
-        if !t < horizon_ms then begin
-          for _ = 1 to burst do
-            out := !t :: !out
-          done;
-          loop ()
-        end
-      in
-      loop ()
-  | Piecewise { segments } ->
-      let segs = Array.of_list segments in
-      let n = Array.length segs in
-      Array.iteri
-        (fun i (start, rate) ->
-          if rate < 0.0 then
-            invalid_arg "Open_loop.arrival_times: negative segment rate";
-          if i > 0 && start <= fst segs.(i - 1) then
-            invalid_arg "Open_loop.arrival_times: segment starts must ascend")
-        segs;
-      let seg_end i = if i + 1 < n then fst segs.(i + 1) else horizon_ms in
-      (* Walk the segments, drawing exponential gaps at the current
-         segment's rate. A gap that overshoots the segment boundary is
-         discarded and redrawn from the boundary at the new rate —
-         exact for a piecewise-constant Poisson process, by
-         memorylessness. *)
-      t := Float.max 0.0 (fst segs.(0));
-      let i = ref 0 in
-      while !i < n && !t < horizon_ms do
-        let rate = snd segs.(!i) in
-        let e = Float.min (seg_end !i) horizon_ms in
-        if rate <= 0.0 then begin
-          t := e;
-          incr i
-        end
-        else begin
-          let next = !t +. Rng.exponential rng ~mean:(1000.0 /. rate) in
-          if next < e then begin
-            t := next;
-            out := !t :: !out
-          end
-          else begin
-            t := e;
-            incr i
-          end
-        end
-      done);
-  List.rev !out
+  let mean = 1000.0 /. rate_tps in
+  let rec loop t acc =
+    let t = t +. Rng.exponential rng ~mean in
+    if t < horizon_ms then loop t (t :: acc) else List.rev acc
+  in
+  loop 0.0 []
 
 type point = {
   offered_tps : float;
@@ -216,9 +77,15 @@ type point = {
 
 let key_name rank = Printf.sprintf "a%d" rank
 
+(* The rig's fixed shape: key skew, each site's dispatcher, and the
+   lock-wait bound that turns hot-key deadlocks into aborts. *)
+let theta = 0.99
+let shards_per_site = 4
+let executors_per_shard = 4
+let lock_timeout_ms = 50.0
+
 let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
-    ?(theta = 0.99) ?(shards_per_site = 4) ?(executors_per_shard = 4)
-    ?(lock_timeout_ms = 50.0) ?batch ~arrival ~horizon_ms () =
+    ~rate_tps ~horizon_ms () =
   let executors = shards_per_site * executors_per_shard in
   let config = State.default_config ~threads:executors () in
   let c =
@@ -228,8 +95,7 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
   let engine = Camelot.Cluster.engine c in
   let dispatches =
     Array.init sites (fun site ->
-        Dispatch.create ~shards:shards_per_site
-          ~executors_per_shard ?batch
+        Dispatch.create ~shards:shards_per_site ~executors_per_shard
           (Camelot.Cluster.node c site).Camelot.Cluster.site)
   in
   let rng = Rng.create ~seed:(seed * 8191) in
@@ -282,7 +148,7 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
         incr aborted
   in
   (* one engine timer per arrival — the open loop itself *)
-  let times = arrival_times arrival ~rng:arrivals_rng ~horizon_ms in
+  let times = arrival_times ~rate_tps ~rng:arrivals_rng ~horizon_ms in
   let n_arrivals = List.length times in
   List.iter
     (fun time ->
@@ -305,7 +171,7 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
     Array.fold_left (fun acc d -> max acc (Dispatch.max_depth d)) 0 dispatches
   in
   {
-    offered_tps = offered_rate arrival;
+    offered_tps = rate_tps;
     arrivals = n_arrivals;
     committed = !committed;
     aborted = !aborted;
@@ -324,15 +190,8 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
    under capacity, the high end far past the knee. *)
 let load_range = [ 100.0; 200.0; 400.0; 800.0; 1600.0 ]
 
-let sweep ?seed ?sites ?mix ?keys ?theta ?shards_per_site ?executors_per_shard
-    ?lock_timeout_ms ?batch ?(loads = load_range) ?(horizon_ms = 5_000.0) () =
-  List.map
-    (fun rate ->
-      run_one ?seed ?sites ?mix ?keys ?theta ?shards_per_site
-        ?executors_per_shard ?lock_timeout_ms ?batch
-        ~arrival:(Poisson { rate_tps = rate })
-        ~horizon_ms ())
-    loads
+let collect ?sites ?mix ?(loads = load_range) ?(horizon_ms = 5_000.0) () =
+  List.map (fun rate_tps -> run_one ?sites ?mix ~rate_tps ~horizon_ms ()) loads
 
 (* The saturation knee: the first offered load that leaves more than
    10% of its arrivals unfinished at the horizon. Below the knee the
@@ -359,8 +218,8 @@ let pp_row p =
     string_of_int p.max_shard_depth;
   ]
 
-let run ?sites ?mix ?batch ?loads ?horizon_ms () =
-  let points = sweep ?sites ?mix ?batch ?loads ?horizon_ms () in
+let run ?sites ?mix ?loads ?horizon_ms () =
+  let points = collect ?sites ?mix ?loads ?horizon_ms () in
   Report.header
     "Open loop: Poisson arrivals, Zipf(0.99) keys, queue-sharded execution";
   Report.table
@@ -386,45 +245,3 @@ let run ?sites ?mix ?batch ?loads ?horizon_ms () =
       print_endline
         "No saturation knee in this range: completions track offered load.");
   points
-
-(* Diurnal/trace replay: one run of a [Piecewise] arrival process,
-   reported as the familiar sweep row plus the shape of the curve. *)
-let run_piecewise ?sites ?mix ?batch ~arrival ~horizon_ms () =
-  let segments =
-    match arrival with
-    | Piecewise { segments } -> segments
-    | _ -> invalid_arg "Open_loop.run_piecewise: arrival must be Piecewise"
-  in
-  let p = run_one ?sites ?mix ?batch ~arrival ~horizon_ms () in
-  let trough =
-    List.fold_left (fun acc (_, r) -> Float.min acc r) infinity segments
-  in
-  Report.header
-    "Open loop, diurnal arrivals: piecewise-rate Poisson, Zipf(0.99) keys, \
-     queue-sharded execution";
-  Printf.printf
-    "%d rate segments over %.0f ms: peak %.0f tps, trough %.0f tps\n"
-    (List.length segments) horizon_ms p.offered_tps trough;
-  Report.table
-    ~columns:
-      [
-        "PEAK TPS";
-        "DONE TPS";
-        "ABORT%";
-        "p50 ms";
-        "p99 ms";
-        "p999 ms";
-        "BACKLOG";
-        "MAXQ";
-      ]
-    [ pp_row p ];
-  (if p.arrivals > 0 && float_of_int p.backlog > 0.1 *. float_of_int p.arrivals
-   then
-     print_endline
-       "Peak load saturates the executors: the backlog left at the horizon \
-        exceeds 10% of arrivals."
-   else
-     print_endline
-       "Completions track the diurnal curve: the trough drains what the peak \
-        queues.");
-  p

@@ -78,8 +78,9 @@ type throughput_result = {
   committed : int;
 }
 
-let throughput ?(seed = 42) ?(think_ms = 15.0) ?update_fraction ~update ~pairs
-    ~threads ~group_commit ~horizon_ms () =
+let throughput ~update_fraction ~pairs ~threads ~group_commit ~horizon_ms () =
+  (* the rig's seed, and each application's mean think time (ms) *)
+  let seed = 42 and think_ms = 15.0 in
   let config = State.default_config ~threads () in
   let c =
     Camelot.Cluster.create ~seed ~model:Camelot_mach.Cost_model.vax ~config
@@ -94,22 +95,17 @@ let throughput ?(seed = 42) ?(think_ms = 15.0) ?update_fraction ~update ~pairs
   let site = (Camelot.Cluster.node c 0).Camelot.Cluster.site in
   let think_rng = Rng.create ~seed:(seed + 17) in
   let mix_rng = Rng.create ~seed:(seed + 23) in
-  let next_is_update () =
-    match update_fraction with
-    | Some f -> Rng.bool mix_rng ~p:f
-    | None -> update
-  in
   for pair = 0 to pairs - 1 do
     Camelot_mach.Site.spawn site (fun () ->
         let rec loop () =
           if Fiber.now () < horizon_ms then begin
             (* a little application think time between transactions
                desynchronizes the clients, as real processes are *)
-            if think_ms > 0.0 then
-              Fiber.sleep (Rng.exponential think_rng ~mean:think_ms);
+            Fiber.sleep (Rng.exponential think_rng ~mean:think_ms);
             let tid = Tranman.begin_transaction tm in
             let o =
-              if next_is_update () then Camelot_server.Data_server.Add ("k", 1)
+              if Rng.bool mix_rng ~p:update_fraction then
+                Camelot_server.Data_server.Add ("k", 1)
               else Camelot_server.Data_server.Read "k"
             in
             ignore (Camelot.Cluster.op c ~origin:0 tid ~site:0 ~index:pair o : int);

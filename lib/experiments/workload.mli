@@ -55,24 +55,20 @@ type throughput_result = {
   committed : int;
 }
 
-(** [throughput ~update ~pairs ~threads ~group_commit ~horizon_ms ()]
-    runs the §4.4 experiment on the VAX cost model: [pairs] separate
-    application/server pairs on one 4-way SMP site, each looping
-    minimal transactions against its own server (operation processing
-    is never the bottleneck), with a [threads]-thread transaction
-    manager. Each application sleeps an exponential think time (mean
-    [think_ms], default 15) between transactions, breaking the
-    batch-write convoy that lockstep clients would otherwise form.
-    Returns committed transactions per second of virtual time.
-    @param update_fraction when given, overrides [update]: each
-    transaction independently updates with this probability (the
-    mixed-workload extension beyond the paper's pure read / pure update
-    points). *)
+(** [throughput ~update_fraction ~pairs ~threads ~group_commit
+    ~horizon_ms ()] runs the §4.4 experiment on the VAX cost model:
+    [pairs] separate application/server pairs on one 4-way SMP site,
+    each looping minimal transactions against its own server (operation
+    processing is never the bottleneck), with a [threads]-thread
+    transaction manager. Each transaction updates with probability
+    [update_fraction] and reads otherwise: Figure 4 passes 1.0, Figure 5
+    0.0, and the mixed-workload ablation the points between. Each
+    application sleeps an exponential think time (mean 15 ms) between
+    transactions, breaking the batch-write convoy that lockstep clients
+    would otherwise form. The seed is fixed (42). Returns committed
+    transactions per second of virtual time. *)
 val throughput :
-  ?seed:int ->
-  ?think_ms:float ->
-  ?update_fraction:float ->
-  update:bool ->
+  update_fraction:float ->
   pairs:int ->
   threads:int ->
   group_commit:bool ->

@@ -19,7 +19,13 @@ type t = {
   bcopy_per_kb_us : float;  (** data copy per-KB cost *)
   kernel_call_us : float;  (** getpid(), fastest kernel call *)
   copy_inout_us : float;  (** copy data in/out of kernel, fixed part *)
-  context_switch_us : float;  (** swtch() *)
+  context_switch_us : float;
+      (** swtch(). Table 1 calibration that no rig charges: Table 2's
+          IPC and RPC costs are measured round trips that already
+          include the kernel's switches. Charged on every dispatcher
+          wakeup, it moved Table 3's measured column away from the
+          paper on two rows of three (EXPERIMENTS.md, "Batched
+          dequeue"). *)
   raw_disk_write_ms : float;  (** raw disk write, 1 track *)
   (* --- Table 2: Camelot primitives (milliseconds) *)
   local_ipc_ms : float;  (** local in-line IPC *)

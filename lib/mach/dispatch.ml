@@ -29,8 +29,6 @@ type t = {
   site : Site.t;
   shards : shard array;
   executors_per_shard : int;
-  quantum : int;  (* jobs per wakeup: [batch], or unbounded *)
-  switch_ms : float;  (* CPU per wakeup: one context switch, or 0 *)
   mutable submitted : int;
   mutable completed : int;
   mutable failed : int;
@@ -61,29 +59,14 @@ let run_job t job =
       t.failed <- t.failed + 1;
       Format.eprintf "[dispatch] job raised: %s@." (Printexc.to_string e)
 
-(* Batched dequeue (Qadah's executor quantum): each wakeup pays one
-   scheduler context switch, then drains up to [quantum] queued jobs
-   back-to-back before yielding. The switch cost is thereby amortized
-   over the batch — [batch:1] charges it per job, the worst case, which
-   is what makes the knee shift measurable. Without [~batch] the
-   quantum is unbounded and the switch free ([Site.cpu_use] skips a
-   zero charge), so an executor runs jobs until its queue is empty. *)
+(* Pop the next job, or park until [submit] hands one over. No context
+   switch is charged (see [Cost_model.context_switch_us]). *)
 let executor_loop t s () =
   while true do
     let job =
       if Ring.is_empty s.queue then Fiber.suspend s.park else Ring.pop_exn s.queue
     in
-    Site.cpu_use t.site t.switch_ms;
-    run_job t job;
-    let n = ref 1 in
-    while !n < t.quantum && not (Ring.is_empty s.queue) do
-      run_job t (Ring.pop_exn s.queue);
-      incr n
-    done;
-    (* quantum spent with work still queued: yield so peers (other
-       executors, newly-resumed transaction fibers) interleave before
-       the next wakeup pays its own switch *)
-    if not (Ring.is_empty s.queue) then Fiber.yield ()
+    run_job t job
   done
 
 let spawn_executors t =
@@ -96,16 +79,10 @@ let spawn_executors t =
       done)
     t.shards
 
-let create ?(shards = 4) ?(executors_per_shard = 1) ?batch site =
+let create ?(shards = 4) ?(executors_per_shard = 1) site =
   if shards <= 0 then invalid_arg "Dispatch.create: shards must be positive";
   if executors_per_shard <= 0 then
     invalid_arg "Dispatch.create: executors_per_shard must be positive";
-  let quantum, switch_ms =
-    match batch with
-    | None -> (max_int, 0.0)
-    | Some k when k <= 0 -> invalid_arg "Dispatch.create: batch must be positive"
-    | Some k -> (k, (Site.model site).Cost_model.context_switch_us /. 1000.0)
-  in
   let t =
     {
       site;
@@ -114,8 +91,6 @@ let create ?(shards = 4) ?(executors_per_shard = 1) ?batch site =
             let waiters = Ring.create () in
             { queue = Ring.create (); waiters; park = (fun r -> Ring.push waiters r) });
       executors_per_shard;
-      quantum;
-      switch_ms;
       submitted = 0;
       completed = 0;
       failed = 0;

@@ -14,6 +14,11 @@
     any input from one queue. The pool size is the parameter Figures 4
     and 5 vary (1 / 5 / 20 threads).
 
+    An executor runs its shard's jobs one at a time, oldest first, and
+    parks when the queue is empty. It charges no CPU of its own: Table
+    2's IPC and RPC costs already include the kernel's context switches
+    ({!Cost_model.context_switch_us}).
+
     Executors run in the site's fiber group, and the queues belong to
     the same incarnation: a crash kills the executors, and the restart
     drops every job still queued from before the crash, then re-staffs
@@ -27,14 +32,8 @@ type t
 (** [create site] builds a dispatcher and spawns its executors into
     [site]'s current fiber group (default 4 shards, 1 executor each —
     one executor per shard gives serial per-shard execution, the
-    queue-oriented determinism guarantee).
-    @param batch batched dequeue: each executor wakeup charges one
-    scheduler context switch ({!Cost_model.context_switch_us}) and then
-    drains up to [batch] queued jobs back-to-back before yielding, so
-    the switch cost is amortized over the batch. Default: no switch
-    charge and no limit, so a woken executor runs jobs until its queue
-    is empty. *)
-val create : ?shards:int -> ?executors_per_shard:int -> ?batch:int -> Site.t -> t
+    queue-oriented determinism guarantee). *)
+val create : ?shards:int -> ?executors_per_shard:int -> Site.t -> t
 
 val shards : t -> int
 

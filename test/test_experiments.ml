@@ -99,8 +99,8 @@ let test_fig3_read_equals_2pc () =
 
 let test_fig4_shapes () =
   let tps threads gc pairs =
-    (Workload.throughput ~update:true ~pairs ~threads ~group_commit:gc
-       ~horizon_ms:20_000.0 ())
+    (Workload.throughput ~update_fraction:1.0 ~pairs ~threads
+       ~group_commit:gc ~horizon_ms:20_000.0 ())
       .Workload.tps
   in
   let one_thread = List.map (tps 1 false) [ 1; 4 ] in
@@ -128,8 +128,8 @@ let test_fig4_shapes () =
 
 let test_fig5_saturation () =
   let tps threads pairs =
-    (Workload.throughput ~update:false ~pairs ~threads ~group_commit:false
-       ~horizon_ms:20_000.0 ())
+    (Workload.throughput ~update_fraction:0.0 ~pairs ~threads
+       ~group_commit:false ~horizon_ms:20_000.0 ())
       .Workload.tps
   in
   let p1 = tps 20 1 and p4 = tps 20 4 in
@@ -165,6 +165,10 @@ let test_multicast_reduces_variance () =
 
 let claim msg ok = Alcotest.(check bool) msg true ok
 
+let rec ascending f = function
+  | a :: (b :: _ as rest) -> f a < f b && ascending f rest
+  | [ _ ] | [] -> true
+
 (* The runs behind shootout.expected: `camelot_sim shootout`. *)
 let shootout_rows = lazy (Shootout.collect ())
 
@@ -180,13 +184,9 @@ let test_shootout_no_aborts () =
 
 let test_shootout_message_order () =
   let order = [ "short-commit"; "2pc"; "nonblocking"; "paxos F=1" ] in
-  let rec ascending = function
-    | a :: (b :: _ as rest) -> msgs a < msgs b && ascending rest
-    | [ _ ] | [] -> true
-  in
   claim
     (String.concat " < " (List.map (fun n -> Printf.sprintf "%s %.2f" n (msgs n)) order))
-    (ascending order)
+    (ascending msgs order)
 
 let test_shootout_paxos_f0_rides_2pc () =
   let pax = msgs "paxos F=0" and two = msgs "2pc" in
@@ -237,11 +237,67 @@ let test_sweep_naive_falls_past_knee () =
     (Printf.sprintf "2-site naive falls from its peak %.1f to %.1f" knee last)
     (last < 0.9 *. knee)
 
+(* The run behind open_loop.expected: `camelot_sim open-loop`. *)
+let open_loop_points = lazy (Open_loop.collect ())
+
+let at_load tps =
+  List.find (fun p -> p.Open_loop.offered_tps = tps) (Lazy.force open_loop_points)
+
+let open_loop_knee () =
+  Option.map
+    (fun p -> p.Open_loop.offered_tps)
+    (Open_loop.knee (Lazy.force open_loop_points))
+
+let column f =
+  String.concat ", "
+    (List.map
+       (fun p -> Printf.sprintf "%.0f: %.1f" p.Open_loop.offered_tps (f p))
+       (Lazy.force open_loop_points))
+
+let test_open_loop_knee () =
+  claim
+    (Printf.sprintf "knee at 400 offered tps (backlog %s)"
+       (column (fun p -> float_of_int p.Open_loop.backlog)))
+    (open_loop_knee () = Some 400.0)
+
+let test_open_loop_p99_rises () =
+  let p99 p = p.Open_loop.p99_ms in
+  claim
+    (Printf.sprintf "p99 rises at every load (%s)" (column p99))
+    (ascending p99 (Lazy.force open_loop_points));
+  let low = p99 (at_load 100.0) and high = p99 (at_load 1600.0) in
+  claim
+    (Printf.sprintf "p99 %.1f -> %.1f ms from 100 to 1600 tps, more than 5x" low high)
+    (high > 5.0 *. low)
+
+let test_open_loop_aborts_rise () =
+  let abort_pct p = 100.0 *. p.Open_loop.abort_rate in
+  claim
+    (Printf.sprintf "abort %% rises at every load (%s)" (column abort_pct))
+    (ascending abort_pct (Lazy.force open_loop_points))
+
+(* Past the knee the queues grow but shed nothing: completions hold a
+   plateau rather than collapse. *)
+let test_open_loop_plateau () =
+  let points = Lazy.force open_loop_points in
+  let top = peak (fun p -> p.Open_loop.completed_tps) points in
+  match open_loop_knee () with
+  | None -> claim "the sweep has a knee" false
+  | Some knee ->
+      List.iter
+        (fun (p : Open_loop.point) ->
+          if p.offered_tps >= knee then
+            claim
+              (Printf.sprintf "%.0f tps completes %.1f, at least 80%% of peak %.1f"
+                 p.offered_tps p.completed_tps top)
+              (p.completed_tps >= 0.8 *. top))
+        points
+
 (* --- workload sanity ------------------------------------------------ *)
 
 let test_mixed_fraction_interpolates () =
   let tps f =
-    (Workload.throughput ~update_fraction:f ~update:true ~pairs:4 ~threads:20
+    (Workload.throughput ~update_fraction:f ~pairs:4 ~threads:20
        ~group_commit:false ~horizon_ms:20_000.0 ())
       .Workload.tps
   in
@@ -298,5 +354,12 @@ let () =
             test_sweep_fixed_peak_beats_naive;
           Alcotest.test_case "logger sweep: naive falls past its knee" `Slow
             test_sweep_naive_falls_past_knee;
+          Alcotest.test_case "open loop: knee at 400 tps" `Slow test_open_loop_knee;
+          Alcotest.test_case "open loop: p99 rises, 5x over the sweep" `Slow
+            test_open_loop_p99_rises;
+          Alcotest.test_case "open loop: abort rate rises" `Slow
+            test_open_loop_aborts_rise;
+          Alcotest.test_case "open loop: plateau past the knee" `Slow
+            test_open_loop_plateau;
         ] );
     ]

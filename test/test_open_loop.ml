@@ -1,4 +1,4 @@
-(* Tests for the open-loop traffic generator: the arrival processes,
+(* Tests for the open-loop traffic generator: the Poisson arrivals,
    the Zipf key skew, the transaction mixes and the tail histogram are
    each checked in isolation (they are pure functions of the rng
    stream), then one small end-to-end sweep point sanity-checks the
@@ -10,12 +10,12 @@ open Camelot_experiments.Open_loop
 let rng seed = Rng.create ~seed
 
 (* ------------------------------------------------------------------ *)
-(* Arrival processes *)
+(* Arrivals *)
 
 let test_poisson_mean_rate () =
   (* 200 tps over 60 virtual seconds: ~12_000 arrivals, mean
      inter-arrival 5 ms. A 3% band is ~5 sigma at this sample size. *)
-  let times = arrival_times (Poisson { rate_tps = 200.0 }) ~rng:(rng 11) ~horizon_ms:60_000.0 in
+  let times = arrival_times ~rate_tps:200.0 ~rng:(rng 11) ~horizon_ms:60_000.0 in
   let n = List.length times in
   Alcotest.(check bool) "count near rate*horizon"
     true (abs (n - 12_000) < 360);
@@ -29,7 +29,7 @@ let test_poisson_mean_rate () =
     true (Float.abs (mean -. 5.0) < 0.15)
 
 let test_poisson_ascending_in_horizon () =
-  let times = arrival_times (Poisson { rate_tps = 500.0 }) ~rng:(rng 3) ~horizon_ms:2_000.0 in
+  let times = arrival_times ~rate_tps:500.0 ~rng:(rng 3) ~horizon_ms:2_000.0 in
   let ok = ref true and prev = ref 0.0 in
   List.iter
     (fun t ->
@@ -38,129 +38,18 @@ let test_poisson_ascending_in_horizon () =
     times;
   Alcotest.(check bool) "ascending, within [0,horizon)" true !ok
 
-let test_bursty_mean_rate_and_clumps () =
-  (* same mean rate as the Poisson source, but arrivals land in clumps
-     of exactly [burst] identical instants *)
-  let burst = 10 in
-  let times =
-    arrival_times (Bursty { rate_tps = 200.0; burst }) ~rng:(rng 11) ~horizon_ms:60_000.0
-  in
-  let n = List.length times in
-  Alcotest.(check bool) "mean rate preserved" true (abs (n - 12_000) < 1_200);
-  Alcotest.(check int) "whole bursts only" 0 (n mod burst);
-  (* every group of [burst] consecutive arrivals shares one instant *)
-  let arr = Array.of_list times in
-  let clumped = ref true in
-  Array.iteri
-    (fun i t -> if i mod burst <> 0 && t <> arr.(i - 1) then clumped := false)
-    arr;
-  Alcotest.(check bool) "arrivals clumped per burst" true !clumped
-
 let test_arrivals_deterministic () =
-  let a = arrival_times (Poisson { rate_tps = 300.0 }) ~rng:(rng 5) ~horizon_ms:10_000.0 in
-  let b = arrival_times (Poisson { rate_tps = 300.0 }) ~rng:(rng 5) ~horizon_ms:10_000.0 in
-  let c = arrival_times (Poisson { rate_tps = 300.0 }) ~rng:(rng 6) ~horizon_ms:10_000.0 in
+  let a = arrival_times ~rate_tps:300.0 ~rng:(rng 5) ~horizon_ms:10_000.0 in
+  let b = arrival_times ~rate_tps:300.0 ~rng:(rng 5) ~horizon_ms:10_000.0 in
+  let c = arrival_times ~rate_tps:300.0 ~rng:(rng 6) ~horizon_ms:10_000.0 in
   Alcotest.(check (list (float 0.0))) "same seed, same arrivals" a b;
   Alcotest.(check bool) "different seed differs" true (a <> c)
-
-let test_piecewise_rates_and_silence () =
-  (* 200 tps for 20 s, dead air for 20 s, 50 tps for 20 s: each span
-     must see (only) its own rate *)
-  let arrival =
-    Piecewise
-      { segments = [ (0.0, 200.0); (20_000.0, 0.0); (40_000.0, 50.0) ] }
-  in
-  Alcotest.(check (float 0.0)) "offered rate is the peak" 200.0
-    (offered_rate arrival);
-  let times = arrival_times arrival ~rng:(rng 11) ~horizon_ms:60_000.0 in
-  let in_span lo hi =
-    List.length (List.filter (fun t -> t >= lo && t < hi) times)
-  in
-  Alcotest.(check int) "all arrivals accounted" (List.length times)
-    (in_span 0.0 60_000.0);
-  Alcotest.(check int) "silent segment is silent" 0
-    (in_span 20_000.0 40_000.0);
-  (* ~4000 and ~1000 expected; bands are ~4 sigma *)
-  Alcotest.(check bool) "first segment near 200 tps" true
-    (abs (in_span 0.0 20_000.0 - 4_000) < 250);
-  Alcotest.(check bool) "third segment near 50 tps" true
-    (abs (in_span 40_000.0 60_000.0 - 1_000) < 130);
-  let a = arrival_times arrival ~rng:(rng 11) ~horizon_ms:60_000.0 in
-  Alcotest.(check (list (float 0.0))) "deterministic under seed" times a
-
-let test_day_curve_shape () =
-  match day_curve ~peak_tps:1000.0 ~horizon_ms:24_000.0 () with
-  | Piecewise { segments } ->
-      Alcotest.(check int) "24 hourly segments" 24 (List.length segments);
-      let rates = List.map snd segments in
-      let peak = List.fold_left Float.max 0.0 rates in
-      let trough = List.fold_left Float.min infinity rates in
-      Alcotest.(check bool) "peak near nominal" true
-        (peak > 950.0 && peak <= 1000.0);
-      Alcotest.(check bool) "trough near 15% of peak" true
-        (trough >= 150.0 && trough < 200.0);
-      (* sinusoid: rises through the first half-day, falls through the
-         second *)
-      let arr = Array.of_list rates in
-      for i = 1 to 11 do
-        Alcotest.(check bool) "morning ramps up" true (arr.(i) > arr.(i - 1))
-      done;
-      for i = 13 to 23 do
-        Alcotest.(check bool) "evening ramps down" true (arr.(i) < arr.(i - 1))
-      done
-  | _ -> Alcotest.fail "day_curve must be Piecewise"
-
-let test_trace_of_file_roundtrip () =
-  let path = Filename.temp_file "camelot_trace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out path in
-      output_string oc
-        "# rate trace\n0 100\n\n1000 400 # ramp to the knee\n2500.5 50\n";
-      close_out oc;
-      match trace_of_file path with
-      | Piecewise { segments } ->
-          Alcotest.(check (list (pair (float 0.0) (float 0.0))))
-            "segments parsed"
-            [ (0.0, 100.0); (1000.0, 400.0); (2500.5, 50.0) ]
-            segments
-      | _ -> Alcotest.fail "trace must parse to Piecewise");
-  let bad = Filename.temp_file "camelot_trace" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove bad)
-    (fun () ->
-      let oc = open_out bad in
-      output_string oc "0 100\noops\n";
-      close_out oc;
-      match trace_of_file bad with
-      | _ -> Alcotest.fail "malformed trace must raise"
-      | exception Failure _ -> ())
-
-let test_piecewise_rejects_bad_args () =
-  let check_invalid name segments =
-    match
-      arrival_times (Piecewise { segments }) ~rng:(rng 1) ~horizon_ms:100.0
-    with
-    | _ -> Alcotest.fail (name ^ ": expected Invalid_argument")
-    | exception Invalid_argument _ -> ()
-  in
-  check_invalid "empty" [];
-  check_invalid "all silent" [ (0.0, 0.0) ];
-  check_invalid "negative rate" [ (0.0, 10.0); (50.0, -1.0) ];
-  check_invalid "non-ascending starts" [ (0.0, 10.0); (0.0, 20.0) ]
 
 let test_arrivals_rejects_bad_args () =
   Alcotest.check_raises "zero rate"
     (Invalid_argument "Open_loop.arrival_times: rate must be positive")
     (fun () ->
-      ignore (arrival_times (Poisson { rate_tps = 0.0 }) ~rng:(rng 1) ~horizon_ms:100.0 : float list));
-  Alcotest.check_raises "zero burst"
-    (Invalid_argument "Open_loop.arrival_times: burst must be positive")
-    (fun () ->
-      ignore
-        (arrival_times (Bursty { rate_tps = 10.0; burst = 0 }) ~rng:(rng 1) ~horizon_ms:100.0
-          : float list))
+      ignore (arrival_times ~rate_tps:0.0 ~rng:(rng 1) ~horizon_ms:100.0 : float list))
 
 (* ------------------------------------------------------------------ *)
 (* Key skew and transaction mixes *)
@@ -286,8 +175,7 @@ let test_run_one_accounts_for_every_arrival () =
      must have fed the quantiles. Read-mostly keeps hot-key deadlocks
      out of the picture so commits dominate. *)
   let p =
-    run_one ~seed:7 ~sites:2 ~mix:Read_mostly ~keys:16
-      ~arrival:(Poisson { rate_tps = 20.0 })
+    run_one ~seed:7 ~sites:2 ~mix:Read_mostly ~keys:16 ~rate_tps:20.0
       ~horizon_ms:2_000.0 ()
   in
   Alcotest.(check bool) "some arrivals" true (p.arrivals > 0);
@@ -301,9 +189,7 @@ let test_run_one_accounts_for_every_arrival () =
 
 let test_run_one_deterministic () =
   let point () =
-    run_one ~seed:9 ~sites:2 ~keys:8
-      ~arrival:(Poisson { rate_tps = 40.0 })
-      ~horizon_ms:1_000.0 ()
+    run_one ~seed:9 ~sites:2 ~keys:8 ~rate_tps:40.0 ~horizon_ms:1_000.0 ()
   in
   let a = point () and b = point () in
   Alcotest.(check int) "committed equal" a.committed b.committed;
@@ -318,18 +204,9 @@ let () =
           Alcotest.test_case "Poisson mean rate" `Quick test_poisson_mean_rate;
           Alcotest.test_case "ascending within horizon" `Quick
             test_poisson_ascending_in_horizon;
-          Alcotest.test_case "bursty rate and clumps" `Quick
-            test_bursty_mean_rate_and_clumps;
           Alcotest.test_case "deterministic under seed" `Quick
             test_arrivals_deterministic;
           Alcotest.test_case "rejects bad args" `Quick test_arrivals_rejects_bad_args;
-          Alcotest.test_case "piecewise rates and silence" `Quick
-            test_piecewise_rates_and_silence;
-          Alcotest.test_case "day curve shape" `Quick test_day_curve_shape;
-          Alcotest.test_case "trace file parsing" `Quick
-            test_trace_of_file_roundtrip;
-          Alcotest.test_case "piecewise rejects bad args" `Quick
-            test_piecewise_rejects_bad_args;
         ] );
       ( "mix",
         [
