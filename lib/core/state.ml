@@ -440,8 +440,10 @@ let status_of_family st tid : Protocol.status =
               else Protocol.St_active))
 
 (* Mark resolved; the descriptor is retained as a tombstone so that
-   duplicate messages can be answered idempotently. The two [Some]s are
-   static constants, so resolving allocates nothing. *)
+   duplicate messages can be answered idempotently. [Tranman.commit]
+   and [abort] forget a local family after this, not here:
+   [Tranman.recover] calls this while it iterates [families]. The two
+   [Some]s are static constants, so resolving allocates nothing. *)
 let resolve_family st fam outcome =
   if fam.f_outcome = None then begin
     (match outcome with

@@ -159,7 +159,7 @@ let on_pool st job =
   Dispatch.submit st.pool ~shard:0 (fun () ->
       charge_cpu st;
       let r = match job () with v -> Ok v | exception e -> Error e in
-      Fiber.Group.unregister group hook;
+      Fiber.Group.unregister hook;
       reply caller r);
   match Fiber.suspend (fun r -> caller := Some r) with
   | Ok v -> v
@@ -223,6 +223,26 @@ let abort_unresolved_children st fam =
   in
   List.iter (fun tid -> finish_nested st fam tid Protocol.Aborted) deepest_first
 
+(* Drop the descriptor of a resolved transaction. After this,
+   inquiries answer "unknown", which is where the presumption earns its
+   name. Only a local family is forgotten on resolving, by [commit] and
+   [abort]: every other resolved family stays in [families] as a
+   tombstone until the site crashes, so duplicate messages get
+   idempotent answers and [outcome] keeps answering. A tombstone is the
+   family record and its root member; the lock and the members table
+   exist only if the family used them. *)
+let forget st tid =
+  match find_family st tid with
+  | None -> ()
+  | Some fam ->
+      if fam.f_outcome <> None then Hashtbl.remove st.families (family_key tid)
+
+(* A family coordinated here that no remote site ever joined: no
+   message names its TID, so no one can ask about it once it resolves
+   and presumed abort lets it go at once. *)
+let forget_if_local st fam =
+  if fam.f_role = Coordinator && fam.f_remote_sites = [] then forget st fam.f_root
+
 let commit st ?(protocol = Protocol.Two_phase) tid =
   if Tid.is_top tid then
     on_pool st (fun () ->
@@ -232,11 +252,15 @@ let commit st ?(protocol = Protocol.Two_phase) tid =
         | None ->
             abort_unresolved_children st fam;
             fam.f_protocol <- protocol;
-            (match protocol with
-            | Protocol.Two_phase -> Two_phase.coordinate st fam
-            | Protocol.Nonblocking -> Nonblocking.coordinate st fam
-            | Protocol.Paxos_commit -> Paxos_commit.coordinate st fam
-            | Protocol.Short_commit -> Short_commit.coordinate st fam))
+            let o =
+              match protocol with
+              | Protocol.Two_phase -> Two_phase.coordinate st fam
+              | Protocol.Nonblocking -> Nonblocking.coordinate st fam
+              | Protocol.Paxos_commit -> Paxos_commit.coordinate st fam
+              | Protocol.Short_commit -> Short_commit.coordinate st fam
+            in
+            forget_if_local st fam;
+            o)
   else
     on_pool st (fun () ->
         let fam = require_family st tid in
@@ -261,7 +285,8 @@ let abort st tid =
                  abort_unresolved_children st fam;
                  ignore
                    (Two_phase.abort_distributed st fam ~subs:fam.f_remote_sites
-                     : Protocol.outcome)
+                     : Protocol.outcome);
+                 forget_if_local st fam
                end
              end
              else begin
@@ -276,19 +301,6 @@ let abort st tid =
 
 let outcome st tid =
   match find_family st tid with None -> None | Some fam -> fam.f_outcome
-
-(* Drop the descriptor of a resolved transaction. After this,
-   inquiries answer "unknown", which is where the presumption earns its
-   name. No protocol path calls it: every resolved family stays in
-   [families] as a tombstone until the site crashes, so duplicate
-   messages get idempotent answers and [outcome] keeps answering. A
-   tombstone is the family record and its root member; the lock and
-   the members table exist only if the family used them. *)
-let forget st tid =
-  match find_family st tid with
-  | None -> ()
-  | Some fam ->
-      if fam.f_outcome <> None then Hashtbl.remove st.families (family_key tid)
 
 (* LU 6.2-style heuristic commit (paper §5): an operator resolves a
    blocked transaction by decree. Correctness is not guaranteed — if

@@ -59,22 +59,34 @@ val begin_nested : t -> parent:Tid.t -> Tid.t
     transaction it performs local commit with lock anti-inheritance and
     propagates to the family's other sites.
     Any still-unresolved subtransactions are aborted first.
+
+    A top-level transaction that never spread beyond this site is
+    {!forget}ten as this call resolves it: no other site can ask about
+    it, so once [commit] returns, {!outcome} is [None], {!status} is
+    [St_unknown] and a second [commit] raises [Unknown_transaction]. A
+    distributed one keeps its descriptor, and committing it again
+    returns its outcome.
     @raise Unknown_transaction *)
 val commit : t -> ?protocol:Protocol.commit_protocol -> Tid.t -> Protocol.outcome
 
 (** Abort the transaction (top-level: everywhere it spread; nested:
-    just its subtree). Idempotent. *)
+    just its subtree). Idempotent, also after a transaction that never
+    spread beyond this site is forgotten as it aborts (see {!commit}). *)
 val abort : t -> Tid.t -> unit
 
-(** The outcome of a transaction this TranMan still remembers. *)
+(** The outcome of a transaction this TranMan still remembers: a
+    distributed one until the site crashes, a local one only until
+    {!commit} or {!abort} resolves it. *)
 val outcome : t -> Tid.t -> Protocol.outcome option
 
-(** Garbage-collect a finished transaction's descriptor. No protocol
-    path calls this: a resolved descriptor stays as a tombstone until
-    the site crashes, so duplicate messages get idempotent answers and
-    {!outcome} keeps answering. Afterwards inquiries answer "unknown",
-    which is exactly what the configured presumption interprets. No-op
-    while the transaction is unresolved. *)
+(** Garbage-collect a finished transaction's descriptor. {!commit} and
+    {!abort} call this for a top-level transaction that never spread
+    beyond this site. Every other resolved descriptor stays as a
+    tombstone until the site crashes, so duplicate messages get
+    idempotent answers and {!outcome} keeps answering. Afterwards
+    inquiries answer "unknown", which is exactly what the configured
+    presumption interprets. No-op while the transaction is
+    unresolved. *)
 val forget : t -> Tid.t -> unit
 
 (** Heuristic resolution of a blocked transaction by an operator (the
@@ -102,7 +114,8 @@ val join : t -> Tid.t -> server:string -> unit
 val note_sites : t -> Tid.t -> Camelot_mach.Site.id list -> unit
 
 (** What this site knows about a transaction (read by the chaos
-    oracles and tests). *)
+    oracles and tests). [St_unknown] for a forgotten one, including a
+    local transaction once {!commit} or {!abort} returns. *)
 val status : t -> Tid.t -> Protocol.status
 
 (** Protocol images of every family the log mentions, sorted by root

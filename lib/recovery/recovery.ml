@@ -142,7 +142,7 @@ let run ?(partitions = 1) ~tranman ~log ~servers () =
           | None -> ())
     in
     Fun.protect
-      ~finally:(fun () -> Camelot_sim.Fiber.Group.unregister group hook)
+      ~finally:(fun () -> Camelot_sim.Fiber.Group.unregister hook)
       (fun () -> Camelot_sim.Fiber.suspend (fun r -> waiter := Some r))
   end;
   in_doubt

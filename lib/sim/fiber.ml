@@ -1,15 +1,15 @@
 exception Cancelled
 
 (* One record per suspension: the continuation, whether it has been
-   resumed yet, the fiber's group registration (-1 when it has none)
-   and the result the continuation will receive. The resumer is both
-   what wait queues hold and what the group's table holds, so a wait
+   resumed yet, the fiber's group registration ([detached] when it has
+   none) and the result the continuation will receive. The resumer is
+   both what wait queues hold and what the group's list holds, so a wait
    allocates no closures. *)
 type 'a resumer = {
   ctx : context;
   k : ('a, unit) Effect.Deep.continuation;
   mutable fired : bool;
-  mutable reg : int;
+  mutable link : link;
   mutable result : ('a, exn) result;
 }
 
@@ -33,13 +33,39 @@ and any_handler = {
   h : 'b. (('b, unit) Effect.Deep.continuation -> unit) option;
 }
 
+(* A group's registrations form a circular doubly linked list through
+   [head], in registration order, so joining and leaving cost a few
+   pointer writes and no hashing. An unlinked node points at itself. *)
 and group = {
   mutable killed : bool;
-  cancels : (int, hook) Hashtbl.t;
-  mutable next_id : int;
+  head : link;
 }
 
-and hook = Hook of (unit -> unit) | Waiting : 'a resumer -> hook
+and link = {
+  mutable prev : link;
+  mutable next : link;
+  hook : hook;
+}
+
+and hook = Hook of (unit -> unit) | Waiting : 'a resumer -> hook | Sentinel
+
+let self_linked () =
+  let rec n = { prev = n; next = n; hook = Sentinel } in
+  n
+
+(* The link of a resumer outside any group, or whose wait has ended: a
+   fired resumer that a wait queue still holds keeps no node alive. It
+   is never written ([unlink] reads a self-link and stops), so every
+   domain may share it. *)
+let detached = self_linked ()
+
+let unlink n =
+  if n.next != n then begin
+    n.prev.next <- n.next;
+    n.next.prev <- n.prev;
+    n.prev <- n;
+    n.next <- n
+  end
 
 let cancelled = Error Cancelled
 
@@ -59,9 +85,8 @@ let resume_now r =
 let resume r result =
   if not r.fired then begin
     r.fired <- true;
-    (match r.ctx.ctx_group with
-    | Some g when r.reg >= 0 -> Hashtbl.remove g.cancels r.reg
-    | Some _ | None -> ());
+    unlink r.link;
+    r.link <- detached;
     r.result <- result;
     Engine.schedule_apply r.ctx.ctx_engine ~delay:0.0 resume_now r
   end
@@ -71,37 +96,53 @@ let is_pending r = not r.fired
 module Group = struct
   type t = group
 
-  let create () = { killed = false; cancels = Hashtbl.create 16; next_id = 0 }
+  type handle = link
+
+  let create () = { killed = false; head = self_linked () }
 
   let killed t = t.killed
 
+  (* Two walks in registration order. The group's own blocked fibers
+     are cancelled first, so a member waiting on a reply from its own
+     group dies of [Cancelled] rather than of a hook meant for outsiders.
+     Cancelling only unlinks the resumer's own node, and nothing joins a
+     killed group, so the second walk finds just the hooks. *)
   let kill t =
     if not t.killed then begin
       t.killed <- true;
-      let pending = Hashtbl.fold (fun _ hook acc -> hook :: acc) t.cancels [] in
-      Hashtbl.reset t.cancels;
-      List.iter
-        (function Hook f -> f () | Waiting r -> resume r cancelled)
-        pending
+      let n = ref t.head.next in
+      while !n != t.head do
+        let next = !n.next in
+        (match !n.hook with
+        | Waiting r -> resume r cancelled
+        | Hook _ | Sentinel -> ());
+        n := next
+      done;
+      while t.head.next != t.head do
+        let n = t.head.next in
+        unlink n;
+        match n.hook with Hook f -> f () | Waiting _ | Sentinel -> ()
+      done
     end
 
   let add t hook =
-    let id = t.next_id in
-    t.next_id <- id + 1;
-    Hashtbl.replace t.cancels id hook;
-    id
+    let head = t.head in
+    let n = { prev = head.prev; next = head; hook } in
+    head.prev.next <- n;
+    head.prev <- n;
+    n
 
-  let register t f = add t (Hook f)
+  let register t f = if t.killed then detached else add t (Hook f)
 
-  let unregister t id = Hashtbl.remove t.cancels id
+  let unregister = unlink
 end
 
 (* A fresh resumer joins the fiber's group, or is cancelled at once if
    the group is already dead. *)
 let make_resumer ctx k =
-  let r = { ctx; k; fired = false; reg = -1; result = cancelled } in
+  let r = { ctx; k; fired = false; link = detached; result = cancelled } in
   (match ctx.ctx_group with
-  | Some g when not g.killed -> r.reg <- Group.add g (Waiting r)
+  | Some g when not g.killed -> r.link <- Group.add g (Waiting r)
   | Some _ -> resume r cancelled
   | None -> ());
   r

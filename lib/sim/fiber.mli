@@ -53,15 +53,22 @@ module Group : sig
 
   val killed : t -> bool
 
+  (** A registration, for {!unregister}. *)
+  type handle
+
   (** [register t hook] runs [hook] once when the group is killed (or
       never, if {!unregister}ed first); returns a handle for
       {!unregister}. This is how non-member fibers blocked on a reply
       from the group observe its death. Registering on an
       already-killed group does {e not} run the hook — check
-      {!killed} first. *)
-  val register : t -> (unit -> unit) -> int
+      {!killed} first. A kill cancels the group's blocked fibers
+      first, then runs the hooks, each in registration order, so a
+      member waiting on a hook's reply dies of {!Cancelled}. *)
+  val register : t -> (unit -> unit) -> handle
 
-  val unregister : t -> int -> unit
+  (** Withdraw a registration in O(1). A no-op once the hook has run or
+      was withdrawn. *)
+  val unregister : handle -> unit
 end
 
 (** [spawn engine fn] queues [fn] to start as a fiber at the current

@@ -468,6 +468,45 @@ let test_fiber_group_kill_prevents_start () =
   Engine.run eng;
   Alcotest.(check bool) "not started" false !started
 
+(* A kill runs each registered hook once, in registration order, and
+   never one withdrawn first. The group's own blocked fibers are
+   cancelled before any hook runs: a member waiting on a reply that a
+   hook would send (a TranMan request from the crashing site) dies of
+   [Cancelled], not of the reply. *)
+let test_fiber_group_kill_hook_order () =
+  let eng = Engine.create () in
+  let group = Fiber.Group.create () in
+  let ran = ref [] in
+  let waiting = ref None in
+  ignore
+    (Fiber.Group.register group (fun () ->
+         ran := 0 :: !ran;
+         Option.iter (fun r -> Fiber.resume r (Ok ())) !waiting)
+      : Fiber.Group.handle);
+  let handles =
+    List.map
+      (fun i -> Fiber.Group.register group (fun () -> ran := i :: !ran))
+      [ 1; 2; 3; 4; 5; 6; 7 ]
+  in
+  List.iteri
+    (fun i h ->
+      if i = 2 || i = 5 then begin
+        Fiber.Group.unregister h;
+        Fiber.Group.unregister h
+      end)
+    handles;
+  let member = ref "blocked" in
+  Fiber.spawn eng ~group (fun () ->
+      match Fiber.suspend (fun r -> waiting := Some r) with
+      | () -> member := "replied"
+      | exception Fiber.Cancelled -> member := "cancelled");
+  Engine.schedule eng ~delay:1.0 (fun () ->
+      Fiber.Group.kill group;
+      Fiber.Group.kill group);
+  Engine.run eng;
+  Alcotest.(check (list int)) "each hook once, in order" [ 0; 1; 2; 4; 5; 7 ] (List.rev !ran);
+  Alcotest.(check string) "member" "cancelled" !member
+
 let test_fiber_exception_isolated () =
   let eng = Engine.create () in
   let seen = ref None in
@@ -1037,6 +1076,7 @@ let () =
           Alcotest.test_case "interleaving" `Quick test_fiber_interleaving;
           Alcotest.test_case "group kill cancels" `Quick test_fiber_group_kill;
           Alcotest.test_case "kill prevents start" `Quick test_fiber_group_kill_prevents_start;
+          Alcotest.test_case "kill hook order" `Quick test_fiber_group_kill_hook_order;
           Alcotest.test_case "exception isolated" `Quick test_fiber_exception_isolated;
           Alcotest.test_case "deadlock detected" `Quick test_fiber_run_deadlock;
           Alcotest.test_case "suspend/resume" `Quick test_fiber_suspend_resume;
