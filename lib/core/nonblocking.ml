@@ -92,130 +92,109 @@ let replicate_until_quorum st fam mb ~targets ~needed =
   in
   wait_quorum ()
 
-(* Entry point: coordinator side. Runs on a TranMan pool thread. *)
-let coordinate st fam =
+(* Entry point: coordinator side, once the local vote is yes and at
+   least one subordinate exists. Runs on a TranMan pool thread. *)
+let coordinate st fam ~local_ro =
   let tid = fam.f_root in
-  let local_vote = vote_local_servers st fam in
   let subs = fam.f_remote_sites in
-  if subs <> [] then st.stats.n_distributed <- st.stats.n_distributed + 1;
-  match local_vote with
-  | Protocol.Vote_no -> Two_phase.abort_distributed st fam ~subs
-  | Protocol.Vote_yes { read_only = local_ro } ->
-      if subs = [] then Two_phase.commit_local st fam ~read_only:local_ro
+  let all_sites = me st :: subs in
+  let quorum = nb_quorum st ~domain_size:(List.length all_sites) in
+  fam.f_sites <- all_sites;
+  fam.f_commit_quorum <- quorum;
+  (* change 5: prepare before sending the prepare message (the record
+     rides the replication force) *)
+  ignore
+    (log_append st
+       (Record.Prepare
+          {
+            p_tid = tid;
+            p_coordinator = me st;
+            p_protocol = Protocol.Nonblocking;
+            p_sites = all_sites;
+            p_acceptors = [];
+          })
+      : int);
+  fam.f_prepared <- true;
+  let mb = register_waiter st tid in
+  let prepare_msg =
+    Protocol.Prepare
+      {
+        m_tid = tid;
+        m_coordinator = me st;
+        m_protocol = Protocol.Nonblocking;
+        m_sites = all_sites;
+        m_commit_quorum = quorum;
+        m_acceptors = [];
+      }
+  in
+  fan_out st ~dsts:subs prepare_msg;
+  let votes = Two_phase.collect_votes st fam mb ~subs ~prepare_msg in
+  match fam.f_outcome with
+  | Some adopted ->
+      unregister_waiter st tid;
+      adopted
+  | None ->
+      if votes.Two_phase.refused || votes.Two_phase.n_pending > 0 then begin
+        (* no replication data exists anywhere yet: abort is still
+           unilateral, as in presumed-abort 2PC *)
+        unregister_waiter st tid;
+        Two_phase.abort_distributed st fam ~subs
+      end
       else begin
-        let all_sites = me st :: subs in
-        let quorum = nb_quorum st ~domain_size:(List.length all_sites) in
-        fam.f_sites <- all_sites;
-        fam.f_commit_quorum <- quorum;
-        (* change 5: prepare before sending the prepare message (the
-           record rides the replication force) *)
-        ignore
-          (log_append st
-             (Record.Prepare
-                {
-                  p_tid = tid;
-                  p_coordinator = me st;
-                  p_protocol = Protocol.Nonblocking;
-                  p_sites = all_sites;
-                  p_acceptors = [];
-                })
-            : int);
-        fam.f_prepared <- true;
-        let mb = register_waiter st tid in
-        let prepare_msg =
-          Protocol.Prepare
-            {
-              m_tid = tid;
-              m_coordinator = me st;
-              m_protocol = Protocol.Nonblocking;
-              m_sites = all_sites;
-              m_commit_quorum = quorum;
-              m_acceptors = [];
-            }
-        in
-        fan_out st ~dsts:subs prepare_msg;
-        let votes = Two_phase.collect_votes st fam mb ~subs ~prepare_msg in
-        match fam.f_outcome with
-        | Some adopted ->
+        Camelot_chaos.point ~site:(me st) Two_phase.p_votes_collected;
+        let ro_subs = votes.Two_phase.read_only_subs in
+        let update_subs = List.filter (fun s -> not (List.mem s ro_subs)) subs in
+        (* wholly read-only: one round of messages, no forces *)
+        if update_subs = [] && local_ro && st.config.read_only_optimization then
+          Two_phase.finish_read_only st fam
+        else begin
+          fam.f_update_sites <- me st :: update_subs;
+          (* replication targets: update subordinates, plus read-only
+             ones only if needed to reach quorum *)
+          let still_needed = max 0 (quorum - 1 - List.length update_subs) in
+          let drafted_ro = List.filteri (fun i _ -> i < still_needed) ro_subs in
+          let targets = update_subs @ drafted_ro in
+          (* claim the commit side under the family lock (§3.4): a
+             takeover's Join_abort_quorum can race this force, and one
+             site must never log both a Replication and a Refusal
+             record (change 4) *)
+          let claimed =
+            with_family_lock fam (fun () ->
+                if fam.f_outcome <> None || fam.f_quorum_side = Q_abort then false
+                else begin
+                  ignore
+                    (log_append_force st
+                       (Record.Replication
+                          {
+                            r_tid = tid;
+                            r_coordinator = me st;
+                            r_sites = all_sites;
+                            r_update_sites = fam.f_update_sites;
+                          })
+                      : int);
+                  Camelot_chaos.note_quorum ~site:(me st) ~commit:true;
+                  Camelot_chaos.point ~site:(me st) p_replication_forced;
+                  fam.f_quorum_side <- Q_commit;
+                  true
+                end)
+          in
+          if not claimed then begin
             unregister_waiter st tid;
-            adopted
-        | None ->
-            if votes.Two_phase.refused || votes.Two_phase.n_pending > 0 then begin
-              (* no replication data exists anywhere yet: abort is
-                 still unilateral, as in presumed-abort 2PC *)
-              unregister_waiter st tid;
-              Two_phase.abort_distributed st fam ~subs
-            end
-            else begin
-              Camelot_chaos.point ~site:(me st) Two_phase.p_votes_collected;
-              let ro_subs = votes.Two_phase.read_only_subs in
-              let update_subs = List.filter (fun s -> not (List.mem s ro_subs)) subs in
-              if update_subs = [] && local_ro && st.config.read_only_optimization
-              then begin
-                (* wholly read-only: one round of messages, no forces *)
+            match fam.f_outcome with
+            | Some o -> o
+            | None -> Two_phase.abort_distributed st fam ~subs
+          end
+          else
+            match replicate_until_quorum st fam mb ~targets ~needed:(quorum - 1) with
+            | `Adopted -> (
                 unregister_waiter st tid;
-                resolve_family st fam Protocol.Committed;
-                drop_local_locks st fam;
-                Protocol.Committed
-              end
-              else begin
-                fam.f_update_sites <- me st :: update_subs;
-                (* replication targets: update subordinates, plus
-                   read-only ones only if needed to reach quorum *)
-                let still_needed =
-                  max 0 (quorum - 1 - List.length update_subs)
-                in
-                let drafted_ro =
-                  List.filteri (fun i _ -> i < still_needed) ro_subs
-                in
-                let targets = update_subs @ drafted_ro in
-                (* claim the commit side under the family lock (§3.4):
-                   a takeover's Join_abort_quorum can race this force,
-                   and one site must never log both a Replication and a
-                   Refusal record (change 4) *)
-                let claimed =
-                  with_family_lock fam (fun () ->
-                      if fam.f_outcome <> None || fam.f_quorum_side = Q_abort
-                      then false
-                      else begin
-                        ignore
-                          (log_append_force st
-                             (Record.Replication
-                                {
-                                  r_tid = tid;
-                                  r_coordinator = me st;
-                                  r_sites = all_sites;
-                                  r_update_sites = fam.f_update_sites;
-                                })
-                            : int);
-                        Camelot_chaos.note_quorum ~site:(me st) ~commit:true;
-                        Camelot_chaos.point ~site:(me st) p_replication_forced;
-                        fam.f_quorum_side <- Q_commit;
-                        true
-                      end)
-                in
-                if not claimed then begin
-                  unregister_waiter st tid;
-                  match fam.f_outcome with
-                  | Some o -> o
-                  | None -> Two_phase.abort_distributed st fam ~subs
-                end
-                else
-                  match
-                    replicate_until_quorum st fam mb ~targets ~needed:(quorum - 1)
-                  with
-                  | `Adopted ->
-                      unregister_waiter st tid;
-                      (match fam.f_outcome with
-                      | Some o -> o
-                      | None -> assert false)
-                  | `Quorum ->
-                      (* notify update subordinates only; drafted
-                         read-only sites hold a replication record but
-                         need no outcome (they hold no locks) *)
-                      decide_commit st fam ~notify:update_subs
-              end
-            end
+                match fam.f_outcome with Some o -> o | None -> assert false)
+            | `Quorum ->
+                (* notify update subordinates only; drafted read-only
+                   sites hold a replication record but need no outcome
+                   (they hold no locks) *)
+                decide_commit st fam ~notify:update_subs
+        end
       end
 
 (* ---------------------------------------------------------------- *)
@@ -235,78 +214,29 @@ let poll_round st fam mb ~peers poll =
   let tid = fam.f_root in
   poll.statuses <- [];
   fan_out st ~dsts:peers (Protocol.Inquiry { m_tid = tid; m_from = me st });
-  let deadline = Engine.now (engine st) +. st.config.vote_timeout_ms in
-  let rec drain () =
-    let remaining = deadline -. Engine.now (engine st) in
-    if remaining > 0.0 && List.length poll.statuses < List.length peers then begin
-      match Mailbox.recv_timeout mb remaining with
-      | Some (Protocol.Status { m_from; m_status; _ }) ->
+  recv_until st mb ~timeout_ms:st.config.vote_timeout_ms
+    ~until:(fun () -> List.length poll.statuses >= List.length peers)
+    (function
+      | Protocol.Status { m_from; m_status; _ } ->
           charge_cpu st;
           if not (List.mem_assoc m_from poll.statuses) then
-            poll.statuses <- (m_from, m_status) :: poll.statuses;
-          drain ()
-      | Some (Protocol.Refused { m_from; m_ok = true; _ }) ->
+            poll.statuses <- (m_from, m_status) :: poll.statuses
+      | Protocol.Refused { m_from; m_ok = true; _ } ->
           if not (List.mem m_from poll.refusals) then
-            poll.refusals <- m_from :: poll.refusals;
-          drain ()
-      | Some _ -> drain ()
-      | None -> ()
-    end
-  in
-  drain ()
+            poll.refusals <- m_from :: poll.refusals
+      | _ -> ())
 
 let gather_refusals st fam mb ~candidates poll ~needed =
   let tid = fam.f_root in
   fan_out st ~dsts:candidates (Protocol.Join_abort_quorum { m_tid = tid; m_from = me st });
-  let deadline = Engine.now (engine st) +. st.config.vote_timeout_ms in
-  let rec drain () =
-    if List.length poll.refusals >= needed then ()
-    else begin
-      let remaining = deadline -. Engine.now (engine st) in
-      if remaining > 0.0 then begin
-        match Mailbox.recv_timeout mb remaining with
-        | Some (Protocol.Refused { m_from; m_ok = true; _ }) ->
-            charge_cpu st;
-            if not (List.mem m_from poll.refusals) then
-              poll.refusals <- m_from :: poll.refusals;
-            drain ()
-        | Some _ -> drain ()
-        | None -> ()
-      end
-    end
-  in
-  drain ()
-
-(* Adopt and propagate a decided outcome as the new coordinator. *)
-let adopt st fam outcome =
-  let tid = fam.f_root in
-  let peers = List.filter (fun s -> s <> me st) fam.f_sites in
-  tracef st "nb" "takeover %a: decided %a" Tid.pp tid Protocol.pp_outcome outcome;
-  (match outcome with
-  | Protocol.Committed ->
-      if fam.f_outcome = None then begin
-        ignore
-          (log_append_force st
-             (Record.Commit { c_tid = tid; c_sites = fam.f_update_sites })
-            : int);
-        Subordinate.apply_commit st fam ~ack_to:(me st)
-      end
-  | Protocol.Aborted -> if fam.f_outcome = None then Subordinate.apply_abort st fam);
-  (* push the outcome; peers that miss it will inquire and learn it *)
-  let outcome_msg =
-    Protocol.Outcome
-      {
-        m_tid = tid;
-        m_from = me st;
-        m_outcome = outcome;
-        m_protocol = fam.f_protocol;
-      }
-  in
-  fan_out st ~dsts:peers outcome_msg;
-  ignore
-    (Site.after st.site ~delay:st.config.outcome_retry_ms (fun () ->
-         defer st (fun () -> fan_out st ~dsts:peers outcome_msg))
-      : Engine.timer)
+  recv_until st mb ~timeout_ms:st.config.vote_timeout_ms
+    ~until:(fun () -> List.length poll.refusals >= needed)
+    (function
+      | Protocol.Refused { m_from; m_ok = true; _ } ->
+          charge_cpu st;
+          if not (List.mem m_from poll.refusals) then
+            poll.refusals <- m_from :: poll.refusals
+      | _ -> ())
 
 let takeover st fam =
   Camelot_chaos.point ~site:(me st) p_takeover_start;
@@ -319,16 +249,18 @@ let takeover st fam =
   let poll = { statuses = []; refusals = [] } in
   let rec round () =
     match fam.f_outcome with
-    | Some outcome -> adopt st fam outcome
+    | Some outcome -> Subordinate.adopt st fam outcome
     | None ->
         poll_round st fam mb ~peers poll;
         let seen status =
           List.exists (fun (_, s) -> s = status) poll.statuses
         in
         if fam.f_outcome <> None then
-          adopt st fam (Option.get fam.f_outcome)
-        else if seen Protocol.St_committed then adopt st fam Protocol.Committed
-        else if seen Protocol.St_aborted then adopt st fam Protocol.Aborted
+          Subordinate.adopt st fam (Option.get fam.f_outcome)
+        else if seen Protocol.St_committed then
+          Subordinate.adopt st fam Protocol.Committed
+        else if seen Protocol.St_aborted then
+          Subordinate.adopt st fam Protocol.Aborted
         else begin
           let replicated_peers =
             List.filter_map
@@ -339,7 +271,7 @@ let takeover st fam =
           let commit_count =
             List.length replicated_peers + if my_commit_side then 1 else 0
           in
-          if commit_count >= vc then adopt st fam Protocol.Committed
+          if commit_count >= vc then Subordinate.adopt st fam Protocol.Committed
           else begin
             (* assemble an abort quorum among sites not on the commit
                side (change 4 keeps the quorums disjoint); the side is
@@ -363,7 +295,8 @@ let takeover st fam =
             in
             if List.length poll.refusals < va then
               gather_refusals st fam mb ~candidates poll ~needed:va;
-            if List.length poll.refusals >= va then adopt st fam Protocol.Aborted
+            if List.length poll.refusals >= va then
+              Subordinate.adopt st fam Protocol.Aborted
             else begin
               tracef st "nb" "takeover %a blocked (commit side %d/%d, refusals %d/%d)"
                 Tid.pp tid commit_count vc (List.length poll.refusals) va;

@@ -79,23 +79,15 @@ let rec resolve st fam mb ~attempt =
               (Protocol.Paxos_prepare { m_tid = tid; m_from = me st; m_ballot = ballot }))
         acceptors;
       let promises = ref [] in
-      let deadline = Engine.now (engine st) +. st.config.vote_timeout_ms in
-      let rec drain1 () =
-        if List.length !promises < needed && fam.f_outcome = None then begin
-          let remaining = deadline -. Engine.now (engine st) in
-          if remaining > 0.0 then
-            match Mailbox.recv_timeout mb remaining with
-            | Some (Protocol.Paxos_promise { m_from; m_ballot = b; m_accepted; _ })
-              when b = ballot ->
-                charge_cpu st;
-                if not (List.mem_assoc m_from !promises) then
-                  promises := (m_from, m_accepted) :: !promises;
-                drain1 ()
-            | Some _ -> drain1 ()
-            | None -> ()
-        end
-      in
-      drain1 ();
+      recv_until st mb ~timeout_ms:st.config.vote_timeout_ms
+        ~until:(fun () -> List.length !promises >= needed || fam.f_outcome <> None)
+        (function
+          | Protocol.Paxos_promise { m_from; m_ballot = b; m_accepted; _ }
+            when b = ballot ->
+              charge_cpu st;
+              if not (List.mem_assoc m_from !promises) then
+                promises := (m_from, m_accepted) :: !promises
+          | _ -> ());
       if fam.f_outcome <> None then Option.get fam.f_outcome
       else if List.length !promises < needed then retry ()
       else begin
@@ -152,26 +144,18 @@ let rec resolve st fam mb ~attempt =
           | None -> false
         in
         let all_decided () = List.for_all (fun (i, _) -> decided i) proposals in
-        let deadline = Engine.now (engine st) +. st.config.vote_timeout_ms in
-        let rec drain2 () =
-          if (not (all_decided ())) && fam.f_outcome = None then begin
-            let remaining = deadline -. Engine.now (engine st) in
-            if remaining > 0.0 then
-              match Mailbox.recv_timeout mb remaining with
-              | Some (Protocol.Paxos_accepted { m_from; m_instance; m_ballot = b; _ })
-                when b = ballot ->
-                  charge_cpu st;
-                  let l =
-                    Option.value ~default:[] (Hashtbl.find_opt acks m_instance)
-                  in
-                  if not (List.mem m_from l) then
-                    Hashtbl.replace acks m_instance (m_from :: l);
-                  drain2 ()
-              | Some _ -> drain2 ()
-              | None -> ()
-          end
-        in
-        drain2 ();
+        recv_until st mb ~timeout_ms:st.config.vote_timeout_ms
+          ~until:(fun () -> all_decided () || fam.f_outcome <> None)
+          (function
+            | Protocol.Paxos_accepted { m_from; m_instance; m_ballot = b; _ }
+              when b = ballot ->
+                charge_cpu st;
+                let l =
+                  Option.value ~default:[] (Hashtbl.find_opt acks m_instance)
+                in
+                if not (List.mem m_from l) then
+                  Hashtbl.replace acks m_instance (m_from :: l)
+            | _ -> ());
         if fam.f_outcome <> None then Option.get fam.f_outcome
         else if not (all_decided ()) then retry ()
         else begin
@@ -192,35 +176,6 @@ let rec resolve st fam mb ~attempt =
         end
       end
 
-(* Apply and propagate an outcome decided at ballot > 0, exactly like
-   a non-blocking takeover coordinator: the decision is already chosen
-   by the acceptor quorum, so the local commit record is merely this
-   site's own durability. Peers that miss the notice inquire. *)
-let adopt st fam outcome =
-  let tid = fam.f_root in
-  let peers = List.filter (fun s -> s <> me st) fam.f_sites in
-  tracef st "paxos" "%a: ballot > 0 decided %a" Tid.pp tid Protocol.pp_outcome
-    outcome;
-  (match outcome with
-  | Protocol.Committed ->
-      if fam.f_outcome = None then begin
-        ignore
-          (log_append_force st
-             (Record.Commit { c_tid = tid; c_sites = fam.f_update_sites })
-            : int);
-        Subordinate.apply_commit st fam ~ack_to:(me st)
-      end
-  | Protocol.Aborted -> if fam.f_outcome = None then Subordinate.apply_abort st fam);
-  let outcome_msg =
-    Protocol.Outcome
-      { m_tid = tid; m_from = me st; m_outcome = outcome; m_protocol = fam.f_protocol }
-  in
-  fan_out st ~dsts:peers outcome_msg;
-  ignore
-    (Site.after st.site ~delay:st.config.outcome_retry_ms (fun () ->
-         defer st (fun () -> fan_out st ~dsts:peers outcome_msg))
-      : Engine.timer)
-
 (* A prepared participant's takeover (runs in the fiber its takeover
    timer spawns; recovery re-arms that timer): become the leader at a
    higher ballot and finish every instance. *)
@@ -229,7 +184,7 @@ let takeover st fam =
   let tid = fam.f_root in
   let mb = register_waiter st tid in
   let outcome = resolve st fam mb ~attempt:1 in
-  adopt st fam outcome;
+  Subordinate.adopt st fam outcome;
   unregister_waiter st tid
 
 (* ---------------------------------------------------------------- *)
@@ -302,88 +257,75 @@ let collect_ballot0 st fam mb ~prepare_msg =
   in
   (!refused, undecided, ro_instances)
 
-let coordinate st fam =
+let coordinate st fam ~local_ro =
   let tid = fam.f_root in
-  let local_vote = vote_local_servers st fam in
   let subs = fam.f_remote_sites in
-  if subs <> [] then st.stats.n_distributed <- st.stats.n_distributed + 1;
-  match local_vote with
-  | Protocol.Vote_no -> Two_phase.abort_distributed st fam ~subs
-  | Protocol.Vote_yes { read_only = local_ro } ->
-      if subs = [] then Two_phase.commit_local st fam ~read_only:local_ro
-      else begin
-        let acceptors = acceptor_set st ~subs in
-        let mb = register_waiter st tid in
-        fam.f_prepared <- true;
-        fam.f_sites <- me st :: subs;
-        fam.f_acceptors <- acceptors;
-        (* own prepare record: forced when the acceptor set extends
-           beyond this site (a takeover may then commit without us, so
-           our spooled updates must be durable before our yes vote is
-           visible); spooled in the F = 0 sole-self-acceptor case,
-           where it rides the commit force exactly as in 2PC *)
-        let prepare_rec =
-          Record.Prepare
-            {
-              p_tid = tid;
-              p_coordinator = me st;
-              p_protocol = Protocol.Paxos_commit;
-              p_sites = fam.f_sites;
-              p_acceptors = acceptors;
-            }
-        in
-        if List.exists (fun a -> a <> me st) acceptors then
-          ignore (log_append_force st prepare_rec : int)
-        else ignore (log_append st prepare_rec : int);
-        let prepare_msg =
-          Protocol.Prepare
-            {
-              m_tid = tid;
-              m_coordinator = me st;
-              m_protocol = Protocol.Paxos_commit;
-              m_sites = fam.f_sites;
-              m_commit_quorum = 0;
-              m_acceptors = acceptors;
-            }
-        in
-        fan_out st ~dsts:subs prepare_msg;
-        Camelot_chaos.point ~site:(me st) p_prepare_sent;
-        (* cast our own instance's vote (the self-acceptance, if we are
-           an acceptor, lands back in [mb] by local hand-off) *)
-        Subordinate.paxos_cast_vote st fam
-          ~vote:(Protocol.Vote_yes { read_only = local_ro });
-        let refused, undecided, ro_instances = collect_ballot0 st fam mb ~prepare_msg in
-        if refused then begin
-          unregister_waiter st tid;
-          Two_phase.abort_distributed st fam ~subs
-        end
-        else if undecided <> [] then begin
-          (* silence after retries: escalate through the acceptors at a
-             higher ballot — a unilateral timeout-abort could race a
-             takeover that commits. At F = 0 the escalation is wholly
-             local and always aborts the silent instance, preserving
-             the 2PC timeout behaviour. *)
-          let outcome = resolve st fam mb ~attempt:1 in
-          adopt st fam outcome;
-          unregister_waiter st tid;
-          outcome
-        end
-        else begin
-          Camelot_chaos.point ~site:(me st) Two_phase.p_votes_collected;
-          let update_subs =
-            List.filter (fun s -> s <> me st && not (List.mem s ro_instances)) subs
-          in
-          if
-            update_subs = [] && local_ro && st.config.read_only_optimization
-            && acceptors = [ me st ]
-          then begin
-            (* wholly read-only at F = 0: nothing durable anywhere,
-               nothing to log — same as 2PC *)
-            unregister_waiter st tid;
-            resolve_family st fam Protocol.Committed;
-            drop_local_locks st fam;
-            Protocol.Committed
-          end
-          else Two_phase.commit_decided st fam ~update_subs
-        end
-      end
+  let acceptors = acceptor_set st ~subs in
+  let mb = register_waiter st tid in
+  fam.f_prepared <- true;
+  fam.f_sites <- me st :: subs;
+  fam.f_acceptors <- acceptors;
+  (* own prepare record: forced when the acceptor set extends beyond
+     this site (a takeover may then commit without us, so our spooled
+     updates must be durable before our yes vote is visible); spooled
+     in the F = 0 sole-self-acceptor case, where it rides the commit
+     force exactly as in 2PC *)
+  let prepare_rec =
+    Record.Prepare
+      {
+        p_tid = tid;
+        p_coordinator = me st;
+        p_protocol = Protocol.Paxos_commit;
+        p_sites = fam.f_sites;
+        p_acceptors = acceptors;
+      }
+  in
+  if List.exists (fun a -> a <> me st) acceptors then
+    ignore (log_append_force st prepare_rec : int)
+  else ignore (log_append st prepare_rec : int);
+  let prepare_msg =
+    Protocol.Prepare
+      {
+        m_tid = tid;
+        m_coordinator = me st;
+        m_protocol = Protocol.Paxos_commit;
+        m_sites = fam.f_sites;
+        m_commit_quorum = 0;
+        m_acceptors = acceptors;
+      }
+  in
+  fan_out st ~dsts:subs prepare_msg;
+  Camelot_chaos.point ~site:(me st) p_prepare_sent;
+  (* cast our own instance's vote (the self-acceptance, if we are an
+     acceptor, lands back in [mb] by local hand-off) *)
+  Subordinate.paxos_cast_vote st fam
+    ~vote:(Protocol.Vote_yes { read_only = local_ro });
+  let refused, undecided, ro_instances = collect_ballot0 st fam mb ~prepare_msg in
+  if refused then begin
+    unregister_waiter st tid;
+    Two_phase.abort_distributed st fam ~subs
+  end
+  else if undecided <> [] then begin
+    (* silence after retries: escalate through the acceptors at a
+       higher ballot — a unilateral timeout-abort could race a takeover
+       that commits. At F = 0 the escalation is wholly local and always
+       aborts the silent instance, preserving the 2PC timeout
+       behaviour. *)
+    let outcome = resolve st fam mb ~attempt:1 in
+    Subordinate.adopt st fam outcome;
+    unregister_waiter st tid;
+    outcome
+  end
+  else begin
+    Camelot_chaos.point ~site:(me st) Two_phase.p_votes_collected;
+    let update_subs =
+      List.filter (fun s -> s <> me st && not (List.mem s ro_instances)) subs
+    in
+    (* wholly read-only at F = 0: nothing durable anywhere, nothing to
+       log — same as 2PC *)
+    if
+      update_subs = [] && local_ro && st.config.read_only_optimization
+      && acceptors = [ me st ]
+    then Two_phase.finish_read_only st fam
+    else Two_phase.commit_decided st fam ~update_subs
+  end

@@ -7,16 +7,20 @@
     counts. *)
 
 (** Run the protocol as the original coordinator (the leader of every
-    instance at ballot 0); blocks (on a worker thread) until the
-    outcome is decided. Silence after the retry budget escalates to a
-    ballot > 0 resolution through the acceptors — never a unilateral
-    timeout-abort, which could race a committing takeover. *)
-val coordinate : State.t -> State.family -> Protocol.outcome
+    instance at ballot 0), once the local servers voted yes
+    ([local_ro]: all read-only) and at least one subordinate exists
+    ({!Tranman.commit} handles the rest); blocks (on a worker thread)
+    until the outcome is decided. Silence after the retry budget
+    escalates to a ballot > 0 resolution through the acceptors — never
+    a unilateral timeout-abort, which could race a committing
+    takeover. *)
+val coordinate : State.t -> State.family -> local_ro:bool -> Protocol.outcome
 
 (** Finish the transaction as a recovery coordinator: phase 1 at a
     proposer-tagged ballot, re-propose every instance (the
     highest-ballot acceptance seen by a promise quorum, or a no-vote),
-    decide on phase-2b quorums, then apply and propagate. Runs in the fiber
+    decide on phase-2b quorums, then apply and propagate
+    ({!Subordinate.adopt}). Runs in the fiber
     the subordinate's takeover timer spawns when it fires; recovery
     re-arms that timer. *)
 val takeover : State.t -> State.family -> unit

@@ -1,6 +1,7 @@
 (* Internal shared state of a transaction manager: family/transaction
-   descriptors, configuration, message plumbing, and the local-server
-   operations (vote, drop locks, undo) that both commit protocols use.
+   descriptors, configuration, message plumbing, the local-server
+   operations (vote, drop locks, undo) that all four commit protocols
+   use, and the rule that fixes each protocol's presumption.
 
    The public face of all this is [Tranman]; everything here is
    library-internal. *)
@@ -472,3 +473,35 @@ let nb_quorum st ~domain_size =
   match st.config.commit_quorum with
   | Some q -> max 1 (min q domain_size)
   | None -> majority domain_size
+
+(* ------------------------------------------------------------------ *)
+(* The presumption rule *)
+
+(* What a forgotten coordinator implies under each protocol. Only 2PC
+   reads the configured presumption; short-commit presumes commit
+   because its commit notices travel unacknowledged, and the two
+   protocols that survive a coordinator failure resolve an unknown
+   family through their takeover machinery, never by presumption, so
+   they keep Camelot's presumed abort. *)
+let presumption st = function
+  | Protocol.Two_phase -> st.config.presumption
+  | Protocol.Short_commit -> Presume_commit
+  | Protocol.Nonblocking | Protocol.Paxos_commit -> Presume_abort
+
+(* ------------------------------------------------------------------ *)
+(* Deadline-bounded mailbox drains *)
+
+let recv_until st mb ~timeout_ms ~until handle =
+  let deadline = Engine.now (engine st) +. timeout_ms in
+  let rec drain () =
+    if not (until ()) then begin
+      let remaining = deadline -. Engine.now (engine st) in
+      if remaining > 0.0 then
+        match Mailbox.recv_timeout mb remaining with
+        | Some msg ->
+            handle msg;
+            drain ()
+        | None -> ()
+    end
+  in
+  drain ()

@@ -3,8 +3,9 @@
     Everything here is plumbing common to the commit protocols and the
     dispatcher; the supported public surface is {!Tranman}. The types
     are exposed concretely because {!Two_phase}, {!Nonblocking},
-    {!Subordinate} and {!Tranman} all manipulate them, and because
-    tests and experiments tune {!config} fields directly. *)
+    {!Paxos_commit}, {!Subordinate} and {!Tranman} all manipulate
+    them, and because tests and experiments tune {!config} fields
+    directly. *)
 
 open Camelot_sim
 open Camelot_mach
@@ -13,7 +14,8 @@ open Camelot_mach
     (Mohan & Lindsay). Camelot uses [Presume_abort]; [Presume_commit]
     is implemented as an extension: commit acknowledgements disappear,
     but the coordinator forces a collecting record before voting and
-    aborts become forced and acknowledged. *)
+    aborts become forced and acknowledged. Each protocol's presumption
+    is fixed by {!presumption}. *)
 type presumption = Presume_abort | Presume_commit
 
 (** The three §4.2 write-transaction protocol variants. [Optimized]:
@@ -33,6 +35,8 @@ type config = {
   mutable threads : int;
   mutable two_phase_variant : two_phase_variant;
   mutable presumption : presumption;
+      (** 2PC's presumption; the other protocols' are fixed
+          ({!presumption}) *)
   mutable multicast : bool;
   mutable read_only_optimization : bool;
   mutable vote_timeout_ms : float;
@@ -252,3 +256,30 @@ val majority : int -> int
 
 (** Configured or majority commit-quorum size over a domain. *)
 val nb_quorum : t -> domain_size:int -> int
+
+(** {1 The presumption rule} *)
+
+(** [presumption st protocol] is what a forgotten coordinator implies
+    for a family committed under [protocol]: [config.presumption] for
+    [Two_phase], [Presume_commit] for [Short_commit] (its commit
+    notices travel unacknowledged), and [Presume_abort] for
+    [Nonblocking] and [Paxos_commit] (their takeovers, not a
+    presumption, resolve an unknown family). It decides which records
+    are forced and which outcome notices are acknowledged: under
+    [Presume_abort] the commit is acknowledged, under [Presume_commit]
+    the abort, and a protocol that presumes commit forces a collecting
+    record before its prepares. *)
+val presumption : t -> Protocol.commit_protocol -> presumption
+
+(** [recv_until st mb ~timeout_ms ~until handle] drains [mb] into
+    [handle] until [until ()] holds or [timeout_ms] of virtual time
+    has passed since the call, whichever comes first. [until] is
+    checked before every receive, so a drain that starts satisfied
+    receives nothing. *)
+val recv_until :
+  t ->
+  Protocol.t Mailbox.t ->
+  timeout_ms:float ->
+  until:(unit -> bool) ->
+  (Protocol.t -> unit) ->
+  unit

@@ -2,9 +2,10 @@
    four protocols: voting on a prepare, writing replication records,
    the Paxos Commit acceptor (phase 1b/2b with its force discipline),
    short-commit's early lock release, applying outcomes under the three
-   write-variants, answering status inquiries, and the timeout-driven
-   escape hatches (inquiry loop for 2PC/short-commit, takeover hooks
-   for non-blocking and Paxos Commit). *)
+   write-variants, a takeover coordinator's adoption of its decision,
+   answering status inquiries, and the timeout-driven escape hatches
+   (inquiry loop for 2PC/short-commit, takeover hooks for non-blocking
+   and Paxos Commit). *)
 
 open Camelot_sim
 open Camelot_mach
@@ -37,15 +38,10 @@ let apply_commit st fam ~ack_to =
   let ack = Protocol.Outcome_ack { m_tid = tid; m_from = me st } in
   let commit_rec = Record.Commit { c_tid = tid; c_sites = [] } in
   resolve_family st fam Protocol.Committed;
-  if
-    (fam.f_protocol = Protocol.Two_phase
-    && st.config.presumption = Presume_commit)
-    || fam.f_protocol = Protocol.Short_commit
-  then begin
-    (* presumed commit — and short-commit, whose commit notices travel
-       unacknowledged by construction: no acknowledgement exists; the
-       commit record need never be forced (an inquiry to a forgotten
-       coordinator presumes commit anyway) *)
+  if presumption st fam.f_protocol = Presume_commit then begin
+    (* presumed commit: no acknowledgement exists; the commit record
+       need never be forced (an inquiry to a forgotten coordinator
+       presumes commit anyway) *)
     drop_local_locks st fam;
     ignore (log_append st commit_rec : int)
   end
@@ -73,15 +69,9 @@ let apply_commit st fam ~ack_to =
 let apply_abort st fam =
   Camelot_chaos.point ~site:(me st) p_abort_applied;
   resolve_family st fam Protocol.Aborted;
-  if
-    ((fam.f_protocol = Protocol.Two_phase
-     && st.config.presumption = Presume_commit)
-    || fam.f_protocol = Protocol.Short_commit)
-    && fam.f_prepared
-  then begin
-    (* presumed commit — and short-commit, where a forgotten
-       coordinator implies commit: the abort must survive a crash (a
-       lost abort record would later be presumed committed) and must be
+  if presumption st fam.f_protocol = Presume_commit && fam.f_prepared then begin
+    (* presumed commit: the abort must survive a crash (a lost abort
+       record would later be presumed committed) and must be
        acknowledged so the coordinator may forget *)
     ignore (log_append_force st (Record.Abort { a_tid = fam.f_root }) : int);
     send st ~dst:(Tid.origin fam.f_root)
@@ -94,6 +84,35 @@ let apply_outcome st fam outcome ~ack_to =
   match outcome with
   | Protocol.Committed -> apply_commit st fam ~ack_to
   | Protocol.Aborted -> apply_abort st fam
+
+(* Adopt and propagate an outcome decided by a takeover coordinator
+   (non-blocking or Paxos Commit): apply it here, this site's commit
+   record forced, then push it to every peer twice, the second time
+   [outcome_retry_ms] later. Peers that miss both notices inquire and
+   learn it. *)
+let adopt st fam outcome =
+  let tid = fam.f_root in
+  let peers = List.filter (fun s -> s <> me st) fam.f_sites in
+  tracef st "takeover" "%a: decided %a" Tid.pp tid Protocol.pp_outcome outcome;
+  (match outcome with
+  | Protocol.Committed ->
+      if fam.f_outcome = None then begin
+        ignore
+          (log_append_force st
+             (Record.Commit { c_tid = tid; c_sites = fam.f_update_sites })
+            : int);
+        apply_commit st fam ~ack_to:(me st)
+      end
+  | Protocol.Aborted -> if fam.f_outcome = None then apply_abort st fam);
+  let outcome_msg =
+    Protocol.Outcome
+      { m_tid = tid; m_from = me st; m_outcome = outcome; m_protocol = fam.f_protocol }
+  in
+  fan_out st ~dsts:peers outcome_msg;
+  ignore
+    (Site.after st.site ~delay:st.config.outcome_retry_ms (fun () ->
+         defer st (fun () -> fan_out st ~dsts:peers outcome_msg))
+      : Engine.timer)
 
 (* --------------------------------------------------------------- *)
 (* Waiting for the coordinator *)
@@ -314,7 +333,7 @@ let handle_paxos_prepare st msg =
    record and answer — unless everything here was read-only, in which
    case the site votes yes-read-only, drops its locks and forgets
    (§4.2's read-only optimization). *)
-let handle_prepare st msg ~takeover ~paxos_takeover =
+let handle_prepare st msg ~arm_watchdog =
   match msg with
   | Protocol.Prepare
       { m_tid; m_coordinator; m_protocol; m_sites; m_commit_quorum; m_acceptors }
@@ -411,12 +430,7 @@ let handle_prepare st msg ~takeover ~paxos_takeover =
                 end;
                 revote (Protocol.Vote_yes { read_only = false });
                 Camelot_chaos.point ~site:(me st) p_vote_sent;
-                (match m_protocol with
-                | Protocol.Two_phase | Protocol.Short_commit ->
-                    start_inquiry_watchdog st fam
-                | Protocol.Nonblocking -> start_takeover_watchdog st fam ~takeover
-                | Protocol.Paxos_commit ->
-                    start_takeover_watchdog st fam ~takeover:paxos_takeover)
+                arm_watchdog st fam
           end)
   | _ -> invalid_arg "Subordinate.handle_prepare"
 
@@ -478,60 +492,36 @@ let handle_replicate st msg =
                   end))
   | _ -> invalid_arg "Subordinate.handle_replicate"
 
-(* Outcome notice. Idempotent: duplicates re-ack commits (the
-   coordinator keeps retransmitting until acked) and ignore aborts. *)
+(* Whether a notice of [outcome] under [protocol] is acknowledged: the
+   outcome a forgotten coordinator does not presume is the one it keeps
+   retransmitting until every subordinate has answered. *)
+let acknowledged st protocol outcome =
+  match (presumption st protocol, outcome) with
+  | Presume_abort, Protocol.Committed | Presume_commit, Protocol.Aborted -> true
+  | Presume_abort, Protocol.Aborted | Presume_commit, Protocol.Committed -> false
+
+(* Outcome notice. Idempotent: a duplicate, or a notice for a family
+   forgotten or never seen here, is re-acknowledged when its outcome is
+   the acknowledged one, so the coordinator can forget too. *)
 let handle_outcome st msg =
   match msg with
   | Protocol.Outcome { m_tid; m_from; m_outcome; m_protocol } -> (
       match find_family st m_tid with
-      | None ->
-          (* forgotten or never seen; ack whichever outcome carries the
-             acknowledgement duty under the deciding protocol — the
-             message says which, since no descriptor survives here —
-             so the coordinator can forget too *)
-          let needs_ack =
-            match m_protocol with
-            | Protocol.Short_commit ->
-                (* commits travel unacknowledged; aborts are acked *)
-                m_outcome = Protocol.Aborted
-            | _ -> (
-                match (st.config.presumption, m_outcome) with
-                | Presume_abort, Protocol.Committed
-                | Presume_commit, Protocol.Aborted ->
-                    true
-                | Presume_abort, Protocol.Aborted
-                | Presume_commit, Protocol.Committed ->
-                    false)
-          in
-          if needs_ack then
+      | Some ({ f_outcome = None; _ } as fam) ->
+          apply_outcome st fam m_outcome ~ack_to:m_from
+      | Some { f_outcome = Some prior; _ } when prior <> m_outcome ->
+          (* a heuristic decision went the wrong way: record the damage
+             for the operator (LU 6.2 semantics: heuristic resolution
+             "does not guarantee correctness") *)
+          st.stats.n_heuristic_damage <- st.stats.n_heuristic_damage + 1;
+          tracef st "ERROR" "%a: conflicting outcomes %a vs %a" Tid.pp m_tid
+            Protocol.pp_outcome prior Protocol.pp_outcome m_outcome
+      | Some _ | None ->
+          (* the notice's own protocol decides: a family rebuilt at
+             restart from an update record alone reads as 2PC *)
+          if acknowledged st m_protocol m_outcome then
             send_piggybacked st ~dst:m_from
-              (Protocol.Outcome_ack { m_tid; m_from = me st })
-      | Some fam -> (
-          match fam.f_outcome with
-          | None -> apply_outcome st fam m_outcome ~ack_to:m_from
-          | Some Protocol.Committed when m_outcome = Protocol.Committed ->
-              if
-                st.config.presumption = Presume_abort
-                && fam.f_protocol <> Protocol.Short_commit
-              then
-                send_piggybacked st ~dst:m_from
-                  (Protocol.Outcome_ack { m_tid; m_from = me st })
-          | Some Protocol.Aborted when m_outcome = Protocol.Aborted ->
-              if
-                st.config.presumption = Presume_commit
-                || fam.f_protocol = Protocol.Short_commit
-              then
-                send_piggybacked st ~dst:m_from
-                  (Protocol.Outcome_ack { m_tid; m_from = me st })
-          | Some prior ->
-              if prior <> m_outcome then begin
-                (* a heuristic decision went the wrong way: record the
-                   damage for the operator (LU 6.2 semantics: heuristic
-                   resolution "does not guarantee correctness") *)
-                st.stats.n_heuristic_damage <- st.stats.n_heuristic_damage + 1;
-                tracef st "ERROR" "%a: conflicting outcomes %a vs %a" Tid.pp
-                  m_tid Protocol.pp_outcome prior Protocol.pp_outcome m_outcome
-              end))
+              (Protocol.Outcome_ack { m_tid; m_from = me st }))
   | _ -> invalid_arg "Subordinate.handle_outcome"
 
 (* Status inquiry: answer from the descriptor (or its absence —
@@ -616,21 +606,21 @@ let handle_status st msg =
             | Protocol.St_unknown -> (
                 (* decisive only from the coordinator itself, and only
                    under protocols where a forgotten coordinator
-                   implies an outcome: 2PC by its presumption,
-                   short-commit always by commit (its aborts are
-                   remembered until acknowledged). A non-blocking or
-                   paxos peer that knows nothing proves nothing — the
-                   takeover machinery resolves those. *)
+                   implies an outcome: 2PC and short-commit, by their
+                   presumption. A non-blocking or paxos peer that
+                   knows nothing proves nothing — the takeover
+                   machinery resolves those. *)
                 match fam.f_protocol with
-                | Protocol.Two_phase when m_from = Tid.origin m_tid ->
+                | (Protocol.Two_phase | Protocol.Short_commit)
+                  when m_from = Tid.origin m_tid ->
                     apply_outcome st fam
-                      (match st.config.presumption with
+                      (match presumption st fam.f_protocol with
                       | Presume_abort -> Protocol.Aborted
                       | Presume_commit -> Protocol.Committed)
                       ~ack_to:m_from
-                | Protocol.Short_commit when m_from = Tid.origin m_tid ->
-                    apply_outcome st fam Protocol.Committed ~ack_to:m_from
-                | _ -> ())
+                | Protocol.Two_phase | Protocol.Short_commit
+                | Protocol.Nonblocking | Protocol.Paxos_commit ->
+                    ())
             | Protocol.St_active | Protocol.St_prepared | Protocol.St_replicated
             | Protocol.St_refused ->
                 ()

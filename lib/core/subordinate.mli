@@ -1,19 +1,32 @@
 (** Subordinate-side handling of commit-protocol messages, shared by
     all four commit protocols (internal; messages reach these handlers
     through {!Tranman}'s dispatcher, on worker threads). Also home of
-    the Paxos Commit acceptor and short-commit's early lock release. *)
+    the Paxos Commit acceptor, short-commit's early lock release and
+    the takeover coordinators' {!adopt}. *)
 
-(** Apply a commit at this site under the configured §4.2 write
-    variant; the commit-ack goes to [ack_to] (the original or a
-    takeover coordinator). *)
+(** Apply a commit at this site. Under presumed abort
+    ({!State.presumption} of the family's protocol) the §4.2 write
+    variant decides whether the commit record is forced and how the
+    commit-ack reaches [ack_to] (the original or a takeover
+    coordinator); under presumed commit the record is spooled and no
+    ack is sent. *)
 val apply_commit : State.t -> State.family -> ack_to:Camelot_mach.Site.id -> unit
 
-(** Undo the family locally; the abort record is lazy (presumed
-    abort). *)
+(** Undo the family locally. The abort record is lazy, except that a
+    prepared family whose protocol presumes commit forces it and
+    acknowledges the abort to the coordinator. *)
 val apply_abort : State.t -> State.family -> unit
 
 val apply_outcome :
   State.t -> State.family -> Protocol.outcome -> ack_to:Camelot_mach.Site.id -> unit
+
+(** [adopt st fam outcome]: a takeover coordinator (non-blocking or
+    Paxos Commit) applies the outcome it decided, forcing this site's
+    commit record first when it commits an unresolved family, then
+    sends the outcome notice to every other participant, and once more
+    [outcome_retry_ms] later from an engine timer. A peer that misses
+    both inquires. *)
+val adopt : State.t -> State.family -> Protocol.outcome -> unit
 
 (** {1 Watchdogs}
 
@@ -73,23 +86,32 @@ val paxos_cast_vote : State.t -> State.family -> vote:Protocol.vote -> unit
 (** {1 Message handlers} — each takes the raw message and raises
     [Invalid_argument] on a constructor it does not own. *)
 
+(** Vote on a prepare. A yes vote that is not read-only forces the
+    prepare record, votes, then calls [arm_watchdog] on the family: the
+    dispatcher passes [Tranman.arm_watchdog], which picks the
+    protocol's watchdog (passed in to avoid a module cycle with the
+    takeover coordinators). *)
 val handle_prepare :
-  State.t ->
-  Protocol.t ->
-  takeover:(State.t -> State.family -> unit) ->
-  paxos_takeover:(State.t -> State.family -> unit) ->
-  unit
+  State.t -> Protocol.t -> arm_watchdog:(State.t -> State.family -> unit) -> unit
 
 val handle_paxos_accept : State.t -> Protocol.t -> unit
 val handle_paxos_prepare : State.t -> Protocol.t -> unit
 
 val handle_replicate : State.t -> Protocol.t -> unit
+
+(** Apply an outcome notice to an unresolved family. A duplicate, or a
+    notice for a family this site forgot or never saw, is acknowledged
+    when the notice's protocol acknowledges that outcome
+    ({!State.presumption}); a notice contradicting a resolved family
+    counts heuristic damage. *)
 val handle_outcome : State.t -> Protocol.t -> unit
+
 val handle_inquiry : State.t -> Protocol.t -> unit
 val handle_join_abort_quorum : State.t -> Protocol.t -> unit
 val handle_child_finish : State.t -> Protocol.t -> unit
 
 (** A status reply arriving outside any takeover collection resolves a
-    blocked subordinate (decisive answers from anyone; "unknown" only
-    from the coordinator under presumed abort). *)
+    blocked subordinate: a decisive answer from anyone, or "unknown"
+    from the coordinator of a 2PC or short-commit family, which
+    implies the protocol's presumed outcome. *)
 val handle_status : State.t -> Protocol.t -> unit

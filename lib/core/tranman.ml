@@ -9,6 +9,18 @@ exception Unknown_transaction of Tid.t
 (* ---------------------------------------------------------------- *)
 (* Dispatch *)
 
+(* A prepared subordinate's protocol timeout: an inquiry timer under
+   the protocols whose coordinator alone decides, a takeover timer
+   under the two that survive its failure. *)
+let arm_watchdog st fam =
+  match fam.f_protocol with
+  | Protocol.Two_phase | Protocol.Short_commit ->
+      Subordinate.start_inquiry_watchdog st fam
+  | Protocol.Nonblocking ->
+      Subordinate.start_takeover_watchdog st fam ~takeover:Nonblocking.takeover
+  | Protocol.Paxos_commit ->
+      Subordinate.start_takeover_watchdog st fam ~takeover:Paxos_commit.takeover
+
 (* The endpoint handler runs as a raw engine event and must not block:
    protocol responses are demultiplexed straight into the waiting
    coordinator's mailbox (the CornMan-style forwarding role), while
@@ -52,9 +64,7 @@ let dispatch st msg =
       | None -> ()
       | Some fam -> Two_phase.note_outcome_ack st fam ~from:m_from)
   | Protocol.Prepare _ ->
-      to_pool (fun st msg ->
-          Subordinate.handle_prepare st msg ~takeover:Nonblocking.takeover
-            ~paxos_takeover:Paxos_commit.takeover)
+      to_pool (fun st msg -> Subordinate.handle_prepare st msg ~arm_watchdog)
   | Protocol.Paxos_accept _ -> to_acceptor Subordinate.handle_paxos_accept
   | Protocol.Paxos_prepare _ -> to_acceptor Subordinate.handle_paxos_prepare
   | Protocol.Replicate _ -> to_pool Subordinate.handle_replicate
@@ -243,6 +253,24 @@ let forget st tid =
 let forget_if_local st fam =
   if fam.f_role = Coordinator && fam.f_remote_sites = [] then forget st fam.f_root
 
+(* The commit entry every protocol shares: collect the local vote; a
+   no aborts everywhere, and a family no remote site joined commits
+   locally. Only a yes with subordinates runs the family's protocol. *)
+let coordinate st fam =
+  let local_vote = vote_local_servers st fam in
+  let subs = fam.f_remote_sites in
+  if subs <> [] then st.stats.n_distributed <- st.stats.n_distributed + 1;
+  match local_vote with
+  | Protocol.Vote_no -> Two_phase.abort_distributed st fam ~subs
+  | Protocol.Vote_yes { read_only = local_ro } -> (
+      if subs = [] then Two_phase.commit_local st fam ~read_only:local_ro
+      else
+        match fam.f_protocol with
+        | Protocol.Two_phase | Protocol.Short_commit ->
+            Two_phase.coordinate st fam ~local_ro
+        | Protocol.Nonblocking -> Nonblocking.coordinate st fam ~local_ro
+        | Protocol.Paxos_commit -> Paxos_commit.coordinate st fam ~local_ro)
+
 let commit st ?(protocol = Protocol.Two_phase) tid =
   if Tid.is_top tid then
     on_pool st (fun () ->
@@ -252,13 +280,7 @@ let commit st ?(protocol = Protocol.Two_phase) tid =
         | None ->
             abort_unresolved_children st fam;
             fam.f_protocol <- protocol;
-            let o =
-              match protocol with
-              | Protocol.Two_phase -> Two_phase.coordinate st fam
-              | Protocol.Nonblocking -> Nonblocking.coordinate st fam
-              | Protocol.Paxos_commit -> Paxos_commit.coordinate st fam
-              | Protocol.Short_commit -> Short_commit.coordinate st fam
-            in
+            let o = coordinate st fam in
             forget_if_local st fam;
             o)
   else
@@ -518,7 +540,7 @@ let recover st =
     (fun _ fam ->
       match fam.f_outcome with
       | Some Protocol.Committed
-        when st.config.presumption = Presume_abort
+        when presumption st fam.f_protocol = Presume_abort
              && fam.f_role = Coordinator
              && (not fam.f_ended)
              && fam.f_update_sites <> [] ->
@@ -526,13 +548,10 @@ let recover st =
           let subs = List.filter (fun s -> s <> me st) fam.f_update_sites in
           if subs <> [] then Two_phase.start_notify st fam ~update_subs:subs
       | Some Protocol.Aborted
-        when (st.config.presumption = Presume_commit
-             || fam.f_protocol = Protocol.Short_commit)
+        when presumption st fam.f_protocol = Presume_commit
              && fam.f_role = Coordinator
              && not fam.f_ended ->
-          (* presumed commit (and short-commit, which presumes commit
-             whatever the configuration): aborts are the acknowledged
-             outcome *)
+          (* presumed commit: aborts are the acknowledged outcome *)
           let subs = List.filter (fun s -> s <> me st) fam.f_sites in
           if subs <> [] then
             Two_phase.start_notify ~outcome:Protocol.Aborted st fam ~update_subs:subs
@@ -540,15 +559,12 @@ let recover st =
       | None ->
           if
             fam.f_role = Coordinator && fam.f_prepared
-            && ((st.config.presumption = Presume_commit
-                && fam.f_protocol = Protocol.Two_phase)
-               || fam.f_protocol = Protocol.Short_commit)
+            && presumption st fam.f_protocol = Presume_commit
           then begin
             (* a collecting record without an outcome: the decision was
                never made, so the transaction aborts — and must be
                remembered and acknowledged, or it would be presumed
-               committed later (short-commit presumes commit whatever
-               the configured presumption) *)
+               committed later *)
             resolve_family st fam Protocol.Aborted;
             ignore
               (Camelot_wal.Log.append st.log (Record.Abort { a_tid = fam.f_root })
@@ -578,17 +594,9 @@ let recover st =
     (fun tid ->
       match find_family st tid with
       | None -> ()
-      | Some fam -> (
+      | Some fam ->
           Engine.cancel (engine st) fam.f_watchdog;
           fam.f_watchdog <- Engine.no_timer;
-          match fam.f_protocol with
-          | Protocol.Nonblocking ->
-              Subordinate.start_takeover_watchdog st fam
-                ~takeover:Nonblocking.takeover
-          | Protocol.Paxos_commit ->
-              Subordinate.start_takeover_watchdog st fam
-                ~takeover:Paxos_commit.takeover
-          | Protocol.Two_phase | Protocol.Short_commit ->
-              Subordinate.start_inquiry_watchdog st fam))
+          arm_watchdog st fam)
     !in_doubt;
   !in_doubt

@@ -2,13 +2,16 @@
 
     The TranMan is "essentially a protocol processor" (paper §3): it
     implements begin/join/commit/abort for arbitrarily nested and
-    distributed transactions, runs the presumed-abort two-phase commit
-    protocol with the §3.2 delayed-commit-ack optimization, the
-    three-phase non-blocking protocol of §3.3, and the abort protocol;
-    it is multithreaded in the §3.4 style (a pool of identical worker
-    threads, none tied to a transaction), and it learns which sites a
-    transaction has spread to from the communication manager's hooks
-    ({!note_sites}).
+    distributed transactions and runs four commit protocols, chosen per
+    commit call: the presumed-abort two-phase commit protocol with the
+    §3.2 delayed-commit-ack optimization, the three-phase non-blocking
+    protocol of §3.3, Gray & Lamport's Paxos Commit, and short-commit
+    (the 2PC coordinator with presumed commit and early lock release);
+    plus the abort protocol. Each protocol's presumption comes from one
+    rule, {!State.presumption}. The TranMan is multithreaded in the
+    §3.4 style (a pool of identical worker threads, none tied to a
+    transaction), and it learns which sites a transaction has spread to
+    from the communication manager's hooks ({!note_sites}).
 
     All blocking calls must run inside a simulation fiber. *)
 
@@ -55,7 +58,11 @@ val begin_nested : t -> parent:Tid.t -> Tid.t
     distributed commitment protocol selected by [protocol] (default
     {!Protocol.Two_phase}; §3.3: "the type of commitment protocol to
     execute is specified as an argument to the commit-transaction
-    call") and blocks until the outcome is decided. For a nested
+    call") and blocks until the outcome is decided. Every protocol
+    shares one opening: the local servers vote, a no aborts everywhere
+    the transaction spread, and a transaction that never spread
+    commits locally; only a yes with subordinates runs the protocol
+    itself. For a nested
     transaction it performs local commit with lock anti-inheritance and
     propagates to the family's other sites.
     Any still-unresolved subtransactions are aborted first.
@@ -135,9 +142,11 @@ val family_images : t -> Record.family_image list
     instead of at LSN 0. Every family is then classified once:
     committed, aborted (undecided families that never prepared or
     joined a quorum abort now, by presumed abort), or in doubt.
-    In-doubt transactions re-enter the blocked state (2PC: inquiry
-    loop; non-blocking and Paxos: takeover), and coordinator-side
-    outcomes still owed acknowledgements resume notification. Servers
+    In-doubt transactions re-enter the blocked state (2PC and
+    short-commit: inquiry loop; non-blocking and Paxos: takeover), and
+    a coordinator resumes notifying an outcome its protocol
+    acknowledges ({!State.presumption}) when no End record shows every
+    acknowledgement in. Servers
     must be re-registered first; returns the transactions in doubt,
     which is the list the recovery process ([Recovery.run]) takes its
     verdicts from. *)

@@ -6,7 +6,18 @@
    is durable (signalled by the piggybacked commit-ack).
 
    The write variant actually used by subordinates is configured in
-   [State.config]; this coordinator is identical for all three. *)
+   [State.config]; this coordinator is identical for all three.
+
+   The same coordinator runs short-commit, the one-round early-release
+   variant: locks drop at prepare time, before the outcome is known,
+   while undo information is retained, so readers see tentative values
+   a later abort must compensate for (the data servers restore an
+   undone value only when it is still the one this family wrote). Its
+   commit notice travels unacknowledged, which makes the fault-free
+   commit path 3N messages against 2PC's 4N; the price is that it
+   presumes commit ([State.presumption]): aborts are forced and
+   acknowledged, and a collecting record is forced before any
+   prepare. *)
 
 open Camelot_sim
 open Camelot_mach
@@ -17,21 +28,25 @@ let p_prepare_sent = Camelot_chaos.register "coord.prepare.sent"
 let p_commit_forced = Camelot_chaos.register "coord.commit.forced"
 let p_abort_logged = Camelot_chaos.register "coord.abort.logged"
 let p_acks_in = Camelot_chaos.register "coord.acks.in"
+let p_release_early = Camelot_chaos.register "short.release.early"
 
 (* The window satellite schedules care about most: every vote is in but
    the outcome is not yet durable. Shared by all four protocols. *)
 let p_votes_collected = Camelot_chaos.register "coord.votes.collected"
+
+(* The wholly read-only finish: nothing logged, no second phase. *)
+let finish_read_only st fam =
+  unregister_waiter st fam.f_root;
+  resolve_family st fam Protocol.Committed;
+  drop_local_locks st fam;
+  Protocol.Committed
 
 (* Local commitment: no subordinates. One forced log write commits the
    transaction (Figure 1 step 9); a fully read-only transaction writes
    nothing at all. *)
 let commit_local st fam ~read_only =
   let tid = fam.f_root in
-  if read_only && st.config.read_only_optimization then begin
-    resolve_family st fam Protocol.Committed;
-    drop_local_locks st fam;
-    Protocol.Committed
-  end
+  if read_only && st.config.read_only_optimization then finish_read_only st fam
   else begin
     ignore (log_append_force st (Record.Commit { c_tid = tid; c_sites = [] }) : int);
     Camelot_chaos.point ~site:(me st) p_commit_forced;
@@ -90,19 +105,13 @@ let start_notify ?(outcome = Protocol.Committed) st fam ~update_subs =
    not forced, no acknowledgements are collected, and the descriptor
    can be forgotten at once — an inquiry hitting a forgotten
    transaction is answered "unknown", which means abort. Presumed
-   commit inverts the costs: the abort record must be forced, and the
-   coordinator must collect abort acknowledgements before forgetting
-   (otherwise a later inquiry would presume commit). *)
+   commit (short-commit's too) inverts the costs: the abort record
+   must be forced, and the coordinator must collect abort
+   acknowledgements before forgetting (otherwise a later inquiry would
+   presume commit). *)
 let abort_distributed st fam ~subs =
   let tid = fam.f_root in
-  (* short-commit always follows the presumed-commit abort discipline:
-     its coordinator forced a collecting record, and a forgotten
-     coordinator implies commit *)
-  let discipline =
-    if fam.f_protocol = Protocol.Short_commit then Presume_commit
-    else st.config.presumption
-  in
-  (match discipline with
+  (match presumption st fam.f_protocol with
   | Presume_abort ->
       ignore (log_append st (Record.Abort { a_tid = tid }) : int);
       resolve_family st fam Protocol.Aborted;
@@ -211,14 +220,7 @@ let commit_decided st fam ~update_subs =
       : int);
   Camelot_chaos.point ~site:(me st) p_commit_forced;
   resolve_family st fam Protocol.Committed;
-  (* short-commit rides the presumed-commit branch whatever the
-     configured presumption: its commit notices are unacknowledged by
-     construction *)
-  let discipline =
-    if fam.f_protocol = Protocol.Short_commit then Presume_commit
-    else st.config.presumption
-  in
-  (match discipline with
+  (match presumption st fam.f_protocol with
   | Presume_abort ->
       if update_subs = [] then begin
         unregister_waiter st tid;
@@ -244,63 +246,61 @@ let commit_decided st fam ~update_subs =
   Site.spawn st.site ~name:"drop-locks" (fun () -> drop_local_locks st fam);
   Protocol.Committed
 
-(* Entry point: commit the family rooted at [tid]. Runs on a TranMan
-   pool thread; blocks until the outcome is decided (the completion
-   path), leaving notification and ack collection in the background
-   (the rest of the critical path). *)
-let coordinate st fam =
+(* The distributed commit of the family, once the local vote is yes
+   and at least one subordinate exists ([Tranman.commit] handles the
+   rest). Runs on a TranMan pool thread; blocks until the outcome is
+   decided (the completion path), leaving notification and ack
+   collection in the background (the rest of the critical path).
+   Serves 2PC and short-commit: the family's protocol decides whether
+   a collecting record is forced first, whether the local locks drop
+   before the prepares go out, and what the prepare says. *)
+let coordinate st fam ~local_ro =
   let tid = fam.f_root in
-  let local_vote = vote_local_servers st fam in
+  let protocol = fam.f_protocol in
   let subs = fam.f_remote_sites in
-  if subs <> [] then st.stats.n_distributed <- st.stats.n_distributed + 1;
-  match local_vote with
-  | Protocol.Vote_no -> abort_distributed st fam ~subs
-  | Protocol.Vote_yes { read_only = local_ro } ->
-      if subs = [] then commit_local st fam ~read_only:local_ro
-      else begin
-        let mb = register_waiter st tid in
-        fam.f_prepared <- true;
-        fam.f_sites <- me st :: subs;
-        (* presumed commit: the collecting record is forced before any
-           prepare message, so a recovering coordinator knows this
-           transaction cannot be presumed committed *)
-        if st.config.presumption = Presume_commit then
-          ignore
-            (log_append_force st
-               (Record.Collecting
-                  { g_tid = tid; g_sites = subs; g_protocol = Protocol.Two_phase })
-              : int);
-        let prepare_msg =
-          Protocol.Prepare
-            {
-              m_tid = tid;
-              m_coordinator = me st;
-              m_protocol = Protocol.Two_phase;
-              m_sites = subs;
-              m_commit_quorum = 0;
-              m_acceptors = [];
-            }
-        in
-        fan_out st ~dsts:subs prepare_msg;
-        Camelot_chaos.point ~site:(me st) p_prepare_sent;
-        let votes = collect_votes st fam mb ~subs ~prepare_msg in
-        if votes.refused || votes.n_pending > 0 then begin
-          unregister_waiter st tid;
-          abort_distributed st fam ~subs
-        end
-        else begin
-          Camelot_chaos.point ~site:(me st) p_votes_collected;
-          let update_subs =
-            List.filter (fun s -> not (List.mem s votes.read_only_subs)) subs
-          in
-          if update_subs = [] && local_ro && st.config.read_only_optimization
-          then begin
-            (* wholly read-only: nothing logged, no second phase *)
-            unregister_waiter st tid;
-            resolve_family st fam Protocol.Committed;
-            drop_local_locks st fam;
-            Protocol.Committed
-          end
-          else commit_decided st fam ~update_subs
-        end
-      end
+  let mb = register_waiter st tid in
+  fam.f_prepared <- true;
+  fam.f_sites <- me st :: subs;
+  (* presumed commit: the collecting record is forced before any
+     prepare message, so a recovering coordinator knows this
+     transaction cannot be presumed committed *)
+  if presumption st protocol = Presume_commit then
+    ignore
+      (log_append_force st
+         (Record.Collecting { g_tid = tid; g_sites = subs; g_protocol = protocol })
+        : int);
+  (* the short-commit bargain: this site's locks drop at prepare time,
+     before the outcome is known *)
+  if protocol = Protocol.Short_commit then begin
+    release_local_locks st fam;
+    Camelot_chaos.point ~site:(me st) p_release_early
+  end;
+  let prepare_msg =
+    Protocol.Prepare
+      {
+        m_tid = tid;
+        m_coordinator = me st;
+        m_protocol = protocol;
+        m_sites = subs;
+        m_commit_quorum = 0;
+        m_acceptors = [];
+      }
+  in
+  fan_out st ~dsts:subs prepare_msg;
+  Camelot_chaos.point ~site:(me st) p_prepare_sent;
+  let votes = collect_votes st fam mb ~subs ~prepare_msg in
+  if votes.refused || votes.n_pending > 0 then begin
+    unregister_waiter st tid;
+    abort_distributed st fam ~subs
+  end
+  else begin
+    Camelot_chaos.point ~site:(me st) p_votes_collected;
+    let update_subs =
+      List.filter (fun s -> not (List.mem s votes.read_only_subs)) subs
+    in
+    (* wholly read-only: a short-commit coordinator's stray collecting
+       record aborts harmlessly on recovery, with nothing to undo *)
+    if update_subs = [] && local_ro && st.config.read_only_optimization then
+      finish_read_only st fam
+    else commit_decided st fam ~update_subs
+  end

@@ -31,7 +31,6 @@ type t = {
   executors_per_shard : int;
   mutable submitted : int;
   mutable completed : int;
-  mutable failed : int;
   mutable shed : int;
   mutable max_depth : int;
 }
@@ -48,25 +47,17 @@ let rec wake_waiter s job =
     end
     else wake_waiter s job
 
-(* A raising job costs the job, not its executor: with one executor
-   per shard, a dead one would strand the shard until the next
-   restart. A kill still unwinds the executor. *)
-let run_job t job =
-  match job () with
-  | () -> t.completed <- t.completed + 1
-  | exception (Fiber.Cancelled as e) -> raise e
-  | exception e ->
-      t.failed <- t.failed + 1;
-      Format.eprintf "[dispatch] job raised: %s@." (Printexc.to_string e)
-
 (* Pop the next job, or park until [submit] hands one over. No context
-   switch is charged (see [Cost_model.context_switch_us]). *)
+   switch is charged (see [Cost_model.context_switch_us]). A job runs
+   in its executor's fiber, so an exception it raises leaves as the
+   executor's death ([Fiber.Died]) and stops the simulation. *)
 let executor_loop t s () =
   while true do
     let job =
       if Ring.is_empty s.queue then Fiber.suspend s.park else Ring.pop_exn s.queue
     in
-    run_job t job
+    job ();
+    t.completed <- t.completed + 1
   done
 
 let spawn_executors t =
@@ -93,7 +84,6 @@ let create ?(shards = 4) ?(executors_per_shard = 1) site =
       executors_per_shard;
       submitted = 0;
       completed = 0;
-      failed = 0;
       shed = 0;
       max_depth = 0;
     }
@@ -138,6 +128,5 @@ let depth t = Array.fold_left (fun acc s -> acc + Ring.length s.queue) 0 t.shard
 
 let submitted t = t.submitted
 let completed t = t.completed
-let failed t = t.failed
 let shed t = t.shed
 let max_depth t = t.max_depth

@@ -22,8 +22,10 @@
     Executors run in the site's fiber group, and the queues belong to
     the same incarnation: a crash kills the executors, and the restart
     drops every job still queued from before the crash, then re-staffs
-    the shards. A job that raises is counted in {!failed} and reported
-    on stderr; its executor carries on with the next job. *)
+    the shards. A job runs in its executor's fiber: an exception it
+    raises kills the executor and escapes the engine as
+    {!Camelot_sim.Fiber.Died}, named after the executor
+    (["dispatch-<shard>.<executor>"]), stopping the simulation. *)
 
 type job = unit -> unit
 
@@ -61,9 +63,6 @@ val submitted : t -> int
 
 (** Jobs that returned normally. *)
 val completed : t -> int
-
-(** Jobs that raised an exception. *)
-val failed : t -> int
 
 (** Jobs dropped by the [dispatch.shard.enqueue] fault point. *)
 val shed : t -> int

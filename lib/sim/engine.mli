@@ -31,8 +31,8 @@ type timer
 (** [schedule_timer t ~delay f] is [schedule t ~delay f] returning a
     handle for {!cancel}. [f] runs as a raw event, outside any fiber:
     if it raises, the exception propagates out of {!run} or {!step}
-    and stops the simulation, unlike a fiber body, whose exception
-    [Fiber.spawn]'s default handler only prints. *)
+    and stops the simulation, as a fiber body's does (wrapped as
+    [Fiber.Died]). *)
 val schedule_timer : t -> delay:float -> (unit -> unit) -> timer
 
 (** [cancel t tm] cancels a timer armed on [t]. Cancelling before the

@@ -1,5 +1,14 @@
 exception Cancelled
 
+exception Died of string * exn
+
+(* The default printer shows a nested exception as [_]. *)
+let () =
+  Printexc.register_printer (function
+    | Died (name, e) ->
+        Some (Printf.sprintf "Fiber.Died(%S, %s)" name (Printexc.to_string e))
+    | _ -> None)
+
 (* One record per suspension: the continuation, whether it has been
    resumed yet, the fiber's group registration ([detached] when it has
    none) and the result the continuation will receive. The resumer is
@@ -166,11 +175,7 @@ type _ Effect.t +=
   | Suspend : ('a resumer -> unit) -> 'a Effect.t
   | Context : context Effect.t
 
-let default_on_exn name exn =
-  Format.eprintf "[camelot_sim] fiber %s died: %s@." name (Printexc.to_string exn)
-
-let spawn eng ?group ?(name = "fiber") ?on_exn fn =
-  let on_exn = match on_exn with Some f -> f | None -> default_on_exn name in
+let spawn eng ?group ?(name = "fiber") fn =
   let ctx =
     {
       ctx_engine = eng;
@@ -185,7 +190,9 @@ let spawn eng ?group ?(name = "fiber") ?on_exn fn =
   let handler =
     {
       Effect.Deep.retc = (fun () -> ());
-      exnc = (fun e -> match e with Cancelled -> () | e -> on_exn e);
+      (* a body's exception leaves through the engine event that ran
+         it, stopping [Engine.run] or [Engine.step] *)
+      exnc = (fun e -> match e with Cancelled -> () | e -> raise (Died (name, e)));
       effc =
         (fun (type b) (eff : b Effect.t) :
              ((b, unit) Effect.Deep.continuation -> unit) option ->
@@ -223,9 +230,8 @@ let spawn eng ?group ?(name = "fiber") ?on_exn fn =
 
 let run eng fn =
   let result = ref None in
-  spawn eng ~name:"main"
-    ~on_exn:(fun e -> result := Some (Error e))
-    (fun () -> result := Some (Ok (fn ())));
+  spawn eng ~name:"main" (fun () ->
+      result := Some (match fn () with v -> Ok v | exception e -> Error e));
   (* step until the main fiber completes: background fibers (flushers)
      and armed protocol timers may keep the queue non-empty forever *)
   while Option.is_none !result && Engine.step eng do

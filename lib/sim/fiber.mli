@@ -19,6 +19,13 @@
 (** Raised inside a fiber when its group is killed while it is blocked. *)
 exception Cancelled
 
+(** [Died (name, e)]: the fiber spawned as [name] raised [e]. Any
+    exception other than {!Cancelled} that leaves a fiber body is
+    wrapped this way and propagates out of the {!Engine.run} or
+    {!Engine.step} call that was running the fiber, stopping the
+    simulation there, as an exception from a raw engine event does. *)
+exception Died of string * exn
+
 (** A resumer completes a pending {!suspend} exactly once. *)
 type 'a resumer
 
@@ -72,21 +79,16 @@ module Group : sig
 end
 
 (** [spawn engine fn] queues [fn] to start as a fiber at the current
-    virtual time.
+    virtual time. If [fn] raises anything but {!Cancelled}, the
+    exception escapes the engine as {!Died}.
     @param group kill-switch the fiber joins for all its blocking calls
-    @param name used in crash reports
-    @param on_exn called if [fn] raises (other than [Cancelled]);
-      default prints a warning to stderr. *)
-val spawn :
-  Engine.t ->
-  ?group:Group.t ->
-  ?name:string ->
-  ?on_exn:(exn -> unit) ->
-  (unit -> unit) ->
-  unit
+    @param name names the fiber in {!Died} (default ["fiber"]) *)
+val spawn : Engine.t -> ?group:Group.t -> ?name:string -> (unit -> unit) -> unit
 
 (** [run engine fn] spawns [fn], drives the engine until [fn] completes
-    (other fibers may still be live) and returns [fn]'s result.
+    (other fibers may still be live) and returns [fn]'s result. An
+    exception [fn] raises is re-raised as it is; one raised by another
+    fiber meanwhile escapes as {!Died}.
     @raise Failure if the queue drains with the fiber still blocked
     (deadlock). *)
 val run : Engine.t -> (unit -> 'a) -> 'a

@@ -354,6 +354,72 @@ let test_votes_collected_crash_short =
   crash_at_votes_collected ~protocol:Protocol.Short_commit ~expect:`Abort
 
 (* ------------------------------------------------------------------ *)
+(* Quiescence: once every site is up and every outcome is applied, no
+   outcome notice is resent for ever. A notice is retransmitted until
+   acknowledged only when its protocol acknowledges that outcome
+   ([State.presumption]): short-commit presumes commit, so its commits
+   are never acknowledged and its aborts always are. *)
+
+(* The coordinator dies at its commit point (the commit record forced,
+   no notice sent yet) and restarts 300 ms later. After a 2 s settle
+   the subordinate has committed and the LAN stays silent. *)
+let commit_point_crash ~protocol () =
+  let c = quiet_cluster ~sites:2 () in
+  let _result, _ =
+    spawn_txn c ~origin:0 ~protocol
+      ~ops:[ (0, Data_server.Write ("a", 1)); (1, Data_server.Write ("k", 5)) ]
+      ()
+  in
+  let point =
+    match protocol with
+    | Protocol.Nonblocking -> "nb.commit.forced"
+    | Protocol.Two_phase | Protocol.Paxos_commit | Protocol.Short_commit ->
+        "coord.commit.forced"
+  in
+  orchestrate c (fun () ->
+      crash_coordinator_at ~point c;
+      Fiber.sleep 2000.0;
+      Alcotest.(check int) "no datagram in 30 s" 0 (datagrams_during c 30_000.0);
+      Alcotest.(check bool) "sub committed" true (has_record c 1 is_commit);
+      Alcotest.(check int) "value at sub" 5 (peek c 1 "k"))
+
+(* Site 1 crashes after its update is durable but before any prepare
+   reaches it, so its restart rebuilds the family from the update
+   record alone, as 2PC, and aborts it. The short-commit coordinator
+   has forced its abort and notifies it until acknowledged: the
+   rebuilt family must acknowledge by the notice's protocol. *)
+let test_short_abort_to_rebuilt_family () =
+  let c = quiet_cluster ~sites:2 () in
+  let tm = Camelot.Cluster.tranman c 0 in
+  let operated = ref false in
+  let go = ref false in
+  let result = ref None in
+  Site.spawn (Camelot.Cluster.node c 0).Camelot.Cluster.site (fun () ->
+      let tid = Tranman.begin_transaction tm in
+      ignore (Camelot.Cluster.op c ~origin:0 tid ~site:0 (Data_server.Write ("a", 1)) : int);
+      ignore (Camelot.Cluster.op c ~origin:0 tid ~site:1 (Data_server.Write ("k", 5)) : int);
+      operated := true;
+      wait_until ~what:"site 1 down" (fun () -> !go);
+      result := Some (Tranman.commit tm ~protocol:Protocol.Short_commit tid));
+  orchestrate c (fun () ->
+      wait_until ~what:"both operations done" (fun () -> !operated);
+      (* the flusher makes the update durable *)
+      wait_until ~what:"sub update durable" (fun () ->
+          List.exists
+            (fun (_, r) -> is_update r)
+            (Camelot_wal.Log.durable_records (Camelot.Cluster.log c 1)));
+      Camelot.Cluster.crash_site c 1;
+      go := true;
+      wait_until ~what:"vote round timed out" (fun () ->
+          !result = Some Protocol.Aborted);
+      Fiber.sleep 1000.0;
+      ignore (Camelot.Cluster.restart_site c 1 : Tid.t list);
+      Fiber.sleep 2000.0;
+      Alcotest.(check int) "no datagram in 30 s" 0 (datagrams_during c 30_000.0);
+      Alcotest.(check bool) "coordinator forgot (End)" true (has_record c 0 is_end);
+      Alcotest.(check int) "value undone at sub" 0 (peek c 1 "k"))
+
+(* ------------------------------------------------------------------ *)
 (* Recovery of local state *)
 
 let test_recovery_redo_winners_undo_losers () =
@@ -703,6 +769,19 @@ let () =
             test_votes_collected_crash_paxos_f0;
           Alcotest.test_case "short-commit: conditional undo after release"
             `Quick test_votes_collected_crash_short;
+        ] );
+      ( "quiescence",
+        [
+          Alcotest.test_case "commit-point crash: 2PC silent" `Quick
+            (commit_point_crash ~protocol:Protocol.Two_phase);
+          Alcotest.test_case "commit-point crash: non-blocking silent" `Quick
+            (commit_point_crash ~protocol:Protocol.Nonblocking);
+          Alcotest.test_case "commit-point crash: paxos F=0 silent" `Quick
+            (commit_point_crash ~protocol:Protocol.Paxos_commit);
+          Alcotest.test_case "commit-point crash: short-commit silent" `Quick
+            (commit_point_crash ~protocol:Protocol.Short_commit);
+          Alcotest.test_case "short-commit abort to a rebuilt family silent"
+            `Quick test_short_abort_to_rebuilt_family;
         ] );
       ( "recovery",
         [

@@ -248,17 +248,22 @@ let test_dispatch_charges_no_cpu () =
   Alcotest.(check int) "all completed" jobs (Dispatch.completed d);
   check_float "no CPU charged" 0.0 (Sync.Resource.busy_time (Site.cpu site))
 
-let test_dispatch_survives_exn () =
+(* A raising job is never swallowed: it kills its executor, and the
+   exception stops the engine as the executor's [Fiber.Died]. *)
+let test_dispatch_job_exn_escapes () =
   let eng = Engine.create () in
   let site = make_site eng in
   let d = Dispatch.create ~shards:1 site in
-  let ok = ref false in
+  let ran = ref false in
   Dispatch.submit d ~shard:0 (fun () -> failwith "job crash");
-  Dispatch.submit d ~shard:0 (fun () -> ok := true);
-  Engine.run eng;
-  Alcotest.(check bool) "next job still runs" true !ok;
-  Alcotest.(check int) "raising job counted" 1 (Dispatch.failed d);
-  Alcotest.(check int) "other job completed" 1 (Dispatch.completed d)
+  Dispatch.submit d ~shard:0 (fun () -> ran := true);
+  (match Engine.run eng with
+  | () -> Alcotest.fail "job exception swallowed"
+  | exception Fiber.Died (name, Failure msg) ->
+      Alcotest.(check string) "executor named" "dispatch-0.0" name;
+      Alcotest.(check string) "exn carried" "job crash" msg);
+  Alcotest.(check bool) "the engine stopped at the raise" false !ran;
+  Alcotest.(check int) "nothing completed" 0 (Dispatch.completed d)
 
 let test_dispatch_respawns_after_restart () =
   let eng = Engine.create () in
@@ -366,8 +371,8 @@ let () =
           Alcotest.test_case "shard routing" `Quick test_dispatch_shard_routing;
           Alcotest.test_case "executors charge no CPU" `Quick
             test_dispatch_charges_no_cpu;
-          Alcotest.test_case "executor survives exception" `Quick
-            test_dispatch_survives_exn;
+          Alcotest.test_case "job exception escapes" `Quick
+            test_dispatch_job_exn_escapes;
           Alcotest.test_case "restart re-staffs executors" `Quick
             test_dispatch_respawns_after_restart;
         ] );

@@ -507,15 +507,24 @@ let test_fiber_group_kill_hook_order () =
   Alcotest.(check (list int)) "each hook once, in order" [ 0; 1; 2; 4; 5; 7 ] (List.rev !ran);
   Alcotest.(check string) "member" "cancelled" !member
 
-let test_fiber_exception_isolated () =
+(* An exception leaving a fiber body is never swallowed: it stops the
+   engine as [Fiber.Died], naming the fiber. [Fiber.run] re-raises its
+   main fiber's own exception as it is. *)
+let test_fiber_exception_escapes () =
   let eng = Engine.create () in
-  let seen = ref None in
-  Fiber.spawn eng ~on_exn:(fun e -> seen := Some e) (fun () -> failwith "boom");
-  Fiber.spawn eng (fun () -> Fiber.sleep 1.0);
-  Engine.run eng;
-  match !seen with
-  | Some (Failure msg) -> Alcotest.(check string) "exn captured" "boom" msg
-  | _ -> Alcotest.fail "expected Failure"
+  let later = ref false in
+  Fiber.spawn eng ~name:"doomed" (fun () -> failwith "boom");
+  Fiber.spawn eng (fun () ->
+      Fiber.sleep 1.0;
+      later := true);
+  (match Engine.run eng with
+  | () -> Alcotest.fail "fiber exception swallowed"
+  | exception Fiber.Died (name, Failure msg) ->
+      Alcotest.(check string) "fiber named" "doomed" name;
+      Alcotest.(check string) "exn carried" "boom" msg);
+  Alcotest.(check bool) "the engine stopped at the raise" false !later;
+  Alcotest.check_raises "main fiber's own exception unwrapped" (Failure "main")
+    (fun () -> Fiber.run (Engine.create ()) (fun () -> failwith "main"))
 
 let test_fiber_run_deadlock () =
   let eng = Engine.create () in
@@ -1077,7 +1086,7 @@ let () =
           Alcotest.test_case "group kill cancels" `Quick test_fiber_group_kill;
           Alcotest.test_case "kill prevents start" `Quick test_fiber_group_kill_prevents_start;
           Alcotest.test_case "kill hook order" `Quick test_fiber_group_kill_hook_order;
-          Alcotest.test_case "exception isolated" `Quick test_fiber_exception_isolated;
+          Alcotest.test_case "exception escapes" `Quick test_fiber_exception_escapes;
           Alcotest.test_case "deadlock detected" `Quick test_fiber_run_deadlock;
           Alcotest.test_case "suspend/resume" `Quick test_fiber_suspend_resume;
         ] );

@@ -102,16 +102,15 @@ let wait_until ?(timeout = 30_000.0) ?(what = "condition") pred =
   in
   loop ()
 
-(* The decision-point crash: site 0 dies the first time its
-   coordinator has every vote in and no outcome logged (the
-   [coord.votes.collected] fault point), and restarts 300 ms later.
-   Call it from the orchestrating fiber while the transaction commits
-   in a site-0 fiber. *)
-let crash_coordinator_at_votes_collected c =
+(* A coordinator crash at a fault point: site 0 dies the first time it
+   hits [point], and restarts 300 ms later. Call it from the
+   orchestrating fiber while the transaction commits in a site-0
+   fiber. *)
+let crash_coordinator_at ~point c =
   let fired = ref false in
   Camelot_chaos.attach
-    ~on_hit:(fun ~point ~site ->
-      if point = Two_phase.p_votes_collected && site = 0 && not !fired then begin
+    ~on_hit:(fun ~point:p ~site ->
+      if p = point && site = 0 && not !fired then begin
         fired := true;
         Camelot_chaos.Kill
       end
@@ -119,6 +118,20 @@ let crash_coordinator_at_votes_collected c =
     ~on_note:(fun ~site:_ _ -> ())
     ~crash:(fun ~site -> Camelot.Cluster.crash_site c site);
   Fun.protect ~finally:Camelot_chaos.detach (fun () ->
-      wait_until ~what:"coordinator crashed at votes-collected" (fun () -> !fired);
+      wait_until ~what:("coordinator crashed at " ^ point) (fun () -> !fired);
       Camelot_sim.Fiber.sleep 300.0;
       ignore (Camelot.Cluster.restart_site c 0 : Tid.t list))
+
+(* The decision-point crash: the coordinator has every vote in and no
+   outcome logged (the [coord.votes.collected] fault point). *)
+let crash_coordinator_at_votes_collected c =
+  crash_coordinator_at ~point:Two_phase.p_votes_collected c
+
+(* Datagrams the cluster's LAN carries during [ms] more virtual
+   milliseconds: 0 once every outcome notice has been acknowledged.
+   Call it from a fiber. *)
+let datagrams_during c ms =
+  let lan = Camelot.Cluster.lan c in
+  let before = Camelot_net.Lan.sent lan in
+  Camelot_sim.Fiber.sleep ms;
+  Camelot_net.Lan.sent lan - before
