@@ -34,8 +34,9 @@ let server_name ~site_id ~index = Printf.sprintf "s%d_%d" site_id index
    updates, live family images) and, when [truncate], drop everything
    below it: the checkpoint now summarizes the discarded history. *)
 let checkpoint_node ?(truncate = true) n =
-  let ck_values = List.concat_map Camelot_server.Data_server.snapshot n.servers in
-  let ck_active = List.concat_map Camelot_server.Data_server.inflight n.servers in
+  let images = List.map Camelot_server.Data_server.checkpoint n.servers in
+  let ck_values = List.concat_map fst images in
+  let ck_active = List.concat_map snd images in
   let ck_families = Tranman.family_images n.tranman in
   let ck_lsn =
     Camelot_wal.Log.append n.log
@@ -184,7 +185,7 @@ let restart_site t i =
       Camelot_server.Data_server.reattach srv)
     n.servers;
   Camelot_recovery.Recovery.run ~partitions:t.recovery_partitions
-    ~tranman:n.tranman ~log:n.log ~servers:n.servers ()
+    ~tranman:n.tranman ~servers:n.servers ()
 
 let partition t groups = Camelot_net.Lan.partition t.lan groups
 

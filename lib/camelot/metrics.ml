@@ -17,13 +17,6 @@ type site_metrics = {
   log_forces : int;
   disk_writes : int;
   log_records : int;
-  log_truncations : int;
-  log_base_lsn : int;
-  log_batch_mean : float;  (* records made durable per non-empty write *)
-  log_batch_hist : (int * int) list;  (* (bucket upper bound, writes) *)
-  force_latency_mean_ms : float;  (* daemon-mode force round-trips *)
-  force_latency_max_ms : float;
-  durable_lag_mean : float;  (* records still volatile when a write lands *)
   cpu_busy_ms : float;
   cpu_utilization : float;
 }
@@ -43,7 +36,6 @@ let site_snapshot cluster elapsed i =
   let cpu = Site.cpu site in
   let busy = Sync.Resource.busy_time cpu in
   let capacity = elapsed *. float_of_int (Sync.Resource.servers cpu) in
-  let bs = Camelot_wal.Log.batch_stats node.Cluster.log in
   {
     site = Site.id site;
     alive = Site.alive site;
@@ -59,17 +51,6 @@ let site_snapshot cluster elapsed i =
     log_forces = Camelot_wal.Log.forces node.Cluster.log;
     disk_writes = Camelot_wal.Log.disk_writes node.Cluster.log;
     log_records = Camelot_wal.Log.records_spooled node.Cluster.log;
-    log_truncations = Camelot_wal.Log.truncations node.Cluster.log;
-    log_base_lsn = Camelot_wal.Log.base_lsn node.Cluster.log;
-    log_batch_mean =
-      (if bs.Camelot_wal.Log.bs_writes = 0 then 0.0
-       else
-         float_of_int bs.Camelot_wal.Log.bs_records
-         /. float_of_int bs.Camelot_wal.Log.bs_writes);
-    log_batch_hist = bs.Camelot_wal.Log.bs_hist;
-    force_latency_mean_ms = bs.Camelot_wal.Log.bs_force_lat_mean_ms;
-    force_latency_max_ms = bs.Camelot_wal.Log.bs_force_lat_max_ms;
-    durable_lag_mean = bs.Camelot_wal.Log.bs_lag_mean;
     cpu_busy_ms = busy;
     cpu_utilization = (if capacity > 0.0 then busy /. capacity else 0.0);
   }
@@ -87,16 +68,8 @@ let collect cluster =
 
 let sum_sites f t = List.fold_left (fun acc s -> acc + f s) 0 t.sites
 
-let total_committed = sum_sites (fun s -> s.committed)
 let total_log_forces = sum_sites (fun s -> s.log_forces)
 let total_disk_writes = sum_sites (fun s -> s.disk_writes)
-
-let per_commit total t =
-  let committed = total_committed t in
-  if committed = 0 then 0.0 else float_of_int total /. float_of_int committed
-
-let forces_per_commit t = per_commit (total_log_forces t) t
-let disk_writes_per_commit t = per_commit (total_disk_writes t) t
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>elapsed %.1f ms; datagrams sent %d, delivered %d, dropped %d@,"

@@ -36,7 +36,6 @@ let attach ~on_hit ~on_note ~crash =
   Domain.DLS.get sink := Some { on_hit; on_note; crash }
 
 let detach () = Domain.DLS.get sink := None
-let attached () = !(Domain.DLS.get sink) <> None
 
 let die ~site () =
   (match !(Domain.DLS.get sink) with

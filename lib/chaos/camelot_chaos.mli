@@ -64,8 +64,6 @@ val attach :
 (** Disconnect the sink; hooks revert to free no-ops. *)
 val detach : unit -> unit
 
-val attached : unit -> bool
-
 (** [point ~site name] reports a hit of [Step] point [name] at [site].
     No-op when detached or the sink answers [Pass]/[Deny]; on [Kill]
     the site is crashed and the calling fiber never returns (it is

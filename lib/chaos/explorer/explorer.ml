@@ -296,6 +296,15 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
           end;
           let fault_free = not (Array.exists Fun.id fired) in
           violations := !violations @ Oracle.check ~fault_free c txns));
+  (* Free the abandoned cluster's fibers: a crash cancels every fiber
+     parked in a live site's group, and running the engine to the
+     current instant delivers the cancellations, so each discontinued
+     continuation releases its stack now rather than never. *)
+  for i = 0 to sites - 1 do
+    if alive i then Camelot.Cluster.crash_site c i
+  done;
+  let eng = Camelot.Cluster.engine c in
+  Camelot_sim.Engine.run ~until:(Camelot_sim.Engine.now eng) eng;
   let tuple_list = Hashtbl.fold (fun t () acc -> t :: acc) tuples [] in
   let tuple_list = List.sort_uniq Coverage.compare_tuple tuple_list in
   {

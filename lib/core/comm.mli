@@ -18,15 +18,14 @@ val call_local : Tranman.t -> tid:Tid.t -> (unit -> 'a) -> 'a
 (** [call_remote ~origin ~tid ~server_site f] runs [f] at
     [server_site] under the full
     client–CornMan–NetMsgServer–network–NetMsgServer–CornMan–server
-    cost path, then merges [server_site] (and any sites [f] itself
-    reports via [extra_sites]) into [origin]'s participant list for
-    [tid].
+    cost path, then merges [server_site] into [origin]'s participant
+    list for [tid]. A server makes no nested RPC to a third site, so
+    the response's used-site list is [server_site] alone.
     @raise Camelot_mach.Rpc.Rpc_failure if the server site is down —
     the caller should then abort the transaction (§3.1). *)
 val call_remote :
   origin:Tranman.t ->
   tid:Tid.t ->
   server_site:Camelot_mach.Site.t ->
-  ?extra_sites:Camelot_mach.Site.id list ->
   (unit -> 'a) ->
   'a

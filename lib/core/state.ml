@@ -28,13 +28,6 @@ type presumption = Presume_abort | Presume_commit
      immediately as its own datagram. *)
 type two_phase_variant = Optimized | Semi_optimized | Unoptimized
 
-let pp_two_phase_variant ppf v =
-  Format.pp_print_string ppf
-    (match v with
-    | Optimized -> "optimized"
-    | Semi_optimized -> "semi-optimized"
-    | Unoptimized -> "unoptimized")
-
 type config = {
   mutable threads : int;  (* read once, when the TranMan is created *)
   mutable two_phase_variant : two_phase_variant;

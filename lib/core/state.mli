@@ -26,8 +26,6 @@ type presumption = Presume_abort | Presume_commit
     datagram. *)
 type two_phase_variant = Optimized | Semi_optimized | Unoptimized
 
-val pp_two_phase_variant : Format.formatter -> two_phase_variant -> unit
-
 (** Per-TranMan configuration. All fields are mutable so experiments
     can flip knobs; [threads] is read once, when the TranMan is created,
     so a later change never resizes its pool. *)
@@ -161,7 +159,6 @@ type t = {
 }
 
 val engine : t -> Engine.t
-val model : t -> Cost_model.t
 
 (** This site's id. *)
 val me : t -> Site.id
@@ -222,7 +219,6 @@ val waiter : t -> Tid.t -> Protocol.t Mailbox.t option
 (** {1 Log} *)
 
 val log_append : t -> Record.t -> Camelot_wal.Log.lsn
-val log_force : t -> unit
 val log_append_force : t -> Record.t -> Camelot_wal.Log.lsn
 
 (** {1 Local servers} *)

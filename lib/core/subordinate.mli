@@ -17,9 +17,6 @@ val apply_commit : State.t -> State.family -> ack_to:Camelot_mach.Site.id -> uni
     acknowledges the abort to the coordinator. *)
 val apply_abort : State.t -> State.family -> unit
 
-val apply_outcome :
-  State.t -> State.family -> Protocol.outcome -> ack_to:Camelot_mach.Site.id -> unit
-
 (** [adopt st fam outcome]: a takeover coordinator (non-blocking or
     Paxos Commit) applies the outcome it decided, forcing this site's
     commit record first when it commits an unresolved family, then

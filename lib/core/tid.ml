@@ -33,8 +33,6 @@ let compare a b =
 
 let equal a b = a == b || (a.key = b.key && a.path = b.path)
 
-let hash t = List.fold_left (fun h n -> (h * 31) + n) t.key t.path
-
 let root ~origin ~seq =
   if origin < 0 || origin > max_origin then invalid_arg "Tid.root: bad origin";
   if seq < 0 || seq > max_seq then invalid_arg "Tid.root: bad seq";

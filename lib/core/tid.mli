@@ -40,9 +40,6 @@ val depth : t -> int
 (** The coordinator site of the family. *)
 val origin : t -> Camelot_mach.Site.id
 
-(** The family sequence number, unique at the origin. *)
-val seq : t -> int
-
 (** Family key: identifies the family across sites. *)
 val family : t -> Camelot_mach.Site.id * int
 
@@ -55,12 +52,9 @@ val family_key : t -> int
 
 (** Packed identifier key: {!family_key} plus the nesting depth in the
     low bits. Unique per transaction {e within a family} only up to
-    depth (siblings share it); combine with the path — as {!hash}
-    does — where full identity is needed. *)
+    depth (siblings share it); combine with the path where full
+    identity is needed. *)
 val key : t -> int
-
-(** Hash consistent with {!equal}. *)
-val hash : t -> int
 
 (** [is_ancestor a b]: [a] = [b], or [a] is a proper ancestor of [b]
     in the same family. This is the relation the lock table uses. *)

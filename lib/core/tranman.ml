@@ -360,15 +360,12 @@ let join st tid ~server =
            tracef st "txn" "%a joined by server %s" Tid.pp tid server)
       : unit)
 
-let note_sites st tid sites =
+let note_site st tid s =
   match find_family st tid with
   | None -> ()
   | Some fam ->
-      List.iter
-        (fun s ->
-          if s <> me st && not (List.mem s fam.f_remote_sites) then
-            fam.f_remote_sites <- s :: fam.f_remote_sites)
-        sites
+      if s <> me st && not (List.mem s fam.f_remote_sites) then
+        fam.f_remote_sites <- s :: fam.f_remote_sites
 
 let status st tid = status_of_family st tid
 
@@ -461,15 +458,18 @@ let blank_image root =
    first appearance. The newest checkpoint at or below [upto] seeds the
    fold with its images and in-flight updates (after a truncation it
    sits exactly at base, so the backward scan stays O(window)); the
-   records above it fold in. *)
-let images_upto log ~upto =
+   records above it fold in. Also returns what value replay needs from
+   the same window: that checkpoint's committed values ([] without one)
+   and the window's updates in log order, the checkpoint's in-flight
+   ones first. *)
+let fold_window log ~upto =
   let base = Camelot_wal.Log.base_lsn log in
   let seed = ref None in
   let lsn = ref upto in
   while !seed = None && !lsn >= base do
     (match Camelot_wal.Log.get log !lsn with
-    | Record.Checkpoint { ck_families; ck_active; _ } ->
-        seed := Some (!lsn, ck_families, ck_active)
+    | Record.Checkpoint { ck_families; ck_active; ck_values } ->
+        seed := Some (!lsn, ck_families, ck_active, ck_values)
     | _ -> ());
     decr lsn
   done;
@@ -489,24 +489,28 @@ let images_upto log ~upto =
     in
     set (image_apply im r)
   in
-  let replay_from =
+  let updates = ref [] in
+  let replay_from, values =
     match !seed with
-    | None -> base
-    | Some (ck_lsn, images, ck_active) ->
+    | None -> (base, [])
+    | Some (ck_lsn, images, ck_active, ck_values) ->
         List.iter set images;
         (* the seeding checkpoint's in-flight updates carry server
            associations, like live update records *)
         List.iter (fun (u : Record.update) -> apply (Record.Update u)) ck_active;
-        ck_lsn + 1
+        updates := List.rev ck_active;
+        (ck_lsn + 1, ck_values)
   in
   (* no checkpoint lies above the seed *)
   for lsn = replay_from to upto do
-    apply (Camelot_wal.Log.get log lsn)
+    let r = Camelot_wal.Log.get log lsn in
+    (match r with Record.Update u -> updates := u :: !updates | _ -> ());
+    apply r
   done;
-  List.rev_map (Hashtbl.find tbl) !order
+  (List.rev_map (Hashtbl.find tbl) !order, values, List.rev !updates)
 
 let family_images st =
-  let images = images_upto st.log ~upto:(Camelot_wal.Log.tail_lsn st.log) in
+  let images, _, _ = fold_window st.log ~upto:(Camelot_wal.Log.tail_lsn st.log) in
   List.sort (fun a b -> compare a.Record.fi_tid b.Record.fi_tid) images
 
 (* A recovered descriptor is its family's image: everything volatile
@@ -529,12 +533,20 @@ let install st (im : Record.family_image) =
   fam.f_pax_ballot <- im.Record.fi_pax_ballot;
   fam.f_pax_accepted <- im.Record.fi_pax_accepted
 
+type recovered = {
+  in_doubt : Tid.t list;
+  ck_values : (string * string * int) list;
+  updates : Record.update list;
+}
+
 let recover st =
+  let images, ck_values, updates =
+    fold_window st.log ~upto:(Camelot_wal.Log.durable_lsn st.log)
+  in
   (* in first-appearance order, checkpoint images first, as a
      record-by-record replay would create the descriptors: the families
      table's iteration order below depends on it *)
-  List.iter (install st)
-    (images_upto st.log ~upto:(Camelot_wal.Log.durable_lsn st.log));
+  List.iter (install st) images;
   let in_doubt = ref [] in
   Hashtbl.iter
     (fun _ fam ->
@@ -599,4 +611,4 @@ let recover st =
           fam.f_watchdog <- Engine.no_timer;
           arm_watchdog st fam)
     !in_doubt;
-  !in_doubt
+  { in_doubt = !in_doubt; ck_values; updates }

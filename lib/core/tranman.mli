@@ -11,7 +11,7 @@
     rule, {!State.presumption}. The TranMan is multithreaded in the
     §3.4 style (a pool of identical worker threads, none tied to a
     transaction), and it learns which sites a transaction has spread to
-    from the communication manager's hooks ({!note_sites}).
+    from the communication manager's hooks ({!note_site}).
 
     All blocking calls must run inside a simulation fiber. *)
 
@@ -117,8 +117,8 @@ val register_server : t -> State.server_callbacks -> unit
 val join : t -> Tid.t -> server:string -> unit
 
 (** The communication manager reports that the transaction has spread
-    to [sites] (merged into the coordinator's participant list). *)
-val note_sites : t -> Tid.t -> Camelot_mach.Site.id list -> unit
+    to a site (merged into the coordinator's participant list). *)
+val note_site : t -> Tid.t -> Camelot_mach.Site.id -> unit
 
 (** What this site knows about a transaction (read by the chaos
     oracles and tests). [St_unknown] for a forgotten one, including a
@@ -135,6 +135,19 @@ val status : t -> Tid.t -> Protocol.status
     LSN. *)
 val family_images : t -> Record.family_image list
 
+(** What {!recover} read from the durable log. *)
+type recovered = {
+  in_doubt : Tid.t list;
+      (** the transactions in doubt (watchdogs armed): the verdicts
+          value replay takes *)
+  ck_values : (string * string * int) list;
+      (** the newest durable checkpoint's committed
+          [(server, key, value)] snapshot; [[]] without one *)
+  updates : Record.update list;
+      (** that checkpoint's in-flight updates, then every update record
+          above it, in log order *)
+}
+
 (** Rebuild protocol state from the durable log after a restart. Each
     family's descriptor is its image from the fold {!family_images}
     uses, taken up to the durable LSN: one backward pass finds the
@@ -146,8 +159,7 @@ val family_images : t -> Record.family_image list
     short-commit: inquiry loop; non-blocking and Paxos: takeover), and
     a coordinator resumes notifying an outcome its protocol
     acknowledges ({!State.presumption}) when no End record shows every
-    acknowledgement in. Servers
-    must be re-registered first; returns the transactions in doubt,
-    which is the list the recovery process ([Recovery.run]) takes its
-    verdicts from. *)
-val recover : t -> Tid.t list
+    acknowledgement in. Servers must be re-registered first. Returns
+    what the recovery process ([Recovery.run]) replays, read in the
+    same pass over the log. *)
+val recover : t -> recovered

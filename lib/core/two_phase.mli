@@ -53,9 +53,6 @@ type votes = {
   mutable refused : bool;  (** somebody voted no *)
 }
 
-(** The sites still owing a vote, as a fresh list. *)
-val votes_pending : votes -> Camelot_mach.Site.id list
-
 (** Collect votes from [subs] on the registered waiter mailbox,
     re-sending [prepare_msg] to laggards up to the configured retry
     budget. Shared with the non-blocking protocol's voting phase. *)

@@ -59,7 +59,10 @@ let operate c mix rng ~sites ~origin tid =
         op origin (Camelot_server.Data_server.Add (key, 1))
       else update_everywhere ()
 
-let run ?(seed = 11) ?logger ~mix ~sites ~workers_per_site ~horizon_ms () =
+(* the cluster's seed; each worker's stream is derived from it *)
+let seed = 11
+
+let run ?logger ~mix ~sites ~workers_per_site ~horizon_ms () =
   let config = State.default_config ~threads:workers_per_site () in
   (match mix with
   | Table3 -> ()

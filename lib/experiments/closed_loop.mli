@@ -1,8 +1,9 @@
 (** The one closed loop behind the logger sweep and the protocol shootout:
     N worker fibers per site on a VAX-model cluster, each beginning its
     next transaction after a short exponential think time once the
-    previous one returns, until the horizon. Worker [w] at site [s]
-    draws from its own seed, [seed + s*8191 + w*131 + 1]. *)
+    previous one returns, until the horizon. The cluster's seed is 11;
+    worker [w] at site [s] draws from its own seed,
+    [11 + s*8191 + w*131 + 1]. *)
 
 (** What each worker's transactions do. Think time, key count and the
     commit watchdogs are constants of the mix. *)
@@ -27,9 +28,8 @@ type result = {
 
 (** [run ~mix ~sites ~workers_per_site ~horizon_ms ()] runs one
     cluster to [horizon_ms] of virtual time. [logger] is the log
-    write-out policy (default [Unbatched]); [seed] defaults to 11. *)
+    write-out policy (default [Unbatched]). *)
 val run :
-  ?seed:int ->
   ?logger:Camelot.Cluster.logger ->
   mix:mix ->
   sites:int ->

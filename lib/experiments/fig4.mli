@@ -7,5 +7,3 @@
     commit lifts the ceiling. *)
 
 val run : ?horizon_ms:float -> unit -> unit
-
-val collect : ?horizon_ms:float -> unit -> Workload.throughput_result list

@@ -6,5 +6,3 @@
     effective) processor caps everything. *)
 
 val run : ?horizon_ms:float -> unit -> unit
-
-val collect : ?horizon_ms:float -> unit -> Workload.throughput_result list

@@ -16,7 +16,6 @@ type point = {
 }
 
 val site_range : int list
-val sweep_workers : int list
 
 (** Sweep every (sites, workers) operating point (default horizon
     20 s of virtual time per point). *)

@@ -1,6 +1,8 @@
 open Camelot_sim
 
-let run ?(reps = 300) ?(subordinates = 3) () =
+let subordinates = 3
+
+let run ?(reps = 300) () =
   let measure multicast =
     Workload.minimal_transactions ~multicast
       ~protocol:Camelot_core.Protocol.Two_phase

@@ -8,4 +8,4 @@
     "suggesting that much of the variance is created by the
     coordinator's repeated sends and not by its repeated receives". *)
 
-val run : ?reps:int -> ?subordinates:int -> unit -> unit
+val run : ?reps:int -> unit -> unit

@@ -102,7 +102,7 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
   let arrivals_rng = Rng.split rng in
   let draw_rng = Rng.split rng in
   let zipf = Rng.Zipf.create ~n:keys ~theta in
-  let lat = Stats.Tail.create () in
+  let lat = Stats.create () in
   let committed = ref 0 in
   let aborted = ref 0 in
   let submitted = ref 0 in
@@ -139,7 +139,7 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
     with
     | Protocol.Committed ->
         incr committed;
-        Stats.Tail.add lat (Fiber.now () -. arrived)
+        Stats.add lat (Fiber.now () -. arrived)
     | Protocol.Aborted -> incr aborted
     | exception Camelot_server.Data_server.Lock_timeout _ ->
         (* bounded lock wait expired (hot-key convoy or deadlock):
@@ -170,6 +170,7 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
   let max_shard_depth =
     Array.fold_left (fun acc d -> max acc (Dispatch.max_depth d)) 0 dispatches
   in
+  let pct p = if Stats.count lat = 0 then 0.0 else Stats.percentile lat p in
   {
     offered_tps = rate_tps;
     arrivals = n_arrivals;
@@ -179,10 +180,10 @@ let run_one ?(seed = 17) ?(sites = 24) ?(mix = Debit_credit) ?(keys = 64)
     completed_tps = float_of_int !committed /. (horizon_ms /. 1000.0);
     abort_rate =
       (if done_ = 0 then 0.0 else float_of_int !aborted /. float_of_int done_);
-    mean_ms = Stats.Tail.mean lat;
-    p50_ms = (if Stats.Tail.count lat = 0 then 0.0 else Stats.Tail.p50 lat);
-    p99_ms = (if Stats.Tail.count lat = 0 then 0.0 else Stats.Tail.p99 lat);
-    p999_ms = (if Stats.Tail.count lat = 0 then 0.0 else Stats.Tail.p999 lat);
+    mean_ms = Stats.mean lat;
+    p50_ms = pct 50.0;
+    p99_ms = pct 99.0;
+    p999_ms = pct 99.9;
     max_shard_depth;
   }
 

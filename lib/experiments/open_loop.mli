@@ -59,11 +59,9 @@ val run_one :
   unit ->
   point
 
-(** Offered loads of the standard sweep (tps). *)
-val load_range : float list
-
-(** One {!run_one} per load in [loads] (default {!load_range}) at a 5 s
-    virtual horizon (default), printing nothing. *)
+(** One {!run_one} per load in [loads] (default the standard sweep,
+    100, 200, 400, 800 and 1600 tps) at a 5 s virtual horizon
+    (default), printing nothing. *)
 val collect :
   ?sites:int ->
   ?mix:mix ->

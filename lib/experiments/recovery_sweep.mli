@@ -11,11 +11,6 @@ type point = {
   rp_ns_per_record : float;  (** simulated ns per replayed record *)
 }
 
-(** The swept partition counts: [1; 2; 4; 8]. *)
-val partition_counts : int list
-
-(** Run every partition count (default 100_000 records). *)
-val collect : ?records:int -> unit -> point list
-
-(** Sweep, print the table plus a speedup summary, return the points. *)
+(** Replay at 1, 2, 4 and 8 partitions (default 100_000 records),
+    print the table plus a speedup summary, return the points. *)
 val run : ?records:int -> unit -> point list

@@ -7,12 +7,6 @@ type variant =
   | Unoptimized_write
   | Read_only
 
-let variant_name = function
-  | Optimized_write -> "optimized write"
-  | Semi_optimized_write -> "semi-optimized write"
-  | Unoptimized_write -> "unoptimized write"
-  | Read_only -> "read"
-
 type latency_result = {
   total : Stats.summary;
   tranman : Stats.summary;
@@ -26,9 +20,9 @@ let state_variant = function
 
 let warmup = 3
 
-let minimal_transactions ?(seed = 42) ?(multicast = false) ~protocol ~variant
-    ~subordinates ~reps () =
-  let c = Camelot.Cluster.create ~seed ~sites:(subordinates + 1) () in
+let minimal_transactions ?(multicast = false) ~protocol ~variant ~subordinates
+    ~reps () =
+  let c = Camelot.Cluster.create ~seed:42 ~sites:(subordinates + 1) () in
   Camelot.Cluster.each_config c (fun cfg ->
       cfg.State.two_phase_variant <- state_variant variant;
       cfg.State.multicast <- multicast);

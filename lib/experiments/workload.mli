@@ -11,8 +11,6 @@ type variant =
   | Unoptimized_write
   | Read_only
 
-val variant_name : variant -> string
-
 type latency_result = {
   total : Camelot_sim.Stats.summary;
       (** begin-to-commit-return, milliseconds *)
@@ -34,11 +32,10 @@ val warmup : int
     consecutive transactions arises exactly as in the paper) from an
     application at site 0, against [subordinates]+1 sites on the RT
     cost model. The first {!warmup} repetitions are dropped, so [reps]
-    must exceed it for any sample to be measured.
-    @param multicast coordinator fan-out by multicast (default false)
-    @param seed determinism (default 42) *)
+    must exceed it for any sample to be measured. The seed is fixed
+    (42).
+    @param multicast coordinator fan-out by multicast (default false) *)
 val minimal_transactions :
-  ?seed:int ->
   ?multicast:bool ->
   protocol:Protocol.commit_protocol ->
   variant:variant ->

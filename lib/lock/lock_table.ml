@@ -286,20 +286,6 @@ let acquire t ~owner ~key mode =
 let acquire_timeout t ~owner ~key mode ~timeout =
   acquire_opt t ~owner ~key mode ~timeout:(Some timeout)
 
-let acquire_all t ~owner requests =
-  (* hierarchy order = ascending key; X wins over S on duplicates *)
-  let strongest =
-    List.fold_left
-      (fun acc (key, mode) ->
-        match List.assoc_opt key acc with
-        | Some prior when stronger_or_equal prior mode -> acc
-        | Some _ -> (key, mode) :: List.remove_assoc key acc
-        | None -> (key, mode) :: acc)
-      [] requests
-  in
-  let ordered = List.sort (fun (a, _) (b, _) -> String.compare a b) strongest in
-  List.iter (fun (key, mode) -> acquire t ~owner ~key mode) ordered
-
 let try_acquire t ~owner ~key mode =
   let e = entry t key in
   match held_mode e owner with
@@ -355,15 +341,6 @@ let holders t ~key =
     if i < 0 then acc else go (i - 1) ((e.h_owners.(i), e.h_modes.(i)) :: acc)
   in
   go (e.h_len - 1) []
-
-let keys_of t ~owner =
-  match Hashtbl.find_opt t.owners owner with
-  | None -> []
-  | Some o ->
-      let rec go i acc =
-        if i < 0 then acc else go (i - 1) (o.o_entries.(i).e_key :: acc)
-      in
-      go (o.o_len - 1) []
 
 let queue_length t ~key =
   Queue.fold

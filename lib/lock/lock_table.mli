@@ -47,14 +47,6 @@ val acquire : 'o t -> owner:'o -> key:string -> mode -> unit
     queue. The paper's applications break deadlocks this way. *)
 val acquire_timeout : 'o t -> owner:'o -> key:string -> mode -> timeout:float -> bool
 
-(** [acquire_all t ~owner requests] takes several locks in the defined
-    hierarchy order (ascending key), the classic deadlock-avoidance
-    discipline of §3.4: "there is a defined hierarchy of locks, and
-    when a thread is to hold several locks simultaneously it must
-    obtain the locks in the defined order". Duplicate keys collapse to
-    their strongest mode. *)
-val acquire_all : 'o t -> owner:'o -> (string * mode) list -> unit
-
 (** Non-blocking attempt (respects queue fairness: fails if anyone is
     already waiting, even if modes are compatible). *)
 val try_acquire : 'o t -> owner:'o -> key:string -> mode -> bool
@@ -80,9 +72,6 @@ val transfer : 'o t -> from_:'o -> to_:'o -> unit
 
 (** Current holders of [key]. *)
 val holders : 'o t -> key:string -> ('o * mode) list
-
-(** Keys currently locked by [owner]. *)
-val keys_of : 'o t -> owner:'o -> string list
 
 (** Requests currently waiting on [key]. *)
 val queue_length : 'o t -> key:string -> int

@@ -135,13 +135,3 @@ let rpc_legs t =
     ("server CornMan CPU", t.comman_cpu_ms);
     ("server CornMan<->NetMsgServer IPC", t.comman_ipc_ms);
   ]
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>%s (%.1f MIPS, %d cpu)@,\
-     local IPC %.1fms  to-server %.1fms  one-way %.1fms@,\
-     remote RPC %.1fms  datagram %.1fms (+%.1fms cycle)@,\
-     log force %.1fms  locks %.1f/%.1fms@]"
-    t.name t.mips t.cpus t.local_ipc_ms t.local_ipc_to_server_ms
-    t.local_oneway_ipc_ms t.remote_rpc_ms t.datagram_ms t.datagram_cycle_ms
-    t.log_force_ms t.get_lock_ms t.drop_lock_ms

@@ -88,5 +88,3 @@ val vax : t
 (** The §4.1 RPC decomposition: labelled legs summing to
     [remote_rpc_ms]. *)
 val rpc_legs : t -> (string * float) list
-
-val pp : Format.formatter -> t -> unit

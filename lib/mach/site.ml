@@ -20,9 +20,7 @@ let create eng ~id ~model ~rng =
     eng;
     model;
     rng;
-    cpu =
-      Sync.Resource.create ~servers:model.Cost_model.cpus eng
-        ~name:(Printf.sprintf "site%d.cpu" id);
+    cpu = Sync.Resource.create ~servers:model.Cost_model.cpus eng;
     group = Fiber.Group.create ();
     alive = true;
     incarnation = 0;
@@ -62,8 +60,3 @@ let after t ~delay f =
 let cpu_use t ms = if ms > 0.0 then ignore (Sync.Resource.use t.cpu ~duration:ms : float)
 
 let cpu t = t.cpu
-
-let pp ppf t =
-  Format.fprintf ppf "site%d(%s,inc=%d)" t.id
-    (if t.alive then "up" else "down")
-    t.incarnation

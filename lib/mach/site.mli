@@ -69,5 +69,3 @@ val cpu_use : t -> float -> unit
 
 (** The CPU bank, for utilization reporting. *)
 val cpu : t -> Camelot_sim.Sync.Resource.t
-
-val pp : Format.formatter -> t -> unit

@@ -37,10 +37,6 @@ let set_handler ep handler = ep.handler <- handler
 
 let link_key a b = if a < b then (a, b) else (b, a)
 
-let set_reachable t ~a ~b flag =
-  if flag then Hashtbl.remove t.cut_links (link_key a b)
-  else Hashtbl.replace t.cut_links (link_key a b) ()
-
 let reachable t a b = a = b || not (Hashtbl.mem t.cut_links (link_key a b))
 
 let partition t groups =
@@ -50,7 +46,8 @@ let partition t groups =
   List.iter
     (fun (a, ga) ->
       List.iter
-        (fun (b, gb) -> if ga <> gb then set_reachable t ~a ~b false)
+        (fun (b, gb) ->
+          if ga <> gb then Hashtbl.replace t.cut_links (link_key a b) ())
         tagged)
     tagged
 

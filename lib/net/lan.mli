@@ -59,10 +59,6 @@ val send_piggybacked : t -> src:Camelot_mach.Site.t -> 'a endpoint -> 'a -> unit
     own transit jitter. *)
 val multicast : t -> src:Camelot_mach.Site.t -> 'a endpoint list -> 'a -> unit
 
-(** [set_reachable t ~a ~b flag] opens/closes the (symmetric) link
-    between two sites. *)
-val set_reachable : t -> a:Camelot_mach.Site.id -> b:Camelot_mach.Site.id -> bool -> unit
-
 (** [partition t groups] makes sites in different groups mutually
     unreachable (sites absent from [groups] remain fully connected). *)
 val partition : t -> Camelot_mach.Site.id list list -> unit

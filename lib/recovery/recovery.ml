@@ -10,10 +10,10 @@ let p_scan_done = Camelot_chaos.register "recovery.scan.done"
 let p_redo_done = Camelot_chaos.register "recovery.redo.done"
 let p_partition_done = Camelot_chaos.register "recovery.partition.done"
 
-let run ?(partitions = 1) ~tranman ~log ~servers () =
+let run ?(partitions = 1) ~tranman ~servers () =
   let site = Tranman.site tranman in
   let site_id = Camelot_mach.Site.id site in
-  let in_doubt = Tranman.recover tranman in
+  let { Tranman.in_doubt; ck_values; updates } = Tranman.recover tranman in
   Camelot_chaos.point ~site:site_id p_scan_done;
   (* [Tranman.recover] has classified every family once: the listed
      ones stay in doubt, every other one is committed or aborted. A
@@ -34,34 +34,14 @@ let run ?(partitions = 1) ~tranman ~log ~servers () =
       Hashtbl.replace server_index (Camelot_server.Data_server.name srv) srv)
     servers;
   let server_of name = Hashtbl.find_opt server_index name in
-  (* Value replay starts from the last durable checkpoint. One backward
-     scan from the tail finds it and collects the updates above it in
-     one pass — O(records since checkpoint), not O(history), and after
-     truncation the log holds nothing older anyway. *)
-  let checkpoint = ref None in
-  let updates_after = ref [] in
-  let lsn = ref (Camelot_wal.Log.durable_lsn log) in
-  let base = Camelot_wal.Log.base_lsn log in
-  while !checkpoint = None && !lsn >= base do
-    (match Camelot_wal.Log.get log !lsn with
-    | Record.Checkpoint { ck_values; ck_active; _ } ->
-        checkpoint := Some (ck_values, ck_active)
-    | Record.Update u -> updates_after := u :: !updates_after
-    | _ -> ());
-    decr lsn
-  done;
-  let pre_updates =
-    match !checkpoint with
-    | None -> []
-    | Some (ck_values, ck_active) ->
-        List.iter
-          (fun (server, key, value) ->
-            match server_of server with
-            | Some srv -> Camelot_server.Data_server.restore srv ~key ~value
-            | None -> ())
-          ck_values;
-        ck_active
-  in
+  (* Value replay starts from the last durable checkpoint's snapshot,
+     which [Tranman.recover] read in its one pass over the window. *)
+  List.iter
+    (fun (server, key, value) ->
+      match server_of server with
+      | Some srv -> Camelot_server.Data_server.restore srv ~key ~value
+      | None -> ())
+    ck_values;
   let redo_one (u : Record.update) =
     match server_of u.u_server with
     | None -> ()
@@ -88,7 +68,7 @@ let run ?(partitions = 1) ~tranman ~log ~servers () =
     (fun (u : Record.update) ->
       let p = Hashtbl.hash (u.u_server ^ "/" ^ u.u_key) mod k in
       buckets.(p) <- u :: buckets.(p))
-    (pre_updates @ !updates_after);
+    updates;
   let live = List.filter (fun chain -> chain <> []) (Array.to_list buckets) in
   if live = [] then Camelot_chaos.point ~site:site_id p_redo_done
   else begin

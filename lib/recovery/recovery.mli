@@ -9,12 +9,14 @@
     returns), or aborted (everything else — presumed abort). Each
     update takes its verdict from that classification: a committed
     family's updates are redone, a listed family's are held in doubt,
-    and every other family's are undone. Then, per data server:
+    and every other family's are undone. The same pass over the log
+    returns the window value replay needs, so recovery reads the log
+    once. Then, per data server:
 
     - the value store is volatile: it restarts from the newest durable
-      checkpoint's snapshot (empty without one), then every update
-      above that checkpoint, plus the checkpoint's in-flight updates,
-      is re-applied in log order;
+      checkpoint's snapshot (empty without one), then the checkpoint's
+      in-flight updates and every update above it are re-applied in
+      log order;
     - aborted families' updates are undone in reverse log order;
     - in-doubt updates keep their values, regain their undo records and
       exclusive locks, and block new transactions until the inquiry
@@ -41,7 +43,6 @@
 val run :
   ?partitions:int ->
   tranman:Camelot_core.Tranman.t ->
-  log:Camelot_core.Record.t Camelot_wal.Log.t ->
   servers:Camelot_server.Data_server.t list ->
   unit ->
   Camelot_core.Tid.t list

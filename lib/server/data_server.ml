@@ -40,7 +40,6 @@ type t = {
 }
 
 let name t = t.name
-let site t = t.site
 let locks t = t.locks
 
 let family_state t tid =
@@ -273,54 +272,41 @@ let undo t (u : Record.update) =
 
 (* --- checkpointing ------------------------------------------------- *)
 
-(* Committed state = current values with every in-flight transaction's
-   effects undone (newest undo entries first, per key chains). *)
-let snapshot t =
+(* One walk over the undo stacks, newest entries first, builds both
+   halves of a checkpoint. A write whose key still holds what it wrote
+   is undone in the committed snapshot (walking each key back to its
+   committed value) and carried as written, so a recovery that starts
+   from the checkpoint can rebuild undo stacks and locks for
+   transactions still unresolved. A write that a later committed writer
+   overtook after a short-commit early release is neither: the key's
+   value is that writer's, and a restart must neither redo nor undo the
+   released write over it. *)
+let checkpoint t =
   let committed = Hashtbl.copy t.values in
-  (* undo entries are newest-first; applying them in that order walks
-     each key back to its oldest (committed) value *)
-  Hashtbl.iter
-    (fun _ fs ->
-      List.iter
-        (fun (e : undo_entry) ->
-          if Option.value ~default:0 (Hashtbl.find_opt committed e.e_key) = e.e_new
-          then Hashtbl.replace committed e.e_key e.e_old)
-        fs.fs_undo)
-    t.families;
-  Hashtbl.fold (fun key v acc -> (t.name, key, v) :: acc) committed []
-
-(* Reconstruct the in-flight updates (oldest first) so a recovery that
-   starts from the checkpoint can rebuild undo stacks and locks for
-   transactions still unresolved at snapshot time. *)
-let inflight t =
-  Hashtbl.fold
-    (fun _ fs acc ->
-      (* per key, walk the chain oldest-first: each update's new value
-         is the next entry's old value, the last one's is the current *)
-      let oldest_first = List.rev fs.fs_undo in
-      let rec rebuild entries acc =
-        match entries with
-        | [] -> acc
-        | (e : undo_entry) :: rest ->
-            let new_v =
-              match
-                List.find_opt (fun (n : undo_entry) -> n.e_key = e.e_key) rest
-              with
-              | Some next -> next.e_old
-              | None -> get_value t e.e_key
-            in
-            rebuild rest
-              ({
-                 Record.u_tid = e.e_tid;
-                 u_server = t.name;
-                 u_key = e.e_key;
-                 u_old = e.e_old;
-                 u_new = new_v;
-               }
-              :: acc)
-      in
-      List.rev (rebuild oldest_first []) @ acc)
-    t.families []
+  let active =
+    Hashtbl.fold
+      (fun _ fs acc ->
+        (* prepending newest-first leaves each family's updates oldest
+           first *)
+        List.fold_left
+          (fun acc (e : undo_entry) ->
+            if Option.value ~default:0 (Hashtbl.find_opt committed e.e_key) = e.e_new
+            then begin
+              Hashtbl.replace committed e.e_key e.e_old;
+              {
+                Record.u_tid = e.e_tid;
+                u_server = t.name;
+                u_key = e.e_key;
+                u_old = e.e_old;
+                u_new = e.e_new;
+              }
+              :: acc
+            end
+            else acc)
+          acc fs.fs_undo)
+      t.families []
+  in
+  (Hashtbl.fold (fun key v acc -> (t.name, key, v) :: acc) committed [], active)
 
 (* Recovery: install a checkpointed committed value. *)
 let restore t ~key ~value = Hashtbl.replace t.values key value

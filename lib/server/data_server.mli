@@ -37,7 +37,6 @@ val create :
   t
 
 val name : t -> string
-val site : t -> Camelot_mach.Site.t
 
 (** Execute one operation on behalf of a transaction: join on first
     touch, lock, apply, spool the update record. Returns the value read
@@ -83,12 +82,12 @@ val redo : t -> Camelot_core.Record.update -> unit
 val undo : t -> Camelot_core.Record.update -> unit
 
 (** Checkpoint support: the committed [(server, key, value)] snapshot —
-    current values with all in-flight effects undone. *)
-val snapshot : t -> (string * string * int) list
-
-(** Checkpoint support: the in-flight updates at snapshot time, oldest
-    first, reconstructed from the undo stacks. *)
-val inflight : t -> Camelot_core.Record.update list
+    current values with every in-flight write undone — and those
+    in-flight writes as update records, each family's oldest first. A
+    write that a later committed writer overtook (possible only after a
+    short-commit early release) is neither undone nor carried. *)
+val checkpoint :
+  t -> (string * string * int) list * Camelot_core.Record.update list
 
 (** Recovery: install a checkpointed committed value. *)
 val restore : t -> key:string -> value:int -> unit

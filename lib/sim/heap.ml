@@ -133,27 +133,21 @@ let min_before t ~priority ~seq =
   let p = Array.unsafe_get t.prios 0 in
   p < priority || (p = priority && Array.unsafe_get t.seqs 0 < seq)
 
-let peek_priority t = if t.size = 0 then None else Some t.prios.(0)
-
 let clear t =
   t.prios <- [||];
   t.seqs <- [||];
   t.vals <- [||];
   t.size <- 0
 
-let isheap ?(check = true) t =
-  not check
-  || begin
-       let ok = ref (t.size <= Array.length t.prios) in
-       for i = 1 to t.size - 1 do
-         let parent = (i - 1) / arity in
-         let pp = t.prios.(parent) and cp = t.prios.(i) in
-         if cp < pp || (cp = pp && t.seqs.(i) < t.seqs.(parent)) then
-           ok := false
-       done;
-       (* vacated slots must hold the sentinel, not stale values *)
-       for i = t.size to Array.length t.vals - 1 do
-         if t.vals.(i) != dummy then ok := false
-       done;
-       !ok
-     end
+let isheap t =
+  let ok = ref (t.size <= Array.length t.prios) in
+  for i = 1 to t.size - 1 do
+    let parent = (i - 1) / arity in
+    let pp = t.prios.(parent) and cp = t.prios.(i) in
+    if cp < pp || (cp = pp && t.seqs.(i) < t.seqs.(parent)) then ok := false
+  done;
+  (* vacated slots must hold the sentinel, not stale values *)
+  for i = t.size to Array.length t.vals - 1 do
+    if t.vals.(i) != dummy then ok := false
+  done;
+  !ok

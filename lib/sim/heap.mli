@@ -30,10 +30,7 @@ val pop : 'a t -> 'a option
     @raise Invalid_argument if the heap is empty. *)
 val pop_exn : 'a t -> 'a
 
-(** [peek_priority t] is the priority of the minimum element. *)
-val peek_priority : 'a t -> float option
-
-(** Priority of the minimum element, without the option wrapper.
+(** Priority of the minimum element.
     @raise Invalid_argument if the heap is empty. *)
 val min_priority : 'a t -> float
 
@@ -48,6 +45,5 @@ val clear : 'a t -> unit
 
 (** [isheap t] validates the structural invariants: every child ordered
     after its parent by [(priority, seq)], and every vacated slot
-    cleared. With [~check:false] the walk is skipped and the result is
-    trivially [true] (mirrors the FasterHeaps [isheap] test hook). *)
-val isheap : ?check:bool -> 'a t -> bool
+    cleared (mirrors the FasterHeaps [isheap] test hook). *)
+val isheap : 'a t -> bool

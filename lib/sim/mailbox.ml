@@ -57,8 +57,6 @@ let recv_timeout t d =
           (Engine.schedule_timer t.eng ~delay:d (fun () ->
                if Fiber.is_pending r then Fiber.resume r timed_out)))
 
-let length t = Ring.length t.items
-
 let waiters t =
   Ring.fold (fun acc r -> if Fiber.is_pending r then acc + 1 else acc) 0 t.waiters
 

@@ -23,9 +23,6 @@ val recv_timeout : 'a t -> float -> 'a option
 (** [try_recv t] pops a queued message without blocking. *)
 val try_recv : 'a t -> 'a option
 
-(** Number of queued (undelivered) messages. *)
-val length : 'a t -> int
-
 (** Number of fibers currently blocked in [recv]/[recv_timeout]. *)
 val waiters : 'a t -> int
 

@@ -27,8 +27,6 @@ let[@inline] uniform t =
   let bits = Int64.shift_right_logical (next_int64 t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
 
-let float_range t ~lo ~hi = lo +. ((hi -. lo) *. uniform t)
-
 let int_below t bound =
   if bound <= 0 then invalid_arg "Rng.int_below: bound must be positive";
   let mask = Int64.of_int (bound - 1) in
@@ -45,20 +43,6 @@ let exponential t ~mean =
   else
     let u = 1.0 -. uniform t in
     -.mean *. log u
-
-let gaussian t ~mu ~sigma =
-  let u1 = 1.0 -. uniform t in
-  let u2 = uniform t in
-  let z = sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2) in
-  mu +. (sigma *. z)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int_below t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
 
 module Zipf = struct
   (* Zipf(theta) over ranks 0..n-1: P(rank = i) proportional to

@@ -15,9 +15,6 @@ val split : t -> t
 (** Uniform in [\[0, 1)]. *)
 val uniform : t -> float
 
-(** Uniform in [\[lo, hi)]. *)
-val float_range : t -> lo:float -> hi:float -> float
-
 (** Uniform integer in [\[0, bound)]. [bound] must be positive. *)
 val int_below : t -> int -> int
 
@@ -26,12 +23,6 @@ val bool : t -> p:float -> bool
 
 (** Exponentially distributed with the given mean. *)
 val exponential : t -> mean:float -> float
-
-(** Normally distributed (Box–Muller). *)
-val gaussian : t -> mu:float -> sigma:float -> float
-
-(** [shuffle t arr] permutes [arr] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit
 
 (** Zipfian rank sampler for hot-key contention: rank 0 is the hottest
     key, with [P(rank = i)] proportional to [1/(i+1)^theta]. *)

@@ -2,7 +2,6 @@ type t = {
   mutable data : float array;
   mutable size : int;
   mutable sum : float;
-  mutable sum_sq : float;
   mutable min_v : float;
   mutable max_v : float;
 }
@@ -12,7 +11,6 @@ let create () =
     data = [||];
     size = 0;
     sum = 0.0;
-    sum_sq = 0.0;
     min_v = infinity;
     max_v = neg_infinity;
   }
@@ -27,7 +25,6 @@ let add t x =
   t.data.(t.size) <- x;
   t.size <- t.size + 1;
   t.sum <- t.sum +. x;
-  t.sum_sq <- t.sum_sq +. (x *. x);
   if x < t.min_v then t.min_v <- x;
   if x > t.max_v then t.max_v <- x
 
@@ -127,80 +124,3 @@ let pp_histogram ?(buckets = 10) ppf t =
       let bar = String.make (n * 40 / peak) '#' in
       Format.fprintf ppf "%10.2f..%-10.2f %6d %s@." lo hi n bar)
     bins
-
-module Tail = struct
-  (* Log-bucketed (HDR-style) histogram: bucket [i] spans
-     [lowest * growth^i, lowest * growth^(i+1)), so relative error per
-     recorded value is bounded by [growth - 1] (~4%) regardless of
-     magnitude, and memory stays O(log (max/lowest)) however many
-     samples land. Quantiles come from a cumulative walk over the
-     bucket counts, reported at each bucket's geometric midpoint. *)
-
-  type t = {
-    lowest : float;
-    growth : float;
-    inv_log_growth : float;
-    mutable counts : int array;
-    mutable n : int;
-    mutable sum : float;
-    mutable max_v : float;
-  }
-
-  let create ?(lowest = 0.01) ?(growth = 1.04) () =
-    if lowest <= 0.0 then invalid_arg "Tail.create: lowest must be positive";
-    if growth <= 1.0 then invalid_arg "Tail.create: growth must exceed 1";
-    {
-      lowest;
-      growth;
-      inv_log_growth = 1.0 /. log growth;
-      counts = Array.make 64 0;
-      n = 0;
-      sum = 0.0;
-      max_v = neg_infinity;
-    }
-
-  let[@inline] bucket t x =
-    if x <= t.lowest then 0
-    else int_of_float (log (x /. t.lowest) *. t.inv_log_growth) + 1
-
-  let add t x =
-    let b = bucket t x in
-    let cap = Array.length t.counts in
-    if b >= cap then begin
-      let counts = Array.make (Stdlib.max (b + 1) (2 * cap)) 0 in
-      Array.blit t.counts 0 counts 0 cap;
-      t.counts <- counts
-    end;
-    t.counts.(b) <- t.counts.(b) + 1;
-    t.n <- t.n + 1;
-    t.sum <- t.sum +. x;
-    if x > t.max_v then t.max_v <- x
-
-  let count t = t.n
-
-  let mean t = if t.n = 0 then 0.0 else t.sum /. float_of_int t.n
-
-  let max t = if t.n = 0 then 0.0 else t.max_v
-
-  (* representative value for bucket [b]: geometric midpoint of its span *)
-  let[@inline] bucket_value t b =
-    if b = 0 then t.lowest
-    else t.lowest *. (t.growth ** (float_of_int b -. 0.5))
-
-  let quantile t q =
-    if t.n = 0 then invalid_arg "Tail.quantile: empty";
-    if q < 0.0 || q > 1.0 then invalid_arg "Tail.quantile: q out of range";
-    let target = int_of_float (ceil (q *. float_of_int t.n)) in
-    let target = if target < 1 then 1 else target in
-    let acc = ref 0 and b = ref 0 in
-    let last = Array.length t.counts - 1 in
-    while !acc < target && !b <= last do
-      acc := !acc + t.counts.(!b);
-      if !acc < target then incr b
-    done;
-    Float.min (bucket_value t !b) t.max_v
-
-  let p50 t = quantile t 0.50
-  let p99 t = quantile t 0.99
-  let p999 t = quantile t 0.999
-end

@@ -26,8 +26,6 @@ module Mutex = struct
 
   let create () = { held = false; waiters = Ring.create () }
 
-  let locked t = t.held
-
   let lock t =
     if not t.held then t.held <- true
     else Fiber.suspend (fun resume -> Ring.push t.waiters resume)
@@ -58,8 +56,6 @@ module Condition = struct
         Ring.push t.waiters resume;
         Mutex.unlock mutex);
     Mutex.lock mutex
-
-  let signal t = ignore (wake_next t.waiters : bool)
 
   let broadcast t =
     (* resumptions are queued through the engine, never run inline, so
@@ -100,7 +96,6 @@ module Resource = struct
 
   type t = {
     eng : Engine.t;
-    name : string;
     servers : int;
     sem : Semaphore.t;
     busy_time : busy;
@@ -108,11 +103,10 @@ module Resource = struct
     mutable waiting : int;
   }
 
-  let create ?(servers = 1) eng ~name =
+  let create ?(servers = 1) eng =
     if servers <= 0 then invalid_arg "Sync.Resource.create: servers must be positive";
     {
       eng;
-      name;
       servers;
       sem = Semaphore.create servers;
       busy_time = { busy = 0.0 };
@@ -140,7 +134,6 @@ module Resource = struct
     Semaphore.release t.sem;
     waited
 
-  let name t = t.name
   let servers t = t.servers
   let in_use t = t.servers - Semaphore.available t.sem
   let busy_time t = t.busy_time.busy

@@ -16,8 +16,6 @@ module Mutex : sig
       @raise Invalid_argument if the mutex is not held. *)
   val unlock : t -> unit
 
-  val locked : t -> bool
-
   (** [with_lock t f] is [f ()] bracketed by lock/unlock. *)
   val with_lock : t -> (unit -> 'a) -> 'a
 end
@@ -29,9 +27,6 @@ module Condition : sig
 
   (** Atomically release [mutex] and wait; re-acquires before return. *)
   val wait : t -> Mutex.t -> unit
-
-  (** Wake one waiter. *)
-  val signal : t -> unit
 
   (** Wake all waiters. *)
   val broadcast : t -> unit
@@ -45,7 +40,6 @@ module Semaphore : sig
 
   val acquire : t -> unit
   val release : t -> unit
-  val available : t -> int
 end
 
 module Resource : sig
@@ -57,13 +51,12 @@ module Resource : sig
   type t
 
   (** @param servers number of identical servers (default 1). *)
-  val create : ?servers:int -> Engine.t -> name:string -> t
+  val create : ?servers:int -> Engine.t -> t
 
   (** Occupy the resource for [duration] ms (after queueing). Returns
       the time spent waiting in the queue. *)
   val use : t -> duration:float -> float
 
-  val name : t -> string
   val servers : t -> int
 
   (** Servers currently held. *)

@@ -43,13 +43,3 @@ let dump t =
     | None -> ()
   done;
   !result
-
-let pp ppf t =
-  List.iter
-    (fun r -> Format.fprintf ppf "%10.3f [%s] %s@." r.time r.tag r.message)
-    (dump t)
-
-let clear t =
-  Array.fill t.ring 0 t.capacity None;
-  t.next <- 0;
-  t.count <- 0

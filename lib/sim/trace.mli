@@ -31,8 +31,3 @@ val record : t -> Engine.t -> tag:string -> ('a, Format.formatter, unit, unit) f
 
 (** Records, oldest first. *)
 val dump : t -> record list
-
-(** Pretty-print all records, one per line. *)
-val pp : Format.formatter -> t -> unit
-
-val clear : t -> unit

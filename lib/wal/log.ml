@@ -7,12 +7,8 @@ type policy = Unbatched | Group_commit of { window_ms : float } | Adaptive
 type batch_stats = {
   bs_writes : int;  (* physical writes that carried >= 1 record *)
   bs_records : int;  (* records covered by those writes *)
-  bs_hist : (int * int) list;  (* (bucket upper bound, writes) *)
   bs_force_lat_n : int;
   bs_force_lat_mean_ms : float;
-  bs_force_lat_max_ms : float;
-  bs_lag_mean : float;  (* records still volatile when a write lands *)
-  bs_lag_max : int;
 }
 
 type 'a t = {
@@ -40,24 +36,17 @@ type 'a t = {
   mutable forces : int;
   mutable disk_writes : int;
   mutable truncations : int;
-  batch_hist : int array;  (* log2 buckets: 1, 2, 4, ... 64, >=128 *)
   mutable batch_writes : int;
   mutable batch_records : int;
   mutable force_lat_sum : float;
-  mutable force_lat_max : float;
   mutable force_lat_n : int;
-  mutable lag_sum : int;
-  mutable lag_max : int;
-  mutable lag_n : int;
 }
 
 let create ?(policy = Unbatched) site =
   let eng = Camelot_mach.Site.engine site in
   {
     site;
-    disk =
-      Sync.Resource.create eng
-        ~name:(Printf.sprintf "site%d.logdisk" (Camelot_mach.Site.id site));
+    disk = Sync.Resource.create eng;
     cond = Sync.Condition.create eng;
     cond_mutex = Sync.Mutex.create ();
     records = [||];
@@ -78,15 +67,10 @@ let create ?(policy = Unbatched) site =
     forces = 0;
     disk_writes = 0;
     truncations = 0;
-    batch_hist = Array.make 8 0;
     batch_writes = 0;
     batch_records = 0;
     force_lat_sum = 0.0;
-    force_lat_max = 0.0;
     force_lat_n = 0;
-    lag_sum = 0;
-    lag_max = 0;
-    lag_n = 0;
   }
 
 (* the daemon serializes whole batches on its own fiber *)
@@ -126,18 +110,7 @@ let note_batch t ~target =
   let n = target - t.durable in
   if n > 0 then begin
     t.batch_writes <- t.batch_writes + 1;
-    t.batch_records <- t.batch_records + n;
-    let rec bucket i v = if v <= 1 || i >= 7 then i else bucket (i + 1) (v / 2) in
-    let b = bucket 0 n in
-    t.batch_hist.(b) <- t.batch_hist.(b) + 1
-  end
-
-let note_lag t ~target =
-  let lag = tail_lsn t - target in
-  if lag >= 0 then begin
-    t.lag_sum <- t.lag_sum + lag;
-    if lag > t.lag_max then t.lag_max <- lag;
-    t.lag_n <- t.lag_n + 1
+    t.batch_records <- t.batch_records + n
   end
 
 (* Wake exactly the waiters whose target is now durable — never a
@@ -174,7 +147,6 @@ let disk_write_to t ~target =
     end;
     note_batch t ~target;
     if target > t.durable then t.durable <- target;
-    note_lag t ~target;
     wake_waiters t;
     Sync.Condition.broadcast t.cond
   end
@@ -234,7 +206,6 @@ let force_daemon t target =
     park t ~target;
     let lat = Fiber.now () -. now in
     t.force_lat_sum <- t.force_lat_sum +. lat;
-    if lat > t.force_lat_max then t.force_lat_max <- lat;
     t.force_lat_n <- t.force_lat_n + 1
   end
 
@@ -269,11 +240,6 @@ let all_records t = records_from_upto t t.base (tail_lsn t)
 
 let iter_durable t f =
   for lsn = t.base to t.durable do
-    f lsn (Array.unsafe_get t.records (lsn - t.base))
-  done
-
-let iter_durable_from t ~from f =
-  for lsn = max from t.base to t.durable do
     f lsn (Array.unsafe_get t.records (lsn - t.base))
   done
 
@@ -348,22 +314,13 @@ let disk_writes t = t.disk_writes
 let truncations t = t.truncations
 
 let batch_stats t =
-  let buckets = [| 1; 2; 4; 8; 16; 32; 64; max_int |] in
   {
     bs_writes = t.batch_writes;
     bs_records = t.batch_records;
-    bs_hist =
-      List.filter
-        (fun (_, n) -> n > 0)
-        (Array.to_list (Array.mapi (fun i n -> (buckets.(i), n)) t.batch_hist));
     bs_force_lat_n = t.force_lat_n;
     bs_force_lat_mean_ms =
       (if t.force_lat_n = 0 then 0.0
        else t.force_lat_sum /. float_of_int t.force_lat_n);
-    bs_force_lat_max_ms = t.force_lat_max;
-    bs_lag_mean =
-      (if t.lag_n = 0 then 0.0 else float_of_int t.lag_sum /. float_of_int t.lag_n);
-    bs_lag_max = t.lag_max;
   }
 
 let rec wait_durable t lsn =

@@ -95,11 +95,6 @@ val all_records : 'a t -> (lsn * 'a) list
     the allocation-free way to scan a long log. *)
 val iter_durable : 'a t -> (lsn -> 'a -> unit) -> unit
 
-(** [iter_durable_from t ~from f] is {!iter_durable} starting at LSN
-    [max from (base_lsn t)] — the index-aware scan recovery uses to
-    start at the last checkpoint instead of LSN 0. *)
-val iter_durable_from : 'a t -> from:lsn -> (lsn -> 'a -> unit) -> unit
-
 (** [fold_durable t ~init ~f] folds over the held durable prefix,
     oldest first, without materialising a list. *)
 val fold_durable : 'a t -> init:'acc -> f:('acc -> lsn -> 'a -> 'acc) -> 'acc
@@ -139,16 +134,8 @@ val defers_spool_cpu : 'a t -> bool
 type batch_stats = {
   bs_writes : int;  (** physical writes that carried >= 1 record *)
   bs_records : int;  (** records covered by those writes *)
-  bs_hist : (int * int) list;
-      (** batch-size histogram: (bucket upper bound, writes); log2
-          buckets 1, 2, 4, ... 64, then [max_int] for >= 128 *)
-  bs_force_lat_n : int;
+  bs_force_lat_n : int;  (** daemon-mode forces timed *)
   bs_force_lat_mean_ms : float;  (** mean daemon-mode force latency *)
-  bs_force_lat_max_ms : float;
-  bs_lag_mean : float;
-      (** mean records still volatile at the moment a write lands — the
-          durable lag the pipelining hides *)
-  bs_lag_max : int;
 }
 
 val batch_stats : 'a t -> batch_stats

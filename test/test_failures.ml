@@ -575,7 +575,7 @@ let test_recovery_run_twice_identical () =
         n.Camelot.Cluster.servers;
       let in_doubt2 =
         Camelot_recovery.Recovery.run ~tranman:n.Camelot.Cluster.tranman
-          ~log:n.Camelot.Cluster.log ~servers:n.Camelot.Cluster.servers ()
+          ~servers:n.Camelot.Cluster.servers ()
       in
       Alcotest.(check int) "same in-doubt set" (List.length in_doubt1)
         (List.length in_doubt2);

@@ -174,36 +174,6 @@ let test_grant_cancels_timeout () =
     10.0 (Engine.now eng);
   Alcotest.(check int) "no timer left pending" 0 (Engine.pending eng)
 
-let test_acquire_all_ordered_no_deadlock () =
-  (* two fibers take the same two locks in OPPOSITE request order: the
-     hierarchy discipline (ascending key) must prevent the deadlock *)
-  let eng, t = make () in
-  let completed = ref 0 in
-  Fiber.spawn eng (fun () ->
-      Lock_table.acquire_all t ~owner:(o ~fam:1 []) [ ("a", x); ("b", x) ];
-      Fiber.sleep 10.0;
-      Lock_table.release_all t ~owner:(o ~fam:1 []);
-      incr completed);
-  Fiber.spawn eng (fun () ->
-      Lock_table.acquire_all t ~owner:(o ~fam:2 []) [ ("b", x); ("a", x) ];
-      Fiber.sleep 10.0;
-      Lock_table.release_all t ~owner:(o ~fam:2 []);
-      incr completed);
-  Engine.run eng;
-  Alcotest.(check int) "both completed (no deadlock)" 2 !completed
-
-let test_acquire_all_merges_duplicates () =
-  let eng, t = make () in
-  Fiber.run eng (fun () ->
-      let me = o ~fam:1 [] in
-      Lock_table.acquire_all t ~owner:me [ ("k", s); ("k", x); ("j", s) ];
-      Alcotest.(check (option (of_pp Lock_table.pp_mode)))
-        "exclusive wins" (Some x)
-        (Lock_table.held t ~owner:me ~key:"k");
-      Alcotest.(check (option (of_pp Lock_table.pp_mode)))
-        "j shared" (Some s)
-        (Lock_table.held t ~owner:me ~key:"j"))
-
 let test_try_acquire () =
   let eng, t = make () in
   Fiber.run eng (fun () ->
@@ -328,40 +298,6 @@ let prop_grants_monotone =
             requests);
       Engine.run eng;
       Lock_table.grants t <= List.length requests)
-
-let prop_acquire_all_strongest =
-  (* duplicate keys in one acquire_all collapse to their strongest
-     mode, whatever the request order *)
-  QCheck.Test.make ~name:"acquire_all holds the strongest mode per key" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 12) (pair (int_bound 3) bool))
-    (fun reqs ->
-      let eng = Engine.create () in
-      let t = Lock_table.create eng ~is_ancestor in
-      let me = o ~fam:1 [] in
-      let requests =
-        List.map (fun (k, ex) -> (string_of_int k, if ex then x else s)) reqs
-      in
-      let ok = ref true in
-      Fiber.spawn eng (fun () ->
-          Lock_table.acquire_all t ~owner:me requests;
-          List.iter
-            (fun (key, _) ->
-              let strongest =
-                if List.exists (fun (k, m) -> k = key && m = x) requests then x
-                else s
-              in
-              if Lock_table.held t ~owner:me ~key <> Some strongest then
-                ok := false)
-            requests;
-          let distinct =
-            List.sort_uniq compare (List.map fst requests)
-          in
-          if
-            List.length (Lock_table.keys_of t ~owner:me)
-            <> List.length distinct
-          then ok := false);
-      Engine.run eng;
-      !ok)
 
 let prop_timeout_interleavings =
   (* random contention scripts with timeouts: owners from distinct
@@ -495,10 +431,6 @@ let () =
           Alcotest.test_case "FIFO no overtaking" `Quick test_fifo_no_overtaking;
           Alcotest.test_case "reacquire no-op" `Quick test_reacquire_noop;
           Alcotest.test_case "shared->exclusive upgrade" `Quick test_upgrade;
-          Alcotest.test_case "hierarchy order prevents deadlock" `Quick
-            test_acquire_all_ordered_no_deadlock;
-          Alcotest.test_case "acquire_all merges duplicates" `Quick
-            test_acquire_all_merges_duplicates;
           Alcotest.test_case "try_acquire" `Quick test_try_acquire;
           Alcotest.test_case "a wait gets its own queue" `Quick
             test_wait_gets_own_queue;
@@ -532,7 +464,6 @@ let () =
           [
             prop_exclusive_never_shared_with_non_ancestor;
             prop_grants_monotone;
-            prop_acquire_all_strongest;
             prop_timeout_interleavings;
           ] );
     ]

@@ -103,33 +103,6 @@ let test_mix_ratios () =
     (Float.abs (frac -. 0.9) < 0.01)
 
 (* ------------------------------------------------------------------ *)
-(* Tail histogram *)
-
-let test_tail_quantiles () =
-  let t = Stats.Tail.create () in
-  Alcotest.(check int) "empty count" 0 (Stats.Tail.count t);
-  for i = 1 to 1_000 do
-    Stats.Tail.add t (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1_000 (Stats.Tail.count t);
-  Alcotest.(check (float 1e-9)) "max exact" 1_000.0 (Stats.Tail.max t);
-  Alcotest.(check (float 0.5)) "mean exact" 500.5 (Stats.Tail.mean t);
-  let within q expect tol =
-    let v = Stats.Tail.quantile t q in
-    Alcotest.(check bool)
-      (Printf.sprintf "q%.3f near %.0f (got %.1f)" q expect v)
-      true
-      (Float.abs (v -. expect) /. expect < tol)
-  in
-  (* the histogram is ~4% relative resolution by construction *)
-  within 0.5 500.0 0.05;
-  within 0.99 990.0 0.05;
-  within 0.999 999.0 0.05;
-  let q1 = Stats.Tail.quantile t 1.0 in
-  Alcotest.(check bool) "q1 never exceeds the exact max" true
-    (q1 <= Stats.Tail.max t && q1 >= Stats.Tail.quantile t 0.999)
-
-(* ------------------------------------------------------------------ *)
 (* Knee detection *)
 
 let synthetic ~offered ~arrivals ~backlog =
@@ -213,8 +186,6 @@ let () =
           Alcotest.test_case "Zipf ranking monotone" `Quick test_zipf_ranking_monotone;
           Alcotest.test_case "mix ratios honored" `Quick test_mix_ratios;
         ] );
-      ( "tail",
-        [ Alcotest.test_case "quantiles within resolution" `Quick test_tail_quantiles ] );
       ( "knee",
         [ Alcotest.test_case "backlog knee detection" `Quick test_knee_detection ] );
       ( "end_to_end",

@@ -257,6 +257,63 @@ let test_refusal_crosses_checkpoint () =
   Alcotest.check values "truncated recovery equals full recovery" post_vf post_vt;
   Alcotest.check statuses "recovered statuses agree" post_sf post_st
 
+(* A short-commit family drops its coordinator-site locks when its vote
+   round starts, so a later local transaction can overwrite the key and
+   commit before the family resolves. Family A writes k=5 at site 0 and
+   j=6 at site 1; site 1 is partitioned off, so A's vote round times
+   out. Meanwhile B writes k=7 at site 0 and commits, and site 0
+   checkpoints while A still collects votes; then A aborts. The
+   checkpoint must not carry A's overtaken write: a restart would redo
+   it as 0 -> 7 and then undo it as a loser, losing B's committed 7.
+   Returns k at site 0 live before the crash and after recovery. *)
+let overtaken_release_twin ~truncate =
+  let c = Testutil.quiet_cluster ~sites:2 () in
+  let tm = Camelot.Cluster.tranman c 0 in
+  let write tid ~site key v =
+    ignore
+      (Camelot.Cluster.op c ~origin:0 tid ~site (Camelot_server.Data_server.Write (key, v))
+        : int)
+  in
+  let operated = ref false and go = ref false and result = ref None in
+  Camelot_mach.Site.spawn (Camelot.Cluster.node c 0).Camelot.Cluster.site (fun () ->
+      let a = Tranman.begin_transaction tm in
+      write a ~site:0 "k" 5;
+      write a ~site:1 "j" 6;
+      operated := true;
+      Testutil.wait_until ~what:"site 1 partitioned" (fun () -> !go);
+      result := Some (Tranman.commit tm ~protocol:Protocol.Short_commit a));
+  Camelot_sim.Fiber.run (Camelot.Cluster.engine c) (fun () ->
+      Testutil.wait_until ~what:"A's operations done" (fun () -> !operated);
+      Camelot.Cluster.partition c [ [ 0 ]; [ 1 ] ];
+      go := true;
+      Testutil.wait_until ~what:"k released early" (fun () ->
+          Camelot_lock.Lock_table.holders
+            (Camelot_server.Data_server.locks (Camelot.Cluster.server c 0))
+            ~key:"k"
+          = []);
+      let b = Tranman.begin_transaction tm in
+      write b ~site:0 "k" 7;
+      Testutil.check_committed (Tranman.commit tm b);
+      Alcotest.(check bool) "A still collecting votes" true (!result = None);
+      Camelot.Cluster.checkpoint ~truncate c 0;
+      Testutil.wait_until ~what:"A aborted" (fun () ->
+          !result = Some Protocol.Aborted);
+      let live = Testutil.peek c 0 "k" in
+      Camelot.Cluster.heal c;
+      Camelot_sim.Fiber.sleep 2_000.0;
+      Camelot.Cluster.crash_site c 0;
+      ignore (Camelot.Cluster.restart_site c 0 : Tid.t list);
+      (live, Testutil.peek c 0 "k"))
+
+let test_overtaken_release_not_carried () =
+  List.iter
+    (fun truncate ->
+      let twin = if truncate then "truncated" else "full" in
+      let live, recovered = overtaken_release_twin ~truncate in
+      Alcotest.(check int) (twin ^ ": B's value live") 7 live;
+      Alcotest.(check int) (twin ^ ": B's value recovered") 7 recovered)
+    [ true; false ]
+
 let test_auto_checkpointer_truncates_and_recovers () =
   (* the automatic checkpointer daemon: no explicit checkpoint calls,
      just a record-count threshold — the log must stay bounded and
@@ -304,5 +361,7 @@ let () =
             `Quick test_refusal_crosses_checkpoint;
           Alcotest.test_case "auto checkpointer truncates and recovers" `Quick
             test_auto_checkpointer_truncates_and_recovers;
+          Alcotest.test_case "overtaken early release not carried" `Quick
+            test_overtaken_release_not_carried;
         ] );
     ]

@@ -470,24 +470,6 @@ let test_truncate_unpins_dropped_records () =
     true
     (after * 10 < before)
 
-let test_iter_durable_from () =
-  let eng, _, log = make_log () in
-  Fiber.run eng (fun () ->
-      for i = 0 to 9 do
-        ignore (Log.append log i : int)
-      done;
-      Log.force log);
-  let seen = ref [] in
-  Log.iter_durable_from log ~from:7 (fun lsn r -> seen := (lsn, r) :: !seen);
-  Alcotest.(check (list (pair int int)))
-    "starts at from" [ (7, 7); (8, 8); (9, 9) ] (List.rev !seen);
-  Log.truncate log ~keep_from:4;
-  let seen = ref [] in
-  Log.iter_durable_from log ~from:0 (fun lsn r -> seen := (lsn, r) :: !seen);
-  Alcotest.(check (pair int int))
-    "clamped to base after truncation" (4, 4)
-    (List.hd (List.rev !seen))
-
 let () =
   Alcotest.run "camelot_wal"
     [
@@ -544,7 +526,5 @@ let () =
             test_truncate_past_durable_rejected;
           Alcotest.test_case "truncate unpins dropped records" `Quick
             test_truncate_unpins_dropped_records;
-          Alcotest.test_case "iter_durable_from clamps to base" `Quick
-            test_iter_durable_from;
         ] );
     ]
