@@ -1,4 +1,4 @@
-.PHONY: build test check bench bench-smoke bench-compare chaos-smoke chaos-deep fmt-check
+.PHONY: build test check bench bench-smoke bench-compare chaos-smoke chaos-deep fmt-check parent-diff
 
 build:
 	dune build
@@ -46,6 +46,16 @@ bench-smoke:
 # compared here: the tier-1 goldens in test/golden pin them exactly.
 bench-compare:
 	dune exec bench/compare.exe -- BENCH.json BENCH.new.json
+
+# Byte-for-byte comparison with another commit (~1 min on 2 cores):
+# builds BASE from `git archive` in a temporary directory and compares
+# stdout and exit status of `all`, `shootout --sites 4`, four chaos
+# runs, the 24 per-workload chaos runs and the five examples; exits 1
+# on any mismatch. Not part of `make check`.
+#   make parent-diff BASE=HEAD~1
+parent-diff:
+	@if [ -z "$(BASE)" ]; then echo "usage: make parent-diff BASE=<rev>" >&2; exit 2; fi
+	sh tools/parent-diff.sh $(BASE)
 
 # Formatting gate. The container may not ship ocamlformat; skip (with a
 # note) rather than fail when the tool is absent.

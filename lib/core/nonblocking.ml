@@ -49,8 +49,7 @@ let decide_commit st fam ~notify =
   if notify <> [] then Two_phase.start_notify st fam ~update_subs:notify
   else begin
     unregister_waiter st tid;
-    ignore (log_append st (Record.End { e_tid = tid }) : int);
-    fam.f_ended <- true
+    log_end st fam
   end;
   Site.spawn st.site ~name:"drop-locks" (fun () -> drop_local_locks st fam);
   Protocol.Committed

@@ -144,6 +144,20 @@ type family = {
          acceptances, newest ballot wins per instance *)
 }
 
+(* What a resolved family keeps once its protocol has nothing left to
+   do: its answer. Immutable, and shared: [markers] holds one per
+   outcome, protocol and role. *)
+type marker = {
+  mk_outcome : Protocol.outcome;
+  mk_protocol : Protocol.commit_protocol;
+  mk_role : role;
+}
+
+(* What a read path learns of a family: nothing, its unresolved
+   record, or its outcome, read from the resolved record or its
+   marker. *)
+type view = Unknown | Open of family | Decided of Protocol.outcome
+
 type stats = {
   mutable n_begun : int;
   mutable n_committed : int;
@@ -164,6 +178,9 @@ type t = {
   mutable endpoint : Protocol.t Camelot_net.Lan.endpoint option;
   pool : Dispatch.t;  (* one shard: the §3.4 worker pool *)
   families : (int, family) Hashtbl.t;  (* keyed by Tid.family_key *)
+  resolved : (int, marker) Hashtbl.t;
+      (* compacted families' markers, keyed like [families]; a family is
+         in at most one of the two *)
   servers : (string, server_callbacks) Hashtbl.t;
   mutable next_seq : int;
   waiters : (int, Protocol.t Mailbox.t) Hashtbl.t;  (* keyed by Tid.family_key *)
@@ -202,37 +219,78 @@ let charge_cpu st =
 
 let family_key tid = Tid.family_key tid
 
-let find_family st tid = Hashtbl.find_opt st.families (family_key tid)
+(* The two [Some]s are static constants, so storing one allocates
+   nothing. *)
+let some_outcome = function
+  | Protocol.Committed -> Some Protocol.Committed
+  | Protocol.Aborted -> Some Protocol.Aborted
+
+let blank_family ~root ~role ~protocol =
+  {
+    f_root = root;
+    f_role = role;
+    f_mutex = None;
+    f_top = { mem_tid = root; mem_resolved = None; mem_children = 0 };
+    f_members = None;
+    f_servers = [];
+    f_remote_sites = [];
+    f_protocol = protocol;
+    f_sites = [];
+    f_commit_quorum = 0;
+    f_prepared = false;
+    f_read_only_done = false;
+    f_update_sites = [];
+    f_quorum_side = Q_none;
+    f_outcome = None;
+    f_acks_pending = [];
+    f_ended = false;
+    f_watchdog = Engine.no_timer;
+    f_orphan_watch = Engine.no_timer;
+    f_acceptors = [];
+    f_pax_ballot = 0;
+    f_pax_accepted = [];
+  }
 
 let new_family st ~root ~role ~protocol =
-  let fam =
-    {
-      f_root = root;
-      f_role = role;
-      f_mutex = None;
-      f_top = { mem_tid = root; mem_resolved = None; mem_children = 0 };
-      f_members = None;
-      f_servers = [];
-      f_remote_sites = [];
-      f_protocol = protocol;
-      f_sites = [];
-      f_commit_quorum = 0;
-      f_prepared = false;
-      f_read_only_done = false;
-      f_update_sites = [];
-      f_quorum_side = Q_none;
-      f_outcome = None;
-      f_acks_pending = [];
-      f_ended = false;
-      f_watchdog = Engine.no_timer;
-      f_orphan_watch = Engine.no_timer;
-      f_acceptors = [];
-      f_pax_ballot = 0;
-      f_pax_accepted = [];
-    }
-  in
+  let fam = blank_family ~root ~role ~protocol in
   Hashtbl.replace st.families (family_key root) fam;
   fam
+
+(* Both [Decided]s are static constants, and [Open] costs what the
+   [Some] of a plain lookup did. *)
+let decided = function
+  | Protocol.Committed -> Decided Protocol.Committed
+  | Protocol.Aborted -> Decided Protocol.Aborted
+
+let view st tid =
+  let key = family_key tid in
+  match Hashtbl.find st.families key with
+  | { f_outcome = None; _ } as fam -> Open fam
+  | { f_outcome = Some o; _ } -> decided o
+  | exception Not_found -> (
+      match Hashtbl.find st.resolved key with
+      | m -> decided m.mk_outcome
+      | exception Not_found -> Unknown)
+
+(* A write path: a marker comes back as a fresh resolved record, which
+   takes its place. Read paths answer from the marker instead
+   ([view]): rebuilding there would bring the record back on every
+   duplicate outcome notice. *)
+let find_family st tid =
+  let key = family_key tid in
+  match Hashtbl.find st.families key with
+  | fam -> Some fam
+  | exception Not_found -> (
+      match Hashtbl.find st.resolved key with
+      | m ->
+          let fam =
+            blank_family ~root:(Tid.top tid) ~role:m.mk_role ~protocol:m.mk_protocol
+          in
+          fam.f_outcome <- some_outcome m.mk_outcome;
+          Hashtbl.remove st.resolved key;
+          Hashtbl.replace st.families key fam;
+          Some fam
+      | exception Not_found -> None)
 
 (* Find the family, creating a subordinate-side descriptor if this is
    the first we hear of it (a remote operation or a prepare arriving). *)
@@ -242,6 +300,54 @@ let find_or_join_family st tid =
   | None ->
       let role = if Tid.origin tid = me st then Coordinator else Subordinate in
       new_family st ~root:(Tid.top tid) ~role ~protocol:Protocol.Two_phase
+
+(* One marker per outcome, protocol and role; Paxos Commit has none. *)
+let markers =
+  let outcomes = [| Protocol.Committed; Protocol.Aborted |]
+  and protocols = [| Protocol.Two_phase; Protocol.Short_commit; Protocol.Nonblocking |]
+  and roles = [| Coordinator; Subordinate |] in
+  Array.init 12 (fun i ->
+      {
+        mk_outcome = outcomes.(i / 6);
+        mk_protocol = protocols.(i / 2 mod 3);
+        mk_role = roles.(i mod 2);
+      })
+
+(* The compaction rule: a resolved family whose protocol has nothing
+   left to do here becomes its marker. Callers invoke it at that point
+   (a coordinator's End record or presumed-abort abort, a subordinate's
+   applied outcome, the end of restart's decisions); it also checks
+   that no acknowledgement is awaited. Two kinds keep their record:
+   Paxos Commit families, since an acceptor may be asked to promise a
+   higher ballot again at any time, and families with nested members,
+   whose members table still answers nested calls. A record whose
+   family lock is held stays too, so a fiber waiting on that lock and a
+   later lookup never hold two different records. A family no longer
+   in the table (forgotten, or of a crashed incarnation) stays out. *)
+let compact st fam =
+  match fam.f_outcome with
+  | None -> ()
+  | Some outcome -> (
+      let protocol =
+        match fam.f_protocol with
+        | Protocol.Two_phase -> 0
+        | Protocol.Short_commit -> 1
+        | Protocol.Nonblocking -> 2
+        | Protocol.Paxos_commit -> -1
+      in
+      let locked =
+        match fam.f_mutex with Some m -> Sync.Mutex.locked m | None -> false
+      in
+      if protocol >= 0 && fam.f_members = None && fam.f_acks_pending = [] && not locked
+      then
+        let key = family_key fam.f_root in
+        match Hashtbl.find st.families key with
+        | f when f == fam ->
+            let o = match outcome with Protocol.Committed -> 0 | Protocol.Aborted -> 1 in
+            let r = match fam.f_role with Coordinator -> 0 | Subordinate -> 1 in
+            Hashtbl.remove st.families key;
+            Hashtbl.replace st.resolved key markers.((o * 6) + (protocol * 2) + r)
+        | _ | (exception Not_found) -> ())
 
 (* The table is built as every family once built it at creation:
    [Hashtbl.create 8], root inserted first. The first resize and the
@@ -418,35 +524,30 @@ let abort_local st fam =
 (* Status *)
 
 let status_of_family st tid : Protocol.status =
-  match find_family st tid with
-  | None -> Protocol.St_unknown
-  | Some fam -> (
-      match fam.f_outcome with
-      | Some Protocol.Committed -> Protocol.St_committed
-      | Some Protocol.Aborted -> Protocol.St_aborted
-      | None -> (
-          match fam.f_quorum_side with
-          | Q_commit -> Protocol.St_replicated
-          | Q_abort -> Protocol.St_refused
-          | Q_none ->
-              if fam.f_read_only_done then Protocol.St_unknown
-              else if fam.f_prepared then Protocol.St_prepared
-              else Protocol.St_active))
+  match view st tid with
+  | Unknown -> Protocol.St_unknown
+  | Decided Protocol.Committed -> Protocol.St_committed
+  | Decided Protocol.Aborted -> Protocol.St_aborted
+  | Open fam -> (
+      match fam.f_quorum_side with
+      | Q_commit -> Protocol.St_replicated
+      | Q_abort -> Protocol.St_refused
+      | Q_none ->
+          if fam.f_read_only_done then Protocol.St_unknown
+          else if fam.f_prepared then Protocol.St_prepared
+          else Protocol.St_active)
 
-(* Mark resolved; the descriptor is retained as a tombstone so that
-   duplicate messages can be answered idempotently. [Tranman.commit]
-   and [abort] forget a local family after this, not here:
-   [Tranman.recover] calls this while it iterates [families]. The two
-   [Some]s are static constants, so resolving allocates nothing. *)
+(* Mark resolved. The record stays until the protocol has nothing left
+   to do here ([compact]), so retransmissions and acknowledgements
+   still find it. [Tranman.commit] and [abort] forget a local family
+   after this, not here: [Tranman.recover] calls this while it iterates
+   [families]. Resolving allocates nothing. *)
 let resolve_family st fam outcome =
   if fam.f_outcome = None then begin
+    fam.f_outcome <- some_outcome outcome;
     (match outcome with
-    | Protocol.Committed ->
-        fam.f_outcome <- Some Protocol.Committed;
-        st.stats.n_committed <- st.stats.n_committed + 1
-    | Protocol.Aborted ->
-        fam.f_outcome <- Some Protocol.Aborted;
-        st.stats.n_aborted <- st.stats.n_aborted + 1);
+    | Protocol.Committed -> st.stats.n_committed <- st.stats.n_committed + 1
+    | Protocol.Aborted -> st.stats.n_aborted <- st.stats.n_aborted + 1);
     (* a resolved family parks nothing: its watchdogs are disarmed *)
     let eng = engine st in
     Engine.cancel eng fam.f_watchdog;
@@ -457,6 +558,13 @@ let resolve_family st fam outcome =
       tracef st "txn" "%a resolved: %a" Tid.pp fam.f_root Protocol.pp_outcome
         outcome
   end
+
+(* A coordinator's End record: every acknowledgement is in, so nothing
+   is left to do and the family shrinks to its marker. *)
+let log_end st fam =
+  ignore (log_append st (Record.End { e_tid = fam.f_root }) : int);
+  fam.f_ended <- true;
+  compact st fam
 
 (* The quorum domain of a non-blocking transaction: the sites that hold
    (or will hold) log records for it — update sites plus coordinator. *)

@@ -28,6 +28,13 @@ let p_release_early = Camelot_chaos.register "short.release.early"
    later traffic. *)
 let piggyback_delay_ms = 25.0
 
+(* A subordinate's protocol has nothing left to do once its outcome is
+   applied: ack traffic and lazy log writes need nothing of the family,
+   so it shrinks to its marker. A coordinator that adopts a takeover's
+   outcome keeps its record: its own commit may still be running (say,
+   forcing the commit record it will then notify from). *)
+let compact_applied st fam = if fam.f_role = Subordinate then compact st fam
+
 (* Commit locally under the configured §4.2 variant. Returns once the
    subordinate's part of the completion path is done; ack traffic and
    lazy log writes continue in background fibers. *)
@@ -38,33 +45,34 @@ let apply_commit st fam ~ack_to =
   let ack = Protocol.Outcome_ack { m_tid = tid; m_from = me st } in
   let commit_rec = Record.Commit { c_tid = tid; c_sites = [] } in
   resolve_family st fam Protocol.Committed;
-  if presumption st fam.f_protocol = Presume_commit then begin
-    (* presumed commit: no acknowledgement exists; the commit record
-       need never be forced (an inquiry to a forgotten coordinator
-       presumes commit anyway) *)
-    drop_local_locks st fam;
-    ignore (log_append st commit_rec : int)
-  end
-  else
-  match st.config.two_phase_variant with
-  | Optimized ->
-      (* locks drop immediately; the commit record is spooled and the
-         ack waits until some later force or the flusher lands it *)
-      drop_local_locks st fam;
-      let lsn = log_append st commit_rec in
-      Site.spawn st.site ~name:"commit-ack" (fun () ->
-          Camelot_wal.Log.wait_durable st.log lsn;
-          send_piggybacked st ~dst:coordinator ack)
-  | Semi_optimized ->
-      ignore (log_append_force st commit_rec : int);
-      drop_local_locks st fam;
-      Site.spawn st.site ~name:"commit-ack" (fun () ->
-          Fiber.sleep piggyback_delay_ms;
-          send_piggybacked st ~dst:coordinator ack)
-  | Unoptimized ->
-      ignore (log_append_force st commit_rec : int);
-      drop_local_locks st fam;
-      send st ~dst:coordinator ack
+  (if presumption st fam.f_protocol = Presume_commit then begin
+     (* presumed commit: no acknowledgement exists; the commit record
+        need never be forced (an inquiry to a forgotten coordinator
+        presumes commit anyway) *)
+     drop_local_locks st fam;
+     ignore (log_append st commit_rec : int)
+   end
+   else
+     match st.config.two_phase_variant with
+     | Optimized ->
+         (* locks drop immediately; the commit record is spooled and the
+            ack waits until some later force or the flusher lands it *)
+         drop_local_locks st fam;
+         let lsn = log_append st commit_rec in
+         Site.spawn st.site ~name:"commit-ack" (fun () ->
+             Camelot_wal.Log.wait_durable st.log lsn;
+             send_piggybacked st ~dst:coordinator ack)
+     | Semi_optimized ->
+         ignore (log_append_force st commit_rec : int);
+         drop_local_locks st fam;
+         Site.spawn st.site ~name:"commit-ack" (fun () ->
+             Fiber.sleep piggyback_delay_ms;
+             send_piggybacked st ~dst:coordinator ack)
+     | Unoptimized ->
+         ignore (log_append_force st commit_rec : int);
+         drop_local_locks st fam;
+         send st ~dst:coordinator ack);
+  compact_applied st fam
 
 let apply_abort st fam =
   Camelot_chaos.point ~site:(me st) p_abort_applied;
@@ -78,7 +86,8 @@ let apply_abort st fam =
       (Protocol.Outcome_ack { m_tid = fam.f_root; m_from = me st })
   end
   else ignore (log_append st (Record.Abort { a_tid = fam.f_root }) : int);
-  abort_local st fam
+  abort_local st fam;
+  compact_applied st fam
 
 let apply_outcome st fam outcome ~ack_to =
   match outcome with
@@ -506,17 +515,16 @@ let acknowledged st protocol outcome =
 let handle_outcome st msg =
   match msg with
   | Protocol.Outcome { m_tid; m_from; m_outcome; m_protocol } -> (
-      match find_family st m_tid with
-      | Some ({ f_outcome = None; _ } as fam) ->
-          apply_outcome st fam m_outcome ~ack_to:m_from
-      | Some { f_outcome = Some prior; _ } when prior <> m_outcome ->
+      match view st m_tid with
+      | Open fam -> apply_outcome st fam m_outcome ~ack_to:m_from
+      | Decided prior when prior <> m_outcome ->
           (* a heuristic decision went the wrong way: record the damage
              for the operator (LU 6.2 semantics: heuristic resolution
              "does not guarantee correctness") *)
           st.stats.n_heuristic_damage <- st.stats.n_heuristic_damage + 1;
           tracef st "ERROR" "%a: conflicting outcomes %a vs %a" Tid.pp m_tid
             Protocol.pp_outcome prior Protocol.pp_outcome m_outcome
-      | Some _ | None ->
+      | Decided _ | Unknown ->
           (* the notice's own protocol decides: a family rebuilt at
              restart from an update record alone reads as 2PC *)
           if acknowledged st m_protocol m_outcome then
@@ -594,10 +602,10 @@ let handle_child_finish st msg =
 let handle_status st msg =
   match msg with
   | Protocol.Status { m_tid; m_from; m_status } -> (
-      match find_family st m_tid with
-      | None -> ()
-      | Some fam ->
-          if fam.f_outcome = None && fam.f_prepared then begin
+      match view st m_tid with
+      | Unknown | Decided _ -> ()
+      | Open fam ->
+          if fam.f_prepared then begin
             match m_status with
             | Protocol.St_committed ->
                 apply_outcome st fam Protocol.Committed ~ack_to:m_from
@@ -625,7 +633,7 @@ let handle_status st msg =
             | Protocol.St_refused ->
                 ()
           end
-          else if fam.f_outcome = None && not fam.f_prepared then begin
+          else begin
             (* an orphan inquiry came back: abort is safe while
                unprepared (we never voted), and an unknowing or aborted
                coordinator means the transaction is dead *)

@@ -60,9 +60,10 @@ let dispatch st msg =
       | Some mb -> Mailbox.send mb msg
       | None -> to_pool Subordinate.handle_status)
   | Protocol.Outcome_ack { m_from; _ } -> (
-      match find_family st tid with
-      | None -> ()
-      | Some fam -> Two_phase.note_outcome_ack st fam ~from:m_from)
+      (* a marker awaits no acknowledgement *)
+      match Hashtbl.find_opt st.families (family_key tid) with
+      | Some fam -> Two_phase.note_outcome_ack st fam ~from:m_from
+      | None -> ())
   | Protocol.Prepare _ ->
       to_pool (fun st msg -> Subordinate.handle_prepare st msg ~arm_watchdog)
   | Protocol.Paxos_accept _ -> to_acceptor Subordinate.handle_paxos_accept
@@ -96,6 +97,7 @@ let create site ~lan ~log ~directory ~config =
       endpoint = None;
       pool;
       families = Hashtbl.create 64;
+      resolved = Hashtbl.create 64;
       servers = Hashtbl.create 8;
       next_seq = 0;
       waiters = Hashtbl.create 16;
@@ -126,6 +128,7 @@ let create site ~lan ~log ~directory ~config =
 let restart st =
   (* volatile state of the old incarnation is gone *)
   Hashtbl.reset st.families;
+  Hashtbl.reset st.resolved;
   Hashtbl.reset st.waiters;
   Hashtbl.reset st.servers;
   attach st
@@ -236,16 +239,17 @@ let abort_unresolved_children st fam =
 (* Drop the descriptor of a resolved transaction. After this,
    inquiries answer "unknown", which is where the presumption earns its
    name. Only a local family is forgotten on resolving, by [commit] and
-   [abort]: every other resolved family stays in [families] as a
-   tombstone until the site crashes, so duplicate messages get
-   idempotent answers and [outcome] keeps answering. A tombstone is the
-   family record and its root member; the lock and the members table
-   exist only if the family used them. *)
+   [abort]: every other resolved family stays in [families] until the
+   site crashes, so duplicate messages get idempotent answers and
+   [outcome] keeps answering. Once its protocol has nothing left to do
+   it stays as its marker ([State.compact]), a shared constant, so it
+   costs only its table cell. *)
 let forget st tid =
-  match find_family st tid with
-  | None -> ()
-  | Some fam ->
-      if fam.f_outcome <> None then Hashtbl.remove st.families (family_key tid)
+  match view st tid with
+  | Decided _ ->
+      Hashtbl.remove st.families (family_key tid);
+      Hashtbl.remove st.resolved (family_key tid)
+  | Open _ | Unknown -> ()
 
 (* A family coordinated here that no remote site ever joined: no
    message names its TID, so no one can ask about it once it resolves
@@ -274,10 +278,10 @@ let coordinate st fam =
 let commit st ?(protocol = Protocol.Two_phase) tid =
   if Tid.is_top tid then
     on_pool st (fun () ->
-        let fam = require_family st tid in
-        match fam.f_outcome with
-        | Some o -> o
-        | None ->
+        match view st tid with
+        | Unknown -> raise (Unknown_transaction tid)
+        | Decided o -> o
+        | Open fam ->
             abort_unresolved_children st fam;
             fam.f_protocol <- protocol;
             let o = coordinate st fam in
@@ -299,30 +303,32 @@ let commit st ?(protocol = Protocol.Two_phase) tid =
 let abort st tid =
   ignore
     (on_pool st (fun () ->
-         match find_family st tid with
-         | None -> ()
-         | Some fam ->
-             if Tid.is_top tid then begin
-               if fam.f_outcome = None then begin
-                 abort_unresolved_children st fam;
-                 ignore
-                   (Two_phase.abort_distributed st fam ~subs:fam.f_remote_sites
-                     : Protocol.outcome);
-                 forget_if_local st fam
-               end
-             end
-             else begin
+         if Tid.is_top tid then begin
+           match view st tid with
+           | Open fam ->
+               abort_unresolved_children st fam;
+               ignore
+                 (Two_phase.abort_distributed st fam ~subs:fam.f_remote_sites
+                   : Protocol.outcome);
+               forget_if_local st fam
+           | Decided _ | Unknown -> ()
+         end
+         else
+           match find_family st tid with
+           | None -> ()
+           | Some fam ->
                List.iter
                  (fun child ->
                    if Tid.is_ancestor tid child && not (Tid.equal tid child) then
                      finish_nested st fam child Protocol.Aborted)
                  (unresolved_children fam);
-               finish_nested st fam tid Protocol.Aborted
-             end)
+               finish_nested st fam tid Protocol.Aborted)
       : unit)
 
 let outcome st tid =
-  match find_family st tid with None -> None | Some fam -> fam.f_outcome
+  match view st tid with
+  | Decided o -> some_outcome o
+  | Open _ | Unknown -> None
 
 (* LU 6.2-style heuristic commit (paper §5): an operator resolves a
    blocked transaction by decree. Correctness is not guaranteed — if
@@ -330,10 +336,10 @@ let outcome st tid =
    [stats.n_heuristic_damage] — but the locks are freed now. *)
 let heuristic_resolve st tid outcome =
   on_pool st (fun () ->
-      let fam = require_family st tid in
-      match fam.f_outcome with
-      | Some prior -> prior
-      | None ->
+      match view st tid with
+      | Unknown -> raise (Unknown_transaction tid)
+      | Decided prior -> prior
+      | Open fam ->
           st.stats.n_heuristic <- st.stats.n_heuristic + 1;
           tracef st "heuristic" "%a resolved %a by operator" Tid.pp tid
             Protocol.pp_outcome outcome;
@@ -548,58 +554,58 @@ let recover st =
      table's iteration order below depends on it *)
   List.iter (install st) images;
   let in_doubt = ref [] in
-  Hashtbl.iter
-    (fun _ fam ->
-      match fam.f_outcome with
-      | Some Protocol.Committed
-        when presumption st fam.f_protocol = Presume_abort
-             && fam.f_role = Coordinator
-             && (not fam.f_ended)
-             && fam.f_update_sites <> [] ->
-          (* decided but not fully acknowledged: resume notification *)
-          let subs = List.filter (fun s -> s <> me st) fam.f_update_sites in
-          if subs <> [] then Two_phase.start_notify st fam ~update_subs:subs
-      | Some Protocol.Aborted
-        when presumption st fam.f_protocol = Presume_commit
-             && fam.f_role = Coordinator
-             && not fam.f_ended ->
-          (* presumed commit: aborts are the acknowledged outcome *)
+  let decide fam =
+    match fam.f_outcome with
+    | Some Protocol.Committed
+      when presumption st fam.f_protocol = Presume_abort
+           && fam.f_role = Coordinator
+           && (not fam.f_ended)
+           && fam.f_update_sites <> [] ->
+        (* decided but not fully acknowledged: resume notification *)
+        let subs = List.filter (fun s -> s <> me st) fam.f_update_sites in
+        if subs <> [] then Two_phase.start_notify st fam ~update_subs:subs
+    | Some Protocol.Aborted
+      when presumption st fam.f_protocol = Presume_commit
+           && fam.f_role = Coordinator
+           && not fam.f_ended ->
+        (* presumed commit: aborts are the acknowledged outcome *)
+        let subs = List.filter (fun s -> s <> me st) fam.f_sites in
+        if subs <> [] then
+          Two_phase.start_notify ~outcome:Protocol.Aborted st fam ~update_subs:subs
+    | Some _ -> ()
+    | None ->
+        if
+          fam.f_role = Coordinator && fam.f_prepared
+          && presumption st fam.f_protocol = Presume_commit
+        then begin
+          (* a collecting record without an outcome: the decision was
+             never made, so the transaction aborts — and must be
+             remembered and acknowledged, or it would be presumed
+             committed later *)
+          resolve_family st fam Protocol.Aborted;
+          ignore
+            (Camelot_wal.Log.append st.log (Record.Abort { a_tid = fam.f_root })
+              : int);
           let subs = List.filter (fun s -> s <> me st) fam.f_sites in
           if subs <> [] then
-            Two_phase.start_notify ~outcome:Protocol.Aborted st fam ~update_subs:subs
-      | Some _ -> ()
-      | None ->
-          if
-            fam.f_role = Coordinator && fam.f_prepared
-            && presumption st fam.f_protocol = Presume_commit
-          then begin
-            (* a collecting record without an outcome: the decision was
-               never made, so the transaction aborts — and must be
-               remembered and acknowledged, or it would be presumed
-               committed later *)
-            resolve_family st fam Protocol.Aborted;
-            ignore
-              (Camelot_wal.Log.append st.log (Record.Abort { a_tid = fam.f_root })
-                : int);
-            let subs = List.filter (fun s -> s <> me st) fam.f_sites in
-            if subs <> [] then
-              Two_phase.start_notify ~outcome:Protocol.Aborted st fam
-                ~update_subs:subs
-          end
-          else if fam.f_prepared || fam.f_quorum_side <> Q_none then
-            in_doubt := fam.f_root :: !in_doubt
-          else begin
-            (* never prepared here and no quorum promise: this
-               transaction can never commit (any commit requires a
-               durable prepare/replication first), so presumed abort
-               resolves it now — a blocked subordinate's inquiry then
-               gets a decisive answer instead of St_active forever *)
-            resolve_family st fam Protocol.Aborted;
-            ignore
-              (Camelot_wal.Log.append st.log (Record.Abort { a_tid = fam.f_root })
-                : int)
-          end)
-    st.families;
+            Two_phase.start_notify ~outcome:Protocol.Aborted st fam
+              ~update_subs:subs
+        end
+        else if fam.f_prepared || fam.f_quorum_side <> Q_none then
+          in_doubt := fam.f_root :: !in_doubt
+        else begin
+          (* never prepared here and no quorum promise: this
+             transaction can never commit (any commit requires a
+             durable prepare/replication first), so presumed abort
+             resolves it now — a blocked subordinate's inquiry then
+             gets a decisive answer instead of St_active forever *)
+          resolve_family st fam Protocol.Aborted;
+          ignore
+            (Camelot_wal.Log.append st.log (Record.Abort { a_tid = fam.f_root })
+              : int)
+        end
+  in
+  Hashtbl.iter (fun _ fam -> decide fam) st.families;
   (* re-arm the appropriate blocked-state watchdogs: the old
      incarnation's died with it *)
   List.iter
@@ -611,4 +617,9 @@ let recover st =
           fam.f_watchdog <- Engine.no_timer;
           arm_watchdog st fam)
     !in_doubt;
+  (* every decision is made: what has nothing left to do keeps only its
+     answer, which [Recovery.run] reads through [outcome]. A
+     coordinator whose notification resumed awaits acknowledgements
+     and shrinks at its End record, as at run time. *)
+  Hashtbl.fold (fun _ fam acc -> fam :: acc) st.families [] |> List.iter (compact st);
   { in_doubt = !in_doubt; ck_values; updates }

@@ -71,8 +71,9 @@ val begin_nested : t -> parent:Tid.t -> Tid.t
     {!forget}ten as this call resolves it: no other site can ask about
     it, so once [commit] returns, {!outcome} is [None], {!status} is
     [St_unknown] and a second [commit] raises [Unknown_transaction]. A
-    distributed one keeps its descriptor, and committing it again
-    returns its outcome.
+    distributed one stays known, and committing it again returns its
+    outcome, read from its outcome marker once the protocol has
+    compacted it ({!State.compact}).
     @raise Unknown_transaction *)
 val commit : t -> ?protocol:Protocol.commit_protocol -> Tid.t -> Protocol.outcome
 
@@ -83,17 +84,23 @@ val abort : t -> Tid.t -> unit
 
 (** The outcome of a transaction this TranMan still remembers: a
     distributed one until the site crashes, a local one only until
-    {!commit} or {!abort} resolves it. *)
+    {!commit} or {!abort} resolves it. A resolved family answers from
+    its record or, once compacted, from its outcome marker; either way
+    this reads and never rebuilds. After a restart {!recover} leaves
+    every family it resolved as a marker, and [Recovery.run] reads the
+    outcomes it redoes and undoes from here. *)
 val outcome : t -> Tid.t -> Protocol.outcome option
 
-(** Garbage-collect a finished transaction's descriptor. {!commit} and
-    {!abort} call this for a top-level transaction that never spread
-    beyond this site. Every other resolved descriptor stays as a
-    tombstone until the site crashes, so duplicate messages get
-    idempotent answers and {!outcome} keeps answering. Afterwards
-    inquiries answer "unknown", which is exactly what the configured
-    presumption interprets. No-op while the transaction is
-    unresolved. *)
+(** Garbage-collect a finished transaction's descriptor, record or
+    outcome marker. {!commit} and {!abort} call this for a top-level
+    transaction that never spread beyond this site. Every other
+    resolved family stays known until the site crashes, so duplicate
+    messages get idempotent answers and {!outcome} keeps answering:
+    as its record while its protocol may still write it, then as its
+    shared outcome marker ({!State.compact}), which costs only its
+    table cell. Afterwards inquiries answer "unknown", which is exactly
+    what the configured presumption interprets. No-op while the
+    transaction is unresolved. *)
 val forget : t -> Tid.t -> unit
 
 (** Heuristic resolution of a blocked transaction by an operator (the
@@ -122,7 +129,9 @@ val note_site : t -> Tid.t -> Camelot_mach.Site.id -> unit
 
 (** What this site knows about a transaction (read by the chaos
     oracles and tests). [St_unknown] for a forgotten one, including a
-    local transaction once {!commit} or {!abort} returns. *)
+    local transaction once {!commit} or {!abort} returns. A compacted
+    family's marker answers [St_committed] or [St_aborted], as its
+    record did. *)
 val status : t -> Tid.t -> Protocol.status
 
 (** Protocol images of every family the log mentions, sorted by root
@@ -159,7 +168,10 @@ type recovered = {
     short-commit: inquiry loop; non-blocking and Paxos: takeover), and
     a coordinator resumes notifying an outcome its protocol
     acknowledges ({!State.presumption}) when no End record shows every
-    acknowledgement in. Servers must be re-registered first. Returns
-    what the recovery process ([Recovery.run]) replays, read in the
-    same pass over the log. *)
+    acknowledgement in. Once those decisions are made, every family
+    the compaction rule allows becomes its outcome marker
+    ({!State.compact}); a coordinator that resumed notifying shrinks
+    at its End record, as at run time. Servers must be re-registered
+    first. Returns what the recovery process ([Recovery.run]) replays,
+    read in the same pass over the log. *)
 val recover : t -> recovered

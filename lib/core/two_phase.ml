@@ -82,8 +82,7 @@ let start_notify ?(outcome = Protocol.Committed) st fam ~update_subs =
     if fam.f_acks_pending = [] then
       Site.spawn st.site ~name:"2pc-notify" (fun () ->
           Camelot_chaos.point ~site:(me st) p_acks_in;
-          ignore (log_append st (Record.End { e_tid = tid }) : int);
-          fam.f_ended <- true;
+          log_end st fam;
           unregister_waiter st tid;
           if tracing st then
             tracef st "2pc" "%a: all %a-acks in; forgotten" Tid.pp tid
@@ -104,11 +103,11 @@ let start_notify ?(outcome = Protocol.Committed) st fam ~update_subs =
 (* Abort everywhere we know about. Presumed abort: the abort record is
    not forced, no acknowledgements are collected, and the descriptor
    can be forgotten at once — an inquiry hitting a forgotten
-   transaction is answered "unknown", which means abort. Presumed
-   commit (short-commit's too) inverts the costs: the abort record
-   must be forced, and the coordinator must collect abort
-   acknowledgements before forgetting (otherwise a later inquiry would
-   presume commit). *)
+   transaction is answered "unknown", which means abort — so it shrinks
+   to its marker now. Presumed commit (short-commit's too) inverts the
+   costs: the abort record must be forced, and the coordinator must
+   collect abort acknowledgements before forgetting (otherwise a later
+   inquiry would presume commit). *)
 let abort_distributed st fam ~subs =
   let tid = fam.f_root in
   (match presumption st fam.f_protocol with
@@ -122,14 +121,12 @@ let abort_distributed st fam ~subs =
              m_from = me st;
              m_outcome = Protocol.Aborted;
              m_protocol = fam.f_protocol;
-           })
+           });
+      compact st fam
   | Presume_commit ->
       ignore (log_append_force st (Record.Abort { a_tid = tid }) : int);
       resolve_family st fam Protocol.Aborted;
-      if subs = [] then begin
-        ignore (log_append st (Record.End { e_tid = tid }) : int);
-        fam.f_ended <- true
-      end
+      if subs = [] then log_end st fam
       else start_notify ~outcome:Protocol.Aborted st fam ~update_subs:subs);
   Camelot_chaos.point ~site:(me st) p_abort_logged;
   abort_local st fam;
@@ -224,8 +221,7 @@ let commit_decided st fam ~update_subs =
   | Presume_abort ->
       if update_subs = [] then begin
         unregister_waiter st tid;
-        ignore (log_append st (Record.End { e_tid = tid }) : int);
-        fam.f_ended <- true
+        log_end st fam
       end
       else start_notify st fam ~update_subs
   | Presume_commit ->
@@ -241,8 +237,7 @@ let commit_decided st fam ~update_subs =
              m_outcome = Protocol.Committed;
              m_protocol = fam.f_protocol;
            });
-      ignore (log_append st (Record.End { e_tid = tid }) : int);
-      fam.f_ended <- true);
+      log_end st fam);
   Site.spawn st.site ~name:"drop-locks" (fun () -> drop_local_locks st fam);
   Protocol.Committed
 

@@ -30,6 +30,8 @@ module Mutex = struct
     if not t.held then t.held <- true
     else Fiber.suspend (fun resume -> Ring.push t.waiters resume)
 
+  let locked t = t.held
+
   let unlock t =
     if not t.held then invalid_arg "Sync.Mutex.unlock: not locked";
     (* ownership passes directly to the woken waiter *)

@@ -16,6 +16,9 @@ module Mutex : sig
       @raise Invalid_argument if the mutex is not held. *)
   val unlock : t -> unit
 
+  (** Whether some fiber holds the mutex. *)
+  val locked : t -> bool
+
   (** [with_lock t f] is [f ()] bracketed by lock/unlock. *)
   val with_lock : t -> (unit -> 'a) -> 'a
 end

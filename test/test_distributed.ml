@@ -398,6 +398,163 @@ let test_nested_remote_child_commit () =
   settle c 2000.0;
   Alcotest.(check int) "child's remote write committed" 9 (peek c 1 "c")
 
+(* --- outcome markers ------------------------------------------------ *)
+
+(* Two sites built as [Camelot.Cluster.create] builds them, except that
+   the test owns the name-service directory: a probe endpoint listed as
+   site 2 receives every reply a site addresses to site 2. One
+   transaction from site 0 writes at both sites and commits under
+   [protocol] (aborts, when [veto], by site 1's no vote); once every
+   tail has run (End record, applied outcome, acks), the probe sends
+   [msg tid] to each site. Returns the printed replies, sorted, and each
+   site's status afterwards. *)
+let ask_finished ?(veto = false) ?(paxos_f = 0) ~protocol msg =
+  let model = quiet_model in
+  let eng = Engine.create () in
+  let rng = Rng.create ~seed:1 in
+  let lan = Camelot_net.Lan.create eng ~model ~rng:(Rng.split rng) in
+  let directory = Hashtbl.create 4 in
+  let config = fast_config () in
+  config.State.paxos_f <- paxos_f;
+  let node id =
+    let site = Camelot_mach.Site.create eng ~id ~model ~rng:(Rng.split rng) in
+    let log = Camelot_wal.Log.create site in
+    Camelot_wal.Log.start log ~flush_every:50.0;
+    let tm = Tranman.create site ~lan ~log ~directory ~config:(State.copy_config config) in
+    (site, tm, Data_server.create ~name:(Printf.sprintf "s%d" id) ~tranman:tm ~log ())
+  in
+  let _, tm0, srv0 = node 0 in
+  let site1, tm1, srv1 = node 1 in
+  let probe = Camelot_mach.Site.create eng ~id:2 ~model ~rng:(Rng.split rng) in
+  let replies = ref [] in
+  Hashtbl.replace directory 2
+    (Camelot_net.Lan.endpoint lan probe (fun m -> replies := m :: !replies));
+  let tid =
+    Fiber.run eng (fun () ->
+        let tid = Tranman.begin_transaction tm0 in
+        ignore
+          (Comm.call_local tm0 ~tid (fun () ->
+               Data_server.execute srv0 tid (Data_server.Write ("a", 1)))
+            : int);
+        ignore
+          (Comm.call_remote ~origin:tm0 ~tid ~server_site:site1 (fun () ->
+               Data_server.execute srv1 tid (Data_server.Write ("b", 2)))
+            : int);
+        if veto then Data_server.veto_next srv1 tid;
+        ignore (Tranman.commit tm0 ~protocol tid : Protocol.outcome);
+        tid)
+  in
+  Engine.run ~until:(Engine.now eng +. 2000.0) eng;
+  List.iter
+    (fun dst ->
+      Camelot_net.Lan.send lan ~src:probe (Hashtbl.find directory dst) (msg tid))
+    [ 0; 1 ];
+  Engine.run ~until:(Engine.now eng +. 2000.0) eng;
+  ( List.sort compare (List.map (Format.asprintf "%a" Protocol.pp) !replies),
+    List.map
+      (fun tm -> Format.asprintf "%a" Protocol.pp_status (Tranman.status tm tid))
+      [ tm0; tm1 ] )
+
+let prepare protocol tid =
+  Protocol.Prepare
+    {
+      m_tid = tid;
+      m_coordinator = 2;
+      m_protocol = protocol;
+      m_sites = [ 0; 1 ];
+      m_commit_quorum = (if protocol = Protocol.Nonblocking then 2 else 0);
+      m_acceptors = [];
+    }
+
+let outcome ?(o = Protocol.Committed) protocol tid =
+  Protocol.Outcome { m_tid = tid; m_from = 2; m_outcome = o; m_protocol = protocol }
+
+let inquiry tid = Protocol.Inquiry { m_tid = tid; m_from = 2 }
+
+(* Each row: what the probe sends both sites of a finished transaction,
+   and the replies and statuses it gets. A resolved family answers from
+   its marker, or, for a message that writes the family (a prepare, a
+   replication, an abort-quorum request), from the record rebuilt from
+   it. The expected values were recorded at the parent commit, where
+   every resolved family kept its whole record. *)
+let check_rows name ?veto protocol rows =
+  List.iter
+    (fun (what, msg, want_replies, want_status) ->
+      let replies, status = ask_finished ?veto ~protocol msg in
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: replies to %s" name what)
+        want_replies replies;
+      Alcotest.(check (list string))
+        (Printf.sprintf "%s: statuses after %s" name what)
+        want_status status)
+    rows
+
+let committed = [ "committed"; "committed" ]
+let status_replies s = [ "Status(T0.0 from=0 " ^ s ^ ")"; "Status(T0.0 from=1 " ^ s ^ ")" ]
+let acks = [ "OutcomeAck(T0.0 from=0)"; "OutcomeAck(T0.0 from=1)" ]
+
+let test_markers_2pc () =
+  let p = Protocol.Two_phase in
+  check_rows "2PC" p
+    [
+      ("prepare", prepare p, status_replies "committed", committed);
+      ("outcome", outcome p, acks, committed);
+      ("inquiry", inquiry, status_replies "committed", committed);
+    ];
+  let aborted = [ "aborted"; "aborted" ] in
+  check_rows "2PC aborted" ~veto:true p
+    [
+      ( "prepare",
+        prepare p,
+        [ "Vote(T0.0 from=0 no)"; "Vote(T0.0 from=1 no)" ],
+        aborted );
+      ("outcome", outcome ~o:Protocol.Aborted p, [], aborted);
+      ("inquiry", inquiry, status_replies "aborted", aborted);
+    ]
+
+let test_markers_short_commit () =
+  let p = Protocol.Short_commit in
+  check_rows "short-commit" p
+    [
+      ("prepare", prepare p, status_replies "committed", committed);
+      (* presumed commit: a commit notice is never acknowledged *)
+      ("outcome", outcome p, [], committed);
+      ("inquiry", inquiry, status_replies "committed", committed);
+    ]
+
+let test_markers_nonblocking () =
+  let p = Protocol.Nonblocking in
+  check_rows "non-blocking" p
+    [
+      ("prepare", prepare p, status_replies "committed", committed);
+      ("outcome", outcome p, acks, committed);
+      ("inquiry", inquiry, status_replies "committed", committed);
+      ( "replicate",
+        (fun tid ->
+          Protocol.Replicate
+            { m_tid = tid; m_coordinator = 2; m_sites = [ 0; 1 ]; m_update_sites = [ 0; 1 ] }),
+        [ "ReplicateAck(T0.0 from=0)"; "ReplicateAck(T0.0 from=1)" ],
+        committed );
+      ( "join-abort-quorum",
+        (fun tid -> Protocol.Join_abort_quorum { m_tid = tid; m_from = 2 }),
+        [ "Refused(T0.0 from=0 ok=false)"; "Refused(T0.0 from=1 ok=false)" ],
+        committed );
+    ]
+
+(* Paxos Commit families keep their record: with F = 1 both sites are
+   acceptors, and a recovery leader asking for a higher ballot after the
+   commit must still learn both instances' accepted yes votes. *)
+let test_paxos_acceptor_kept () =
+  let replies, status =
+    ask_finished ~paxos_f:1 ~protocol:Protocol.Paxos_commit (fun tid ->
+        Protocol.Paxos_prepare { m_tid = tid; m_from = 2; m_ballot = 5000 })
+  in
+  Alcotest.(check (list string))
+    "promises carry both accepted votes"
+    [ "PaxosPromise(T0.0 from=0 b=5000 n=2)"; "PaxosPromise(T0.0 from=1 b=5000 n=2)" ]
+    replies;
+  Alcotest.(check (list string)) "statuses" committed status
+
 let () =
   Alcotest.run "camelot_distributed"
     [
@@ -442,5 +599,14 @@ let () =
         [
           Alcotest.test_case "remote child abort" `Quick test_nested_remote_child_abort;
           Alcotest.test_case "remote child commit" `Quick test_nested_remote_child_commit;
+        ] );
+      ( "outcome_markers",
+        [
+          Alcotest.test_case "2PC markers answer as records did" `Quick test_markers_2pc;
+          Alcotest.test_case "short-commit markers answer as records did" `Quick
+            test_markers_short_commit;
+          Alcotest.test_case "non-blocking markers answer as records did" `Quick
+            test_markers_nonblocking;
+          Alcotest.test_case "Paxos acceptor record kept" `Quick test_paxos_acceptor_kept;
         ] );
     ]
