@@ -50,8 +50,9 @@ bench-compare:
 # Byte-for-byte comparison with another commit (~1 min on 2 cores):
 # builds BASE from `git archive` in a temporary directory and compares
 # stdout and exit status of `all`, `shootout --sites 4`, four chaos
-# runs, the 24 per-workload chaos runs and the five examples; exits 1
-# on any mismatch. Not part of `make check`.
+# runs, the 24 per-workload chaos runs, the five examples and the
+# benchmark's virtual metric lines at seeds 5 and 17; exits 1 on any
+# mismatch. Not part of `make check`.
 #   make parent-diff BASE=HEAD~1
 parent-diff:
 	@if [ -z "$(BASE)" ]; then echo "usage: make parent-diff BASE=<rev>" >&2; exit 2; fi

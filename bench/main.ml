@@ -35,13 +35,12 @@ let quick, json_path =
 (* Bechamel micro-benchmarks *)
 
 let bench_heap () =
-  let h = Camelot_sim.Heap.create () in
+  let module Heap = Camelot_sim.Engine.Heap in
+  let h = Heap.create () in
   for i = 0 to 999 do
-    Camelot_sim.Heap.push h ~priority:(float_of_int ((i * 7919) mod 1000)) ~seq:i i
+    Heap.push h ~priority:(float_of_int ((i * 7919) mod 1000)) ~seq:i i
   done;
-  let rec drain () =
-    match Camelot_sim.Heap.pop h with Some _ -> drain () | None -> ()
-  in
+  let rec drain () = match Heap.pop h with Some _ -> drain () | None -> () in
   drain ()
 
 let bench_rng () =

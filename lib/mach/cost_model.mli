@@ -86,5 +86,6 @@ val rt : t
 val vax : t
 
 (** The §4.1 RPC decomposition: labelled legs summing to
-    [remote_rpc_ms]. *)
+    [remote_rpc_ms], in path order. [Rpc.call_remote ~legs] reports its
+    measured legs under these labels. *)
 val rpc_legs : t -> (string * float) list

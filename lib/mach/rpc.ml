@@ -33,49 +33,57 @@ let fail callee reason =
   Fiber.sleep rpc_timeout_ms;
   raise (Rpc_failure { callee; reason })
 
-(* One timed leg; returns its measured duration. *)
-let leg site charge =
-  let start = Engine.now (Site.engine site) in
-  charge ();
-  Engine.now (Site.engine site) -. start
-
-let call_remote_accounted ~client ~server handler =
+(* Half the NetMsgServer-to-NetMsgServer leg, with its jitter. *)
+let half_wire client =
   let model = Site.model client in
-  let open Cost_model in
+  let jitter = Rng.exponential (Site.rng client) ~mean:model.Cost_model.rpc_jitter_ms in
+  Fiber.sleep ((model.Cost_model.netmsg_rpc_ms /. 2.0) +. (jitter /. 2.0))
+
+(* The clock, read only for a caller that asked for the legs. *)
+let stamp legs site =
+  match legs with None -> 0.0 | Some _ -> Engine.now (Site.engine site)
+
+let call_remote ?legs ~client ~server handler =
+  let model = Site.model client in
   if not (Site.alive server) then fail (Site.id server) "server site down";
   let incarnation = Site.incarnation server in
-  let half_wire () =
-    let jitter = Rng.exponential (Site.rng client) ~mean:model.rpc_jitter_ms in
-    Fiber.sleep ((model.netmsg_rpc_ms /. 2.0) +. (jitter /. 2.0))
-  in
-  let t_client_ipc = leg client (fun () -> Site.cpu_use client model.comman_ipc_ms) in
-  let t_client_cpu = leg client (fun () -> Site.cpu_use client model.comman_cpu_ms) in
-  let wire_start = Engine.now (Site.engine client) in
-  half_wire ();
+  let start = stamp legs client in
+  Site.cpu_use client model.Cost_model.comman_ipc_ms;
+  let client_ipc_done = stamp legs client in
+  Site.cpu_use client model.Cost_model.comman_cpu_ms;
+  let wire_start = stamp legs client in
+  half_wire client;
   if (not (Site.alive server)) || Site.incarnation server <> incarnation then
     fail (Site.id server) "server crashed before processing";
-  let t_server_cpu = leg server (fun () -> Site.cpu_use server model.comman_cpu_ms) in
-  let t_server_ipc = leg server (fun () -> Site.cpu_use server model.comman_ipc_ms) in
-  let handler_start = Engine.now (Site.engine server) in
+  let arrived = stamp legs server in
+  Site.cpu_use server model.Cost_model.comman_cpu_ms;
+  let server_cpu_done = stamp legs server in
+  Site.cpu_use server model.Cost_model.comman_ipc_ms;
+  let handler_start = stamp legs server in
   let result = handler () in
-  let t_handler = Engine.now (Site.engine server) -. handler_start in
+  let handler_done = stamp legs server in
   if (not (Site.alive server)) || Site.incarnation server <> incarnation then
     fail (Site.id server) "server crashed before reply";
-  half_wire ();
-  let t_wire =
-    Engine.now (Site.engine client)
-    -. wire_start -. t_server_cpu -. t_server_ipc -. t_handler
-  in
-  let legs =
-    [
-      ("client CornMan<->NetMsgServer IPC", t_client_ipc);
-      ("client CornMan CPU", t_client_cpu);
-      ("NetMsgServer-to-NetMsgServer RPC", t_wire);
-      ("server CornMan CPU", t_server_cpu);
-      ("server CornMan<->NetMsgServer IPC", t_server_ipc);
-    ]
-  in
-  (result, legs)
-
-let call_remote ~client ~server handler =
-  fst (call_remote_accounted ~client ~server handler)
+  half_wire client;
+  (match legs with
+  | None -> ()
+  | Some leg ->
+      let t_server_cpu = server_cpu_done -. arrived in
+      let t_server_ipc = handler_start -. server_cpu_done in
+      (* the wire is what the client waited beyond the server's legs and
+         the handler *)
+      let t_wire =
+        stamp legs client -. wire_start -. t_server_cpu -. t_server_ipc
+        -. (handler_done -. handler_start)
+      in
+      List.iter2
+        (fun (label, _) ms -> leg label ms)
+        (Cost_model.rpc_legs model)
+        [
+          client_ipc_done -. start;
+          wire_start -. client_ipc_done;
+          t_wire;
+          t_server_cpu;
+          t_server_ipc;
+        ]);
+  result

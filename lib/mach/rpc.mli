@@ -35,11 +35,17 @@ val call_local : Site.t -> (unit -> 'a) -> 'a
 (** [call_remote ~client ~server handler] performs a full remote RPC,
     running [handler] on the calling fiber between the request and
     reply legs.
+    @param legs receives the latency accounting of §4.1 once the reply
+    is back: [legs label ms] for each leg, in the order and with the
+    labels of {!Cost_model.rpc_legs}, [ms] the leg's measured duration
+    (queueing for a CPU included; the handler's own time in none). The
+    legs sum to the call's elapsed time. Only a call given [legs] reads
+    the clock.
     @raise Rpc_failure if [server] is dead at request time or crashes
     before the reply is sent. *)
-val call_remote : client:Site.t -> server:Site.t -> (unit -> 'a) -> 'a
-
-(** As {!call_remote}, also returning the per-leg latency accounting of
-    §4.1 (labels match {!Cost_model.rpc_legs}). *)
-val call_remote_accounted :
-  client:Site.t -> server:Site.t -> (unit -> 'a) -> 'a * (string * float) list
+val call_remote :
+  ?legs:(string -> float -> unit) ->
+  client:Site.t ->
+  server:Site.t ->
+  (unit -> 'a) ->
+  'a

@@ -57,6 +57,6 @@ let after t ~delay f =
   Engine.schedule_timer t.eng ~delay (fun () ->
       if t.alive && t.incarnation = incarnation then f ())
 
-let cpu_use t ms = if ms > 0.0 then ignore (Sync.Resource.use t.cpu ~duration:ms : float)
+let cpu_use t ms = if ms > 0.0 then Sync.Resource.use t.cpu ~duration:ms
 
 let cpu t = t.cpu

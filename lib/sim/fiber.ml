@@ -9,24 +9,20 @@ let () =
         Some (Printf.sprintf "Fiber.Died(%S, %s)" name (Printexc.to_string e))
     | _ -> None)
 
-(* One record per suspension: the continuation, whether it has been
-   resumed yet, the fiber's group registration ([detached] when it has
-   none) and the result the continuation will receive. The resumer is
-   both what wait queues hold and what the group's list holds, so a wait
-   allocates no closures. *)
-type 'a resumer = {
-  ctx : context;
-  k : ('a, unit) Effect.Deep.continuation;
-  mutable fired : bool;
-  mutable link : link;
-  mutable result : ('a, exn) result;
-}
+(* A resumer is the fiber's [Engine.Wait] block: the continuation, the
+   result it will resume with, the sequence number of its queued
+   resumption and its links in the fiber's group. Wait queues hold it,
+   the engine queues it for its wake-up and the group lists it, so a
+   wait allocates one block and no closure. The type parameter is the
+   continuation's: a resumer of an ['a] suspension holds a continuation
+   that takes an ['a]. *)
+type 'a resumer = Engine.event
 
 (* Per-fiber state. The effect handler parks an effect's payload here
    ([delay], [parked]) and returns this fiber's handler for that effect,
    built on first use and reused for every later one, so performing an
    effect allocates no closure. *)
-and context = {
+type context = {
   ctx_engine : Engine.t;
   ctx_group : group option;
   mutable delay : float;
@@ -42,39 +38,14 @@ and any_handler = {
   h : 'b. (('b, unit) Effect.Deep.continuation -> unit) option;
 }
 
-(* A group's registrations form a circular doubly linked list through
-   [head], in registration order, so joining and leaving cost a few
-   pointer writes and no hashing. An unlinked node points at itself. *)
+(* A group's registrations (the waits of its blocked fibers and the
+   hooks [Group.register] adds) form a circular doubly linked list of
+   engine nodes through [head], in registration order, so joining and
+   leaving cost a few pointer writes and no hashing. *)
 and group = {
   mutable killed : bool;
-  head : link;
+  head : Engine.event;
 }
-
-and link = {
-  mutable prev : link;
-  mutable next : link;
-  hook : hook;
-}
-
-and hook = Hook of (unit -> unit) | Waiting : 'a resumer -> hook | Sentinel
-
-let self_linked () =
-  let rec n = { prev = n; next = n; hook = Sentinel } in
-  n
-
-(* The link of a resumer outside any group, or whose wait has ended: a
-   fired resumer that a wait queue still holds keeps no node alive. It
-   is never written ([unlink] reads a self-link and stops), so every
-   domain may share it. *)
-let detached = self_linked ()
-
-let unlink n =
-  if n.next != n then begin
-    n.prev.next <- n.next;
-    n.next.prev <- n.prev;
-    n.prev <- n;
-    n.next <- n
-  end
 
 let cancelled = Error Cancelled
 
@@ -82,85 +53,89 @@ let ok_unit = Ok ()
 
 let nothing = Obj.repr ()
 
-let resume_now r =
-  let result = r.result in
-  r.result <- cancelled;
-  match result with
-  | Ok v -> Effect.Deep.continue r.k v
-  | Error e -> Effect.Deep.discontinue r.k e
+(* Fire at most once: the engine unlinks the wait from its group and
+   queues its resumption, so the current event runs to completion
+   first. *)
+let resume (type a) (r : a resumer) (result : (a, exn) result) =
+  match r with
+  | Engine.Wait w when w.resumption < 0 ->
+      (* [r] was built around a continuation that takes an [a] *)
+      w.result <- Obj.magic result;
+      Engine.resume r
+  | Engine.Wait _ | Engine.Call _ | Engine.Timer _ | Engine.Hook _ -> ()
 
-(* Fire at most once, unregister from the group, and continue through
-   the event queue so the current event runs to completion first. *)
-let resume r result =
-  if not r.fired then begin
-    r.fired <- true;
-    unlink r.link;
-    r.link <- detached;
-    r.result <- result;
-    Engine.schedule_apply r.ctx.ctx_engine ~delay:0.0 resume_now r
-  end
-
-let is_pending r = not r.fired
+let is_pending = function
+  | Engine.Wait w -> w.resumption < 0
+  | Engine.Call _ | Engine.Timer _ | Engine.Hook _ -> false
 
 module Group = struct
   type t = group
 
-  type handle = link
+  type handle = Engine.event
 
-  let create () = { killed = false; head = self_linked () }
+  let create () =
+    let rec head = Engine.Hook { prev = head; next = head; fn = ignore } in
+    { killed = false; head }
 
   let killed t = t.killed
 
   (* Two walks in registration order. The group's own blocked fibers
      are cancelled first, so a member waiting on a reply from its own
      group dies of [Cancelled] rather than of a hook meant for outsiders.
-     Cancelling only unlinks the resumer's own node, and nothing joins a
+     Cancelling only unlinks the wait itself, and nothing joins a
      killed group, so the second walk finds just the hooks. *)
   let kill t =
     if not t.killed then begin
       t.killed <- true;
-      let n = ref t.head.next in
+      let n = ref (Engine.next t.head) in
       while !n != t.head do
-        let next = !n.next in
-        (match !n.hook with
-        | Waiting r -> resume r cancelled
-        | Hook _ | Sentinel -> ());
+        let next = Engine.next !n in
+        (match !n with
+        | Engine.Wait _ -> resume !n cancelled
+        | Engine.Hook _ | Engine.Call _ | Engine.Timer _ -> ());
         n := next
       done;
-      while t.head.next != t.head do
-        let n = t.head.next in
-        unlink n;
-        match n.hook with Hook f -> f () | Waiting _ | Sentinel -> ()
+      while Engine.next t.head != t.head do
+        let n = Engine.next t.head in
+        Engine.unlink n;
+        match n with
+        | Engine.Hook h -> h.fn ()
+        | Engine.Wait _ | Engine.Call _ | Engine.Timer _ -> ()
       done
     end
 
-  let add t hook =
-    let head = t.head in
-    let n = { prev = head.prev; next = head; hook } in
-    head.prev.next <- n;
-    head.prev <- n;
-    n
+  let register t fn =
+    if t.killed then Engine.detached
+    else begin
+      let n = Engine.Hook { prev = Engine.detached; next = Engine.detached; fn } in
+      Engine.append ~head:t.head n;
+      n
+    end
 
-  let register t f = if t.killed then detached else add t (Hook f)
-
-  let unregister = unlink
+  let unregister = Engine.unlink
 end
 
-(* A fresh resumer joins the fiber's group, or is cancelled at once if
-   the group is already dead. *)
-let make_resumer ctx k =
-  let r = { ctx; k; fired = false; link = detached; result = cancelled } in
+(* A fresh wait joins the fiber's group, or is cancelled at once if the
+   group is already dead. [result] is what an expiry resumes it with. *)
+let wait ctx k result =
+  let w =
+    Engine.Wait
+      {
+        eng = ctx.ctx_engine;
+        k;
+        result;
+        resumption = -1;
+        prev = Engine.detached;
+        next = Engine.detached;
+      }
+  in
   (match ctx.ctx_group with
-  | Some g when not g.killed -> r.link <- Group.add g (Waiting r)
-  | Some _ -> resume r cancelled
+  | Some g when not g.killed -> Engine.append ~head:g.head w
+  | Some _ -> resume w cancelled
   | None -> ());
-  r
+  w
 
-let wake r = resume r ok_unit
-
-let on_sleep ctx k =
-  let r = make_resumer ctx k in
-  Engine.schedule_apply ctx.ctx_engine ~delay:ctx.delay wake r
+let on_sleep ctx k = Engine.expire ctx.ctx_engine ~delay:ctx.delay (wait ctx k ok_unit)
 
 let on_suspend (type a) ctx (k : (a, unit) Effect.Deep.continuation) =
   (* [parked] holds the [Suspend] payload whose continuation this is,
@@ -168,7 +143,7 @@ let on_suspend (type a) ctx (k : (a, unit) Effect.Deep.continuation) =
      elements) because one handler serves every result type *)
   let register : a resumer -> unit = Obj.obj ctx.parked in
   ctx.parked <- nothing;
-  register (make_resumer ctx k)
+  register (wait ctx k cancelled)
 
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t

@@ -12,9 +12,10 @@
     site crashes are modelled.
 
     Blocking is the simulator's hottest path, so it allocates no
-    closures: a [sleep] or [suspend] costs one resumer record (plus the
-    group registration and the engine events that carry the wake-up),
-    and each fiber builds its effect handlers once. *)
+    closures: a [sleep] or [suspend] costs one block, its resumer,
+    which is also the engine event that carries its wake-up and its
+    node in its group's registrations ({!Engine.Wait}), and each fiber
+    builds its effect handlers once. *)
 
 (** Raised inside a fiber when its group is killed while it is blocked. *)
 exception Cancelled

@@ -97,7 +97,6 @@ module Resource = struct
   type busy = { mutable busy : float }
 
   type t = {
-    eng : Engine.t;
     servers : int;
     sem : Semaphore.t;
     busy_time : busy;
@@ -105,10 +104,9 @@ module Resource = struct
     mutable waiting : int;
   }
 
-  let create ?(servers = 1) eng =
+  let create ?(servers = 1) (_ : Engine.t) =
     if servers <= 0 then invalid_arg "Sync.Resource.create: servers must be positive";
     {
-      eng;
       servers;
       sem = Semaphore.create servers;
       busy_time = { busy = 0.0 };
@@ -118,14 +116,12 @@ module Resource = struct
 
   let use t ~duration =
     if duration < 0.0 then invalid_arg "Sync.Resource.use: negative duration";
-    let entered = Engine.now t.eng in
     t.waiting <- t.waiting + 1;
     (try Semaphore.acquire t.sem
      with e ->
        t.waiting <- t.waiting - 1;
        raise e);
     t.waiting <- t.waiting - 1;
-    let waited = Engine.now t.eng -. entered in
     (* release the server even if the holder's site crashes mid-use *)
     (try Fiber.sleep duration
      with e ->
@@ -133,8 +129,7 @@ module Resource = struct
        raise e);
     t.busy_time.busy <- t.busy_time.busy +. duration;
     t.completions <- t.completions + 1;
-    Semaphore.release t.sem;
-    waited
+    Semaphore.release t.sem
 
   let servers t = t.servers
   let in_use t = t.servers - Semaphore.available t.sem

@@ -56,9 +56,10 @@ module Resource : sig
   (** @param servers number of identical servers (default 1). *)
   val create : ?servers:int -> Engine.t -> t
 
-  (** Occupy the resource for [duration] ms (after queueing). Returns
-      the time spent waiting in the queue. *)
-  val use : t -> duration:float -> float
+  (** Occupy the resource for [duration] ms (after queueing). A caller
+      that wants the queueing delay reads the clock around the call;
+      [use] reads it not at all, so it boxes no float. *)
+  val use : t -> duration:float -> unit
 
   val servers : t -> int
 

@@ -23,7 +23,7 @@ type 'a t = {
   mutable writing : bool;
   policy : policy;
   (* daemon state *)
-  waiters : unit Fiber.resumer Heap.t;  (* min-heap keyed by target LSN *)
+  waiters : unit Fiber.resumer Engine.Heap.t;  (* min-heap keyed by target LSN *)
   mutable waiter_seq : int;
   kick : unit Mailbox.t;  (* foreground -> controller *)
   wkick : unit Mailbox.t;  (* controller -> writer *)
@@ -55,7 +55,7 @@ let create ?(policy = Unbatched) site =
     durable = -1;
     writing = false;
     policy;
-    waiters = Heap.create ();
+    waiters = Engine.Heap.create ();
     waiter_seq = 0;
     kick = Mailbox.create eng;
     wkick = Mailbox.create eng;
@@ -118,9 +118,11 @@ let note_batch t ~target =
    on them is a no-op. *)
 let wake_waiters t =
   let rec drain () =
-    if (not (Heap.is_empty t.waiters)) && Heap.min_priority t.waiters <= float_of_int t.durable
+    if
+      (not (Engine.Heap.is_empty t.waiters))
+      && Engine.Heap.min_priority t.waiters <= float_of_int t.durable
     then begin
-      Fiber.resume (Heap.pop_exn t.waiters) (Ok ());
+      Fiber.resume (Engine.Heap.pop_exn t.waiters) (Ok ());
       drain ()
     end
   in
@@ -134,7 +136,7 @@ let wake_waiters t =
 let disk_write_to t ~target =
   let site = t.site in
   let inc = Camelot_mach.Site.incarnation site in
-  ignore (Sync.Resource.use t.disk ~duration:(force_ms t) : float);
+  Sync.Resource.use t.disk ~duration:(force_ms t);
   if Camelot_mach.Site.alive site && Camelot_mach.Site.incarnation site = inc
   then begin
     t.disk_writes <- t.disk_writes + 1;
@@ -186,7 +188,7 @@ let park t ~target =
   Fiber.suspend (fun r ->
       let seq = t.waiter_seq in
       t.waiter_seq <- seq + 1;
-      Heap.push t.waiters ~priority:(float_of_int target) ~seq r;
+      Engine.Heap.push t.waiters ~priority:(float_of_int target) ~seq r;
       if target > t.force_hi then begin
         t.force_hi <- target;
         Mailbox.send t.kick ()
@@ -298,7 +300,7 @@ let crash t =
   t.writing <- false;
   (* daemon state: parked waiters died with their fibers; volatile
      serialization work is gone *)
-  Heap.clear t.waiters;
+  Engine.Heap.clear t.waiters;
   Mailbox.clear t.kick;
   Mailbox.clear t.wkick;
   t.serialized <- t.durable;
@@ -333,7 +335,7 @@ let rec wait_durable t lsn =
         Fiber.suspend (fun r ->
             let seq = t.waiter_seq in
             t.waiter_seq <- seq + 1;
-            Heap.push t.waiters ~priority:(float_of_int lsn) ~seq r);
+            Engine.Heap.push t.waiters ~priority:(float_of_int lsn) ~seq r);
         wait_durable t lsn
     | Unbatched | Group_commit _ ->
         Sync.Mutex.lock t.cond_mutex;

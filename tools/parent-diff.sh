@@ -1,13 +1,18 @@
 #!/bin/sh
 # Byte-for-byte comparison of this tree's transcripts with those of
 # another commit: builds BASE from `git archive` in a temporary
-# directory, runs the same camelot_sim commands and examples in both
-# builds, and compares stdout and exit status. Prints each mismatch and
-# exits 1 if there is any, 0 if every run is identical.
+# directory, runs the same camelot_sim commands, examples and
+# benchmark runs in both builds, and compares stdout and exit status.
+# Prints each mismatch and exits 1 if there is any, 0 if every run is
+# identical.
 #
 #   sh tools/parent-diff.sh BASE      (or: make parent-diff BASE=<rev>)
 #
 # The chaos workloads are the ones test/golden/dune runs one by one.
+# The benchmark runs every workload at smoke scale, traced, on the rigs
+# it builds itself (24 dispatcher sites, the Adaptive logger, unbatched
+# 8-site 2PC fan-out); only its virtual metric lines are compared, since
+# its wall-clock and heap lines differ from run to run.
 set -u
 base=${1:?usage: sh tools/parent-diff.sh BASE}
 tmp=$(mktemp -d "${TMPDIR:-/tmp}/parent-diff.XXXXXX")
@@ -15,7 +20,7 @@ trap 'rm -rf "$tmp"' EXIT INT TERM
 mkdir "$tmp/base"
 git archive "$base" | tar xf - -C "$tmp/base" || exit 2
 examples="quickstart bank_transfer nested_travel nonblocking_failover blocked_operator"
-targets="bin/camelot_sim.exe"
+targets="bin/camelot_sim.exe benchmark/camelot_bench.exe"
 for ex in $examples; do targets="$targets examples/$ex.exe"; done
 echo "parent-diff: building $base and this tree" >&2
 # shellcheck disable=SC2086
@@ -25,15 +30,19 @@ dune build --root . $targets >&2 || exit 2
 
 runs=0
 mismatches=0
-# compare NAME EXE-RELATIVE-PATH ARGS...
+# compare NAME FILTER EXE-RELATIVE-PATH ARGS...: FILTER (a command
+# reading stdin) picks the part of stdout that is compared
 compare() {
   name=$1
-  exe=$2
-  shift 2
-  (cd "$tmp/base" && "./_build/default/$exe" "$@") >"$tmp/old.out" 2>/dev/null
+  filter=$2
+  exe=$3
+  shift 3
+  (cd "$tmp/base" && "./_build/default/$exe" "$@") >"$tmp/old.raw" 2>/dev/null
   old_status=$?
-  "./_build/default/$exe" "$@" >"$tmp/new.out" 2>/dev/null
+  "./_build/default/$exe" "$@" >"$tmp/new.raw" 2>/dev/null
   new_status=$?
+  $filter <"$tmp/old.raw" >"$tmp/old.out"
+  $filter <"$tmp/new.raw" >"$tmp/new.out"
   runs=$((runs + 1))
   if [ "$old_status" -ne "$new_status" ] || ! cmp -s "$tmp/old.out" "$tmp/new.out"; then
     mismatches=$((mismatches + 1))
@@ -42,7 +51,14 @@ compare() {
   fi
 }
 
-sim() { compare "camelot_sim $*" bin/camelot_sim.exe "$@"; }
+sim() { compare "camelot_sim $*" cat bin/camelot_sim.exe "$@"; }
+
+virtual_lines() { grep ' virtual'; }
+
+bench() {
+  compare "camelot_bench $* (virtual lines)" virtual_lines \
+    benchmark/camelot_bench.exe "$@"
+}
 
 sim all
 sim shootout --sites 4
@@ -56,7 +72,10 @@ for w in $(sed -n 's/.*--workload \([a-z0-9-]*\).*/\1/p' test/golden/dune); do
   done
 done
 for ex in $examples; do
-  compare "examples/$ex" "examples/$ex.exe"
+  compare "examples/$ex" cat "examples/$ex.exe"
+done
+for s in 5 17; do
+  bench --workload all --scale smoke --seed "$s" --trace 1
 done
 
 echo "parent-diff: $runs runs against $base, $mismatches mismatched"
