@@ -203,7 +203,15 @@ let run_schedule ?(mutate_config = fun (_ : State.config) -> ()) (s : Schedule.t
   in
   Camelot_chaos.attach ~on_hit ~on_note ~crash;
   let txns_cell = ref [] in
-  Fun.protect ~finally:Camelot_chaos.detach (fun () ->
+  (* a fiber that dies stops the run where it stands: the oracles
+     cannot judge a half-run schedule, so the death is the finding *)
+  let run_to_verdict body =
+    Fun.protect ~finally:Camelot_chaos.detach (fun () ->
+        try body ()
+        with Camelot_sim.Fiber.Died (name, e) ->
+          violations := !violations @ [ Oracle.died name e ])
+  in
+  run_to_verdict (fun () ->
       Camelot_sim.Fiber.run (Camelot.Cluster.engine c) (fun () ->
           (* phase 1: the workload, until every transaction resolved,
              skipped, or dead with its crashed site *)

@@ -37,6 +37,10 @@ let pp_violation ppf x = Format.fprintf ppf "[%s] %s" x.v_oracle x.v_detail
    the oracle name in one place. *)
 let ac5 fmt = v "ac5-liveness" fmt
 
+(* A fiber that raised stopped the run ([Fiber.Died]): a finding in
+   itself, whatever the other oracles would have said. *)
+let died name e = v "died" "fiber %s: %s" name (Printexc.to_string e)
+
 (* --- per-site durable-log facts ---------------------------------- *)
 
 (* First durable LSN of each protocol record kind for one top-level
@@ -93,10 +97,10 @@ let facts_of_log log =
               let f = get im.Record.fi_tid in
               if im.Record.fi_prepared && f.prepare_at < 0 then f.prepare_at <- lsn;
               (match im.Record.fi_quorum with
-              | Record.Fq_none -> ()
-              | Record.Fq_commit ->
+              | Record.Q_none -> ()
+              | Record.Q_commit ->
                   if f.replication_at < 0 then f.replication_at <- lsn
-              | Record.Fq_abort -> if f.refusal_at < 0 then f.refusal_at <- lsn);
+              | Record.Q_abort -> if f.refusal_at < 0 then f.refusal_at <- lsn);
               (match im.Record.fi_outcome with
               | Some Protocol.Committed ->
                   if f.commit_at < 0 then f.commit_at <- lsn

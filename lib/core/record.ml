@@ -6,9 +6,9 @@ type update = {
   u_new : int;
 }
 
-(* mirror of State.quorum_side, duplicated so the record type does not
-   depend on the transaction manager's internals *)
-type quorum_flag = Fq_none | Fq_commit | Fq_abort
+(* which quorum a site joined for a non-blocking transaction; the
+   family descriptor reads the same type ([State.quorum_side]) *)
+type quorum_side = Q_none | Q_commit | Q_abort
 
 (* Everything a checkpoint must remember about a live family so that a
    recovery starting at the checkpoint (instead of LSN 0) reconstructs
@@ -19,7 +19,7 @@ type family_image = {
   fi_prepared : bool;
   fi_sites : Camelot_mach.Site.id list;
   fi_update_sites : Camelot_mach.Site.id list;
-  fi_quorum : quorum_flag;
+  fi_quorum : quorum_side;
   fi_outcome : Protocol.outcome option;
   fi_servers : string list;
   fi_ended : bool;

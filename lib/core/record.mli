@@ -33,10 +33,11 @@ type update = {
   u_new : int;
 }
 
-(** Which quorum a checkpointed family had joined (mirror of
-    [State.quorum_side], kept separate so records do not depend on the
-    transaction manager's internals). *)
-type quorum_flag = Fq_none | Fq_commit | Fq_abort
+(** Which quorum a site has joined for a non-blocking transaction
+    (§3.3 change 4: never both): what a family's [Replication] or
+    [Refusal] record says, carried by its checkpoint image and by the
+    live family descriptor ([State.quorum_side] re-exports it). *)
+type quorum_side = Q_none | Q_commit | Q_abort
 
 (** Protocol state of one family still live at checkpoint time, so a
     recovery that starts its scan at the checkpoint — after the records
@@ -48,7 +49,7 @@ type family_image = {
   fi_prepared : bool;
   fi_sites : Camelot_mach.Site.id list;
   fi_update_sites : Camelot_mach.Site.id list;
-  fi_quorum : quorum_flag;
+  fi_quorum : quorum_side;
   fi_outcome : Protocol.outcome option;
   fi_servers : string list;
   fi_ended : bool;

@@ -106,8 +106,9 @@ type member = {
 type role = Coordinator | Subordinate
 
 (* Which quorum this site has joined for a non-blocking transaction
-   (change 4 of §3.3: never both). *)
-type quorum_side = Q_none | Q_commit | Q_abort
+   (change 4 of §3.3: never both); a checkpoint image carries it as
+   is. *)
+type quorum_side = Record.quorum_side = Q_none | Q_commit | Q_abort
 
 type family = {
   f_root : Tid.t;
@@ -132,9 +133,10 @@ type family = {
   mutable f_acks_pending : Site.id list;  (* coordinator: commit-acks awaited *)
   mutable f_ended : bool;  (* an End record was written: nothing more to do *)
   mutable f_watchdog : Engine.timer;
-      (* the prepared subordinate's inquiry or takeover timer;
-         [Engine.no_timer] until armed and again once resolved *)
-  mutable f_orphan_watch : Engine.timer;  (* the unprepared one's inquiry timer *)
+      (* a subordinate's one protocol timer while it waits for its
+         coordinator: the orphan inquiry until it prepares, then the
+         inquiry or takeover timer; [Engine.no_timer] until armed and
+         again once resolved *)
   mutable f_acceptors : Site.id list;  (* paxos: the 2F+1 acceptor set *)
   mutable f_pax_ballot : int;
       (* paxos acceptor: highest ballot promised or accepted; 0 is the
@@ -245,7 +247,6 @@ let blank_family ~root ~role ~protocol =
     f_acks_pending = [];
     f_ended = false;
     f_watchdog = Engine.no_timer;
-    f_orphan_watch = Engine.no_timer;
     f_acceptors = [];
     f_pax_ballot = 0;
     f_pax_accepted = [];
@@ -418,6 +419,17 @@ let send_piggybacked st ~dst msg =
         tracef st "send" "-> %d (piggyback): %a" dst Protocol.pp msg;
       Camelot_net.Lan.send_piggybacked st.lan ~src:st.site ep msg
 
+(* The notice of a family's outcome, from this site: the message every
+   coordinator, original or takeover, sends its subordinates. *)
+let outcome_notice st fam outcome =
+  Protocol.Outcome
+    {
+      m_tid = fam.f_root;
+      m_from = me st;
+      m_outcome = outcome;
+      m_protocol = fam.f_protocol;
+    }
+
 (* Coordinator fan-out: one multicast or a serialized train of unicasts
    — the §4.2/§6 experimental knob. *)
 let fan_out st ~dsts msg =
@@ -481,44 +493,32 @@ let vote_local_servers st fam =
     (Protocol.Vote_yes { read_only = true })
     fam.f_servers
 
-(* Tell every joined local server to drop the family's locks (Figure 1,
-   step 11: a one-way message each). *)
-let drop_local_locks st fam =
-  let tid = fam.f_root in
+(* One one-way message to every joined local server, naming [tid]:
+   [call] picks the callback it invokes. *)
+let tell_local_servers st fam tid call =
   List.iter
     (fun name ->
       match server_callbacks st name with
       | None -> ()
       | Some cb ->
           Rpc.oneway_ipc st.site;
-          cb.sv_commit tid)
+          call cb tid)
     fam.f_servers
+
+(* Tell every joined local server to drop the family's locks (Figure 1,
+   step 11). *)
+let drop_local_locks st fam =
+  tell_local_servers st fam fam.f_root (fun cb -> cb.sv_commit)
 
 (* Short-commit early release: drop the family's locks at every joined
    local server while keeping undo information (the decision is still
    out; an abort must still restore). *)
 let release_local_locks st fam =
-  let tid = fam.f_root in
-  List.iter
-    (fun name ->
-      match server_callbacks st name with
-      | None -> ()
-      | Some cb ->
-          Rpc.oneway_ipc st.site;
-          cb.sv_release tid)
-    fam.f_servers
+  tell_local_servers st fam fam.f_root (fun cb -> cb.sv_release)
 
 (* Undo the family's local effects. *)
 let abort_local st fam =
-  let tid = fam.f_root in
-  List.iter
-    (fun name ->
-      match server_callbacks st name with
-      | None -> ()
-      | Some cb ->
-          Rpc.oneway_ipc st.site;
-          cb.sv_abort tid)
-    fam.f_servers
+  tell_local_servers st fam fam.f_root (fun cb -> cb.sv_abort)
 
 (* ------------------------------------------------------------------ *)
 (* Status *)
@@ -548,12 +548,9 @@ let resolve_family st fam outcome =
     (match outcome with
     | Protocol.Committed -> st.stats.n_committed <- st.stats.n_committed + 1
     | Protocol.Aborted -> st.stats.n_aborted <- st.stats.n_aborted + 1);
-    (* a resolved family parks nothing: its watchdogs are disarmed *)
-    let eng = engine st in
-    Engine.cancel eng fam.f_watchdog;
+    (* a resolved family parks nothing: its timer is disarmed *)
+    Engine.cancel (engine st) fam.f_watchdog;
     fam.f_watchdog <- Engine.no_timer;
-    Engine.cancel eng fam.f_orphan_watch;
-    fam.f_orphan_watch <- Engine.no_timer;
     if tracing st then
       tracef st "txn" "%a resolved: %a" Tid.pp fam.f_root Protocol.pp_outcome
         outcome

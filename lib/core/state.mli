@@ -81,8 +81,9 @@ type member = {
 type role = Coordinator | Subordinate
 
 (** Which quorum this site joined for a non-blocking transaction
-    (§3.3 change 4: never both). *)
-type quorum_side = Q_none | Q_commit | Q_abort
+    (§3.3 change 4: never both); {!Record.quorum_side}, which a
+    checkpoint image carries. *)
+type quorum_side = Record.quorum_side = Q_none | Q_commit | Q_abort
 
 (** The family descriptor (§3.4): one per transaction family known at
     this site, with its own lock. The lock and the members table are
@@ -110,15 +111,14 @@ type family = {
       (** an End record was written: no acknowledgement is outstanding,
           and {!log_end} has compacted the family *)
   mutable f_watchdog : Engine.timer;
-      (** a prepared subordinate's protocol timeout: the 2PC and
-          short-commit inquiry timer, or the non-blocking and Paxos
-          takeover timer ({!Subordinate.start_inquiry_watchdog},
-          {!Subordinate.start_takeover_watchdog}). [Engine.no_timer]
-          until armed; {!resolve_family} cancels it and resets it. *)
-  mutable f_orphan_watch : Engine.timer;
-      (** a joined but unprepared subordinate's orphan-inquiry timer
-          ({!Subordinate.start_orphan_watchdog}); [Engine.no_timer]
-          until armed, cancelled and reset by {!resolve_family} *)
+      (** a subordinate's one protocol timer, for its one wait for the
+          coordinator: the orphan inquiry while joined but unprepared,
+          then, from prepare (or restart), the 2PC and short-commit
+          inquiry or the non-blocking and Paxos takeover
+          ({!Subordinate.inquire_every},
+          {!Subordinate.start_takeover_watchdog}). Arming at prepare
+          or restart cancels what it held. [Engine.no_timer] until
+          armed; {!resolve_family} cancels it and resets it. *)
   mutable f_acceptors : Site.id list;  (** paxos: the 2F+1 acceptor set *)
   mutable f_pax_ballot : int;
       (** paxos acceptor: highest promised/accepted ballot (0 = the
@@ -265,6 +265,10 @@ val send_piggybacked : t -> dst:Site.id -> Protocol.t -> unit
 (** Serialized unicasts, or one multicast when configured. *)
 val fan_out : t -> dsts:Site.id list -> Protocol.t -> unit
 
+(** [outcome_notice st fam o]: the [Outcome] message announcing [o]
+    for [fam] from this site, under the family's protocol. *)
+val outcome_notice : t -> family -> Protocol.outcome -> Protocol.t
+
 val register_waiter : t -> Tid.t -> Protocol.t Mailbox.t
 val unregister_waiter : t -> Tid.t -> unit
 val waiter : t -> Tid.t -> Protocol.t Mailbox.t option
@@ -280,6 +284,12 @@ val server_callbacks : t -> string -> server_callbacks option
 
 (** Combined vote of every joined local server (one IPC each). *)
 val vote_local_servers : t -> family -> Protocol.vote
+
+(** [tell_local_servers st fam tid call] sends every local server
+    that joined [fam] one one-way message (one IPC each) and runs
+    [call cb tid] with its callbacks [cb]. *)
+val tell_local_servers :
+  t -> family -> Tid.t -> (server_callbacks -> Tid.t -> unit) -> unit
 
 (** One-way drop-locks message to every joined local server. *)
 val drop_local_locks : t -> family -> unit
@@ -298,7 +308,7 @@ val abort_local : t -> family -> unit
 val status_of_family : t -> Tid.t -> Protocol.status
 
 (** Mark resolved (idempotent); updates statistics and disarms the
-    family's watchdog timers, so a resolved family leaves no pending
+    family's protocol timer, so a resolved family leaves no pending
     event behind. The record stays until {!compact}. Allocates
     nothing. *)
 val resolve_family : t -> family -> Protocol.outcome -> unit

@@ -113,10 +113,7 @@ let adopt st fam outcome =
         apply_commit st fam ~ack_to:(me st)
       end
   | Protocol.Aborted -> if fam.f_outcome = None then apply_abort st fam);
-  let outcome_msg =
-    Protocol.Outcome
-      { m_tid = tid; m_from = me st; m_outcome = outcome; m_protocol = fam.f_protocol }
-  in
+  let outcome_msg = outcome_notice st fam outcome in
   fan_out st ~dsts:peers outcome_msg;
   ignore
     (Site.after st.site ~delay:st.config.outcome_retry_ms (fun () ->
@@ -126,77 +123,63 @@ let adopt st fam outcome =
 (* --------------------------------------------------------------- *)
 (* Waiting for the coordinator *)
 
-(* The watchdogs are engine timers, not sleeping fibers (§3.3: a
-   timeout only triggers an inquiry or a takeover). An inquiry reads the
-   family and sends a datagram, which needs no thread, so it runs as a
-   raw event ([defer]); a takeover blocks, so its timer spawns a fiber
-   when it fires. [Site.after] drops the expiry of a crashed
-   incarnation, and [resolve_family] disarms both timers, so a resolved
-   family leaves nothing pending. *)
+(* A subordinate waits for its coordinator on one protocol timer,
+   [f_watchdog], an engine timer rather than a sleeping fiber (§3.3: a
+   timeout only triggers an inquiry or a takeover). An inquiry reads
+   the family and sends a datagram, which needs no thread, so it runs
+   as a raw event ([defer]); a takeover blocks, so its timer spawns a
+   fiber when it fires. [Site.after] drops the expiry of a crashed
+   incarnation, arming at prepare replaces the orphan inquiry, and
+   [resolve_family] disarms the timer, so a resolved family leaves
+   nothing pending. *)
 
-(* 2PC window of vulnerability: a prepared subordinate that stops
-   hearing from its coordinator stays blocked, periodically asking what
-   happened. Presumed abort resolves an "unknown" answer to abort. *)
-let start_inquiry_watchdog st fam =
-  if fam.f_watchdog == Engine.no_timer then begin
-    let tid = fam.f_root in
-    let rec arm () =
-      fam.f_watchdog <-
-        Site.after st.site ~delay:st.config.subordinate_timeout_ms expire
-    and expire () = defer st inquire
-    and inquire () =
-      if fam.f_outcome = None then begin
-        st.stats.n_inquiries <- st.stats.n_inquiries + 1;
+(* Inquire of the coordinator every period while the family still
+   waits for it. An orphan ([~orphan:true]) is a family a server
+   joined that never reached the prepare phase: its client or
+   coordinator may have died before commitment started, and its locks
+   would be held forever, so the §2 abort-protocol rule applies and
+   presumed abort frees the site; it stops waiting once it prepares or
+   votes read-only. A prepared 2PC or short-commit family is in the
+   window of vulnerability: it stays blocked, asking until it learns
+   the outcome, and presumed abort resolves an "unknown" answer. *)
+let inquire_every st fam ~orphan =
+  let tid = fam.f_root in
+  let period =
+    if orphan then st.config.orphan_timeout_ms else st.config.subordinate_timeout_ms
+  in
+  let rec arm () = fam.f_watchdog <- Site.after st.site ~delay:period expire
+  and expire () = defer st inquire
+  and inquire () =
+    if
+      fam.f_outcome = None
+      && not (orphan && (fam.f_prepared || fam.f_read_only_done))
+    then begin
+      st.stats.n_inquiries <- st.stats.n_inquiries + 1;
+      if orphan then
+        tracef st "orphan" "%a: inactive; inquiring coordinator %d" Tid.pp tid
+          (Tid.origin tid)
+      else
         tracef st "2pc" "%a blocked; inquiring coordinator %d" Tid.pp tid
           (Tid.origin tid);
-        send st ~dst:(Tid.origin tid)
-          (Protocol.Inquiry { m_tid = tid; m_from = me st });
-        arm ()
-      end
-    in
-    arm ()
-  end
-
-(* A subordinate family that was joined by a server but never reached
-   the prepare phase may be an orphan: its client or coordinator died
-   before commitment started, and its locks would be held forever. The
-   abort-protocol rule of §2 applies: inquire, and let presumed abort
-   free the site. *)
-let start_orphan_watchdog st fam =
-  if fam.f_orphan_watch == Engine.no_timer && fam.f_outcome = None then begin
-    let tid = fam.f_root in
-    let rec arm () =
-      fam.f_orphan_watch <-
-        Site.after st.site ~delay:st.config.orphan_timeout_ms expire
-    and expire () = defer st inquire
-    and inquire () =
-      if fam.f_outcome = None && (not fam.f_prepared) && not fam.f_read_only_done
-      then begin
-        st.stats.n_inquiries <- st.stats.n_inquiries + 1;
-        tracef st "orphan" "%a: inactive; inquiring coordinator %d" Tid.pp tid
-          (Tid.origin tid);
-        send st ~dst:(Tid.origin tid)
-          (Protocol.Inquiry { m_tid = tid; m_from = me st });
-        arm ()
-      end
-    in
-    arm ()
-  end
+      send st ~dst:(Tid.origin tid) (Protocol.Inquiry { m_tid = tid; m_from = me st });
+      arm ()
+    end
+  in
+  arm ()
 
 (* Non-blocking: silence makes the subordinate a coordinator (change 2
    of §3.3). The takeover itself lives in [Nonblocking]; the dispatcher
    passes it in to avoid a module cycle. *)
 let start_takeover_watchdog st fam ~takeover =
-  if fam.f_watchdog == Engine.no_timer then
-    fam.f_watchdog <-
-      Site.after st.site ~delay:st.config.subordinate_timeout_ms (fun () ->
-          Site.spawn st.site ~name:"nb-takeover" (fun () ->
-              if fam.f_outcome = None then begin
-                st.stats.n_takeovers <- st.stats.n_takeovers + 1;
-                tracef st "nb" "%a timed out; becoming coordinator" Tid.pp
-                  fam.f_root;
-                takeover st fam
-              end))
+  fam.f_watchdog <-
+    Site.after st.site ~delay:st.config.subordinate_timeout_ms (fun () ->
+        Site.spawn st.site ~name:"nb-takeover" (fun () ->
+            if fam.f_outcome = None then begin
+              st.stats.n_takeovers <- st.stats.n_takeovers + 1;
+              tracef st "nb" "%a timed out; becoming coordinator" Tid.pp
+                fam.f_root;
+              takeover st fam
+            end))
 
 (* --------------------------------------------------------------- *)
 (* Paxos Commit acceptor (Gray & Lamport): one consensus instance per
@@ -338,6 +321,13 @@ let handle_paxos_prepare st msg =
 (* --------------------------------------------------------------- *)
 (* Message handlers (run on TranMan pool threads) *)
 
+(* Every refusal of a prepare: undo the family here first ([~undo])
+   unless it has aborted already, then vote no. *)
+let vote_no st fam ~coordinator ~undo =
+  if undo then apply_abort st fam;
+  send st ~dst:coordinator
+    (Protocol.Vote { m_tid = fam.f_root; m_from = me st; m_vote = Protocol.Vote_no })
+
 (* Prepare: ask the local servers to vote; on yes, force a prepare
    record and answer — unless everything here was read-only, in which
    case the site votes yes-read-only, drops its locks and forgets
@@ -369,8 +359,7 @@ let handle_prepare st msg ~arm_watchdog =
             (Protocol.Status
                { m_tid; m_from = me st; m_status = Protocol.St_committed })
       | Some Protocol.Aborted ->
-          send st ~dst:m_coordinator
-            (Protocol.Vote { m_tid; m_from = me st; m_vote = Protocol.Vote_no })
+          vote_no st fam ~coordinator:m_coordinator ~undo:false
       | None ->
           if fam.f_read_only_done then
             (* duplicate prepare after a read-only vote: revote *)
@@ -378,12 +367,9 @@ let handle_prepare st msg ~arm_watchdog =
           else if fam.f_prepared then
             (* duplicate prepare while prepared: just revote yes *)
             revote (Protocol.Vote_yes { read_only = false })
-          else if unresolved_children fam <> [] then begin
-            apply_abort st fam;
-            send st ~dst:m_coordinator
-              (Protocol.Vote { m_tid; m_from = me st; m_vote = Protocol.Vote_no })
-          end
-          else if fam.f_servers = [] then begin
+          else if unresolved_children fam <> [] then
+            vote_no st fam ~coordinator:m_coordinator ~undo:true
+          else if fam.f_servers = [] then
             (* amnesia: the coordinator names us a participant, yet no
                local server knows the transaction — a crash wiped the
                join (and with it any spooled updates) between the
@@ -391,17 +377,11 @@ let handle_prepare st msg ~arm_watchdog =
                [vote_local_servers] would answer yes-read-only and let
                the coordinator commit updates that are durable nowhere;
                presumed abort makes no the only safe vote. *)
-            apply_abort st fam;
-            send st ~dst:m_coordinator
-              (Protocol.Vote { m_tid; m_from = me st; m_vote = Protocol.Vote_no })
-          end
+            vote_no st fam ~coordinator:m_coordinator ~undo:true
           else begin
             match vote_local_servers st fam with
             | Protocol.Vote_no ->
-                apply_abort st fam;
-                send st ~dst:m_coordinator
-                  (Protocol.Vote
-                     { m_tid; m_from = me st; m_vote = Protocol.Vote_no })
+                vote_no st fam ~coordinator:m_coordinator ~undo:true
             | Protocol.Vote_yes { read_only = true }
               when st.config.read_only_optimization ->
                 (* nothing at stake: answer, drop locks, forget. No
@@ -469,14 +449,7 @@ let handle_replicate st msg =
                      replicating coordinator was unreachable: tell it, so
                      its replication loop adopts the outcome instead of
                      retrying forever *)
-                  send st ~dst:m_coordinator
-                    (Protocol.Outcome
-                       {
-                         m_tid;
-                         m_from = me st;
-                         m_outcome = Protocol.Aborted;
-                         m_protocol = fam.f_protocol;
-                       })
+                  send st ~dst:m_coordinator (outcome_notice st fam Protocol.Aborted)
               | None, Q_abort -> ()
               | None, Q_none ->
                   (* prepared update subordinates join the commit quorum;

@@ -25,34 +25,36 @@ val apply_abort : State.t -> State.family -> unit
     both inquires. *)
 val adopt : State.t -> State.family -> Protocol.outcome -> unit
 
-(** {1 Watchdogs}
+(** {1 Waiting for the coordinator}
 
-    Each watchdog is an engine timer ({!Camelot_mach.Site.after}), not
-    a sleeping fiber: a family holds at most one in [f_watchdog] and
-    one in [f_orphan_watch], arming one that is already armed is a
-    no-op, {!State.resolve_family} disarms both, and a crash silences
-    them (the expiry of a dead incarnation is dropped;
+    A subordinate family waits for its coordinator on one protocol
+    timer, [f_watchdog], an engine timer
+    ({!Camelot_mach.Site.after}) rather than a sleeping fiber: the
+    orphan inquiry while it is joined but unprepared, then the inquiry
+    or the takeover. Both functions below arm that slot without
+    cancelling what it holds: {!Tranman} cancels it when it arms at
+    prepare or at restart, and arms the orphan inquiry only into an
+    empty slot. {!State.resolve_family} disarms it, and a crash
+    silences it (the expiry of a dead incarnation is dropped;
     {!Tranman.recover} re-arms the in-doubt families'). *)
 
-(** 2PC window of vulnerability: while the family is unresolved, send
-    an inquiry to the coordinator every [subordinate_timeout_ms],
-    counted in [n_inquiries]. Arms [f_watchdog]. *)
-val start_inquiry_watchdog : State.t -> State.family -> unit
-
-(** Orphan detection (the §2 abort-protocol rule): a subordinate family
-    joined by a server but never prepared inquires every
-    [orphan_timeout_ms] until it prepares, votes read-only or
-    resolves; presumed abort then frees its locks if the client or
-    coordinator died. Arms [f_orphan_watch]; a resolved family arms
-    nothing. *)
-val start_orphan_watchdog : State.t -> State.family -> unit
+(** [inquire_every st fam ~orphan] sends the coordinator an inquiry,
+    counted in [n_inquiries], every period while the family still
+    waits. With [~orphan:true] (the §2 abort-protocol rule for a
+    family a server joined that never prepared) the period is
+    [orphan_timeout_ms] and the wait ends once the family resolves,
+    prepares or votes read-only: presumed abort frees its locks if the
+    client or coordinator died. With [~orphan:false] (the 2PC window
+    of vulnerability) the period is [subordinate_timeout_ms] and the
+    wait ends once the family resolves. *)
+val inquire_every : State.t -> State.family -> orphan:bool -> unit
 
 (** Non-blocking and Paxos Commit: after [subordinate_timeout_ms] of
     silence, spawn a site fiber that becomes a (recovery) coordinator
     if the family is still unresolved ([takeover] is
     {!Nonblocking.takeover} or {!Paxos_commit.takeover}, passed in by
-    the dispatcher to avoid a module cycle). Arms [f_watchdog]; no
-    fiber exists before the timer fires. *)
+    the dispatcher to avoid a module cycle). No fiber exists before
+    the timer fires. *)
 val start_takeover_watchdog :
   State.t -> State.family -> takeover:(State.t -> State.family -> unit) -> unit
 

@@ -11,11 +11,13 @@ exception Unknown_transaction of Tid.t
 
 (* A prepared subordinate's protocol timeout: an inquiry timer under
    the protocols whose coordinator alone decides, a takeover timer
-   under the two that survive its failure. *)
+   under the two that survive its failure. It takes the family's one
+   timer slot from the orphan inquiry. *)
 let arm_watchdog st fam =
+  Engine.cancel (engine st) fam.f_watchdog;
   match fam.f_protocol with
   | Protocol.Two_phase | Protocol.Short_commit ->
-      Subordinate.start_inquiry_watchdog st fam
+      Subordinate.inquire_every st fam ~orphan:false
   | Protocol.Nonblocking ->
       Subordinate.start_takeover_watchdog st fam ~takeover:Nonblocking.takeover
   | Protocol.Paxos_commit ->
@@ -214,19 +216,23 @@ let finish_nested st fam tid outcome =
   let m = member fam tid in
   if m.mem_resolved = None then begin
     m.mem_resolved <- Some outcome;
-    List.iter
-      (fun name ->
-        match server_callbacks st name with
-        | None -> ()
-        | Some cb -> (
-            Rpc.oneway_ipc st.site;
-            match outcome with
-            | Protocol.Committed -> cb.sv_subcommit tid
-            | Protocol.Aborted -> cb.sv_abort tid))
-      fam.f_servers;
+    tell_local_servers st fam tid
+      (match outcome with
+      | Protocol.Committed -> fun cb -> cb.sv_subcommit
+      | Protocol.Aborted -> fun cb -> cb.sv_abort);
     fan_out st ~dsts:fam.f_remote_sites
       (Protocol.Child_finish { m_tid = tid; m_outcome = outcome })
   end
+
+(* Resolve a subtransaction: its own unresolved descendants abort
+   first, whatever its outcome, since they never committed into it. *)
+let finish_subtransaction st fam tid outcome =
+  List.iter
+    (fun child ->
+      if Tid.is_ancestor tid child && not (Tid.equal tid child) then
+        finish_nested st fam child Protocol.Aborted)
+    (unresolved_children fam);
+  finish_nested st fam tid outcome
 
 let abort_unresolved_children st fam =
   (* deepest first, so a child's records retag before its parent's *)
@@ -289,15 +295,7 @@ let commit st ?(protocol = Protocol.Two_phase) tid =
             o)
   else
     on_pool st (fun () ->
-        let fam = require_family st tid in
-        (* a subtransaction's own unresolved children abort with it
-           committing: they never committed into it *)
-        List.iter
-          (fun child ->
-            if Tid.is_ancestor tid child && not (Tid.equal tid child) then
-              finish_nested st fam child Protocol.Aborted)
-          (unresolved_children fam);
-        finish_nested st fam tid Protocol.Committed;
+        finish_subtransaction st (require_family st tid) tid Protocol.Committed;
         Protocol.Committed)
 
 let abort st tid =
@@ -316,13 +314,7 @@ let abort st tid =
          else
            match find_family st tid with
            | None -> ()
-           | Some fam ->
-               List.iter
-                 (fun child ->
-                   if Tid.is_ancestor tid child && not (Tid.equal tid child) then
-                     finish_nested st fam child Protocol.Aborted)
-                 (unresolved_children fam);
-               finish_nested st fam tid Protocol.Aborted)
+           | Some fam -> finish_subtransaction st fam tid Protocol.Aborted)
       : unit)
 
 let outcome st tid =
@@ -361,7 +353,11 @@ let join st tid ~server =
          ignore (member fam tid : member);
          if not (List.mem server fam.f_servers) then
            fam.f_servers <- server :: fam.f_servers;
-         if fam.f_role = Subordinate then Subordinate.start_orphan_watchdog st fam;
+         if
+           fam.f_role = Subordinate
+           && fam.f_watchdog == Engine.no_timer
+           && fam.f_outcome = None
+         then Subordinate.inquire_every st fam ~orphan:true;
          if tracing st then
            tracef st "txn" "%a joined by server %s" Tid.pp tid server)
       : unit)
@@ -434,14 +430,14 @@ let image_apply (im : Record.family_image) = function
   | Record.Replication { r_sites; r_update_sites; _ } ->
       {
         im with
-        Record.fi_quorum = Record.Fq_commit;
+        Record.fi_quorum = Record.Q_commit;
         fi_sites = r_sites;
         fi_update_sites = r_update_sites;
       }
   | Record.Commit { c_sites; _ } ->
       { im with Record.fi_outcome = Some Protocol.Committed; fi_update_sites = c_sites }
   | Record.Abort _ -> { im with Record.fi_outcome = Some Protocol.Aborted }
-  | Record.Refusal _ -> { im with Record.fi_quorum = Record.Fq_abort }
+  | Record.Refusal _ -> { im with Record.fi_quorum = Record.Q_abort }
   | Record.End _ -> { im with Record.fi_ended = true }
 
 let blank_image root =
@@ -451,7 +447,7 @@ let blank_image root =
     fi_prepared = false;
     fi_sites = [];
     fi_update_sites = [];
-    fi_quorum = Record.Fq_none;
+    fi_quorum = Record.Q_none;
     fi_outcome = None;
     fi_servers = [];
     fi_ended = false;
@@ -527,11 +523,7 @@ let install st (im : Record.family_image) =
   fam.f_prepared <- im.Record.fi_prepared;
   fam.f_sites <- im.Record.fi_sites;
   fam.f_update_sites <- im.Record.fi_update_sites;
-  fam.f_quorum_side <-
-    (match im.Record.fi_quorum with
-    | Record.Fq_none -> Q_none
-    | Record.Fq_commit -> Q_commit
-    | Record.Fq_abort -> Q_abort);
+  fam.f_quorum_side <- im.Record.fi_quorum;
   fam.f_outcome <- im.Record.fi_outcome;
   fam.f_servers <- im.Record.fi_servers;
   fam.f_ended <- im.Record.fi_ended;
@@ -554,56 +546,45 @@ let recover st =
      table's iteration order below depends on it *)
   List.iter (install st) images;
   let in_doubt = ref [] in
+  (* resume the acknowledged outcome's notices to the other sites *)
+  let renotify fam outcome ~sites =
+    let subs = List.filter (fun s -> s <> me st) sites in
+    if subs <> [] then Two_phase.start_notify ~outcome st fam ~update_subs:subs
+  in
+  let abort_here fam =
+    resolve_family st fam Protocol.Aborted;
+    ignore (log_append st (Record.Abort { a_tid = fam.f_root }) : int)
+  in
   let decide fam =
+    let coordinator = fam.f_role = Coordinator in
+    let presumed = presumption st fam.f_protocol in
     match fam.f_outcome with
     | Some Protocol.Committed
-      when presumption st fam.f_protocol = Presume_abort
-           && fam.f_role = Coordinator
-           && (not fam.f_ended)
+      when presumed = Presume_abort && coordinator && (not fam.f_ended)
            && fam.f_update_sites <> [] ->
         (* decided but not fully acknowledged: resume notification *)
-        let subs = List.filter (fun s -> s <> me st) fam.f_update_sites in
-        if subs <> [] then Two_phase.start_notify st fam ~update_subs:subs
+        renotify fam Protocol.Committed ~sites:fam.f_update_sites
     | Some Protocol.Aborted
-      when presumption st fam.f_protocol = Presume_commit
-           && fam.f_role = Coordinator
-           && not fam.f_ended ->
+      when presumed = Presume_commit && coordinator && not fam.f_ended ->
         (* presumed commit: aborts are the acknowledged outcome *)
-        let subs = List.filter (fun s -> s <> me st) fam.f_sites in
-        if subs <> [] then
-          Two_phase.start_notify ~outcome:Protocol.Aborted st fam ~update_subs:subs
+        renotify fam Protocol.Aborted ~sites:fam.f_sites
     | Some _ -> ()
+    | None when coordinator && fam.f_prepared && presumed = Presume_commit ->
+        (* a collecting record without an outcome: the decision was
+           never made, so the transaction aborts — and must be
+           remembered and acknowledged, or it would be presumed
+           committed later *)
+        abort_here fam;
+        renotify fam Protocol.Aborted ~sites:fam.f_sites
+    | None when fam.f_prepared || fam.f_quorum_side <> Q_none ->
+        in_doubt := fam.f_root :: !in_doubt
     | None ->
-        if
-          fam.f_role = Coordinator && fam.f_prepared
-          && presumption st fam.f_protocol = Presume_commit
-        then begin
-          (* a collecting record without an outcome: the decision was
-             never made, so the transaction aborts — and must be
-             remembered and acknowledged, or it would be presumed
-             committed later *)
-          resolve_family st fam Protocol.Aborted;
-          ignore
-            (Camelot_wal.Log.append st.log (Record.Abort { a_tid = fam.f_root })
-              : int);
-          let subs = List.filter (fun s -> s <> me st) fam.f_sites in
-          if subs <> [] then
-            Two_phase.start_notify ~outcome:Protocol.Aborted st fam
-              ~update_subs:subs
-        end
-        else if fam.f_prepared || fam.f_quorum_side <> Q_none then
-          in_doubt := fam.f_root :: !in_doubt
-        else begin
-          (* never prepared here and no quorum promise: this
-             transaction can never commit (any commit requires a
-             durable prepare/replication first), so presumed abort
-             resolves it now — a blocked subordinate's inquiry then
-             gets a decisive answer instead of St_active forever *)
-          resolve_family st fam Protocol.Aborted;
-          ignore
-            (Camelot_wal.Log.append st.log (Record.Abort { a_tid = fam.f_root })
-              : int)
-        end
+        (* never prepared here and no quorum promise: this transaction
+           can never commit (any commit requires a durable
+           prepare/replication first), so presumed abort resolves it
+           now — a blocked subordinate's inquiry then gets a decisive
+           answer instead of St_active forever *)
+        abort_here fam
   in
   Hashtbl.iter (fun _ fam -> decide fam) st.families;
   (* re-arm the appropriate blocked-state watchdogs: the old
@@ -612,10 +593,7 @@ let recover st =
     (fun tid ->
       match find_family st tid with
       | None -> ()
-      | Some fam ->
-          Engine.cancel (engine st) fam.f_watchdog;
-          fam.f_watchdog <- Engine.no_timer;
-          arm_watchdog st fam)
+      | Some fam -> arm_watchdog st fam)
     !in_doubt;
   (* every decision is made: what has nothing left to do keeps only its
      answer, which [Recovery.run] reads through [outcome]. A

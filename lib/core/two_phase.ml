@@ -34,11 +34,15 @@ let p_release_early = Camelot_chaos.register "short.release.early"
    the outcome is not yet durable. Shared by all four protocols. *)
 let p_votes_collected = Camelot_chaos.register "coord.votes.collected"
 
-(* The wholly read-only finish: nothing logged, no second phase. *)
+(* The wholly read-only finish: nothing logged, no second phase, so a
+   distributed family has nothing left to do and shrinks to its marker
+   at once. A local one is left alone: [Tranman.commit] forgets it
+   right after, and a marker would only cost it a table cell first. *)
 let finish_read_only st fam =
   unregister_waiter st fam.f_root;
   resolve_family st fam Protocol.Committed;
   drop_local_locks st fam;
+  if fam.f_remote_sites <> [] then compact st fam;
   Protocol.Committed
 
 (* Local commitment: no subordinates. One forced log write commits the
@@ -68,15 +72,7 @@ let commit_local st fam ~read_only =
 let start_notify ?(outcome = Protocol.Committed) st fam ~update_subs =
   let tid = fam.f_root in
   fam.f_acks_pending <- update_subs;
-  let outcome_msg =
-    Protocol.Outcome
-      {
-        m_tid = tid;
-        m_from = me st;
-        m_outcome = outcome;
-        m_protocol = fam.f_protocol;
-      }
-  in
+  let outcome_msg = outcome_notice st fam outcome in
   fan_out st ~dsts:update_subs outcome_msg;
   let rec wait_acks () =
     if fam.f_acks_pending = [] then
@@ -114,14 +110,7 @@ let abort_distributed st fam ~subs =
   | Presume_abort ->
       ignore (log_append st (Record.Abort { a_tid = tid }) : int);
       resolve_family st fam Protocol.Aborted;
-      fan_out st ~dsts:subs
-        (Protocol.Outcome
-           {
-             m_tid = tid;
-             m_from = me st;
-             m_outcome = Protocol.Aborted;
-             m_protocol = fam.f_protocol;
-           });
+      fan_out st ~dsts:subs (outcome_notice st fam Protocol.Aborted);
       compact st fam
   | Presume_commit ->
       ignore (log_append_force st (Record.Abort { a_tid = tid }) : int);
@@ -229,14 +218,7 @@ let commit_decided st fam ~update_subs =
          will inquire and presume commit from the forgotten
          coordinator *)
       unregister_waiter st tid;
-      fan_out st ~dsts:update_subs
-        (Protocol.Outcome
-           {
-             m_tid = tid;
-             m_from = me st;
-             m_outcome = Protocol.Committed;
-             m_protocol = fam.f_protocol;
-           });
+      fan_out st ~dsts:update_subs (outcome_notice st fam Protocol.Committed);
       log_end st fam);
   Site.spawn st.site ~name:"drop-locks" (fun () -> drop_local_locks st fam);
   Protocol.Committed

@@ -12,7 +12,9 @@ val p_votes_collected : string
 (** The wholly read-only finish, shared by all four protocols'
     coordinators and {!commit_local}: drop the family's waiter
     mailbox, resolve it committed and drop its local locks. Nothing is
-    logged and no second phase runs. *)
+    logged and no second phase runs, so a family with remote sites is
+    {!State.compact}ed at once; {!Tranman.commit} forgets a local one
+    right after. *)
 val finish_read_only : State.t -> State.family -> Protocol.outcome
 
 (** Commit a local (no-subordinate) family: one forced commit record,

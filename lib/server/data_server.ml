@@ -67,15 +67,11 @@ let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.values []
 
 let veto_next t tid = (family_state t tid).fs_veto <- tid :: (family_state t tid).fs_veto
 
+(* the server reports old and new values to the disk manager, which
+   copies them into the log buffer *)
 let spool_update t tid ~key ~old_v ~new_v =
-  (* the server reports old and new values to the disk manager, which
-     copies them into the log buffer — real CPU on the site, unless the
-     logger daemon serializes whole batches, in which case the (much
-     cheaper) copy is charged by its drain pass instead *)
-  if not (Camelot_wal.Log.defers_spool_cpu t.log) then
-    Site.cpu_use t.site (Site.model t.site).Cost_model.log_spool_cpu_ms;
   ignore
-    (Camelot_wal.Log.append t.log
+    (Camelot_wal.Log.spool t.log
        (Record.Update
           {
             u_tid = tid;

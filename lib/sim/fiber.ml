@@ -137,13 +137,32 @@ let wait ctx k result =
 
 let on_sleep ctx k = Engine.expire ctx.ctx_engine ~delay:ctx.delay (wait ctx k ok_unit)
 
+(* The registration runs in the effect handler, outside the fiber, so
+   an exception it raises is sent back through the fiber it was
+   suspending and escapes as [Died] naming it: the wait leaves its
+   group and stops being pending, then the continuation is
+   discontinued. A wait the registration already resumed is not
+   discontinued twice: its queued resumption carries the exception
+   instead. *)
 let on_suspend (type a) ctx (k : (a, unit) Effect.Deep.continuation) =
   (* [parked] holds the [Suspend] payload whose continuation this is,
      stored in the universal representation (as [Ring] stores its
      elements) because one handler serves every result type *)
   let register : a resumer -> unit = Obj.obj ctx.parked in
   ctx.parked <- nothing;
-  register (wait ctx k cancelled)
+  let w = wait ctx k cancelled in
+  match register w with
+  | () -> ()
+  | exception e -> (
+      match w with
+      | Engine.Wait b when b.resumption < 0 ->
+          Engine.unlink w;
+          (* no longer pending, and matching no queued entry: a wait
+             queue that kept it skips it *)
+          b.resumption <- max_int;
+          Effect.Deep.discontinue k e
+      | Engine.Wait b -> b.result <- Error e
+      | Engine.Call _ | Engine.Timer _ | Engine.Hook _ -> ())
 
 type _ Effect.t +=
   | Sleep : float -> unit Effect.t

@@ -107,7 +107,9 @@ val now : unit -> float
 (** [suspend register] blocks until the resumer that [register]
     receives is invoked. [register] runs before blocking and typically
     stores the resumer in some wait queue. If the fiber's group is
-    killed first, the fiber raises {!Cancelled} instead. *)
+    killed first, the fiber raises {!Cancelled} instead. If [register]
+    raises, the fiber does: the exception escapes as {!Died} naming
+    it, as if raised at the [suspend] call. *)
 val suspend : ('a resumer -> unit) -> 'a
 
 (** The engine driving the calling fiber. Lets library code schedule

@@ -51,11 +51,14 @@ let recv t =
 let recv_timeout t d =
   if not (Ring.is_empty t.items) then Some (Ring.pop_exn t.items)
   else
+    (* the timer first: a delay it rejects leaves no waiter behind *)
     Fiber.suspend (fun r ->
+        let timer =
+          Engine.schedule_timer t.eng ~delay:d (fun () ->
+              if Fiber.is_pending r then Fiber.resume r timed_out)
+        in
         Ring.push t.waiters r;
-        Ring.push t.timers
-          (Engine.schedule_timer t.eng ~delay:d (fun () ->
-               if Fiber.is_pending r then Fiber.resume r timed_out)))
+        Ring.push t.timers timer)
 
 let waiters t =
   Ring.fold (fun acc r -> if Fiber.is_pending r then acc + 1 else acc) 0 t.waiters

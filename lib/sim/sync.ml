@@ -48,27 +48,6 @@ module Mutex = struct
         raise e
 end
 
-module Condition = struct
-  type t = { waiters : unit Fiber.resumer Ring.t }
-
-  let create (_ : Engine.t) = { waiters = Ring.create () }
-
-  let wait t mutex =
-    Fiber.suspend (fun resume ->
-        Ring.push t.waiters resume;
-        Mutex.unlock mutex);
-    Mutex.lock mutex
-
-  let broadcast t =
-    (* resumptions are queued through the engine, never run inline, so
-       the wait queue cannot change under this iteration — wake in
-       place with no intermediate list *)
-    Ring.iter
-      (fun resume -> if Fiber.is_pending resume then Fiber.resume resume ok)
-      t.waiters;
-    Ring.clear t.waiters
-end
-
 module Semaphore = struct
   (* A timed resource queues on its semaphore constantly, so the
      enqueue closure is built once with it. *)

@@ -1,6 +1,6 @@
-(** Fiber-aware synchronization: mutexes, condition variables,
-    semaphores, and FCFS timed resources (the building block for
-    simulated CPUs and disks). All wait queues are FIFO. *)
+(** Fiber-aware synchronization: mutexes, semaphores, and FCFS timed
+    resources (the building block for simulated CPUs and disks). All
+    wait queues are FIFO. *)
 
 module Mutex : sig
   type t
@@ -21,18 +21,6 @@ module Mutex : sig
 
   (** [with_lock t f] is [f ()] bracketed by lock/unlock. *)
   val with_lock : t -> (unit -> 'a) -> 'a
-end
-
-module Condition : sig
-  type t
-
-  val create : Engine.t -> t
-
-  (** Atomically release [mutex] and wait; re-acquires before return. *)
-  val wait : t -> Mutex.t -> unit
-
-  (** Wake all waiters. *)
-  val broadcast : t -> unit
 end
 
 module Semaphore : sig

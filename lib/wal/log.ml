@@ -11,34 +11,38 @@ type batch_stats = {
   bs_force_lat_mean_ms : float;
 }
 
+(* The daemon's force timing, floats only so it is stored flat:
+   updating it boxes nothing. *)
+type timing = {
+  mutable last_force_at : float;
+  mutable ewma_gap_ms : float;  (* EWMA of force inter-arrival, <0 = unknown *)
+  mutable force_lat_sum : float;
+}
+
 type 'a t = {
   site : Camelot_mach.Site.t;
   disk : Sync.Resource.t;
-  cond : Sync.Condition.t;
-  cond_mutex : Sync.Mutex.t;
   mutable records : 'a array;
   mutable base : lsn;  (* LSN of records.(0); advanced by [truncate] *)
   mutable size : int;  (* live slots: records.(0 .. size-1) *)
   mutable durable : lsn;
   mutable writing : bool;
   policy : policy;
-  (* daemon state *)
   waiters : unit Fiber.resumer Engine.Heap.t;  (* min-heap keyed by target LSN *)
   mutable waiter_seq : int;
+  (* daemon state *)
   kick : unit Mailbox.t;  (* foreground -> controller *)
   wkick : unit Mailbox.t;  (* controller -> writer *)
   mutable serialized : lsn;  (* highest LSN whose batch CPU was charged *)
   mutable write_hi : lsn;  (* highest target handed to the writer *)
-  mutable force_hi : lsn;  (* highest LSN any waiter asked to be durable *)
-  mutable last_force_at : float;
-  mutable ewma_gap_ms : float;  (* EWMA of force inter-arrival, <0 = unknown *)
+  mutable force_hi : lsn;  (* highest LSN any force asked to be durable *)
+  timing : timing;
   (* counters *)
   mutable forces : int;
   mutable disk_writes : int;
   mutable truncations : int;
   mutable batch_writes : int;
   mutable batch_records : int;
-  mutable force_lat_sum : float;
   mutable force_lat_n : int;
 }
 
@@ -47,8 +51,6 @@ let create ?(policy = Unbatched) site =
   {
     site;
     disk = Sync.Resource.create eng;
-    cond = Sync.Condition.create eng;
-    cond_mutex = Sync.Mutex.create ();
     records = [||];
     base = 0;
     size = 0;
@@ -62,20 +64,14 @@ let create ?(policy = Unbatched) site =
     serialized = -1;
     write_hi = -1;
     force_hi = -1;
-    last_force_at = -1.0;
-    ewma_gap_ms = -1.0;
+    timing = { last_force_at = -1.0; ewma_gap_ms = -1.0; force_lat_sum = 0.0 };
     forces = 0;
     disk_writes = 0;
     truncations = 0;
     batch_writes = 0;
     batch_records = 0;
-    force_lat_sum = 0.0;
     force_lat_n = 0;
   }
-
-(* the daemon serializes whole batches on its own fiber *)
-let defers_spool_cpu t =
-  match t.policy with Adaptive -> true | Unbatched | Group_commit _ -> false
 
 let append t record =
   let capacity = Array.length t.records in
@@ -87,6 +83,17 @@ let append t record =
   t.records.(t.size) <- record;
   t.size <- t.size + 1;
   t.base + t.size - 1
+
+(* A data server's record: copying it into the log buffer costs CPU on
+   the site, unless the daemon serializes whole batches and charges the
+   (much cheaper) copy in its drain pass. *)
+let spool t record =
+  (match t.policy with
+  | Adaptive -> ()
+  | Unbatched | Group_commit _ ->
+      let m = Camelot_mach.Site.model t.site in
+      Camelot_mach.Site.cpu_use t.site m.Camelot_mach.Cost_model.log_spool_cpu_ms);
+  append t record
 
 let tail_lsn t = t.base + t.size - 1
 
@@ -113,9 +120,20 @@ let note_batch t ~target =
     t.batch_records <- t.batch_records + n
   end
 
-(* Wake exactly the waiters whose target is now durable — never a
+(* --- durability waits: one LSN-ordered heap ----------------------- *)
+
+(* Every fiber that waits for durability parks here, under every
+   policy: a force under [Adaptive], a [Group_commit] follower behind
+   the write in flight, and a lazy [wait_durable]. A platter write wakes
+   exactly the waiters it made durable, lowest LSN first — never a
    broadcast. Resumers of crashed fibers are fired already; [resume]
    on them is a no-op. *)
+let park t ~target =
+  Fiber.suspend (fun r ->
+      let seq = t.waiter_seq in
+      t.waiter_seq <- seq + 1;
+      Engine.Heap.push t.waiters ~priority:(float_of_int target) ~seq r)
+
 let wake_waiters t =
   let rec drain () =
     if
@@ -149,26 +167,21 @@ let disk_write_to t ~target =
     end;
     note_batch t ~target;
     if target > t.durable then t.durable <- target;
-    wake_waiters t;
-    Sync.Condition.broadcast t.cond
+    wake_waiters t
   end
 
 let disk_write t = disk_write_to t ~target:(tail_lsn t)
 
 (* --- group commit: leader/follower batching ------------------------ *)
 
+(* A follower parks at [durable + 1], which the write in flight always
+   covers, and re-checks once it lands: a follower that parked at its
+   own target would never be woken to lead the next write when the
+   write in flight does not reach it. *)
 let rec force_batched t ~window_ms target =
   if target > t.durable then begin
     if t.writing then begin
-      (* a leader's write is in flight; wait for it and re-check *)
-      Sync.Mutex.lock t.cond_mutex;
-      (* re-read [durable] under the mutex before committing to a wait:
-         the leader's write may have landed — possibly exactly at
-         [target] — while this fiber was acquiring the lock, in which
-         case the broadcast it would wait for has already happened *)
-      if target > t.durable && t.writing then
-        Sync.Condition.wait t.cond t.cond_mutex;
-      Sync.Mutex.unlock t.cond_mutex;
+      park t ~target:(t.durable + 1);
       force_batched t ~window_ms target
     end
     else begin
@@ -177,37 +190,32 @@ let rec force_batched t ~window_ms target =
          into this batch before the I/O is issued *)
       if window_ms > 0.0 then Fiber.sleep window_ms else Fiber.yield ();
       disk_write t;
-      t.writing <- false;
-      Sync.Condition.broadcast t.cond
+      t.writing <- false
     end
   end
 
-(* --- daemon mode: LSN-ordered parking ---------------------------- *)
+(* --- daemon mode -------------------------------------------------- *)
 
-let park t ~target =
-  Fiber.suspend (fun r ->
-      let seq = t.waiter_seq in
-      t.waiter_seq <- seq + 1;
-      Engine.Heap.push t.waiters ~priority:(float_of_int target) ~seq r;
-      if target > t.force_hi then begin
-        t.force_hi <- target;
-        Mailbox.send t.kick ()
-      end)
-
+(* The clock is the site engine's, not [Fiber.now]'s, which performs
+   an effect to find it. *)
 let force_daemon t target =
   if target > t.durable then begin
+    let eng = Camelot_mach.Site.engine t.site and tm = t.timing in
     (* feed the adaptive window: EWMA of force inter-arrival gaps *)
-    let now = Fiber.now () in
-    if t.last_force_at >= 0.0 then begin
-      let gap = now -. t.last_force_at in
-      t.ewma_gap_ms <-
-        (if t.ewma_gap_ms < 0.0 then gap
-         else (0.75 *. t.ewma_gap_ms) +. (0.25 *. gap))
+    let now = Engine.now eng in
+    if tm.last_force_at >= 0.0 then begin
+      let gap = now -. tm.last_force_at in
+      tm.ewma_gap_ms <-
+        (if tm.ewma_gap_ms < 0.0 then gap
+         else (0.75 *. tm.ewma_gap_ms) +. (0.25 *. gap))
     end;
-    t.last_force_at <- now;
+    tm.last_force_at <- now;
+    if target > t.force_hi then begin
+      t.force_hi <- target;
+      Mailbox.send t.kick ()
+    end;
     park t ~target;
-    let lat = Fiber.now () -. now in
-    t.force_lat_sum <- t.force_lat_sum +. lat;
+    tm.force_lat_sum <- tm.force_lat_sum +. (Engine.now eng -. now);
     t.force_lat_n <- t.force_lat_n + 1
   end
 
@@ -306,8 +314,8 @@ let crash t =
   t.serialized <- t.durable;
   t.write_hi <- t.durable;
   t.force_hi <- t.durable;
-  t.last_force_at <- -1.0;
-  t.ewma_gap_ms <- -1.0
+  t.timing.last_force_at <- -1.0;
+  t.timing.ewma_gap_ms <- -1.0
 
 (* --- accessors ---------------------------------------------------- *)
 
@@ -322,30 +330,26 @@ let batch_stats t =
     bs_force_lat_n = t.force_lat_n;
     bs_force_lat_mean_ms =
       (if t.force_lat_n = 0 then 0.0
-       else t.force_lat_sum /. float_of_int t.force_lat_n);
+       else t.timing.force_lat_sum /. float_of_int t.force_lat_n);
   }
 
+(* A lazy waiter parks at its own LSN without raising [force_hi]: its
+   record rides along with the next write or the periodic flush — that
+   is the point of not forcing it. *)
 let rec wait_durable t lsn =
-  if lsn > t.durable then
-    match t.policy with
-    | Adaptive ->
-        (* park on the LSN heap without raising [force_hi]: a lazily
-           written record rides along with the next write or the periodic
-           flush — that is the point of not forcing it *)
-        Fiber.suspend (fun r ->
-            let seq = t.waiter_seq in
-            t.waiter_seq <- seq + 1;
-            Engine.Heap.push t.waiters ~priority:(float_of_int lsn) ~seq r);
-        wait_durable t lsn
-    | Unbatched | Group_commit _ ->
-        Sync.Mutex.lock t.cond_mutex;
-        (* same re-check as [force_batched]: a write landing while this
-           fiber acquires the mutex must not be waited for again *)
-        if lsn > t.durable then Sync.Condition.wait t.cond t.cond_mutex;
-        Sync.Mutex.unlock t.cond_mutex;
-        wait_durable t lsn
+  if lsn > t.durable then begin
+    park t ~target:lsn;
+    wait_durable t lsn
+  end
 
 (* --- background daemons ------------------------------------------- *)
+
+(* What a periodic flush writes: an unforced tail, and only to an idle
+   platter, since foreground forces have priority. *)
+let flushable t =
+  tail_lsn t > t.durable
+  && Sync.Resource.in_use t.disk = 0
+  && Sync.Resource.queue_length t.disk = 0
 
 (* Every daemon is pinned to the incarnation that spawned it: once the
    site crashes (or restarts into a new incarnation) the daemon exits
@@ -358,13 +362,7 @@ let spawn_flusher t ~every ~live =
       let rec loop () =
         Fiber.sleep every;
         if live () then begin
-          (* only flush an idle disk: foreground forces have priority *)
-          if
-            tail_lsn t > t.durable
-            && (not t.writing)
-            && Sync.Resource.in_use t.disk = 0
-            && Sync.Resource.queue_length t.disk = 0
-          then begin
+          if flushable t && not t.writing then begin
             t.writing <- true;
             disk_write t;
             t.writing <- false
@@ -379,8 +377,8 @@ let spawn_flusher t ~every ~live =
    platter write; at low load the window collapses to zero and a force
    pays only its own write. *)
 let adaptive_window t =
-  if t.ewma_gap_ms >= 0.0 && t.ewma_gap_ms <= force_ms t /. 4.0 then t.ewma_gap_ms
-  else 0.0
+  let gap = t.timing.ewma_gap_ms in
+  if gap >= 0.0 && gap <= force_ms t /. 4.0 then gap else 0.0
 
 let spawn_daemon t ~flush_every ~live =
   (* Writer: one platter write per handed-off target. While the write's
@@ -445,15 +443,10 @@ let spawn_daemon t ~flush_every ~live =
             match Mailbox.recv_timeout t.kick flush_every with
             | Some () -> loop ()
             | None ->
-                (* periodic flush of the unforced tail, like the
-                   background flusher: only when the platter is idle *)
+                (* periodic flush, as the background flusher does *)
                 if live () then begin
-                  if
-                    tail_lsn t > t.durable
-                    && t.write_hi <= t.durable
-                    && Sync.Resource.in_use t.disk = 0
-                    && Sync.Resource.queue_length t.disk = 0
-                  then serialize_and_hand ~target:(tail_lsn t);
+                  if flushable t && t.write_hi <= t.durable then
+                    serialize_and_hand ~target:(tail_lsn t);
                   loop ()
                 end
         end

@@ -14,11 +14,13 @@
       one write per force, {b group commit} (one disk write satisfies
       every force pending at the moment the write starts, plus
       optionally a batching window timer as in the IMS/Fast-Path and
-      TMF designs the paper cites), or the {b logger daemon} (forcing
-      fibers park on an LSN-ordered waiter heap; the daemon drains all
-      pending targets into one platter write, wakes exactly the
-      satisfied waiters, and lets the next batch spool and serialize
-      while the write's I/O is in flight);
+      TMF designs the paper cites), or the {b logger daemon} (the
+      daemon drains all pending force targets into one platter write
+      and lets the next batch spool and serialize while the write's
+      I/O is in flight);
+    - under every policy, a fiber waiting for durability parks on one
+      LSN-ordered waiter heap, and a platter write wakes exactly the
+      waiters it made durable, lowest LSN first: never a broadcast;
     - a site {b crash} discards the volatile tail; the durable prefix
       survives and is what recovery reads. A platter write still in
       flight when its site dies (or dies and restarts) is lost with it,
@@ -43,7 +45,9 @@ type lsn = int
     - [Group_commit { window_ms }]: leader/follower batching. The first
       force of a batch becomes the leader, waits [window_ms] (or, at
       [0], one same-instant yield) for companions to spool, and one
-      write covers them all.
+      write covers them all. A force that finds a write in flight
+      follows it: it parks until that write lands, then returns if the
+      write covered it, or else leads the next one.
     - [Adaptive]: the pipelined logger daemon (see {!start}). Forces
       park on an LSN-ordered heap; the daemon lingers about one
       observed force inter-arrival gap (at most [log_force_ms / 4],
@@ -62,6 +66,12 @@ val create : ?policy:policy -> Camelot_mach.Site.t -> 'a t
 
 (** Spool a record into the volatile tail; returns its LSN. *)
 val append : 'a t -> 'a -> lsn
+
+(** A data server's {!append}: the calling fiber first pays the site's
+    [log_spool_cpu_ms] for copying the record into the log buffer,
+    except under [Adaptive], whose daemon charges the copy in batches.
+    Must run in a fiber. *)
+val spool : 'a t -> 'a -> lsn
 
 (** Block until all currently-spooled records are durable. Must run in
     a fiber. *)
@@ -125,11 +135,6 @@ val forces : 'a t -> int
     fewer with). *)
 val disk_writes : 'a t -> int
 
-(** Whether the foreground appender should skip the per-record spool
-    CPU charge because this log's daemon serializes in batches (the
-    [Adaptive] policy). *)
-val defers_spool_cpu : 'a t -> bool
-
 (** Logger batching/latency statistics (every policy's writes). *)
 type batch_stats = {
   bs_writes : int;  (** physical writes that carried >= 1 record *)
@@ -143,10 +148,10 @@ val batch_stats : 'a t -> batch_stats
 (** Block the calling fiber until the given LSN is durable (via anyone
     else's force or the background flusher). This is how a subordinate
     running the §3.2 optimized protocol learns its lazily-written
-    commit record has hit the disk and the commit-ack may go out. In
-    [Adaptive] mode the fiber parks on the LSN heap without triggering a
-    write: a lazy record rides along with the next force or the
-    periodic flush. *)
+    commit record has hit the disk and the commit-ack may go out. The
+    fiber parks on the LSN heap at its own LSN, under every policy,
+    without triggering a write: a lazy record rides along with the next
+    force or the periodic flush, and waiters wake lowest LSN first. *)
 val wait_durable : 'a t -> lsn -> unit
 
 (** Spawn the log's background fibers in the site's fiber group; call

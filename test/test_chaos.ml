@@ -457,6 +457,43 @@ let test_fuzz_parallel_jobs () =
   Alcotest.(check bool) "sequential fuzz after parallel is clean" true
     (seq.Explorer.rp_failures = [])
 
+(* A fiber that dies is a finding like any other: a protocol timeout
+   of -1 ms makes the first vote round's timed receive raise inside its
+   registration, the explorer reports the dead fiber by name, and
+   shrinking strips the schedule down to its bare workload. *)
+let test_fiber_death_is_a_finding () =
+  let mutate_config c = c.Camelot_core.State.vote_timeout_ms <- -1.0 in
+  let r = Explorer.fuzz ~mutate_config ~budget:30 ~seed:42 () in
+  Alcotest.(check bool) "deaths reported" true (r.Explorer.rp_failures <> []);
+  List.iter
+    (fun f ->
+      let token = Schedule.to_string f.Explorer.fl_shrunk in
+      Alcotest.(check int)
+        ("shrunk to a bare workload: " ^ token)
+        0
+        (List.length f.Explorer.fl_shrunk.Schedule.s_injections);
+      match f.Explorer.fl_violations with
+      | [ { Oracle.v_oracle = "died"; v_detail } ] ->
+          Alcotest.(check bool)
+            ("names the fiber and the exception: " ^ v_detail)
+            true
+            (String.starts_with ~prefix:"fiber chaos-" v_detail
+            && String.ends_with
+                 ~suffix:{|Invalid_argument("Engine.schedule_timer: negative delay")|}
+                 v_detail)
+      | vs ->
+          Alcotest.failf "%s: expected one [died] violation, got %d" token
+            (List.length vs))
+    r.Explorer.rp_failures
+
+(* The group-commit logger under the search: no default-pool workload
+   runs it, so it is searched alone, and its follower wait (a force
+   that finds a write in flight parks behind it) must stay clean. *)
+let test_group_commit_workload_clean () =
+  let r = Explorer.fuzz ~budget:1500 ~seed:42 ~workloads:[ "group-mixed" ] () in
+  Alcotest.(check int) "budget honoured" 1500 r.Explorer.rp_runs;
+  Alcotest.(check int) "no failing schedules" 0 (List.length r.Explorer.rp_failures)
+
 (* A detached note costs one branch: protocol code calls it on every
    yes-vote a coordinator collects, outside any explorer. *)
 let test_detached_note_allocates_nothing () =
@@ -523,6 +560,13 @@ let () =
             test_fuzz_shrunk_tokens_replay;
           Alcotest.test_case "parallel jobs share a corpus" `Quick
             test_fuzz_parallel_jobs;
+        ] );
+      ( "findings",
+        [
+          Alcotest.test_case "a fiber's death is a finding" `Quick
+            test_fiber_death_is_a_finding;
+          Alcotest.test_case "group-commit logger searched clean" `Quick
+            test_group_commit_workload_clean;
         ] );
       ( "alloc",
         [

@@ -526,6 +526,37 @@ let test_fiber_exception_escapes () =
   Alcotest.check_raises "main fiber's own exception unwrapped" (Failure "main")
     (fun () -> Fiber.run (Engine.create ()) (fun () -> failwith "main"))
 
+(* A [suspend] registration runs in the effect handler, outside the
+   fiber, yet what it raises kills the fiber it was suspending: it
+   escapes as [Died] naming that fiber, the wait leaves the fiber's
+   group (a later kill finds nothing to cancel), and a wait the
+   registration already resumed dies of the exception when its
+   resumption runs, not twice. *)
+let test_fiber_registration_raise () =
+  let died_of eng =
+    match Engine.run eng with
+    | () -> Alcotest.fail "registration exception swallowed"
+    | exception Fiber.Died (name, Failure msg) -> (name, msg)
+  in
+  let eng = Engine.create () in
+  let group = Fiber.Group.create () in
+  Fiber.spawn eng ~group ~name:"registrar" (fun () ->
+      Fiber.suspend (fun (_ : unit Fiber.resumer) -> failwith "refused"));
+  Alcotest.(check (pair string string))
+    "dies as its fiber" ("registrar", "refused") (died_of eng);
+  Fiber.Group.kill group;
+  Engine.run eng;
+  Alcotest.(check int) "the dead wait left its group" 0 (Engine.pending eng);
+  let eng = Engine.create () in
+  Fiber.spawn eng ~name:"resumed" (fun () ->
+      Fiber.suspend (fun r ->
+          Fiber.resume r (Ok ());
+          failwith "late"));
+  Alcotest.(check (pair string string))
+    "an already resumed wait dies once" ("resumed", "late") (died_of eng);
+  Engine.run eng;
+  Alcotest.(check int) "nothing left to run" 0 (Engine.pending eng)
+
 let test_fiber_run_deadlock () =
   let eng = Engine.create () in
   Alcotest.check_raises "deadlock detected"
@@ -632,6 +663,26 @@ let test_mailbox_timeout_then_send_queues () =
   Alcotest.(check (pair (option int) (option int)))
     "message queued after timeout" (None, Some 99) outcome
 
+(* A timed receive whose delay the engine rejects dies without leaving
+   its waiter behind: the next receiver still gets the next message
+   and keeps its own timeout. *)
+let test_mailbox_rejected_timeout_leaves_no_waiter () =
+  let eng = Engine.create () in
+  let mb = Mailbox.create eng in
+  Fiber.spawn eng ~name:"rejected" (fun () ->
+      ignore (Mailbox.recv_timeout mb (-1.0) : int option));
+  (match Engine.run eng with
+  | () -> Alcotest.fail "negative delay accepted"
+  | exception Fiber.Died ("rejected", Invalid_argument _) -> ());
+  let got = ref [] in
+  Fiber.spawn eng (fun () ->
+      got := Mailbox.recv_timeout mb 10.0 :: !got;
+      got := Mailbox.recv_timeout mb 10.0 :: !got);
+  Engine.schedule eng ~delay:1.0 (fun () -> Mailbox.send mb 7);
+  Engine.run eng;
+  Alcotest.(check (list (option int)))
+    "delivered, then timed out" [ Some 7; None ] (List.rev !got)
+
 let test_mailbox_waiters_count () =
   let eng = Engine.create () in
   let mb : int Mailbox.t = Mailbox.create eng in
@@ -671,22 +722,6 @@ let test_mutex_unlock_unlocked () =
   Alcotest.check_raises "unlock unheld"
     (Invalid_argument "Sync.Mutex.unlock: not locked") (fun () ->
       Sync.Mutex.unlock m)
-
-let test_condition_broadcast () =
-  let eng = Engine.create () in
-  let m = Sync.Mutex.create () in
-  let c = Sync.Condition.create eng in
-  let woken = ref 0 in
-  for _ = 1 to 3 do
-    Fiber.spawn eng (fun () ->
-        Sync.Mutex.lock m;
-        Sync.Condition.wait c m;
-        incr woken;
-        Sync.Mutex.unlock m)
-  done;
-  Engine.schedule eng ~delay:5.0 (fun () -> Sync.Condition.broadcast c);
-  Engine.run eng;
-  Alcotest.(check int) "all woken" 3 !woken
 
 let test_semaphore_limits () =
   let eng = Engine.create () in
@@ -1096,6 +1131,8 @@ let () =
           Alcotest.test_case "kill prevents start" `Quick test_fiber_group_kill_prevents_start;
           Alcotest.test_case "kill hook order" `Quick test_fiber_group_kill_hook_order;
           Alcotest.test_case "exception escapes" `Quick test_fiber_exception_escapes;
+          Alcotest.test_case "a raising registration kills its fiber" `Quick
+            test_fiber_registration_raise;
           Alcotest.test_case "deadlock detected" `Quick test_fiber_run_deadlock;
           Alcotest.test_case "suspend/resume" `Quick test_fiber_suspend_resume;
           Alcotest.test_case "kill at a sleep's wake-up instant" `Quick
@@ -1110,12 +1147,13 @@ let () =
           Alcotest.test_case "delivery before timeout" `Quick test_mailbox_timeout_delivery;
           Alcotest.test_case "send after timeout queues" `Quick test_mailbox_timeout_then_send_queues;
           Alcotest.test_case "waiter count" `Quick test_mailbox_waiters_count;
+          Alcotest.test_case "rejected timeout leaves no waiter" `Quick
+            test_mailbox_rejected_timeout_leaves_no_waiter;
         ] );
       ( "sync",
         [
           Alcotest.test_case "mutex exclusion" `Quick test_mutex_exclusion;
           Alcotest.test_case "unlock unheld rejected" `Quick test_mutex_unlock_unlocked;
-          Alcotest.test_case "condition broadcast" `Quick test_condition_broadcast;
           Alcotest.test_case "semaphore limits concurrency" `Quick test_semaphore_limits;
           Alcotest.test_case "resource FCFS with durations" `Quick test_resource_fcfs;
         ] );

@@ -191,7 +191,7 @@ let refusal_twin ~truncate =
             n
             + List.length
                 (List.filter
-                   (fun im -> im.Record.fi_quorum = Record.Fq_abort)
+                   (fun im -> im.Record.fi_quorum = Record.Q_abort)
                    ck_families)
         | _ -> n)
       0

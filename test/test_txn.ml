@@ -262,10 +262,11 @@ let test_distributed_keeps_tombstones () =
 
 (* Words a resolved 2-site 2PC transaction leaves in the cluster,
    counted over both TranMan states (which reach their logs, servers
-   and each other), per transaction of a run of [n]. The warm-up sizes
-   the lock tables and values; the settle outlasts the 10 s orphan
-   timeout, so no disarmed watchdog is still queued. *)
-let retained_per_2pc_txn n =
+   and each other), per transaction of a run of [n] that applies [op]
+   to one key at each site. The warm-up sizes the lock tables and
+   values; the settle outlasts the 10 s orphan timeout, so no disarmed
+   watchdog is still queued. *)
+let retained_per_2pc_txn ~op n =
   let c = quiet_cluster ~sites:2 () in
   let tm0 = Camelot.Cluster.tranman c 0 in
   let tm1 = Camelot.Cluster.tranman c 1 in
@@ -273,8 +274,8 @@ let retained_per_2pc_txn n =
     Fiber.run (Camelot.Cluster.engine c) (fun () ->
         for _ = 1 to n do
           let tid = Tranman.begin_transaction tm0 in
-          ignore (Camelot.Cluster.op c ~origin:0 tid ~site:0 (Data_server.Write ("x", 1)) : int);
-          ignore (Camelot.Cluster.op c ~origin:0 tid ~site:1 (Data_server.Write ("y", 1)) : int);
+          ignore (Camelot.Cluster.op c ~origin:0 tid ~site:0 (op "x") : int);
+          ignore (Camelot.Cluster.op c ~origin:0 tid ~site:1 (op "y") : int);
           check_committed (Tranman.commit tm0 tid)
         done);
     settle c 12_000.0
@@ -291,14 +292,26 @@ let retained_per_2pc_txn n =
    record. The budget sits about 10% above. The figure stays flat as
    the run doubles (56.95 over 4000): what a transaction keeps does not
    grow with the run's length. *)
+let write key = Data_server.Write (key, 1)
+
 let test_retained_per_2pc_txn () =
-  let per_txn = retained_per_2pc_txn 2_000 in
+  let per_txn = retained_per_2pc_txn ~op:write 2_000 in
   if per_txn > 62.3 then
     Alcotest.failf "%.2f retained words per transaction, budget 62.3" per_txn;
-  let doubled = retained_per_2pc_txn 4_000 in
+  let doubled = retained_per_2pc_txn ~op:write 4_000 in
   if Float.abs ((doubled /. per_txn) -. 1.0) > 0.05 then
     Alcotest.failf "%.2f words per transaction over 4000, %.2f over 2000: not flat"
       doubled per_txn
+
+(* A wholly read-only 2PC transaction logs nothing and runs no second
+   phase, so its coordinator keeps only its outcome marker: 48.18
+   words today, 82.18 when the coordinator kept its whole record. The
+   subordinate's read-only vote still keeps its record (about 43 words:
+   it never resolves). The budget sits about 10% above. *)
+let test_retained_per_read_only_2pc_txn () =
+  let per_txn = retained_per_2pc_txn ~op:(fun key -> Data_server.Read key) 2_000 in
+  if per_txn > 53.0 then
+    Alcotest.failf "%.2f retained words per transaction, budget 53.0" per_txn
 
 (* Forgetting is volatile only: a local commit forgotten as it
    resolved is redone from the log when its site crashes and restarts
@@ -519,6 +532,8 @@ let () =
             test_retained_per_local_update_txn;
           Alcotest.test_case "resolved 2PC keeps only markers and log records" `Quick
             test_retained_per_2pc_txn;
+          Alcotest.test_case "read-only 2PC retires at its coordinator" `Quick
+            test_retained_per_read_only_2pc_txn;
           Alcotest.test_case "2PC keeps both tombstones" `Quick
             test_distributed_keeps_tombstones;
           Alcotest.test_case "forgotten commit redone after restart" `Quick

@@ -256,6 +256,51 @@ let test_wait_durable_already_durable () =
   in
   check_float "returns without waiting" 0.0 waited
 
+(* Every durability wait parks on one LSN-ordered heap, under every
+   policy: lazy waiters that parked highest LSN first still wake lowest
+   LSN first, from the one write that covers both. *)
+let test_lazy_waiters_wake_in_lsn_order () =
+  let eng, _, log = make_log () in
+  for i = 0 to 2 do
+    ignore (Log.append log (Printf.sprintf "r%d" i) : int)
+  done;
+  let woke = ref [] in
+  List.iter
+    (fun lsn ->
+      Fiber.spawn eng (fun () ->
+          Log.wait_durable log lsn;
+          woke := lsn :: !woke))
+    [ 2; 1 ];
+  Fiber.spawn eng (fun () -> Log.force log);
+  Engine.run eng;
+  Alcotest.(check (list int)) "lowest LSN first" [ 1; 2 ] (List.rev !woke)
+
+(* A write wakes exactly the waiters it made durable. A's record is
+   written at 15; B spools its record after that write began, so B
+   must sleep through it, and wakes only from the second write, at 30.
+   Nine engine events: three fiber starts, two per platter write, one
+   wake-up per waiter. A broadcast would add one, B's wasted wake-up
+   at 15. *)
+let test_write_wakes_only_covered_waiters () =
+  let eng, _, log = make_log () in
+  let woke = ref [] in
+  let wait name lsn =
+    Log.wait_durable log lsn;
+    woke := (name, Fiber.now ()) :: !woke
+  in
+  let a = Log.append log "a" in
+  Fiber.spawn eng (fun () -> wait "A" a);
+  Fiber.spawn eng (fun () ->
+      Log.force log;
+      Log.force log);
+  Fiber.spawn eng (fun () -> wait "B" (Log.append log "b"));
+  Engine.run eng;
+  Alcotest.(check (list (pair string (float 1e-6))))
+    "each waiter woken by the write that covers it"
+    [ ("A", 15.0); ("B", 30.0) ]
+    (List.rev !woke);
+  Alcotest.(check int) "no wasted wake-up" 9 (Engine.executed eng)
+
 let test_throughput_cap_without_batching () =
   (* the §3.5 argument: a 15ms force caps an unbatched log at ~66
      writes/s; group commit with many concurrent committers beats it *)
@@ -499,6 +544,10 @@ let () =
             test_staggered_forces_all_complete;
           Alcotest.test_case "wait_durable already durable" `Quick
             test_wait_durable_already_durable;
+          Alcotest.test_case "lazy waiters wake in LSN order" `Quick
+            test_lazy_waiters_wake_in_lsn_order;
+          Alcotest.test_case "a write wakes only the waiters it covers" `Quick
+            test_write_wakes_only_covered_waiters;
           Alcotest.test_case "group commit throughput (§3.5)" `Quick
             test_throughput_cap_without_batching;
         ] );
